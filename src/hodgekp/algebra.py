@@ -3,8 +3,7 @@
 Rationals, Laurent polynomials in the formal parameter hbar, truncated
 univariate series and weight-truncated sparse multivariate polynomials.
 Every operation is exact (no floats anywhere) and pure; values are
-treated as immutable after construction, so independent computations
-may run in parallel and must agree bit-for-bit with sequential runs.
+treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -114,14 +113,6 @@ class HbarPoly:
 
     def exponents(self):
         return sorted(self.terms)
-
-    def constant_value(self) -> Fraction:
-        """The value when the polynomial is hbar-free (raises otherwise)."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {0}:
-            raise ValueError("coefficient still depends on hbar")
-        return self.terms[0]
 
     def at(self, value: Fraction) -> Fraction:
         """Evaluate at hbar = value exactly."""
@@ -269,12 +260,6 @@ class ZSeries:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def valuation(self) -> int | None:
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return self.lowest + i
-        return None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZSeries):
@@ -507,13 +492,6 @@ class ZSeries:
             self.lowest,
         )
 
-    def odd_part(self) -> "ZSeries":
-        return ZSeries(
-            [c if (self.lowest + i) % 2 == 1 else Fraction(0) for i, c in enumerate(self.coeffs)],
-            self.order,
-            self.lowest,
-        )
-
 
 def _poly_compose_mod(a: list, b: list, m: int) -> list:
     """Coefficients of a(b(z)) mod z^(m+1) for plain coefficient lists."""
@@ -661,9 +639,6 @@ class TPoly:
     def is_linear(self) -> bool:
         """Degree <= 1 in the variables (an affine-linear combination)."""
         return self.degree() <= 1
-
-    def min_term_weight(self) -> int | None:
-        return min((mono_weight(self.kind, m) for m in self.terms), default=None)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TPoly):

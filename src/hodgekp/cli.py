@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -230,21 +229,9 @@ def _chk_theorem_theta(config: RunConfig, point: CurveParams) -> dict:
     return {"passed": rep.equal, "report": rep.to_json_obj()}
 
 
-def _chk_kp_kw(config: RunConfig, point: CurveParams) -> dict:
-    W = max(config.weight, 3)
-    tau = kw_tau(W).body
-    reports = []
-    ok = True
-    for hb in config.hbars:
-        r = hirota_full_check(specialize_hbar(tau, hb), 3, rat_str(hb))
-        reports.append(r.to_json_obj())
-        ok = ok and r.passed
-    return {"passed": ok, "weight": W, "reports": reports}
-
-
-def _chk_kp_bgw(config: RunConfig, point: CurveParams) -> dict:
-    W = max(config.weight, 1)
-    tau = bgw_tau(W).body
+def _chk_kp_base(config: RunConfig, build, min_weight: int) -> dict:
+    W = max(config.weight, min_weight)
+    tau = build(W).body
     reports = []
     ok = True
     for hb in config.hbars:
@@ -306,8 +293,8 @@ CHECKS = {
     "theorem-rl": (_chk_theorem_rl, "full operator identification on the odd-time basis"),
     "theorem-hodge": (_chk_theorem_hodge, "two constructions of the triple-Hodge tau-function agree"),
     "theorem-theta": (_chk_theorem_theta, "two constructions of the Theta-Hodge tau-function agree"),
-    "kp-kw": (_chk_kp_kw, "bilinear identity for the psi-class tau-function"),
-    "kp-bgw": (_chk_kp_bgw, "bilinear identity for the Theta-class tau-function"),
+    "kp-kw": (lambda config, point: _chk_kp_base(config, kw_tau, 3), "bilinear identity for the psi-class tau-function"),
+    "kp-bgw": (lambda config, point: _chk_kp_base(config, bgw_tau, 1), "bilinear identity for the Theta-class tau-function"),
     "kp-hodge": (_chk_kp_hodge, "graded bilinear identity for both derived tau-functions"),
     "kdv-reduction": (_chk_kdv_reduction, "even-time (in)dependence matching the reduction locus"),
     "conjugation": (_chk_conjugation, "conjugation of current modes by the group element"),
@@ -362,15 +349,9 @@ def run_verification(config: RunConfig) -> tuple[int, dict]:
         else:
             for point in config.points:
                 jobs.append((name, point))
-    threads = max(1, int(os.environ.get("HODGEKP_THREADS", "1")))
-    results: list[CheckResult] = []
-    if threads == 1:
-        for name, point in jobs:
-            results.append(_run_one(config, name, point))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_one, config, name, point) for name, point in jobs]
-            results = [f.result() for f in futures]
+    # `_run_one` is looked up as a module global on each job, so that a
+    # caller can wrap it, for example to time each job.
+    results = [_run_one(config, name, point) for name, point in jobs]
     all_pass = all(r.passed for r in results)
     summary = {
         "engineVersion": ENGINE_VERSION,
@@ -443,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--perturbed", action="store_true", help="run the out-of-family control (identification)")
 
     t = sub.add_parser("tau", help="dump a truncated tau-function as JSON")
-    t.add_argument("kind", choices=("kw", "bgw", "hodge", "theta-hodge", "tau-qp", "tau-theta-qp"))
+    t.add_argument("kind", choices=tuple(_TAU_KINDS))
     t.add_argument("--weight", type=int, required=True)
     t.add_argument("--q", help="rational q (for point-dependent kinds)")
     t.add_argument("--p", help="rational p")
@@ -454,20 +435,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parse_rational(flag: str, text: str) -> Fraction:
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{flag} {text!r} is not an exact rational") from None
+
+
 def _parse_point(args) -> CurveParams | None:
     given = [x is not None for x in (args.q, args.p, args.s)]
     if not any(given):
         return None
     if not all(given):
         raise ConfigError("--q, --p and --s must be given together")
-    return CurveParams(rat(args.q), rat(args.p), rat(args.s))
+    q = _parse_rational("--q", args.q)
+    p = _parse_rational("--p", args.p)
+    s = _parse_rational("--s", args.s)
+    try:
+        return CurveParams(q, p, s)
+    except ValueError as exc:
+        raise ConfigError(f"invalid point: {exc}") from None
+
+
+def _require_weight(W: int, minimum: int, what: str):
+    if W < minimum:
+        raise ConfigError(f"--weight {W} too small for {what}: need >= {minimum}")
 
 
 def _cmd_verify(args) -> int:
+    _require_weight(args.weight, 1, "verify")
     point = _parse_point(args)
     points = [point] if point is not None else default_points()
     checks = list(CHECKS) if args.check == "all" else [args.check]
-    hbars = [rat(h) for h in args.hbar] if args.hbar else [Fraction(1), Fraction(1, 2)]
+    hbars = [_parse_rational("--hbar", h) for h in args.hbar] if args.hbar else [Fraction(1), Fraction(1, 2)]
+    if 0 in hbars:
+        raise ConfigError("--hbar must be non-zero: at hbar = 0 the bilinear checks are vacuous")
     config = RunConfig(
         checks=checks,
         points=points,
@@ -483,24 +485,24 @@ def _cmd_verify(args) -> int:
     return code
 
 
+# `tau` kinds: (minimum weight, whether a point is needed, builder).
+_TAU_KINDS = {
+    "kw": (3, False, lambda point, W: kw_tau(W)),
+    "bgw": (1, False, lambda point, W: bgw_tau(W)),
+    "hodge": (3, True, lambda point, W: hodge_partition(point, W, "standard")),
+    "theta-hodge": (1, True, lambda point, W: hodge_partition(point, W, "theta")),
+    "tau-qp": (3, True, lambda point, W: tau_qp_check(point, W).tau),
+    "tau-theta-qp": (1, True, lambda point, W: tau_qp_theta_check(point, W).tau),
+}
+
+
 def _cmd_tau(args) -> int:
-    kind = args.kind
-    W = args.weight
+    min_weight, needs_point, build = _TAU_KINDS[args.kind]
+    _require_weight(args.weight, min_weight, f"tau kind {args.kind!r}")
     point = _parse_point(args)
-    if kind in ("hodge", "theta-hodge", "tau-qp", "tau-theta-qp") and point is None:
-        raise ConfigError(f"tau kind {kind!r} needs --q/--p/--s")
-    if kind == "kw":
-        series = kw_tau(W)
-    elif kind == "bgw":
-        series = bgw_tau(W)
-    elif kind == "hodge":
-        series = hodge_partition(point, W, "standard")
-    elif kind == "theta-hodge":
-        series = hodge_partition(point, W, "theta")
-    elif kind == "tau-qp":
-        series = tau_qp_check(point, W).tau
-    else:
-        series = tau_qp_theta_check(point, W).tau
+    if needs_point and point is None:
+        raise ConfigError(f"tau kind {args.kind!r} needs --q/--p/--s")
+    series = build(point, args.weight)
     obj = series.to_json_obj()
     obj["provenance"]["engineVersion"] = ENGINE_VERSION
     text = json.dumps(obj, indent=1, sort_keys=True) + "\n"

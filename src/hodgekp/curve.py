@@ -394,9 +394,6 @@ class WittCoeffs:
     def __iter__(self):
         return iter(self.a)
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return {k + 1: c for k, c in enumerate(self.a) if c}
-
 
 def witt_flow(a, K: int) -> ZSeries:
     """Apply exp(-sum_k a_k z^(k+1) d/dz) to z, truncated at order K."""

@@ -220,9 +220,22 @@ class HirotaReport:
 
 
 def _run_equations(
-    tau: TPoly, equations, check_name: str, y_weight: int | None, hbar_label: str | None
+    tau: TPoly,
+    equations,
+    check_name: str,
+    y_weight: int | None,
+    hbar_label: str | None,
+    band: tuple[int, int] | None = None,
 ) -> HirotaReport:
-    _require_specialized(tau)
+    """Evaluate each bilinear equation and record its nonzero residual
+    coefficients on the covered range v <= W - d.
+
+    Without a band tau must be hbar-specialized and every coefficient
+    there counts.  With a band (a, b) only the hbar exponents e with
+    a*e <= W + b*(v + d) count, each recorded separately.
+    """
+    if band is None:
+        _require_specialized(tau)
     W = tau.max_weight
     dmax = max(
         (mono_weight(T_SIDE, g) for _, eq in equations for g in eq), default=0
@@ -233,31 +246,30 @@ def _run_equations(
         check=check_name, checked_weight=W, hbar_value=hbar_label, y_weight=y_weight
     )
     for label_mono, eq in equations:
-        dweight = max((mono_weight(T_SIDE, g) for g in eq), default=0)
-        covered = W - dweight
+        d = max((mono_weight(T_SIDE, g) for g in eq), default=0)
+        covered = W - d
         label = "y[" + mono_str(T_SIDE, label_mono).replace("t", "y") + "]" if isinstance(label_mono, tuple) else str(label_mono)
         residual = TPoly.zero(tau.kind, W)
         for gamma, c in sorted(eq.items()):
             if gamma not in pair_cache:
                 pair_cache[gamma] = _bilinear_pair(derivs, gamma)
             residual = residual + pair_cache[gamma].scale(c)
-        bad = [
-            (mono, c)
-            for mono, c in residual.sorted_terms()
-            if mono_weight(tau.kind, mono) <= covered
-        ]
-        status = "pass" if not bad else "fail"
-        if covered < 0:
-            status = "skipped"
+        failures = []
+        for mono, c in residual.sorted_terms():
+            v = mono_weight(tau.kind, mono)
+            if v > covered:
+                continue
+            where = {"equation": label, "monomial": mono_str(tau.kind, mono)}
+            if band is None:
+                failures.append({**where, "residual": repr(c)})
+                continue
+            a, b = band
+            for e in c.exponents():
+                if a * e <= W + b * (v + d) and c.coeff(e):
+                    failures.append({**where, "hbarExponent": e, "residual": rat_str(c.coeff(e))})
+        status = "skipped" if covered < 0 else "fail" if failures else "pass"
         report.equations.append(EquationStatus(label, covered, status))
-        for mono, c in bad:
-            report.failures.append(
-                {
-                    "equation": label,
-                    "monomial": mono_str(tau.kind, mono),
-                    "residual": repr(c),
-                }
-            )
+        report.failures.extend(failures)
     return report
 
 
@@ -292,48 +304,9 @@ def hirota_graded_check(tau: TPoly, y_weight: int, band: tuple[int, int]) -> Hir
     hbar statement for every scalar hbar, coefficientwise.
     """
     a, b = band
-    W = tau.max_weight
     table = hirota_equation_table(y_weight)
-    dmax = max((mono_weight(T_SIDE, g) for _, eq in table for g in eq), default=0)
-    derivs = _scaled_derivatives(tau, dmax)
-    pair_cache: dict[Mono, TPoly] = {}
-    report = HirotaReport(
-        check="hirota-graded",
-        checked_weight=W,
-        hbar_value=f"graded band {a}e<=W+{b}(v+d)",
-        y_weight=y_weight,
-    )
-    for label_mono, eq in table:
-        d = max((mono_weight(T_SIDE, g) for g in eq), default=0)
-        covered = W - d
-        label = "y[" + mono_str(T_SIDE, label_mono).replace("t", "y") + "]"
-        residual = TPoly.zero(tau.kind, W)
-        for gamma, c in sorted(eq.items()):
-            if gamma not in pair_cache:
-                pair_cache[gamma] = _bilinear_pair(derivs, gamma)
-            residual = residual + pair_cache[gamma].scale(c)
-        bad = []
-        for mono, c in residual.sorted_terms():
-            v = mono_weight(tau.kind, mono)
-            if v > covered:
-                continue
-            for e in c.exponents():
-                if a * e <= W + b * (v + d) and c.coeff(e):
-                    bad.append((mono, e, c.coeff(e)))
-        status = "pass" if not bad else "fail"
-        if covered < 0:
-            status = "skipped"
-        report.equations.append(EquationStatus(label, covered, status))
-        for mono, e, c in bad:
-            report.failures.append(
-                {
-                    "equation": label,
-                    "monomial": mono_str(tau.kind, mono),
-                    "hbarExponent": e,
-                    "residual": rat_str(c),
-                }
-            )
-    return report
+    label = f"graded band {a}e<=W+{b}(v+d)"
+    return _run_equations(tau, table, "hirota-graded", y_weight, label, band)
 
 
 @dataclass

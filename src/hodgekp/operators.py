@@ -45,6 +45,7 @@ __all__ = [
     "transformed_variable_images",
     "tqp_forms",
     "tqp_forms_symbolic",
+    "tqp_substitute",
     "odd_t_to_big_t",
     "big_t_to_odd_t",
     "weight_monomials",
@@ -741,27 +742,35 @@ def virasoro_conjugation_check(
 # ---------------------------------------------------------------------------
 
 
+def tqp_substitute(params, P: TPoly, W: int) -> TPoly:
+    """Push a T-side polynomial through the t-side forms of `tqp_forms`;
+    a polynomial without variables becomes its constant term."""
+    occurring = P.variables()
+    if not occurring:
+        return TPoly(T_SIDE, W, {(): P.constant_term()})
+    forms = tqp_forms(params, (W - 1) // 2, W)
+    return P.substitute({m: forms[m] for m in occurring})
+
+
 def rl_transform_quantized(curve: CurveSeries, P_odd: TPoly, W: int) -> TPoly:
     """Quantized route: odd-time input read in T-variables, acted on by
     the factorized group element, then pushed through the t-side change
     of variables."""
     PT = odd_t_to_big_t(P_odd)
     img = givental_factorized(curve.R, PT, mode="standard")
-    forms = tqp_forms(curve.params, (W - 1) // 2, W)
-    occurring = img.variables()
-    if not occurring:
-        return TPoly(T_SIDE, W, {(): img.constant_term()})
-    return img.substitute({m: forms[m] for m in occurring})
+    return tqp_substitute(curve.params, img, W)
 
 
-def rl_transform_virasoro(curve: CurveSeries, P_odd: TPoly, W: int) -> TPoly:
+def rl_transform_virasoro(curve: CurveSeries, P_odd: TPoly, W: int, mode: str = "standard") -> TPoly:
     """Symmetry-group route: exp(sum a_k L_k), then the hbar^{-1}-weighted
-    translation in the t-variables."""
+    translation in the t-variables, by the dilaton-shifted vector v in
+    standard mode and by the order-zero vector v0 in theta mode."""
     a = witt_coefficients(curve.f.truncate(W + 1)).a
     sd = shift_data(curve, check_moments=False)
     out = exp_apply(virasoro_sum_op(a, W), P_odd)
+    vector = {"standard": sd.v, "theta": sd.v0}[mode]
     trans = translation_op(
-        {k: HbarPoly.hbar(-1, c) for k, c in sd.v.items()}, W, T_SIDE
+        {k: HbarPoly.hbar(-1, c) for k, c in vector.items()}, W, T_SIDE
     )
     return exp_apply(trans, out) if not trans.is_zero() else out
 

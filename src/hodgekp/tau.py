@@ -22,24 +22,14 @@ from .algebra import (
     double_factorial,
     rat_str,
 )
-from .curve import (
-    CurveParams,
-    CurveSeries,
-    build_curve,
-    log_r_series,
-    r_series,
-    shift_data,
-    witt_coefficients,
-)
+from .curve import CurveParams, CurveSeries, build_curve, log_r_series, r_series
 from .operators import (
     couplings_from_log_r,
-    exp_apply,
     givental_direct,
     givental_factorized,
     odd_t_to_big_t,
-    translation_op,
-    tqp_forms,
-    virasoro_sum_op,
+    rl_transform_virasoro,
+    tqp_substitute,
 )
 
 __all__ = [
@@ -109,6 +99,35 @@ def _sub_multisets(items: tuple):
     yield from rec(0, [], 1)
 
 
+def _constraint_sums(correlator, g: int, args: tuple, k: int) -> Fraction:
+    """Linear plus half the quadratic sum of the constraint that removes
+    the largest insertion a_0 = args[0]; the shift k moves each other
+    insertion to a_j + k and splits k - 1 into two new insertions."""
+    rest = args[1:]
+    total = Fraction(0)
+    for j, aj in enumerate(rest):
+        moved = tuple(sorted(rest[:j] + (aj + k,) + rest[j + 1 :], reverse=True))
+        total += (
+            Fraction(double_factorial(2 * aj + 2 * k + 1), double_factorial(2 * aj - 1))
+            * correlator(g, moved)
+        )
+    quad = Fraction(0)
+    for i in range(0, k):
+        j = k - 1 - i
+        fac = double_factorial(2 * i + 1) * double_factorial(2 * j + 1)
+        quad += fac * correlator(g - 1, tuple(sorted(rest + (i, j), reverse=True)))
+        for g1 in range(0, g + 1):
+            g2 = g - g1
+            for s1, ways, s2 in _sub_multisets(rest):
+                quad += (
+                    fac
+                    * ways
+                    * correlator(g1, tuple(sorted(s1 + (i,), reverse=True)))
+                    * correlator(g2, tuple(sorted(s2 + (j,), reverse=True)))
+                )
+    return total + quad / 2
+
+
 @lru_cache(maxsize=None)
 def psi_correlator(g: int, args: tuple) -> Fraction:
     """<tau_{a_1} ... tau_{a_n}>_g, the psi-class intersection numbers.
@@ -128,30 +147,8 @@ def psi_correlator(g: int, args: tuple) -> Fraction:
         return Fraction(1)
     if g == 1 and args == (1,):
         return Fraction(1, 24)
-    a0, rest = args[0], args[1:]
-    k = a0 - 1
-    total = Fraction(0)
-    for j, aj in enumerate(rest):
-        moved = tuple(sorted(rest[:j] + (aj + k,) + rest[j + 1 :], reverse=True))
-        total += (
-            Fraction(double_factorial(2 * aj + 2 * k + 1), double_factorial(2 * aj - 1))
-            * psi_correlator(g, moved)
-        )
-    quad = Fraction(0)
-    for i in range(0, k):
-        j = k - 1 - i
-        fac = double_factorial(2 * i + 1) * double_factorial(2 * j + 1)
-        quad += fac * psi_correlator(g - 1, tuple(sorted(rest + (i, j), reverse=True)))
-        for g1 in range(0, g + 1):
-            g2 = g - g1
-            for s1, ways, s2 in _sub_multisets(rest):
-                quad += (
-                    fac
-                    * ways
-                    * psi_correlator(g1, tuple(sorted(s1 + (i,), reverse=True)))
-                    * psi_correlator(g2, tuple(sorted(s2 + (j,), reverse=True)))
-                )
-    return (total + quad / 2) / double_factorial(2 * k + 3)
+    a0 = args[0]
+    return _constraint_sums(psi_correlator, g, args, a0 - 1) / double_factorial(2 * a0 + 1)
 
 
 @lru_cache(maxsize=None)
@@ -170,30 +167,9 @@ def theta_correlator(g: int, args: tuple) -> Fraction:
         return Fraction(0)
     if sum(args) != g - 1:
         return Fraction(0)
-    a0, rest = args[0], args[1:]
-    total = Fraction(0)
-    for j, aj in enumerate(rest):
-        moved = tuple(sorted(rest[:j] + (aj + a0,) + rest[j + 1 :], reverse=True))
-        total += (
-            Fraction(double_factorial(2 * aj + 2 * a0 + 1), double_factorial(2 * aj - 1))
-            * theta_correlator(g, moved)
-        )
-    quad = Fraction(0)
-    for i in range(0, a0):
-        j = a0 - 1 - i
-        fac = double_factorial(2 * i + 1) * double_factorial(2 * j + 1)
-        quad += fac * theta_correlator(g - 1, tuple(sorted(rest + (i, j), reverse=True)))
-        for g1 in range(0, g + 1):
-            g2 = g - g1
-            for s1, ways, s2 in _sub_multisets(rest):
-                quad += (
-                    fac
-                    * ways
-                    * theta_correlator(g1, tuple(sorted(s1 + (i,), reverse=True)))
-                    * theta_correlator(g2, tuple(sorted(s2 + (j,), reverse=True)))
-                )
-    extra = Fraction(1, 8) if (a0 == 0 and not rest and g == 1) else Fraction(0)
-    return (total + quad / 2 + extra) / double_factorial(2 * a0 + 1)
+    a0 = args[0]
+    extra = Fraction(1, 8) if (g, args) == (1, (0,)) else Fraction(0)
+    return (_constraint_sums(theta_correlator, g, args, a0) + extra) / double_factorial(2 * a0 + 1)
 
 
 def _kw_self_check(g: int, args: tuple):
@@ -403,17 +379,27 @@ class TauIdentityReport:
         }
 
 
-def _tau_via_group(params: CurveParams, W: int, mode: str, curve: CurveSeries | None) -> tuple:
+def _tau_identity(params: CurveParams, W: int, mode: str, curve: CurveSeries | None) -> TauIdentityReport:
+    """Build one side's tau-function by the substitution route and by the
+    symmetry-group route; `mode` picks the side as in `hodge_partition`."""
     if curve is None:
         curve = build_curve(params, 2 * W + 2)
-    Z = hodge_partition(params, W, mode)
-    forms = tqp_forms(params, (W - 1) // 2, W)
-    occurring = Z.body.variables()
-    if occurring:
-        lhs = Z.body.substitute({m: forms[m] for m in occurring})
-    else:
-        lhs = TPoly(T_SIDE, W, {(): Z.body.constant_term()})
-    return curve, lhs
+    lhs = tqp_substitute(params, hodge_partition(params, W, mode).body, W)
+    base, kind = (kw_tau, "tau_qp") if mode == "standard" else (bgw_tau, "tau_theta_qp")
+    rhs = rl_transform_virasoro(curve, base(W).body, W, mode)
+    equal = lhs == rhs
+    tau = TauSeries(
+        lhs,
+        kind,
+        {
+            "q": rat_str(params.q),
+            "p": rat_str(params.p),
+            "s": rat_str(params.s),
+            "W": W,
+            "pipeline": "substitution+group",
+        },
+    )
+    return TauIdentityReport(params, W, equal, tau, None if equal else lhs - rhs)
 
 
 def tau_qp_check(params: CurveParams, W: int, curve: CurveSeries | None = None) -> TauIdentityReport:
@@ -424,48 +410,10 @@ def tau_qp_check(params: CurveParams, W: int, curve: CurveSeries | None = None) 
     tau-function and translates by the hbar^{-1}-weighted vector.  The
     two must agree exactly; the result is returned for KP testing.
     """
-    curve, lhs = _tau_via_group(params, W, "standard", curve)
-    a = witt_coefficients(curve.f.truncate(W + 1)).a
-    sd = shift_data(curve, check_moments=False)
-    rhs = exp_apply(virasoro_sum_op(a, W), kw_tau(W).body)
-    trans = translation_op({k: HbarPoly.hbar(-1, c) for k, c in sd.v.items()}, W, T_SIDE)
-    if not trans.is_zero():
-        rhs = exp_apply(trans, rhs)
-    equal = lhs == rhs
-    tau = TauSeries(
-        lhs,
-        "tau_qp",
-        {
-            "q": rat_str(params.q),
-            "p": rat_str(params.p),
-            "s": rat_str(params.s),
-            "W": W,
-            "pipeline": "substitution+group",
-        },
-    )
-    return TauIdentityReport(params, W, equal, tau, None if equal else lhs - rhs)
+    return _tau_identity(params, W, "standard", curve)
 
 
 def tau_qp_theta_check(params: CurveParams, W: int, curve: CurveSeries | None = None) -> TauIdentityReport:
     """Theta-version of the tau-function identity, with the order-zero
     dilaton shift and the f-y translation vector."""
-    curve, lhs = _tau_via_group(params, W, "theta", curve)
-    a = witt_coefficients(curve.f.truncate(W + 1)).a
-    sd = shift_data(curve, check_moments=False)
-    rhs = exp_apply(virasoro_sum_op(a, W), bgw_tau(W).body)
-    trans = translation_op({k: HbarPoly.hbar(-1, c) for k, c in sd.v0.items()}, W, T_SIDE)
-    if not trans.is_zero():
-        rhs = exp_apply(trans, rhs)
-    equal = lhs == rhs
-    tau = TauSeries(
-        lhs,
-        "tau_theta_qp",
-        {
-            "q": rat_str(params.q),
-            "p": rat_str(params.p),
-            "s": rat_str(params.s),
-            "W": W,
-            "pipeline": "substitution+group",
-        },
-    )
-    return TauIdentityReport(params, W, equal, tau, None if equal else lhs - rhs)
+    return _tau_identity(params, W, "theta", curve)

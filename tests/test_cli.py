@@ -161,12 +161,38 @@ class TestReportsAndDeterminism:
         artifact = tmp_path / "r" / "invariant-violation.txt"
         assert artifact.exists() and "diff" in artifact.read_text()
 
-    def test_thread_pool_is_deterministic(self, monkeypatch):
+    def test_cold_and_warm_runs_agree(self):
+        from hodgekp.tau import psi_correlator, theta_correlator
+
         point = CurveParams(F(1), F(3), F(2))
-        config = RunConfig(checks=["lemma-laplace", "lemma-changevars"], points=[point], weight=6)
-        monkeypatch.delenv("HODGEKP_THREADS", raising=False)
-        _, base = run_verification(config)
-        monkeypatch.setenv("HODGEKP_THREADS", "4")
-        _, pooled = run_verification(config)
-        base.pop("timings_ms"), pooled.pop("timings_ms")
-        assert base == pooled
+        config = RunConfig(checks=["kp-kw", "kp-bgw", "theorem-theta"], points=[point], weight=6)
+        psi_correlator.cache_clear()
+        theta_correlator.cache_clear()
+        _, cold = run_verification(config)
+        assert psi_correlator.cache_info().currsize and theta_correlator.cache_info().currsize
+        _, warm = run_verification(config)
+        assert psi_correlator.cache_info().hits and theta_correlator.cache_info().hits
+        cold.pop("timings_ms"), warm.pop("timings_ms")
+        assert cold["status"] == "pass"
+        assert cold == warm
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lemma-laplace", "--q", "x", "--p", "3", "--s", "2"],
+        ["verify", "lemma-laplace", "--q", "1", "--p", "3", "--s", "3"],
+        ["verify", "lemma-laplace", "--q", "1", "--p", "-1", "--s", "0"],
+        ["verify", "lemma-laplace", "--q", "1/0", "--p", "3", "--s", "2"],
+        ["verify", "lemma-laplace", "--hbar", "x"],
+        ["verify", "lemma-laplace", "--weight", "0"],
+        ["verify", "kp-kw", "--hbar", "0"],
+        ["tau", "kw", "--weight", "2"],
+        ["tau", "tau-theta-qp", "--weight", "0", "--q", "1", "--p", "3", "--s", "2"],
+    ],
+)
+def test_bad_input_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -194,3 +194,34 @@ class TestReductionCheck:
         result = kdv_reduction_check(rep.tau.body)
         assert not result.passed
         assert result.even_monomials
+
+
+class TestMergedEquationLoop:
+    """The fixed-hbar and the graded check share one equation loop; the
+    band only changes which coefficients count and how failures read."""
+
+    BUMP = ((1, 1), (3, 1))
+
+    def test_full_failure_record_has_no_hbar_exponent(self):
+        tau = specialize_hbar(kw_tau(9).body, F(1))
+        r = hirota_full_check(tau + TPoly("t", 9, {self.BUMP: F(1, 7)}), 3)
+        assert not r.passed
+        for failure in r.failures:
+            assert set(failure) == {"equation", "monomial", "residual"}
+
+    def test_graded_failure_record_has_hbar_exponent(self):
+        body = kw_tau(9).body + TPoly("t", 9, {self.BUMP: HbarPoly.hbar(1, F(1, 7))})
+        r = hirota_graded_check(body, 3, trust_band("KW"))
+        assert not r.passed
+        for failure in r.failures:
+            assert set(failure) == {"equation", "monomial", "hbarExponent", "residual"}
+
+    def test_graded_matches_full_on_the_base_tau(self):
+        body = kw_tau(9).body
+        graded = hirota_graded_check(body, 3, trust_band("KW"))
+        full = hirota_full_check(specialize_hbar(body, F(1)), 3)
+        assert graded.passed and full.passed
+        assert graded.to_json_obj()["hbar"] == "graded band 0e<=W+0(v+d)"
+        assert [e.to_json_obj() for e in graded.equations] == [
+            e.to_json_obj() for e in full.equations
+        ]

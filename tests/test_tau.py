@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -44,6 +46,47 @@ class TestPsiCorrelators:
     def test_unstable_vanish(self):
         assert psi_correlator(0, (0, 0)) == 0
         assert psi_correlator(0, ()) == 0
+
+
+class TestLiteratureOracles:
+    """Closed formulas from the literature, evaluated without any code of
+    the constraint recursion they check."""
+
+    @staticmethod
+    def _tuples(n, total, top):
+        """Nonincreasing n-tuples of integers in [0, top] summing to total."""
+        return [
+            tuple(reversed(a))
+            for a in itertools.combinations_with_replacement(range(top + 1), n)
+            if sum(a) == total
+        ]
+
+    def test_genus_zero_closed_form(self):
+        # <tau_{a_1} ... tau_{a_n}>_0 = (n-3)! / prod a_i!
+        cases = 0
+        for n in range(3, 8):
+            for args in self._tuples(n, n - 3, n - 3):
+                expect = F(math.factorial(n - 3), math.prod(math.factorial(a) for a in args))
+                assert psi_correlator(0, args) == expect, args
+                cases += 1
+        assert cases == 1 + 1 + 2 + 3 + 5
+
+    def test_witten_one_point(self):
+        # <tau_{3g-2}>_g = 1 / (24^g g!)
+        for g in range(1, 6):
+            assert psi_correlator(g, (3 * g - 2,)) == F(1, 24**g * math.factorial(g)), g
+
+    def test_norbury_tau0_insertion(self):
+        # <Theta tau_0 prod tau_{a_i}>_g = (2g - 2 + n) <Theta prod tau_{a_i}>_g
+        cases = 0
+        for g in range(1, 6):
+            for n in range(0, 6):
+                if 2 * g - 2 + n <= 0:
+                    continue
+                for args in self._tuples(n, g - 1, g - 1):
+                    assert theta_correlator(g, args + (0,)) == (2 * g - 2 + n) * theta_correlator(g, args)
+                    cases += 1
+        assert cases == 49
 
 
 class TestThetaCorrelators:
