@@ -56,7 +56,7 @@ from .tau import (
 
 ENGINE_VERSION = "0.1.0"
 
-__all__ = ["main", "run_verification", "RunConfig", "CHECKS"]
+__all__ = ["main", "run_verification", "RunConfig", "CHECKS", "MIN_WEIGHT"]
 
 
 @dataclass
@@ -142,7 +142,7 @@ def _chk_identification(config: RunConfig, point: CurveParams) -> dict:
     size = 4
     need = 2 * (2 * size + 1)
     if config.perturbed:
-        control = perturbed_control_curve(max(config.series_order(), need))
+        control = perturbed_control_curve(config.order_for(need, "the identification control (size 4)"))
         res = identification_residual(control, size, require_symplectic=False)
         nonzero = [
             (k, m) for k in range(size) for m in range(size) if res[k][m] != 0
@@ -229,8 +229,8 @@ def _chk_theorem_theta(config: RunConfig, point: CurveParams) -> dict:
     return {"passed": rep.equal, "report": rep.to_json_obj()}
 
 
-def _chk_kp_base(config: RunConfig, build, min_weight: int) -> dict:
-    W = max(config.weight, min_weight)
+def _chk_kp_base(config: RunConfig, build) -> dict:
+    W = config.weight
     tau = build(W).body
     reports = []
     ok = True
@@ -293,12 +293,19 @@ CHECKS = {
     "theorem-rl": (_chk_theorem_rl, "full operator identification on the odd-time basis"),
     "theorem-hodge": (_chk_theorem_hodge, "two constructions of the triple-Hodge tau-function agree"),
     "theorem-theta": (_chk_theorem_theta, "two constructions of the Theta-Hodge tau-function agree"),
-    "kp-kw": (lambda config, point: _chk_kp_base(config, kw_tau, 3), "bilinear identity for the psi-class tau-function"),
-    "kp-bgw": (lambda config, point: _chk_kp_base(config, bgw_tau, 1), "bilinear identity for the Theta-class tau-function"),
+    "kp-kw": (lambda config, point: _chk_kp_base(config, kw_tau), "bilinear identity for the psi-class tau-function"),
+    "kp-bgw": (lambda config, point: _chk_kp_base(config, bgw_tau), "bilinear identity for the Theta-class tau-function"),
     "kp-hodge": (_chk_kp_hodge, "graded bilinear identity for both derived tau-functions"),
     "kdv-reduction": (_chk_kdv_reduction, "even-time (in)dependence matching the reduction locus"),
     "conjugation": (_chk_conjugation, "conjugation of current modes by the group element"),
 }
+
+# The smallest weight at which a check's constructions exist; 1 when absent.
+# The standard-side tau-functions (kw_tau, tau_qp) start at W = 3.
+MIN_WEIGHT = {"theorem-hodge": 3, "kp-kw": 3, "kp-hodge": 3, "kdv-reduction": 3}
+
+# `build_curve` needs series order K >= 4.
+_MIN_SERIES_ORDER = 4
 
 # Checks whose outcome does not depend on a parameter point.
 POINT_FREE = {"kp-kw", "kp-bgw"}
@@ -342,6 +349,13 @@ def run_verification(config: RunConfig) -> tuple[int, dict]:
     for name in config.checks:
         if name not in CHECKS:
             raise ConfigError(f"unknown check name {name!r}; see `hodgekp list-checks`")
+        minimum = MIN_WEIGHT.get(name, 1)
+        if config.weight < minimum:
+            raise ConfigError(f"weight {config.weight} too small for check {name!r}: need >= {minimum}")
+    if config.order is not None and config.order < _MIN_SERIES_ORDER:
+        raise ConfigError(
+            f"series order {config.order} too small: curve construction needs >= {_MIN_SERIES_ORDER}"
+        )
     jobs = []
     for name in config.checks:
         if name in POINT_FREE or (name == "identification" and config.perturbed):
@@ -463,7 +477,6 @@ def _require_weight(W: int, minimum: int, what: str):
 
 
 def _cmd_verify(args) -> int:
-    _require_weight(args.weight, 1, "verify")
     point = _parse_point(args)
     points = [point] if point is not None else default_points()
     checks = list(CHECKS) if args.check == "all" else [args.check]

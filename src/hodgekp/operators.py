@@ -75,7 +75,7 @@ class LinearOp:
     operators finite sums.
     """
 
-    __slots__ = ("kind", "terms")
+    __slots__ = ("kind", "terms", "_plan")
 
     def __init__(self, kind: str, terms: Mapping[tuple, HbarPoly] | None = None):
         self.kind = kind
@@ -86,6 +86,7 @@ class LinearOp:
                 if not c.is_zero():
                     clean[key] = c
         self.terms = clean
+        self._plan = None
 
     @staticmethod
     def _norm_key(tag: str, *idx: int) -> tuple:
@@ -133,7 +134,7 @@ class LinearOp:
     @property
     def min_weight_drop(self) -> int:
         """Guaranteed weight drop per application (0 for an empty op)."""
-        return min((self.term_drop(k) for k in self.terms), default=0)
+        return self._compiled().drop
 
     def __add__(self, other: "LinearOp") -> "LinearOp":
         if self.kind != other.kind:
@@ -154,33 +155,167 @@ class LinearOp:
             return LinearOp(self.kind)
         return LinearOp(self.kind, {k: v * c for k, v in self.terms.items()})
 
+    def _compiled(self) -> "_ApplyPlan":
+        if self._plan is None:
+            self._plan = _ApplyPlan(self)
+        return self._plan
+
     def apply(self, P: TPoly) -> TPoly:
+        """The image of P, in one pass over its monomials.
+
+        Each monomial visits only the derivative terms of the variables
+        it contains, and every product lands in one flat map from
+        monomial to {hbar exponent: Fraction}; the HbarPoly coefficients
+        are built once at the end, without the zeros.
+        """
         if P.kind != self.kind:
             raise ValueError(
                 f"operator acts on {self.kind}-side polynomials, got {P.kind}-side"
             )
-        acc = TPoly.zero(P.kind, P.max_weight)
-        for key, c in self.terms.items():
-            tag = key[0]
-            if tag == "id":
-                img = P.scale(c)
-            elif tag == "m":
-                img = P.mul_var(key[1], c)
-            elif tag == "mm":
-                img = P.mul_var(key[1]).mul_var(key[2], c)
-            elif tag == "d":
-                img = P.diff(key[1]).scale(c)
-            elif tag == "dd":
-                img = P.diff(key[1]).diff(key[2]).scale(c)
-            elif tag == "md":
-                img = P.diff(key[2]).mul_var(key[1], c)
-            else:
-                raise ValueError(f"unknown term tag {tag!r}")
-            acc = acc + img
-        return acc
+        plan = self._compiled()
+        cap = P.max_weight
+        odd = self.kind == BIG_T_SIDE  # weight(T_m) = 2m + 1, weight(t_k) = k
+        scalar, mults, by_var = plan.scalar, plan.mults, plan.by_var
+        out: dict[Mono, dict[int, Fraction]] = {}
+
+        def emit(mono, citems, pairs):
+            slot = out.get(mono)
+            if slot is None:
+                slot = out[mono] = {}
+            for e1, c1 in citems:
+                for e2, c2 in pairs:
+                    v = c1 * c2
+                    s = slot.get(e1 + e2)
+                    slot[e1 + e2] = v if s is None else s + v
+
+        for mono, c in P.terms.items():
+            citems = tuple(c.terms.items())
+            if scalar:
+                emit(mono, citems, scalar)
+            w = sum(((2 * v + 1) if odd else v) * e for v, e in mono)
+            for vars_, dw, pairs in mults:
+                if w + dw > cap:
+                    break
+                img = mono
+                for a in vars_:
+                    img = _mono_times(img, a)
+                emit(img, citems, pairs)
+            for i, (v, e) in enumerate(mono):
+                entry = by_var.get(v)
+                if entry is None:
+                    continue
+                d_pairs, md, dd_same, dd_other = entry
+                dmono = _mono_lower(mono, i)
+                if d_pairs is not None:
+                    emit(dmono, citems, _scaled(d_pairs, e))
+                if md:
+                    dw = w - ((2 * v + 1) if odd else v)
+                    for a, wa, pairs in md:
+                        if dw + wa <= cap:
+                            emit(_mono_times(dmono, a), citems, _scaled(pairs, e))
+                if dd_same is not None and e > 1:
+                    emit(_mono_lower(dmono, i), citems, _scaled(dd_same, e * (e - 1)))
+                for b, pairs in dd_other:
+                    for j in range(i + 1, len(mono)):
+                        vb, eb = mono[j]
+                        if vb == b:
+                            # in dmono b sits at j, or at j - 1 if v's entry (at i < j) vanished
+                            ddmono = _mono_lower(dmono, j if e > 1 else j - 1)
+                            emit(ddmono, citems, _scaled(pairs, e * eb))
+                            break
+                        if vb > b:
+                            break
+
+        terms: dict[Mono, HbarPoly] = {}
+        for mono, slot in out.items():
+            clean = {e: s for e, s in slot.items() if s}
+            if clean:
+                h = HbarPoly()
+                h.terms = clean
+                terms[mono] = h
+        res = TPoly(self.kind, cap)
+        res.terms = terms
+        return res
 
     def __repr__(self) -> str:
         return f"LinearOp({self.kind}, {len(self.terms)} terms, drop>={self.min_weight_drop})"
+
+
+def _mono_times(mono: Mono, a: int) -> Mono:
+    """The monomial times the variable a (monomials are sorted (var, exp) tuples)."""
+    for i, (v, e) in enumerate(mono):
+        if v == a:
+            return mono[:i] + ((a, e + 1),) + mono[i + 1 :]
+        if v > a:
+            return mono[:i] + ((a, 1),) + mono[i:]
+    return mono + ((a, 1),)
+
+
+def _mono_lower(mono: Mono, i: int) -> Mono:
+    """The monomial with the exponent at position i lowered by one."""
+    v, e = mono[i]
+    if e > 1:
+        return mono[:i] + ((v, e - 1),) + mono[i + 1 :]
+    return mono[:i] + mono[i + 1 :]
+
+
+def _scaled(pairs: dict, n: int) -> tuple:
+    """The coefficient pairs times the integer n, memoized in `pairs` itself."""
+    got = pairs.get(n)
+    if got is None:
+        got = pairs[n] = tuple((h, c * n) for h, c in pairs[1])
+    return got
+
+
+class _ApplyPlan:
+    """A LinearOp compiled for `LinearOp.apply`.
+
+    Coefficients are tuples of (hbar exponent, Fraction) pairs.  The
+    multiplicative terms ("id" merged into `scalar`, "m" and "mm" in
+    `mults`, ascending in the weight they add) act on every monomial;
+    the derivative terms are indexed by the variable they differentiate
+    (for "dd", the smaller one), so a monomial only meets the terms of
+    the variables it contains.  Derivative coefficients are kept as
+    {integer factor: pairs} memos, factor 1 being the coefficient itself,
+    since a derivative multiplies by the variable's exponent.
+    """
+
+    __slots__ = ("drop", "scalar", "mults", "by_var")
+
+    def __init__(self, op: LinearOp):
+        self.drop = min((op.term_drop(k) for k in op.terms), default=0)
+        self.scalar = ()
+        self.mults = []
+        self.by_var: dict[int, tuple] = {}
+        d_pairs, md, dd_same, dd_other = {}, {}, {}, {}
+        for key, c in op.terms.items():
+            tag = key[0]
+            pairs = tuple(c.terms.items())
+            if tag == "id":
+                self.scalar = pairs
+            elif tag in ("m", "mm"):
+                self.mults.append((key[1:], -op.term_drop(key), pairs))
+            elif tag == "d":
+                d_pairs[key[1]] = {1: pairs}
+            elif tag == "md":
+                a, b = key[1], key[2]
+                md.setdefault(b, []).append((a, var_weight(op.kind, a), {1: pairs}))
+            elif tag == "dd":
+                a, b = key[1], key[2]
+                if a == b:
+                    dd_same[a] = {1: pairs}
+                else:
+                    dd_other.setdefault(a, []).append((b, {1: pairs}))
+            else:
+                raise ValueError(f"unknown term tag {tag!r}")
+        self.mults.sort(key=lambda m: m[1])
+        for v in {*d_pairs, *md, *dd_same, *dd_other}:
+            self.by_var[v] = (
+                d_pairs.get(v),
+                md.get(v, []),
+                dd_same.get(v),
+                dd_other.get(v, []),
+            )
 
 
 def exp_apply(op: LinearOp, P: TPoly) -> TPoly:
@@ -648,40 +783,53 @@ def virasoro_factorization_check(curve: CurveSeries, W: int) -> EqualityReport:
     return operator_equality_check(lhs, rhs, basis, label=f"virasoro-factorization W={W}")
 
 
-def _current_transform_coeffs(curve: CurveSeries, k: int, W: int) -> LinearOp:
-    """The mode sum equal to the conjugated current mode.
+def _current_transform_series(curve: CurveSeries, max_j: int, max_n: int) -> tuple[dict, dict]:
+    """The series the conjugated current modes are read from.
 
-    Coefficients are read off h'(z) h(z)^(-j-1): the conjugated mode k
-    expands as sum_j c_{jk} J_j with c_{jk} = [z^(-k-1)] h' h^(-j-1).
+    `flow[j] = h' (h/z)^(-j-1)` for 1 <= j <= max_j and
+    `mult[n] = h' h^(n-1)` for 1 <= n <= max_n; each depends only on
+    the curve and its index, not on the mode or the weight cap.
     """
     h = curve.h
     hp = h.derivative()
     u = h.shift(-1).strip_lowest()  # h/z, a unit
+    flow = {}
+    for j in range(1, max_j + 1):
+        power = u.unit_pow(-(j + 1))
+        flow[j] = (hp * power).truncate(min(hp.order, power.order))
+    mult = {}
+    hpow = ZSeries.one(h.order)
+    for n in range(1, max_n + 1):
+        mult[n] = (hp * hpow).truncate(hp.order)
+        hpow = (hpow * h).truncate(h.order)
+    return flow, mult
+
+
+def _current_transform_coeffs(k: int, W: int, flow: dict, mult: dict) -> LinearOp:
+    """The mode sum equal to the conjugated current mode.
+
+    Coefficients are read off h'(z) h(z)^(-j-1): the conjugated mode k
+    expands as sum_j c_{jk} J_j with c_{jk} = [z^(-k-1)] h' h^(-j-1).
+    `flow` and `mult` come from `_current_transform_series`.
+    """
     items = []
     if k > 0:
         for j in range(k, W + 1):
-            power = u.unit_pow(-(j + 1))
-            series = (hp * power).truncate(min(hp.order, power.order))
-            if j - k <= series.order:
-                c = series.coeff_or_zero(j - k)
+            if j - k <= flow[j].order:
+                c = flow[j].coeff_or_zero(j - k)
                 if c:
                     items.append(("d", j, c))
     else:
         kappa = -k
         for j in range(1, W + 1):
-            power = u.unit_pow(-(j + 1))
-            series = (hp * power).truncate(min(hp.order, power.order))
-            if kappa + j <= series.order:
-                c = series.coeff_or_zero(kappa + j)
+            if kappa + j <= flow[j].order:
+                c = flow[j].coeff_or_zero(kappa + j)
                 if c:
                     items.append(("d", j, c))
-        hpow = ZSeries.one(h.order)
         for n in range(1, kappa + 1):
-            series = (hp * hpow).truncate(hp.order)
-            c = series.coeff_or_zero(kappa - 1)
+            c = mult[n].coeff_or_zero(kappa - 1)
             if c:
                 items.append(("m", n, c * n))
-            hpow = (hpow * h).truncate(h.order)
     return LinearOp.from_terms(T_SIDE, items)
 
 
@@ -696,7 +844,8 @@ def virasoro_conjugation_check(
     if modes is None:
         modes = [k for k in range(-W, W + 1) if k]
     modes = list(modes)
-    max_cap = W + max((max(0, -k) for k in modes), default=0)
+    max_lift = max((max(0, -k) for k in modes), default=0)
+    max_cap = W + max_lift
     if curve.f.order < max_cap + 1:
         raise ValueError("curve order too small for this weight and mode range")
     # On a weight-<=cap space every generator with index <= cap still acts
@@ -713,11 +862,12 @@ def virasoro_conjugation_check(
     inv_images = {
         mono: exp_apply(inv_op, TPoly(T_SIDE, W, {mono: 1})) for mono in basis_monos
     }
+    flow, mult = _current_transform_series(curve, max_cap, max_lift)
     for k in modes:
         lift = max(0, -k)
         cap = W + lift
         big = virasoro_sum_op(a_full[:cap], cap)
-        rhs_op = _current_transform_coeffs(curve, k, cap)
+        rhs_op = _current_transform_coeffs(k, cap, flow, mult)
         jk = heisenberg_op(k, cap)
         for mono in basis_monos:
             P = TPoly(T_SIDE, cap, {mono: 1})

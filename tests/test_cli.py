@@ -5,6 +5,7 @@ import pytest
 
 from hodgekp.cli import (
     CHECKS,
+    MIN_WEIGHT,
     ConfigError,
     RunConfig,
     default_points,
@@ -189,6 +190,11 @@ class TestReportsAndDeterminism:
         ["verify", "kp-kw", "--hbar", "0"],
         ["tau", "kw", "--weight", "2"],
         ["tau", "tau-theta-qp", "--weight", "0", "--q", "1", "--p", "3", "--s", "2"],
+        ["verify", "lemma-laplace", "--q", "1", "--p", "3", "--s", "2", "--order", "2"],
+        ["verify", "lemma-grunsky", "--q", "1", "--p", "3", "--s", "2", "--weight", "1", "--order", "3"],
+        ["verify", "identification", "--perturbed", "--order", "10"],
+        ["verify", "theorem-hodge", "--q", "1", "--p", "3", "--s", "2", "--weight", "2"],
+        ["verify", "kp-kw", "--weight", "1"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys):
@@ -196,3 +202,17 @@ def test_bad_input_exits_2_with_one_line(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_each_check_runs_at_its_minimum_weight_and_exits_2_below(name, capsys):
+    point = ["--q", "1", "--p", "3", "--s", "2"]
+    minimum = MIN_WEIGHT.get(name, 1)
+    with_weight = lambda W: ["verify", name, *point, "--weight", str(W), "--format", "json"]
+    assert main(with_weight(minimum)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["weight"] == minimum
+    assert all(r["details"].get("weight", minimum) == minimum for r in payload["results"])
+    assert main(with_weight(minimum - 1)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hodgekp.algebra import HbarPoly, TPoly, ZSeries, double_factorial
 from hodgekp.curve import CurveParams, CurveSeries, witt_coefficients
@@ -74,6 +75,131 @@ class TestVirasoroModes:
     def test_rejects_big_t_side(self):
         with pytest.raises(ValueError):
             virasoro_apply(1, T(1))
+
+
+def term_by_term_apply(op, P):
+    """The reference for `LinearOp.apply`: one whole TPoly per term, composed
+    from `TPoly.diff`, `mul_var` and `scale`, summed into the result."""
+    acc = TPoly.zero(P.kind, P.max_weight)
+    for key, c in op.terms.items():
+        tag = key[0]
+        if tag == "id":
+            img = P.scale(c)
+        elif tag == "m":
+            img = P.mul_var(key[1], c)
+        elif tag == "mm":
+            img = P.mul_var(key[1]).mul_var(key[2], c)
+        elif tag == "d":
+            img = P.diff(key[1]).scale(c)
+        elif tag == "dd":
+            img = P.diff(key[1]).diff(key[2]).scale(c)
+        else:  # "md": differentiate by key[2], then multiply by key[1]
+            img = P.diff(key[2]).mul_var(key[1], c)
+        acc = acc + img
+    return acc
+
+
+def _weight(kind, v):
+    return v if kind == "t" else 2 * v + 1
+
+
+def _variables(kind, cap):
+    return list(range(1, cap + 1)) if kind == "t" else list(range(0, (cap - 1) // 2 + 1))
+
+
+_TAG_ARITY = {"id": 0, "m": 1, "mm": 2, "d": 1, "dd": 2, "md": 2}
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+hbar_laurent = st.dictionaries(st.integers(-2, 2), rationals, min_size=1, max_size=3).map(HbarPoly)
+nonzero_laurent = hbar_laurent.filter(lambda h: not h.is_zero())
+
+
+@st.composite
+def apply_cases(draw, kinds=("t", "T"), tags=tuple(_TAG_ARITY), cap_monos=False):
+    kind = draw(st.sampled_from(kinds))
+    cap = draw(st.integers(1, 9) if kind == "t" else st.integers(1, 11))
+    variables = _variables(kind, cap)
+    items = []
+    for tag in draw(st.lists(st.sampled_from(tags), max_size=7)):
+        idx = [draw(st.sampled_from(variables)) for _ in range(_TAG_ARITY[tag])]
+        items.append((tag, *idx, draw(hbar_laurent)))
+    op = LinearOp.from_terms(kind, items)
+    monos = weight_monomials(kind, cap)
+    if cap_monos:
+        monos = [m for m in monos if sum(_weight(kind, v) * e for v, e in m) == cap]
+    terms = draw(st.dictionaries(st.sampled_from(monos), hbar_laurent, max_size=6))
+    return op, TPoly(kind, cap, terms)
+
+
+class TestFusedApply:
+    """`LinearOp.apply` against the term-by-term reference, exactly."""
+
+    @given(apply_cases())
+    def test_matches_term_by_term(self, case):
+        op, P = case
+        assert op.apply(P) == term_by_term_apply(op, P)
+
+    @pytest.mark.parametrize("tag", sorted(_TAG_ARITY))
+    @pytest.mark.parametrize("kind", ["t", "T"])
+    def test_each_tag_on_each_side(self, tag, kind):
+        @given(apply_cases(kinds=(kind,), tags=(tag,)))
+        def check(case):
+            op, P = case
+            assert op.apply(P) == term_by_term_apply(op, P)
+
+        check()
+
+    @given(apply_cases(cap_monos=True))
+    def test_monomials_at_the_cap(self, case):
+        op, P = case
+        assert op.apply(P) == term_by_term_apply(op, P)
+
+    @given(st.sampled_from(["t", "T"]), rationals.filter(bool), st.data())
+    def test_dd_with_equal_indices(self, kind, c, data):
+        cap = 9
+        v = data.draw(st.sampled_from(_variables(kind, cap)))
+        op = LinearOp.from_terms(kind, [("dd", v, v, c)])
+        terms = data.draw(st.dictionaries(st.sampled_from(weight_monomials(kind, cap)), hbar_laurent, max_size=6))
+        P = TPoly(kind, cap, terms)
+        assert op.apply(P) == term_by_term_apply(op, P)
+
+    @given(st.sampled_from(["t", "T"]), st.integers(1, 3), nonzero_laurent, st.data())
+    def test_image_cancelling_to_zero(self, kind, n, c, data):
+        # var_a d/dvar_a multiplies a monomial by its exponent of var_a, so
+        # it cancels the scalar -n on every monomial of exponent n in var_a
+        cap = 11
+        a = data.draw(st.sampled_from([v for v in _variables(kind, cap) if n * _weight(kind, v) <= cap]))
+        op = LinearOp.from_terms(kind, [("md", a, a, c), ("id", c * (-n))])
+        monos = [m for m in weight_monomials(kind, cap) if dict(m).get(a) == n]
+        terms = data.draw(st.dictionaries(st.sampled_from(monos), hbar_laurent, min_size=1, max_size=6))
+        P = TPoly(kind, cap, terms)
+        got = op.apply(P)
+        assert got.is_zero() and got.terms == {}
+        assert term_by_term_apply(op, P).is_zero()
+
+    @given(st.integers(1, 3), st.sampled_from(["kw", "bgw"]), st.data())
+    def test_hbar_inverse_operators(self, k, shift, data):
+        W = 4 * k + 1
+        trans = translation_op({m: HbarPoly.hbar(-1, F(m + 1, 3)) for m in range(3)}, W, "T")
+        terms = data.draw(st.dictionaries(st.sampled_from(weight_monomials("T", W)), hbar_laurent, max_size=6))
+        P = TPoly("T", W, terms)
+        for op in (w_op(k, W, shift), trans):
+            assert op.apply(P) == term_by_term_apply(op, P)
+
+    @given(apply_cases())
+    def test_min_weight_drop_matches_the_terms(self, case):
+        op, _ = case
+        w = lambda v: _weight(op.kind, v)
+        drops = {
+            "id": lambda: 0,
+            "m": lambda a: -w(a),
+            "mm": lambda a, b: -w(a) - w(b),
+            "d": lambda a: w(a),
+            "dd": lambda a, b: w(a) + w(b),
+            "md": lambda a, b: w(b) - w(a),
+        }
+        expect = min((drops[key[0]](*key[1:]) for key in op.terms), default=0)
+        assert op.min_weight_drop == expect
 
 
 class TestHeisenbergModes:
