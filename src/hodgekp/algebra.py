@@ -396,19 +396,21 @@ class ZSeries:
         return acc
 
     def reversion(self) -> "ZSeries":
-        """Compositional inverse of a series z + O(z^2)."""
+        """Compositional inverse h of a series f = z + O(z^2).
+
+        Lagrange inversion: [z^m] h = [z^(m-1)] g^m / m with g = z/f,
+        so one reciprocal and a running product of g give every
+        coefficient.
+        """
         if self.lowest < 0 or self.coeff_or_zero(0) != 0 or self.coeff_or_zero(1) != 1:
             raise ValueError("reversion needs a series of the form z + O(z^2)")
         n = self.order
-        a = [self.coeff_or_zero(e) for e in range(0, n + 1)]
+        g = self.shift(-1).strip_lowest().recip()  # z/f, trusted to order n - 1
         b = [Fraction(0)] * (n + 1)
-        if n >= 1:
-            b[1] = Fraction(1)
-        for m in range(2, n + 1):
-            # a(b) mod z^(m+1) with the current partial b; the z^m defect
-            # is linear in b[m] with unit coefficient.
-            comp = _poly_compose_mod(a, b, m)
-            b[m] = -comp[m]
+        power = ZSeries.one(g.order)
+        for m in range(1, n + 1):
+            power = power * g
+            b[m] = power.coeff(m - 1) / m
         return ZSeries(b, n)
 
     # -- transcendental -----------------------------------------------------
@@ -491,34 +493,6 @@ class ZSeries:
             self.order,
             self.lowest,
         )
-
-
-def _poly_compose_mod(a: list, b: list, m: int) -> list:
-    """Coefficients of a(b(z)) mod z^(m+1) for plain coefficient lists."""
-    acc = [Fraction(0)] * (m + 1)
-    acc[0] = a[0]
-    power = [Fraction(0)] * (m + 1)
-    power[0] = Fraction(1)
-    top = min(len(a) - 1, m)
-    for j in range(1, top + 1):
-        power = _poly_mul_mod(power, b, m)
-        if a[j]:
-            for e in range(m + 1):
-                if power[e]:
-                    acc[e] += a[j] * power[e]
-    return acc
-
-
-def _poly_mul_mod(p: list, q: list, m: int) -> list:
-    out = [Fraction(0)] * (m + 1)
-    for i, ci in enumerate(p):
-        if not ci or i > m:
-            continue
-        top = min(len(q) - 1, m - i)
-        for j in range(top + 1):
-            if q[j]:
-                out[i + j] += ci * q[j]
-    return out
 
 
 # ---------------------------------------------------------------------------

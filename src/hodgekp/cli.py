@@ -64,20 +64,22 @@ class RunConfig:
     checks: list
     points: list
     weight: int = 9
-    order: int | None = None  # derived as 2*weight + 2 when absent
+    order: int | None = None  # each check derives its own when absent
     hbars: list = field(default_factory=lambda: [Fraction(1), Fraction(1, 2)])
     out: str | None = None
-    fmt: str = "text"
     perturbed: bool = False
 
     def series_order(self) -> int:
+        """The order `lemma-laplace` builds to, reported as `order` in the
+        summary: the explicit order, or 2W + 2 so that I is listed to W + 1."""
         return self.order if self.order is not None else 2 * self.weight + 2
 
     def order_for(self, needed: int, what: str) -> int:
-        """Series order for a check needing at least `needed`.
+        """Series order for a check that reads its curve to order `needed`.
 
-        An explicitly configured order that is too small is a config
-        error; the derived default grows to what the check requires.
+        Without an explicit order the curve is built to `needed` (at
+        least the smallest order a curve can be built to); an explicit
+        order raises that, and one below `needed` is a config error.
         """
         if self.order is not None:
             if self.order < needed:
@@ -85,7 +87,7 @@ class RunConfig:
                     f"series order {self.order} too small for {what}: need >= {needed}"
                 )
             return self.order
-        return max(2 * self.weight + 2, needed)
+        return max(needed, _MIN_SERIES_ORDER)
 
 
 @dataclass
@@ -212,7 +214,7 @@ def _chk_lemma_changevars(config: RunConfig, point: CurveParams) -> dict:
 
 def _chk_theorem_rl(config: RunConfig, point: CurveParams) -> dict:
     W = config.weight
-    K = config.order_for(2 * W + 2, "the operator identification")
+    K = config.order_for(W + 1, "the operator identification")
     curve = build_curve(point, K)
     extra = [kw_tau(W).body] if W >= 3 else []
     rep = rl_identity_check(curve, W, extra=extra)
@@ -235,7 +237,7 @@ def _chk_kp_base(config: RunConfig, build) -> dict:
     reports = []
     ok = True
     for hb in config.hbars:
-        r = hirota_full_check(specialize_hbar(tau, hb), 3, rat_str(hb))
+        r = hirota_full_check(specialize_hbar(tau, hb), HIROTA_Y_WEIGHT, rat_str(hb))
         reports.append(r.to_json_obj())
         ok = ok and r.passed
     return {"passed": ok, "weight": W, "reports": reports}
@@ -244,9 +246,9 @@ def _chk_kp_base(config: RunConfig, build) -> dict:
 def _chk_kp_hodge(config: RunConfig, point: CurveParams) -> dict:
     W = config.weight
     rep = tau_qp_check(point, W)
-    r1 = hirota_graded_check(rep.tau.body, 3, trust_band("tau_qp"))
+    r1 = hirota_graded_check(rep.tau.body, HIROTA_Y_WEIGHT, trust_band("tau_qp"))
     rep_t = tau_qp_theta_check(point, max(W - 1, 4))
-    r2 = hirota_graded_check(rep_t.tau.body, 3, trust_band("tau_theta_qp"))
+    r2 = hirota_graded_check(rep_t.tau.body, HIROTA_Y_WEIGHT, trust_band("tau_theta_qp"))
     ok = rep.equal and rep_t.equal and r1.passed and r2.passed
     return {
         "passed": ok,
@@ -300,9 +302,20 @@ CHECKS = {
     "conjugation": (_chk_conjugation, "conjugation of current modes by the group element"),
 }
 
-# The smallest weight at which a check's constructions exist; 1 when absent.
+# The y-weight of the Hirota equation table the KP checks run.  Its
+# equations have derivative weight up to HIROTA_Y_WEIGHT + 1, which is
+# the smallest weight at which each of them covers a residual.
+HIROTA_Y_WEIGHT = 3
+
+# The smallest weight at which a check is meaningful; 1 when absent.
 # The standard-side tau-functions (kw_tau, tau_qp) start at W = 3.
-MIN_WEIGHT = {"theorem-hodge": 3, "kp-kw": 3, "kp-hodge": 3, "kdv-reduction": 3}
+MIN_WEIGHT = {
+    "theorem-hodge": 3,
+    "kp-kw": HIROTA_Y_WEIGHT + 1,
+    "kp-bgw": HIROTA_Y_WEIGHT + 1,
+    "kp-hodge": HIROTA_Y_WEIGHT + 1,
+    "kdv-reduction": 3,
+}
 
 # `build_curve` needs series order K >= 4.
 _MIN_SERIES_ORDER = 4
@@ -431,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", help="rational p")
     v.add_argument("--s", help="rational s with s^2 = p + q")
     v.add_argument("--weight", type=int, default=9, help="weight truncation W")
-    v.add_argument("--order", type=int, default=None, help="series order K (default 2W+2)")
+    v.add_argument("--order", type=int, default=None, help="series order K (default: the smallest each check reads, at least 4)")
     v.add_argument("--hbar", action="append", default=None, help="hbar value a/b (repeatable)")
     v.add_argument("--format", choices=("json", "text"), default="text")
     v.add_argument("--out", default=None, help="directory for JSON reports")
@@ -490,7 +503,6 @@ def _cmd_verify(args) -> int:
         order=args.order,
         hbars=hbars,
         out=args.out,
-        fmt=args.format,
         perturbed=args.perturbed,
     )
     code, summary = run_verification(config)

@@ -792,10 +792,11 @@ def _current_transform_series(curve: CurveSeries, max_j: int, max_n: int) -> tup
     """
     h = curve.h
     hp = h.derivative()
-    u = h.shift(-1).strip_lowest()  # h/z, a unit
+    inv = h.shift(-1).strip_lowest().recip()  # z/h
+    power = inv
     flow = {}
     for j in range(1, max_j + 1):
-        power = u.unit_pow(-(j + 1))
+        power = power * inv
         flow[j] = (hp * power).truncate(min(hp.order, power.order))
     mult = {}
     hpow = ZSeries.one(h.order)

@@ -22,7 +22,7 @@ from .algebra import (
     double_factorial,
     rat_str,
 )
-from .curve import CurveParams, CurveSeries, build_curve, log_r_series, r_series
+from .curve import CurveParams, build_curve, log_r_series, r_series
 from .operators import (
     couplings_from_log_r,
     givental_direct,
@@ -379,11 +379,14 @@ class TauIdentityReport:
         }
 
 
-def _tau_identity(params: CurveParams, W: int, mode: str, curve: CurveSeries | None) -> TauIdentityReport:
+def _tau_identity(params: CurveParams, W: int, mode: str) -> TauIdentityReport:
     """Build one side's tau-function by the substitution route and by the
-    symmetry-group route; `mode` picks the side as in `hodge_partition`."""
-    if curve is None:
-        curve = build_curve(params, 2 * W + 2)
+    symmetry-group route; `mode` picks the side as in `hodge_partition`.
+
+    The group route reads f to order W + 1 and the translation vector up
+    to index W, so the curve is built to order W + 1 (at least 4).
+    """
+    curve = build_curve(params, max(W + 1, 4))
     lhs = tqp_substitute(params, hodge_partition(params, W, mode).body, W)
     base, kind = (kw_tau, "tau_qp") if mode == "standard" else (bgw_tau, "tau_theta_qp")
     rhs = rl_transform_virasoro(curve, base(W).body, W, mode)
@@ -402,7 +405,7 @@ def _tau_identity(params: CurveParams, W: int, mode: str, curve: CurveSeries | N
     return TauIdentityReport(params, W, equal, tau, None if equal else lhs - rhs)
 
 
-def tau_qp_check(params: CurveParams, W: int, curve: CurveSeries | None = None) -> TauIdentityReport:
+def tau_qp_check(params: CurveParams, W: int) -> TauIdentityReport:
     """Triple Hodge tau-function: substitution route versus symmetry-group route.
 
     Route one pushes the quantized action through the linear change of
@@ -410,10 +413,10 @@ def tau_qp_check(params: CurveParams, W: int, curve: CurveSeries | None = None) 
     tau-function and translates by the hbar^{-1}-weighted vector.  The
     two must agree exactly; the result is returned for KP testing.
     """
-    return _tau_identity(params, W, "standard", curve)
+    return _tau_identity(params, W, "standard")
 
 
-def tau_qp_theta_check(params: CurveParams, W: int, curve: CurveSeries | None = None) -> TauIdentityReport:
+def tau_qp_theta_check(params: CurveParams, W: int) -> TauIdentityReport:
     """Theta-version of the tau-function identity, with the order-zero
     dilaton shift and the f-y translation vector."""
-    return _tau_identity(params, W, "theta", curve)
+    return _tau_identity(params, W, "theta")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hodgekp.algebra import HbarPoly, TPoly, ZSeries, double_factorial, rat, rat_str
 
@@ -121,6 +122,21 @@ class TestReversion:
             defect = a.compose(trial).coeff(n)
             b[n] = -defect
         assert a.reversion() == ZSeries(b, 8)
+
+    @given(
+        st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=6),
+            min_size=0,
+            max_size=23,
+        )
+    )
+    def test_round_trip_drawn(self, tail):
+        # f = z + sum c_k z^k up to K = 24
+        K = len(tail) + 1
+        f = ZSeries([F(0), F(1), *tail], K)
+        h = f.reversion()
+        assert f.compose(h) == z(K)
+        assert h.compose(f) == z(K)
 
     def test_requires_normalization(self):
         with pytest.raises(ValueError):

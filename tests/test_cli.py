@@ -204,6 +204,18 @@ def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert "Traceback" not in err
 
 
+def _hirota_reports(obj):
+    """Every Hirota report nested anywhere in a JSON payload."""
+    if isinstance(obj, dict):
+        if "coveredWeight" in obj:
+            yield obj
+        for value in obj.values():
+            yield from _hirota_reports(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _hirota_reports(value)
+
+
 @pytest.mark.parametrize("name", sorted(CHECKS))
 def test_each_check_runs_at_its_minimum_weight_and_exits_2_below(name, capsys):
     point = ["--q", "1", "--p", "3", "--s", "2"]
@@ -213,6 +225,30 @@ def test_each_check_runs_at_its_minimum_weight_and_exits_2_below(name, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["weight"] == minimum
     assert all(r["details"].get("weight", minimum) == minimum for r in payload["results"])
+    hirota = list(_hirota_reports(payload))
+    assert all(rep["coveredWeight"] >= 0 for rep in hirota)
+    assert all(eq["status"] != "skipped" for rep in hirota for eq in rep["equations"])
     assert main(with_weight(minimum - 1)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+
+
+def test_default_orders_give_the_reports_of_the_former_default():
+    # each check builds its curve to the order it reads; the former
+    # default max(2W + 2, need) must not change a single report byte
+    W = 6
+    former = {
+        "lemma-grunsky": 2 * W + 2,
+        "identification": 18,  # its size-4 residual needs 18 > 2W + 2
+        "lemma-changevars": 2 * W + 2,
+        "theorem-rl": 2 * W + 2,
+        "conjugation": 2 * W + 2,
+    }
+    point = CurveParams(F(-1), F(2), F(1))
+    for name, order in former.items():
+        reports = []
+        for K in (None, order):
+            _, summary = run_verification(RunConfig(checks=[name], points=[point], weight=W, order=K))
+            assert summary["status"] == "pass"
+            reports.append(json.dumps(summary["results"], sort_keys=True))
+        assert reports[0] == reports[1], name

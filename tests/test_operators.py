@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hodgekp.algebra import HbarPoly, TPoly, ZSeries, double_factorial
-from hodgekp.curve import CurveParams, CurveSeries, witt_coefficients
+from hodgekp.curve import CATALOG, CurveParams, CurveSeries, build_curve, witt_coefficients
 from hodgekp.operators import (
     LinearOp,
+    _current_transform_series,
     big_t_to_odd_t,
     couplings_from_log_r,
     exp_apply,
@@ -507,6 +508,19 @@ class TestConjugation:
     def test_flipped_sign_fails_first_order(self, curve132):
         rep = virasoro_conjugation_check(curve132, 5, modes=[1], flip_sign=True)
         assert not rep.passed
+
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    def test_flow_series_match_unit_pow(self, point):
+        # the running product of z/h against one log1p/expm power per j
+        curve = build_curve(point, 13)
+        h = curve.h
+        hp = h.derivative()
+        u = h.shift(-1).strip_lowest()
+        flow, _ = _current_transform_series(curve, 12, 0)
+        assert sorted(flow) == list(range(1, 13))
+        for j, series in flow.items():
+            power = u.unit_pow(-(j + 1))
+            assert series == (hp * power).truncate(min(hp.order, power.order)), j
 
 
 class TestShiftTransport:

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from hodgekp.algebra import HbarPoly, TPoly, mono_weight
-from hodgekp.curve import CurveParams
-from hodgekp.operators import odd_t_to_big_t
+from hodgekp.curve import CurveParams, build_curve
+from hodgekp.operators import odd_t_to_big_t, rl_transform_virasoro
 from hodgekp.tau import (
     bgw_tau,
     hodge_partition,
@@ -248,6 +248,17 @@ class TestTauQpIdentity:
     def test_theta_routes_agree(self, q, p, s):
         rep = tau_qp_theta_check(CurveParams(F(q), F(p), F(s)), 6)
         assert rep.equal
+
+    @pytest.mark.parametrize("W", range(3, 8))
+    def test_group_route_curve_order_is_enough(self, W):
+        # the curve built to max(W + 1, 4) inside the check gives what a
+        # curve built to 2W + 2 gives
+        point = CurveParams(F(-1), F(2), F(1))
+        curve = build_curve(point, 2 * W + 2)
+        for check, mode, base in ((tau_qp_check, "standard", kw_tau), (tau_qp_theta_check, "theta", bgw_tau)):
+            rep = check(point, W)
+            assert rep.equal
+            assert rep.tau.body == rl_transform_virasoro(curve, base(W).body, W, mode)
 
     def test_reduction_point_has_no_even_times(self):
         rep = tau_qp_check(CurveParams(F(-1), F(2), F(1)), 7)
