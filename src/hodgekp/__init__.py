@@ -31,13 +31,10 @@ from .operators import (
     exp_apply,
     givental_direct,
     givental_factorized,
-    heisenberg_apply,
     rl_identity_check,
     tqp_forms,
-    virasoro_apply,
     virasoro_conjugation_check,
     virasoro_factorization_check,
-    w_apply,
 )
 from .tau import bgw_tau, hodge_partition, kw_tau, tau_qp_check, tau_qp_theta_check
 

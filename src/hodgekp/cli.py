@@ -32,10 +32,8 @@ from .kp import (
     specialize_hbar,
 )
 from .operators import (
-    couplings_from_log_r,
     exp_apply,
-    givental_direct,
-    givental_factorized,
+    givental_routes,
     linear_change_generator,
     rl_identity_check,
     tqp_forms,
@@ -44,7 +42,7 @@ from .operators import (
     virasoro_factorization_check,
     weight_monomials,
 )
-from .curve import log_r_series, r_series, witt_coefficients
+from .curve import witt_coefficients
 from .tau import (
     bgw_tau,
     hodge_partition,
@@ -168,15 +166,13 @@ def _chk_identification(config: RunConfig, point: CurveParams) -> dict:
 
 def _chk_lemma_factorization(config: RunConfig, point: CurveParams) -> dict:
     W = config.weight
-    order = max(2 * ((W - 1) // 2 + 1), 4)
-    R = r_series(point, order)
-    couplings = couplings_from_log_r(log_r_series(point, order), W)
+    direct, factorized = givental_routes(point, W)
     failures = []
     count = 0
     for mono in weight_monomials("T", W):
         P = TPoly("T", W, {mono: 1})
-        d = givental_direct(couplings, P)
-        f = givental_factorized(R, P)
+        d = direct(P)
+        f = factorized(P)
         count += 1
         if d != f:
             failures.append({"monomial": repr(P), "difference": repr(d - f)})
@@ -192,7 +188,7 @@ def _chk_lemma_changevars(config: RunConfig, point: CurveParams) -> dict:
     kmax = min(3, (W - 1) // 2)
     forms = tqp_forms(point, kmax, W)
     symbolic = tqp_forms_symbolic(point, kmax, W)
-    a = witt_coefficients(curve.f.truncate(W + 1)).a
+    a = witt_coefficients(curve.f.truncate(W + 1))
     v0 = linear_change_generator(a, W)
     rb = curve.R.subs_neg()
     failures = []

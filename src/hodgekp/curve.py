@@ -27,7 +27,6 @@ __all__ = [
     "CurveSeries",
     "GrunskyMatrix",
     "GiventalMatrix",
-    "WittCoeffs",
     "ShiftData",
     "CATALOG",
     "bernoulli",
@@ -385,16 +384,6 @@ def givental_v_matrix(R: ZSeries, size: int, *, require_symplectic: bool = True)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WittCoeffs:
-    """Flow coefficients a_k, 1 <= k <= len(a); a[k-1] is a_k."""
-
-    a: list
-
-    def __iter__(self):
-        return iter(self.a)
-
-
 def witt_flow(a, K: int) -> ZSeries:
     """Apply exp(-sum_k a_k z^(k+1) d/dz) to z, truncated at order K."""
     if K < 2:
@@ -419,8 +408,9 @@ def witt_flow(a, K: int) -> ZSeries:
     return acc
 
 
-def witt_coefficients(f: ZSeries) -> WittCoeffs:
-    """Order-by-order peeling of the flow coefficients of f = z + O(z^2).
+def witt_coefficients(f: ZSeries) -> list[Fraction]:
+    """Order-by-order peeling of the flow coefficients of f = z + O(z^2):
+    the list a with a[k-1] = a_k for 1 <= k <= f.order - 1.
 
     Reconstructing f via witt_flow(a, K) reproduces the input exactly.
     """
@@ -433,7 +423,7 @@ def witt_coefficients(f: ZSeries) -> WittCoeffs:
         a[k - 1] += current.coeff_or_zero(k + 1) - f.coeff_or_zero(k + 1)
     if witt_flow(a, K) != f:
         raise InvariantViolation("flow reconstruction failed")
-    return WittCoeffs(a)
+    return a
 
 
 # ---------------------------------------------------------------------------

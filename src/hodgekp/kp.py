@@ -10,6 +10,7 @@ asymptotic is ever claimed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,32 +92,36 @@ def _scaled_derivatives(tau: TPoly, dmax: int) -> dict[Mono, TPoly]:
     return out
 
 
-def _bilinear_pair(derivs: dict[Mono, TPoly], gamma: Mono) -> TPoly:
-    """D^gamma tau . tau evaluated by the exact two-copy expansion."""
-    some = derivs[()]
-    acc = TPoly.zero(some.kind, some.max_weight)
-    gamma_dict = dict(gamma)
-    gfact = 1
-    for _, e in gamma_dict.items():
-        gfact *= math.factorial(e)
-    size = sum(gamma_dict.values())
+def _bilinear_pair(derivs: dict[Mono, TPoly], gamma: Mono, cap: int) -> TPoly:
+    """D^gamma tau . tau up to weight `cap`, by the exact two-copy expansion
 
-    def rec(vars_left: list, beta: list):
-        nonlocal acc
-        if not vars_left:
-            b = tuple((v, e) for v, e in beta if e)
-            d = tuple((v, gamma_dict[v] - dict(beta).get(v, 0)) for v in gamma_dict)
-            d = tuple((v, e) for v, e in d if e)
-            blen = sum(e for _, e in b)
-            sign = -1 if (size - blen) % 2 else 1
-            acc = acc + (derivs[b] * derivs[d]).scale(Fraction(sign * gfact))
-            return
-        v = vars_left[0]
-        for e in range(gamma_dict[v] + 1):
-            rec(vars_left[1:], beta + [(v, e)])
+        D^gamma tau . tau = gamma! sum_{beta <= gamma} (-1)^|gamma - beta|
+                            (d^beta tau / beta!) (d^(gamma-beta) tau / (gamma-beta)!),
 
-    rec(sorted(gamma_dict), [])
-    return acc
+    with `derivs` mapping each beta to d^beta tau / beta!.  The splits beta
+    and gamma - beta give the same product with signs (-1)^|gamma - beta|
+    and (-1)^|beta|: for odd |gamma| they cancel (D^gamma tau . tau is
+    antisymmetric, so zero), and for even |gamma| each unordered split is
+    taken once, doubled when beta != gamma - beta.  The factors are cut
+    at `cap` before multiplying, which leaves every coefficient of weight
+    <= cap exact, since no monomial has negative weight.
+    """
+    out = TPoly.zero(derivs[()].kind, cap)
+    size = sum(e for _, e in gamma)
+    if size % 2:
+        return out
+    gfact = math.prod(math.factorial(e) for _, e in gamma)
+    for exps in itertools.product(*(range(e + 1) for _, e in gamma)):
+        rest = tuple(e - b for (_, e), b in zip(gamma, exps))
+        if exps > rest:
+            continue
+        beta = tuple((v, b) for (v, _), b in zip(gamma, exps) if b)
+        comp = tuple((v, r) for (v, _), r in zip(gamma, rest) if r)
+        sign = -1 if sum(rest) % 2 else 1
+        twice = 1 if exps == rest else 2
+        prod = derivs[beta].with_max_weight(cap) * derivs[comp].with_max_weight(cap)
+        out = out + prod.scale(Fraction(sign * twice * gfact))
+    return out
 
 
 def _schur_polys(top: int) -> list[dict[Mono, Fraction]]:
@@ -228,7 +233,8 @@ def _run_equations(
     band: tuple[int, int] | None = None,
 ) -> HirotaReport:
     """Evaluate each bilinear equation and record its nonzero residual
-    coefficients on the covered range v <= W - d.
+    coefficients on the covered range v <= W - d, the weight each pair
+    product is built to.
 
     Without a band tau must be hbar-specialized and every coefficient
     there counts.  With a band (a, b) only the hbar exponents e with
@@ -241,7 +247,7 @@ def _run_equations(
         (mono_weight(T_SIDE, g) for _, eq in equations for g in eq), default=0
     )
     derivs = _scaled_derivatives(tau, dmax)
-    pair_cache: dict[Mono, TPoly] = {}
+    pair_cache: dict[tuple[Mono, int], TPoly] = {}
     report = HirotaReport(
         check=check_name, checked_weight=W, hbar_value=hbar_label, y_weight=y_weight
     )
@@ -249,16 +255,15 @@ def _run_equations(
         d = max((mono_weight(T_SIDE, g) for g in eq), default=0)
         covered = W - d
         label = "y[" + mono_str(T_SIDE, label_mono).replace("t", "y") + "]" if isinstance(label_mono, tuple) else str(label_mono)
-        residual = TPoly.zero(tau.kind, W)
+        residual = TPoly.zero(tau.kind, covered)
         for gamma, c in sorted(eq.items()):
-            if gamma not in pair_cache:
-                pair_cache[gamma] = _bilinear_pair(derivs, gamma)
-            residual = residual + pair_cache[gamma].scale(c)
+            key = (gamma, covered)
+            if key not in pair_cache:
+                pair_cache[key] = _bilinear_pair(derivs, gamma, covered)
+            residual = residual + pair_cache[key].scale(c)
         failures = []
         for mono, c in residual.sorted_terms():
             v = mono_weight(tau.kind, mono)
-            if v > covered:
-                continue
             where = {"equation": label, "monomial": mono_str(tau.kind, mono)}
             if band is None:
                 failures.append({**where, "residual": repr(c)})

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import (
@@ -25,7 +26,14 @@ from .algebra import (
     mono_weight,
     var_weight,
 )
-from .curve import CurveSeries, givental_v_matrix, shift_data, witt_coefficients
+from .curve import (
+    CurveSeries,
+    givental_v_matrix,
+    log_r_series,
+    r_series,
+    shift_data,
+    witt_coefficients,
+)
 
 __all__ = [
     "LinearOp",
@@ -35,13 +43,11 @@ __all__ = [
     "translation_op",
     "linear_change_generator",
     "virasoro_sum_op",
-    "virasoro_apply",
-    "heisenberg_apply",
-    "w_apply",
     "exp_apply",
     "couplings_from_log_r",
     "givental_direct",
     "givental_factorized",
+    "givental_routes",
     "transformed_variable_images",
     "tqp_forms",
     "tqp_forms_symbolic",
@@ -448,27 +454,6 @@ def virasoro_sum_op(a: Sequence[Fraction], W: int) -> LinearOp:
     return acc
 
 
-# convenience single applications ------------------------------------------
-
-
-def virasoro_apply(m: int, P: TPoly) -> TPoly:
-    if P.kind != T_SIDE:
-        raise ValueError("Virasoro modes act on t-side polynomials")
-    return virasoro_op(m, P.max_weight).apply(P)
-
-
-def heisenberg_apply(k: int, P: TPoly) -> TPoly:
-    if P.kind != T_SIDE:
-        raise ValueError("current modes act on t-side polynomials")
-    return heisenberg_op(k, P.max_weight).apply(P)
-
-
-def w_apply(k: int, P: TPoly, shift: str = "kw") -> TPoly:
-    if P.kind != BIG_T_SIDE:
-        raise ValueError("quantized generators act on T-side polynomials")
-    return w_op(k, P.max_weight, shift).apply(P)
-
-
 # ---------------------------------------------------------------------------
 # Group elements: direct and factorized quantized action
 # ---------------------------------------------------------------------------
@@ -490,16 +475,33 @@ def couplings_from_log_r(logR: ZSeries, W: int) -> dict[int, Fraction]:
     return out
 
 
-def givental_direct(couplings: Mapping[int, Fraction], P: TPoly, shift: str = "kw") -> TPoly:
-    """exp(sum_k c_k W_k) . P, evaluated termwise (finite by nilpotence)."""
-    if P.kind != BIG_T_SIDE:
-        raise ValueError("the quantized action is defined on T-side polynomials")
-    W = P.max_weight
+PolyMap = Callable[[TPoly], TPoly]
+
+
+def _map_on(kind: str, W: int, fn: PolyMap) -> PolyMap:
+    """`fn` restricted to the polynomials its operators were built for:
+    `kind`-side, weight cap W.  A larger cap would silently miss terms."""
+
+    def apply(P: TPoly) -> TPoly:
+        if P.kind != kind or P.max_weight != W:
+            raise ValueError(
+                f"map built for {kind}-side polynomials of weight cap {W}, "
+                f"got {P.kind}-side at cap {P.max_weight}"
+            )
+        return fn(P)
+
+    return apply
+
+
+def givental_direct(couplings: Mapping[int, Fraction], W: int, shift: str = "kw") -> PolyMap:
+    """The map P -> exp(sum_k c_k W_k) . P on T-side polynomials of weight
+    cap W, evaluated termwise (finite by nilpotence).  The operator is
+    built once; the returned map applies it."""
     op = LinearOp(BIG_T_SIDE)
     for k, c in sorted(couplings.items()):
         if c and 4 * k - 2 <= W:
             op = op + w_op(k, W, shift).scale(c)
-    return exp_apply(op, P)
+    return _map_on(BIG_T_SIDE, W, partial(exp_apply, op))
 
 
 def transformed_variable_images(
@@ -536,20 +538,19 @@ def transformed_variable_images(
     return images
 
 
-def givental_factorized(R: ZSeries, P: TPoly, mode: str = "standard") -> TPoly:
-    """Factorized form of the quantized action.
+def givental_factorized(R: ZSeries, W: int, mode: str = "standard") -> PolyMap:
+    """Factorized form of the quantized action, as a map on T-side
+    polynomials of weight cap W.
 
     Applies exp((1/2) sum V_ij d^2/dT_i dT_j) to P in its own variables
     and then performs the affine substitution of the transformed
     variables (which carries the translation constants).  Must agree
     exactly with givental_direct; the pair of routes is the standing
-    cross-check.
+    cross-check.  The operator and the images are built once; the
+    returned map applies them.
     """
-    if P.kind != BIG_T_SIDE:
-        raise ValueError("the quantized action is defined on T-side polynomials")
     if R.coeff_or_zero(0) != 1:
         raise ValueError("R must have constant term 1")
-    W = P.max_weight
     M = (W - 1) // 2
     size = M + 1
     if R.order < 2 * size:
@@ -565,10 +566,22 @@ def givental_factorized(R: ZSeries, P: TPoly, mode: str = "standard") -> TPoly:
                 continue
             items.append(("dd", i, j, c if i != j else c / 2))
     ddop = LinearOp.from_terms(BIG_T_SIDE, items)
-    Y = exp_apply(ddop, P) if not ddop.is_zero() else P
     images = transformed_variable_images(R, W, mode)
-    occurring = Y.variables()
-    return Y.substitute({k: images[k] for k in occurring}) if occurring else Y
+    return _map_on(BIG_T_SIDE, W, lambda P: exp_apply(ddop, P).substitute(images))
+
+
+def givental_routes(params, W: int, mode: str = "standard") -> tuple[PolyMap, PolyMap]:
+    """The direct and the factorized map of the quantized action at weight
+    cap W, with the dilaton shift of `mode` ("kw" for "standard", "bgw"
+    for "theta"), both built from R and log R to the order the
+    factorized form reads."""
+    shift = {"standard": "kw", "theta": "bgw"}[mode]
+    order = max(2 * ((W - 1) // 2 + 1), 4)
+    couplings = couplings_from_log_r(log_r_series(params, order), W)
+    return (
+        givental_direct(couplings, W, shift),
+        givental_factorized(r_series(params, order), W, mode),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +769,7 @@ def virasoro_factorization_check(curve: CurveSeries, W: int) -> EqualityReport:
 
     if curve.f.order < W + 1:
         raise ValueError("curve order too small for this weight")
-    a = witt_coefficients(curve.f.truncate(W + 1)).a
+    a = witt_coefficients(curve.f.truncate(W + 1))
     big = virasoro_sum_op(a, W)
     v0 = linear_change_generator(a, W)
     size = max(W - 1, 1)
@@ -771,16 +784,13 @@ def virasoro_factorization_check(curve: CurveSeries, W: int) -> EqualityReport:
                 continue
             items.append(("dd", k, m, c if k != m else c / 2))
     quad = LinearOp.from_terms(T_SIDE, items)
-
-    def lhs(P):
-        return exp_apply(big, P)
-
-    def rhs(P):
-        inner = exp_apply(quad, P) if not quad.is_zero() else P
-        return exp_apply(v0, inner)
-
     basis = [TPoly(T_SIDE, W, {m: 1}) for m in weight_monomials(T_SIDE, W)]
-    return operator_equality_check(lhs, rhs, basis, label=f"virasoro-factorization W={W}")
+    return operator_equality_check(
+        partial(exp_apply, big),
+        lambda P: exp_apply(v0, exp_apply(quad, P)),
+        basis,
+        label=f"virasoro-factorization W={W}",
+    )
 
 
 def _current_transform_series(curve: CurveSeries, max_j: int, max_n: int) -> tuple[dict, dict]:
@@ -852,7 +862,7 @@ def virasoro_conjugation_check(
     # On a weight-<=cap space every generator with index <= cap still acts
     # (through its second-derivative part), so the flow coefficients must
     # extend to the lifted cap, not just to W.
-    a_full = list(witt_coefficients(curve.f.truncate(max_cap + 1)).a)
+    a_full = witt_coefficients(curve.f.truncate(max_cap + 1))
     if flip_sign:
         a_full = [-c for c in a_full]
     report = EqualityReport(label=f"current-conjugation W={W}")
@@ -893,37 +903,44 @@ def virasoro_conjugation_check(
 # ---------------------------------------------------------------------------
 
 
-def tqp_substitute(params, P: TPoly, W: int) -> TPoly:
-    """Push a T-side polynomial through the t-side forms of `tqp_forms`;
-    a polynomial without variables becomes its constant term."""
-    occurring = P.variables()
-    if not occurring:
-        return TPoly(T_SIDE, W, {(): P.constant_term()})
-    forms = tqp_forms(params, (W - 1) // 2, W)
-    return P.substitute({m: forms[m] for m in occurring})
+def tqp_substitute(params, W: int) -> PolyMap:
+    """The map pushing a T-side polynomial of weight cap W through the
+    t-side forms of `tqp_forms`, built once; a polynomial without
+    variables becomes its constant term."""
+    forms = dict(enumerate(tqp_forms(params, (W - 1) // 2, W)))
+
+    def substitute(P: TPoly) -> TPoly:
+        if not P.variables():
+            return TPoly(T_SIDE, W, {(): P.constant_term()})
+        return P.substitute(forms)
+
+    return _map_on(BIG_T_SIDE, W, substitute)
 
 
-def rl_transform_quantized(curve: CurveSeries, P_odd: TPoly, W: int) -> TPoly:
-    """Quantized route: odd-time input read in T-variables, acted on by
-    the factorized group element, then pushed through the t-side change
-    of variables."""
-    PT = odd_t_to_big_t(P_odd)
-    img = givental_factorized(curve.R, PT, mode="standard")
-    return tqp_substitute(curve.params, img, W)
+def rl_transform_quantized(curve: CurveSeries, W: int) -> PolyMap:
+    """Quantized route, as a map on odd-time polynomials of weight cap W:
+    the input read in T-variables, acted on by the factorized group
+    element, then pushed through the t-side change of variables.  Both
+    maps are built once."""
+    act = givental_factorized(curve.R, W, mode="standard")
+    substitute = tqp_substitute(curve.params, W)
+    return _map_on(T_SIDE, W, lambda P: substitute(act(odd_t_to_big_t(P))))
 
 
-def rl_transform_virasoro(curve: CurveSeries, P_odd: TPoly, W: int, mode: str = "standard") -> TPoly:
-    """Symmetry-group route: exp(sum a_k L_k), then the hbar^{-1}-weighted
-    translation in the t-variables, by the dilaton-shifted vector v in
-    standard mode and by the order-zero vector v0 in theta mode."""
-    a = witt_coefficients(curve.f.truncate(W + 1)).a
+def rl_transform_virasoro(curve: CurveSeries, W: int, mode: str = "standard") -> PolyMap:
+    """Symmetry-group route, as a map on t-side polynomials of weight cap
+    W: exp(sum a_k L_k), then the hbar^{-1}-weighted translation in the
+    t-variables, by the dilaton-shifted vector v in standard mode and by
+    the order-zero vector v0 in theta mode.  Both operators are built
+    once."""
+    a = witt_coefficients(curve.f.truncate(W + 1))
     sd = shift_data(curve, check_moments=False)
-    out = exp_apply(virasoro_sum_op(a, W), P_odd)
+    big = virasoro_sum_op(a, W)
     vector = {"standard": sd.v, "theta": sd.v0}[mode]
     trans = translation_op(
         {k: HbarPoly.hbar(-1, c) for k, c in vector.items()}, W, T_SIDE
     )
-    return exp_apply(trans, out) if not trans.is_zero() else out
+    return _map_on(T_SIDE, W, lambda P: exp_apply(trans, exp_apply(big, P)))
 
 
 def rl_identity_check(curve: CurveSeries, W: int, extra: Iterable[TPoly] = ()) -> EqualityReport:
@@ -932,11 +949,9 @@ def rl_identity_check(curve: CurveSeries, W: int, extra: Iterable[TPoly] = ()) -
     tau-function)."""
     basis = [TPoly(T_SIDE, W, {m: 1}) for m in weight_monomials(T_SIDE, W, odd_only=True)]
     basis.extend(extra)
-
-    def lhs(P):
-        return rl_transform_quantized(curve, P, W)
-
-    def rhs(P):
-        return rl_transform_virasoro(curve, P, W)
-
-    return operator_equality_check(lhs, rhs, basis, label=f"group-identification W={W}")
+    return operator_equality_check(
+        rl_transform_quantized(curve, W),
+        rl_transform_virasoro(curve, W),
+        basis,
+        label=f"group-identification W={W}",
+    )

@@ -22,11 +22,9 @@ from .algebra import (
     double_factorial,
     rat_str,
 )
-from .curve import CurveParams, build_curve, log_r_series, r_series
+from .curve import CurveParams, build_curve
 from .operators import (
-    couplings_from_log_r,
-    givental_direct,
-    givental_factorized,
+    givental_routes,
     odd_t_to_big_t,
     rl_transform_virasoro,
     tqp_substitute,
@@ -330,19 +328,13 @@ def hodge_partition(params: CurveParams, W: int, mode: str = "standard") -> TauS
         if W < 3:
             raise ValueError("standard mode needs W >= 3")
         base = odd_t_to_big_t(kw_tau(W).body)
-        shift = "kw"
         kind = "HodgeZ"
     else:
         if W < 1:
             raise ValueError("theta mode needs W >= 1")
         base = odd_t_to_big_t(bgw_tau(W).body)
-        shift = "bgw"
         kind = "ThetaZ"
-    order = max(2 * ((W - 1) // 2 + 1), 4)
-    R = r_series(params, order)
-    couplings = couplings_from_log_r(log_r_series(params, order), W)
-    direct = givental_direct(couplings, base, shift)
-    fact = givental_factorized(R, base, mode)
+    direct, fact = (route(base) for route in givental_routes(params, W, mode))
     if direct != fact:
         raise InvariantViolation(
         f"pipeline disagreement in the quantized action ({mode}); diff = {(direct - fact)!r}"
@@ -387,9 +379,9 @@ def _tau_identity(params: CurveParams, W: int, mode: str) -> TauIdentityReport:
     to index W, so the curve is built to order W + 1 (at least 4).
     """
     curve = build_curve(params, max(W + 1, 4))
-    lhs = tqp_substitute(params, hodge_partition(params, W, mode).body, W)
+    lhs = tqp_substitute(params, W)(hodge_partition(params, W, mode).body)
     base, kind = (kw_tau, "tau_qp") if mode == "standard" else (bgw_tau, "tau_theta_qp")
-    rhs = rl_transform_virasoro(curve, base(W).body, W, mode)
+    rhs = rl_transform_virasoro(curve, W, mode)(base(W).body)
     equal = lhs == rhs
     tau = TauSeries(
         lhs,

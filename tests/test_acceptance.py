@@ -40,7 +40,7 @@ from hodgekp.operators import (
     tqp_forms,
     virasoro_conjugation_check,
     virasoro_op,
-    w_apply,
+    w_op,
     weight_monomials,
 )
 from hodgekp.tau import bgw_tau, kw_tau, tau_qp_check, tau_qp_theta_check, trust_band
@@ -98,9 +98,11 @@ def test_criterion_03_direct_equals_factorized_weight9():
             order = 2 * ((W - 1) // 2 + 1)
             R = r_series(point, order)
             couplings = couplings_from_log_r(log_r_series(point, order), W)
+            direct = givental_direct(couplings, W)
+            factorized = givental_factorized(R, W)
             for mono in weight_monomials("T", W):
                 P = TPoly("T", W, {mono: 1})
-                assert givental_direct(couplings, P) == givental_factorized(R, P), (
+                assert direct(P) == factorized(P), (
                     point.label(),
                     mono,
                 )
@@ -112,7 +114,7 @@ def test_criterion_04_transformed_variables_match_linear_change():
         for point in (P132, PM121):
             curve = build_curve(point, 2 * W + 2)
             forms = tqp_forms(point, 3, W)
-            a = witt_coefficients(curve.f.truncate(W + 1)).a
+            a = witt_coefficients(curve.f.truncate(W + 1))
             v0 = linear_change_generator(a, W)
             rb = curve.R.subs_neg()
             for k in range(4):
@@ -213,7 +215,8 @@ def test_criterion_10_algebraic_substrate():
         for k in (1, 2):
             for m in (1, 2):
                 P = random_tpoly(rng, "T", W)
-                assert (w_apply(k, w_apply(m, P)) - w_apply(m, w_apply(k, P))).is_zero()
+                Wk, Wm = w_op(k, W), w_op(m, W)
+                assert (Wk.apply(Wm.apply(P)) - Wm.apply(Wk.apply(P))).is_zero()
         curve = build_curve(P132, 2 * W + 2)
         rep = virasoro_conjugation_check(curve, W)
         assert rep.passed, rep.failures[:2]

@@ -252,3 +252,29 @@ def test_default_orders_give_the_reports_of_the_former_default():
             assert summary["status"] == "pass"
             reports.append(json.dumps(summary["results"], sort_keys=True))
         assert reports[0] == reports[1], name
+
+
+@pytest.mark.parametrize(
+    "check,expected",
+    [
+        ("theorem-rl", {"witt_coefficients": 1, "tqp_forms": 1, "givental_v_matrix": 1}),
+        ("lemma-factorization", {"givental_v_matrix": 1}),
+    ],
+)
+def test_group_elements_are_built_once_per_job(check, expected, monkeypatch):
+    import hodgekp.operators as operators
+
+    calls = dict.fromkeys(expected, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in expected:
+        monkeypatch.setattr(operators, name, counting(name, getattr(operators, name)))
+    code, _ = run_verification(RunConfig(checks=[check], points=default_points()[:1], weight=8))
+    assert code == 0
+    assert calls == expected

@@ -209,18 +209,18 @@ class TestGiventalMatrix:
 class TestWittCoefficients:
     def test_identity_flow(self):
         w = witt_coefficients(ZSeries.z(8))
-        assert all(c == 0 for c in w.a)
+        assert all(c == 0 for c in w)
 
     def test_leading_coefficient_132(self, curve132):
         w = witt_coefficients(curve132.f.truncate(10))
-        assert w.a[0] == F(5, 6)
-        assert w.a[1] == F(-13, 48)
+        assert w[0] == F(5, 6)
+        assert w[1] == F(-13, 48)
 
     @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
     def test_reconstruction_all_catalog(self, point):
         c = build_curve(point, 10)
         w = witt_coefficients(c.f)
-        assert witt_flow(w.a, 10) == c.f
+        assert witt_flow(w, 10) == c.f
 
     def test_closed_form_flow(self):
         # z' = -z^2 integrates to z/(1+z)

@@ -1,11 +1,15 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from hodgekp.algebra import HbarPoly, TPoly
+from hodgekp.algebra import HbarPoly, TPoly, mono_weight
 from hodgekp.curve import CurveParams
 from hodgekp.kp import (
+    _bilinear_pair,
+    _scaled_derivatives,
     hbar_weight_strip,
     hirota_equation_table,
     hirota_first_equation,
@@ -225,3 +229,41 @@ class TestMergedEquationLoop:
         assert [e.to_json_obj() for e in graded.equations] == [
             e.to_json_obj() for e in full.equations
         ]
+
+
+def all_splits_pair(derivs, gamma):
+    """The reference for `_bilinear_pair`: every split beta + (gamma - beta)
+    taken on its own, at the full weight cap of tau, summed with sign
+    (-1)^|gamma - beta| and factor gamma!."""
+    some = derivs[()]
+    acc = TPoly.zero(some.kind, some.max_weight)
+    gfact = math.prod(math.factorial(e) for _, e in gamma)
+    for exps in itertools.product(*(range(e + 1) for _, e in gamma)):
+        beta = tuple((v, b) for (v, _), b in zip(gamma, exps) if b)
+        rest = tuple((v, e - b) for (v, e), b in zip(gamma, exps) if e - b)
+        sign = (-1) ** sum(e for _, e in rest)
+        acc = acc + (derivs[beta] * derivs[rest]).scale(F(sign * gfact))
+    return acc
+
+
+class TestBilinearPair:
+    """The halved, capped pair kernel against the all-splits expansion,
+    on the covered range of every equation of the y-weight-3 table."""
+
+    @pytest.mark.parametrize("which", ["kw-specialized", "tau-qp-graded"])
+    def test_matches_all_splits_on_covered_range(self, which):
+        if which == "kw-specialized":
+            tau = specialize_hbar(kw_tau(9).body, 1)
+        else:
+            tau = tau_qp_check(CurveParams(F(1), F(3), F(2)), 7).tau.body
+        W = tau.max_weight
+        gammas = {g for _, eq in hirota_equation_table(3) for g in eq}
+        derivs = _scaled_derivatives(tau, max(mono_weight("t", g) for g in gammas))
+        nonzero = 0
+        for gamma in sorted(gammas):
+            cap = W - mono_weight("t", gamma)
+            got = _bilinear_pair(derivs, gamma, cap)
+            expect = all_splits_pair(derivs, gamma).with_max_weight(cap)
+            assert got == expect, gamma
+            nonzero += not got.is_zero()
+        assert nonzero >= 2

@@ -14,22 +14,23 @@ from hodgekp.operators import (
     exp_apply,
     givental_direct,
     givental_factorized,
-    heisenberg_apply,
+    givental_routes,
     heisenberg_op,
     linear_change_generator,
     odd_t_to_big_t,
     operator_equality_check,
     rl_identity_check,
+    rl_transform_quantized,
+    rl_transform_virasoro,
     tqp_forms,
     tqp_forms_symbolic,
+    tqp_substitute,
     translation_op,
     transformed_variable_images,
-    virasoro_apply,
     virasoro_conjugation_check,
     virasoro_factorization_check,
     virasoro_op,
     virasoro_sum_op,
-    w_apply,
     w_op,
     weight_monomials,
 )
@@ -48,15 +49,15 @@ def T(m, w=9):
 
 class TestVirasoroModes:
     def test_scaling_eigenvector(self):
-        assert virasoro_apply(0, t(1)) == t(1)
+        assert virasoro_op(0, 9).apply(t(1)) == t(1)
 
     def test_lowering_mode(self):
-        got = virasoro_apply(-2, t(1))
+        got = virasoro_op(-2, 9).apply(t(1))
         expect = (t(1) * t(1) * t(1)).scale(F(1, 2)) + t(3, 9).scale(3)
         assert got == expect
 
     def test_raising_mode_on_product(self):
-        assert virasoro_apply(2, t(1) * t(3)) == t(1) * t(1)
+        assert virasoro_op(2, 9).apply(t(1) * t(3)) == t(1) * t(1)
 
     def test_raising_mode_oracle(self):
         # brute-force differentiation of the displayed formula
@@ -71,11 +72,11 @@ class TestVirasoroModes:
             for a in range(1, m):
                 b = m - a
                 expect = expect + P.diff(a).diff(b).scale(F(1, 2))
-            assert virasoro_apply(m, P) == expect
+            assert virasoro_op(m, W).apply(P) == expect
 
     def test_rejects_big_t_side(self):
         with pytest.raises(ValueError):
-            virasoro_apply(1, T(1))
+            virasoro_op(1, 9).apply(T(1))
 
 
 def term_by_term_apply(op, P):
@@ -205,14 +206,14 @@ class TestFusedApply:
 
 class TestHeisenbergModes:
     def test_derivative_mode(self):
-        assert heisenberg_apply(3, t(3)) == TPoly.one("t", 9)
+        assert heisenberg_op(3, 9).apply(t(3)) == TPoly.one("t", 9)
 
     def test_multiplication_mode(self):
-        assert heisenberg_apply(-2, TPoly.one("t", 9)) == t(2).scale(2)
+        assert heisenberg_op(-2, 9).apply(TPoly.one("t", 9)) == t(2).scale(2)
 
     def test_zero_mode_is_callers_bug(self):
         with pytest.raises(ValueError):
-            heisenberg_apply(0, t(1))
+            heisenberg_op(0, 9)
 
     def test_commutator_is_central(self):
         rng = random.Random(43)
@@ -267,19 +268,20 @@ class TestCommutatorSuites:
         for k in (1, 2):
             for m in (1, 2):
                 P = random_tpoly(rng, "T", 9)
-                lhs = w_apply(k, w_apply(m, P)) - w_apply(m, w_apply(k, P))
+                Wk, Wm = w_op(k, 9), w_op(m, 9)
+                lhs = Wk.apply(Wm.apply(P)) - Wm.apply(Wk.apply(P))
                 assert lhs.is_zero(), (k, m)
 
 
 class TestWGenerators:
     def test_kills_lowest_variable(self):
-        assert w_apply(1, T(0)).is_zero()
+        assert w_op(1, 9).apply(T(0)).is_zero()
 
     def test_action_on_t1(self):
-        assert w_apply(1, T(1)) == -T(0)
+        assert w_op(1, 9).apply(T(1)) == -T(0)
 
     def test_action_on_t0_squared(self):
-        assert w_apply(1, T(0) * T(0)) == TPoly.one("T", 9)
+        assert w_op(1, 9).apply(T(0) * T(0)) == TPoly.one("T", 9)
 
     def test_brute_force_oracle(self):
         # independent construction straight from the displayed formula
@@ -305,7 +307,7 @@ class TestWGenerators:
 
     def test_lower_triangular_rejected(self):
         with pytest.raises(ValueError):
-            w_apply(0, T(0))
+            w_op(0, 9)
 
     def test_weight_drop_bound(self):
         assert w_op(1, 9).min_weight_drop >= 2
@@ -348,7 +350,7 @@ class TestGiventalAction:
     def test_zero_couplings_identity(self):
         rng = random.Random(73)
         P = random_tpoly(rng, "T", 9)
-        assert givental_direct({}, P) == P
+        assert givental_direct({}, 9)(P) == P
 
     def test_exponential_series_oracle(self):
         # termwise Horner evaluation of exp(c W_1), independent of exp_apply
@@ -361,13 +363,13 @@ class TestGiventalAction:
             while not term.is_zero():
                 expect = expect + term
                 n += 1
-                term = w_apply(1, term).scale(F(c, n))
-            assert givental_direct({1: c}, P) == expect
+                term = w_op(1, 9).apply(term).scale(F(c, n))
+            assert givental_direct({1: c}, 9)(P) == expect
 
     def test_factorized_identity_for_trivial_r(self):
         rng = random.Random(83)
         P = random_tpoly(rng, "T", 9)
-        assert givental_factorized(ZSeries.one(12), P) == P
+        assert givental_factorized(ZSeries.one(12), 9)(P) == P
 
     @pytest.mark.parametrize("q,p,s", [(1, 3, 2), (-1, 2, 1)], ids=["(1,3,2)", "(-1,2,1)"])
     def test_direct_equals_factorized_on_basis(self, q, p, s):
@@ -376,16 +378,18 @@ class TestGiventalAction:
         order = 2 * ((W - 1) // 2 + 1)
         R = r_series(par, order)
         couplings = couplings_from_log_r(log_r_series(par, order), W)
+        direct = givental_direct(couplings, W)
+        factorized = givental_factorized(R, W)
         for mono in weight_monomials("T", W):
             P = TPoly("T", W, {mono: 1})
-            assert givental_direct(couplings, P) == givental_factorized(R, P), mono
+            assert direct(P) == factorized(P), mono
 
     def test_theta_mode_on_constant(self):
         par = CurveParams(F(1), F(3), F(2))
         R = r_series(par, 10)
         P = TPoly.one("T", 9)
         couplings = couplings_from_log_r(log_r_series(par, 10), 9)
-        assert givental_factorized(R, P, "theta") == givental_direct(couplings, P, "bgw")
+        assert givental_factorized(R, 9, "theta")(P) == givental_direct(couplings, 9, "bgw")(P)
 
     def test_mumford_couplings_match_miwa(self):
         # B_{2k}/(2k)! * s_k with the Miwa weights (-p, -q, pq/(p+q))
@@ -533,7 +537,7 @@ class TestShiftTransport:
         from hodgekp.curve import shift_data
 
         W = 7
-        a = witt_coefficients(curve132.f.truncate(W + 1)).a
+        a = witt_coefficients(curve132.f.truncate(W + 1))
         sd = shift_data(curve132, check_moments=False)
         gen = linear_change_generator(a, W)
         src = sd.v if mode == "standard" else sd.v0
@@ -562,14 +566,34 @@ class TestOperatorIdentification:
     def test_mismatched_translation_detected(self, curve132):
         # sanity of the harness: breaking the translation must fail
         from hodgekp.curve import shift_data
-        from hodgekp.operators import rl_transform_quantized
 
         W = 7
         basis = [TPoly("t", W, {((5, 1),): 1})]
         rep = operator_equality_check(
-            lambda P: rl_transform_quantized(curve132, P, W),
+            rl_transform_quantized(curve132, W),
             lambda P: P,
             basis,
             "broken",
         )
         assert not rep.passed
+
+
+class TestRouteMaps:
+    """Each route map is built for one side and one weight cap; any other
+    input is refused rather than acted on by operators cut at the wrong cap."""
+
+    @pytest.mark.parametrize("cap", [7, 11])
+    def test_maps_reject_wrong_side_and_cap(self, p132, curve132, cap):
+        direct, factorized = givental_routes(p132, 9)
+        cases = [
+            (direct, T, t),
+            (factorized, T, t),
+            (tqp_substitute(p132, 9), T, t),
+            (rl_transform_quantized(curve132, 9), t, T),
+            (rl_transform_virasoro(curve132, 9), t, T),
+        ]
+        for route, own, other in cases:
+            with pytest.raises(ValueError, match="weight cap 9"):
+                route(other(1))
+            with pytest.raises(ValueError, match="weight cap 9"):
+                route(own(1, cap))

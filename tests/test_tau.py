@@ -211,7 +211,7 @@ class TestHodgePartition:
         from hodgekp.operators import givental_direct
 
         base = odd_t_to_big_t(kw_tau(9).body)
-        assert givental_direct({}, base) == base
+        assert givental_direct({}, 9)(base) == base
 
     def test_pipelines_agree_and_leading_data(self, p132):
         Z = hodge_partition(p132, 9)
@@ -258,7 +258,7 @@ class TestTauQpIdentity:
         for check, mode, base in ((tau_qp_check, "standard", kw_tau), (tau_qp_theta_check, "theta", bgw_tau)):
             rep = check(point, W)
             assert rep.equal
-            assert rep.tau.body == rl_transform_virasoro(curve, base(W).body, W, mode)
+            assert rep.tau.body == rl_transform_virasoro(curve, W, mode)(base(W).body)
 
     def test_reduction_point_has_no_even_times(self):
         rep = tau_qp_check(CurveParams(F(-1), F(2), F(1)), 7)
