@@ -271,9 +271,6 @@ class ZSeries:
             self.coeff(e) == other.coeff(e) for e in range(lo, self.order + 1)
         )
 
-    def __hash__(self):
-        raise TypeError("ZSeries is not hashable")
-
     def __repr__(self) -> str:
         bits = []
         for e in range(self.lowest, self.order + 1):
@@ -621,9 +618,6 @@ class TPoly:
             self.kind == other.kind
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        raise TypeError("TPoly is not hashable")
 
     def __repr__(self) -> str:
         if not self.terms:

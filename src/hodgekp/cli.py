@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .algebra import InvariantViolation, TPoly, rat, rat_str
+from .algebra import InvariantViolation, TPoly, double_factorial, rat, rat_str
 from .curve import (
     CATALOG,
     CurveParams,
-    build_curve,
+    build_curve,  # unused here; perfbench/tests read it as `cli.build_curve`
     identification_residual,
     perturbed_control_curve,
 )
@@ -44,6 +44,7 @@ from .operators import (
 )
 from .curve import witt_coefficients
 from .tau import (
+    PointArtifacts,
     bgw_tau,
     hodge_partition,
     kw_tau,
@@ -62,30 +63,9 @@ class RunConfig:
     checks: list
     points: list
     weight: int = 9
-    order: int | None = None  # each check derives its own when absent
     hbars: list = field(default_factory=lambda: [Fraction(1), Fraction(1, 2)])
     out: str | None = None
     perturbed: bool = False
-
-    def series_order(self) -> int:
-        """The order `lemma-laplace` builds to, reported as `order` in the
-        summary: the explicit order, or 2W + 2 so that I is listed to W + 1."""
-        return self.order if self.order is not None else 2 * self.weight + 2
-
-    def order_for(self, needed: int, what: str) -> int:
-        """Series order for a check that reads its curve to order `needed`.
-
-        Without an explicit order the curve is built to `needed` (at
-        least the smallest order a curve can be built to); an explicit
-        order raises that, and one below `needed` is a config error.
-        """
-        if self.order is not None:
-            if self.order < needed:
-                raise ConfigError(
-                    f"series order {self.order} too small for {what}: need >= {needed}"
-                )
-            return self.order
-        return max(needed, _MIN_SERIES_ORDER)
 
 
 @dataclass
@@ -113,22 +93,31 @@ class ConfigError(Exception):
     pass
 
 
+class _PointRun(PointArtifacts):
+    """What the checks at one point read: the run's config, and the curves
+    and tau-functions of `PointArtifacts`, built once for all of them.
+    Each check takes the `_PointRun` of its point and the point, and reads
+    its curve to the series order it names."""
+
+    def __init__(self, config: RunConfig, point: CurveParams, bases: dict):
+        super().__init__(point, bases)
+        self.config = config
+
+
 # ---------------------------------------------------------------------------
 # The check registry
 # ---------------------------------------------------------------------------
 
 
-def _chk_lemma_grunsky(config: RunConfig, point: CurveParams) -> dict:
-    W = config.weight
-    K = config.order_for(2 * W + 1, "the Grunsky factorization")
-    curve = build_curve(point, K)
-    rep = virasoro_factorization_check(curve, W)
+def _chk_lemma_grunsky(run: _PointRun, point: CurveParams) -> dict:
+    W = run.config.weight
+    rep = virasoro_factorization_check(run.curve(2 * W + 1), W)
     return {"passed": rep.passed, "report": rep.to_json_obj()}
 
 
-def _chk_lemma_laplace(config: RunConfig, point: CurveParams) -> dict:
-    K = config.series_order()
-    curve = build_curve(point, K)
+def _chk_lemma_laplace(run: _PointRun, point: CurveParams) -> dict:
+    # order 2W + 2, so that I is listed to order W + 1
+    curve = run.curve(2 * run.config.weight + 2)
     I = curve.I
     ok = I == curve.R.subs_neg().truncate(I.order)
     return {
@@ -138,11 +127,11 @@ def _chk_lemma_laplace(config: RunConfig, point: CurveParams) -> dict:
     }
 
 
-def _chk_identification(config: RunConfig, point: CurveParams) -> dict:
+def _chk_identification(run: _PointRun, point: CurveParams) -> dict:
     size = 4
-    need = 2 * (2 * size + 1)
-    if config.perturbed:
-        control = perturbed_control_curve(config.order_for(need, "the identification control (size 4)"))
+    order = 2 * (2 * size + 1)
+    if run.config.perturbed:
+        control = perturbed_control_curve(order)
         res = identification_residual(control, size, require_symplectic=False)
         nonzero = [
             (k, m) for k in range(size) for m in range(size) if res[k][m] != 0
@@ -153,9 +142,7 @@ def _chk_identification(config: RunConfig, point: CurveParams) -> dict:
             "control": "out-of-family (degree-4 denominator term)",
             "nonzeroEntries": nonzero,
         }
-    K = config.order_for(need, "the identification residual (size 4)")
-    curve = build_curve(point, K)
-    res = identification_residual(curve, size)
+    res = identification_residual(run.curve(order), size)
     ok = all(x == 0 for row in res for x in row)
     return {
         "passed": ok,
@@ -164,8 +151,8 @@ def _chk_identification(config: RunConfig, point: CurveParams) -> dict:
     }
 
 
-def _chk_lemma_factorization(config: RunConfig, point: CurveParams) -> dict:
-    W = config.weight
+def _chk_lemma_factorization(run: _PointRun, point: CurveParams) -> dict:
+    W = run.config.weight
     direct, factorized = givental_routes(point, W)
     failures = []
     count = 0
@@ -179,12 +166,9 @@ def _chk_lemma_factorization(config: RunConfig, point: CurveParams) -> dict:
     return {"passed": not failures, "checked": count, "failures": failures[:5]}
 
 
-def _chk_lemma_changevars(config: RunConfig, point: CurveParams) -> dict:
-    from .algebra import double_factorial
-
-    W = config.weight
-    K = config.order_for(W + 1, "the change-of-variables identity")
-    curve = build_curve(point, K)
+def _chk_lemma_changevars(run: _PointRun, point: CurveParams) -> dict:
+    W = run.config.weight
+    curve = run.curve(W + 1)
     kmax = min(3, (W - 1) // 2)
     forms = tqp_forms(point, kmax, W)
     symbolic = tqp_forms_symbolic(point, kmax, W)
@@ -208,42 +192,35 @@ def _chk_lemma_changevars(config: RunConfig, point: CurveParams) -> dict:
     return {"passed": not failures, "maxIndex": kmax, "failures": failures}
 
 
-def _chk_theorem_rl(config: RunConfig, point: CurveParams) -> dict:
-    W = config.weight
-    K = config.order_for(W + 1, "the operator identification")
-    curve = build_curve(point, K)
-    extra = [kw_tau(W).body] if W >= 3 else []
-    rep = rl_identity_check(curve, W, extra=extra)
+def _chk_theorem_rl(run: _PointRun, point: CurveParams) -> dict:
+    W = run.config.weight
+    extra = [run.base("standard", W).body] if W >= 3 else []
+    rep = rl_identity_check(run.curve(W + 1), W, extra=extra)
     return {"passed": rep.passed, "report": rep.to_json_obj(), "includesBaseTau": bool(extra)}
 
 
-def _chk_theorem_hodge(config: RunConfig, point: CurveParams) -> dict:
-    rep = tau_qp_check(point, config.weight)
+def _chk_tau_identity(run: _PointRun, mode: str) -> dict:
+    rep = run.identity(mode, run.config.weight)
     return {"passed": rep.equal, "report": rep.to_json_obj()}
 
 
-def _chk_theorem_theta(config: RunConfig, point: CurveParams) -> dict:
-    rep = tau_qp_theta_check(point, config.weight)
-    return {"passed": rep.equal, "report": rep.to_json_obj()}
-
-
-def _chk_kp_base(config: RunConfig, build) -> dict:
-    W = config.weight
-    tau = build(W).body
+def _chk_kp_base(run: _PointRun, mode: str) -> dict:
+    W = run.config.weight
+    tau = run.base(mode, W).body
     reports = []
     ok = True
-    for hb in config.hbars:
+    for hb in run.config.hbars:
         r = hirota_full_check(specialize_hbar(tau, hb), HIROTA_Y_WEIGHT, rat_str(hb))
         reports.append(r.to_json_obj())
         ok = ok and r.passed
     return {"passed": ok, "weight": W, "reports": reports}
 
 
-def _chk_kp_hodge(config: RunConfig, point: CurveParams) -> dict:
-    W = config.weight
-    rep = tau_qp_check(point, W)
+def _chk_kp_hodge(run: _PointRun, point: CurveParams) -> dict:
+    W = run.config.weight
+    rep = run.identity("standard", W)
     r1 = hirota_graded_check(rep.tau.body, HIROTA_Y_WEIGHT, trust_band("tau_qp"))
-    rep_t = tau_qp_theta_check(point, max(W - 1, 4))
+    rep_t = run.identity("theta", max(W - 1, 4))
     r2 = hirota_graded_check(rep_t.tau.body, HIROTA_Y_WEIGHT, trust_band("tau_theta_qp"))
     ok = rep.equal and rep_t.equal and r1.passed and r2.passed
     return {
@@ -253,10 +230,10 @@ def _chk_kp_hodge(config: RunConfig, point: CurveParams) -> dict:
     }
 
 
-def _chk_kdv_reduction(config: RunConfig, point: CurveParams) -> dict:
-    W = config.weight
-    rep = tau_qp_check(point, W)
-    rep_t = tau_qp_theta_check(point, max(W - 1, 4))
+def _chk_kdv_reduction(run: _PointRun, point: CurveParams) -> dict:
+    W = run.config.weight
+    rep = run.identity("standard", W)
+    rep_t = run.identity("theta", max(W - 1, 4))
     r1 = kdv_reduction_check(rep.tau.body)
     r2 = kdv_reduction_check(rep_t.tau.body)
     reduced_point = point.p == -2 * point.q
@@ -274,11 +251,9 @@ def _chk_kdv_reduction(config: RunConfig, point: CurveParams) -> dict:
     }
 
 
-def _chk_conjugation(config: RunConfig, point: CurveParams) -> dict:
-    W = config.weight
-    K = config.order_for(2 * W + 1, "the current-mode conjugation")
-    curve = build_curve(point, K)
-    rep = virasoro_conjugation_check(curve, W)
+def _chk_conjugation(run: _PointRun, point: CurveParams) -> dict:
+    W = run.config.weight
+    rep = virasoro_conjugation_check(run.curve(2 * W + 1), W)
     return {"passed": rep.passed, "report": rep.to_json_obj()}
 
 
@@ -289,10 +264,10 @@ CHECKS = {
     "lemma-factorization": (_chk_lemma_factorization, "direct vs factorized quantized action on the T-basis"),
     "lemma-changevars": (_chk_lemma_changevars, "transformed variables match the linear change on odd times"),
     "theorem-rl": (_chk_theorem_rl, "full operator identification on the odd-time basis"),
-    "theorem-hodge": (_chk_theorem_hodge, "two constructions of the triple-Hodge tau-function agree"),
-    "theorem-theta": (_chk_theorem_theta, "two constructions of the Theta-Hodge tau-function agree"),
-    "kp-kw": (lambda config, point: _chk_kp_base(config, kw_tau), "bilinear identity for the psi-class tau-function"),
-    "kp-bgw": (lambda config, point: _chk_kp_base(config, bgw_tau), "bilinear identity for the Theta-class tau-function"),
+    "theorem-hodge": (lambda run, point: _chk_tau_identity(run, "standard"), "two constructions of the triple-Hodge tau-function agree"),
+    "theorem-theta": (lambda run, point: _chk_tau_identity(run, "theta"), "two constructions of the Theta-Hodge tau-function agree"),
+    "kp-kw": (lambda run, point: _chk_kp_base(run, "standard"), "bilinear identity for the psi-class tau-function"),
+    "kp-bgw": (lambda run, point: _chk_kp_base(run, "theta"), "bilinear identity for the Theta-class tau-function"),
     "kp-hodge": (_chk_kp_hodge, "graded bilinear identity for both derived tau-functions"),
     "kdv-reduction": (_chk_kdv_reduction, "even-time (in)dependence matching the reduction locus"),
     "conjugation": (_chk_conjugation, "conjugation of current modes by the group element"),
@@ -312,9 +287,6 @@ MIN_WEIGHT = {
     "kp-hodge": HIROTA_Y_WEIGHT + 1,
     "kdv-reduction": 3,
 }
-
-# `build_curve` needs series order K >= 4.
-_MIN_SERIES_ORDER = 4
 
 # Checks whose outcome does not depend on a parameter point.
 POINT_FREE = {"kp-kw", "kp-bgw"}
@@ -340,17 +312,13 @@ def default_points() -> list[CurveParams]:
     return points
 
 
-def _point_label(point: CurveParams | None) -> str:
-    return point.label() if point is not None else "none"
-
-
-def _run_one(config: RunConfig, name: str, point: CurveParams) -> CheckResult:
+def _run_one(run: _PointRun, name: str, point: CurveParams) -> CheckResult:
     fn = CHECKS[name][0]
     t0 = time.perf_counter()
-    details = fn(config, point)
+    details = fn(run, point)
     ms = int((time.perf_counter() - t0) * 1000)
     status = "pass" if details.pop("passed") else "fail"
-    return CheckResult(name, _point_label(point), status, ms, details)
+    return CheckResult(name, point.label(), status, ms, details)
 
 
 def run_verification(config: RunConfig) -> tuple[int, dict]:
@@ -361,10 +329,9 @@ def run_verification(config: RunConfig) -> tuple[int, dict]:
         minimum = MIN_WEIGHT.get(name, 1)
         if config.weight < minimum:
             raise ConfigError(f"weight {config.weight} too small for check {name!r}: need >= {minimum}")
-    if config.order is not None and config.order < _MIN_SERIES_ORDER:
-        raise ConfigError(
-            f"series order {config.order} too small: curve construction needs >= {_MIN_SERIES_ORDER}"
-        )
+    if config.out:
+        # before the first job, so that an unusable --out costs no work
+        os.makedirs(config.out, exist_ok=True)
     jobs = []
     for name in config.checks:
         if name in POINT_FREE or (name == "identification" and config.perturbed):
@@ -372,9 +339,20 @@ def run_verification(config: RunConfig) -> tuple[int, dict]:
         else:
             for point in config.points:
                 jobs.append((name, point))
-    # `_run_one` is looked up as a module global on each job, so that a
-    # caller can wrap it, for example to time each job.
-    results = [_run_one(config, name, point) for name, point in jobs]
+    # The jobs run point by point, so that the checks at one point share
+    # its curves and tau-functions, which are dropped when the point is
+    # done; the base tau-functions are shared by the whole run.  Results
+    # keep the check-major order of `jobs`.
+    done = {}
+    bases: dict = {}
+    for point in dict.fromkeys(point for _, point in jobs):
+        run = _PointRun(config, point, bases)
+        for job in jobs:
+            if job[1] == point:
+                # `_run_one` is looked up as a module global on each job,
+                # so that a caller can wrap it, for example to time it.
+                done[job] = _run_one(run, *job)
+    results = [done[job] for job in jobs]
     all_pass = all(r.passed for r in results)
     summary = {
         "engineVersion": ENGINE_VERSION,
@@ -382,7 +360,6 @@ def run_verification(config: RunConfig) -> tuple[int, dict]:
             "checks": config.checks,
             "points": [p.label() for p in config.points],
             "weight": config.weight,
-            "order": config.series_order(),
             "hbar": [rat_str(h) for h in config.hbars],
         },
         "results": [r.to_json_obj() for r in results],
@@ -392,16 +369,17 @@ def run_verification(config: RunConfig) -> tuple[int, dict]:
         "timings_ms": {f"{r.check}::{r.point}": r.millis for r in results},
     }
     if config.out:
-        os.makedirs(config.out, exist_ok=True)
         for r in results:
             fname = f"{r.check}__{r.point}".replace("/", "_").replace(",", "_") + ".json"
-            with open(os.path.join(config.out, fname), "w") as fh:
-                json.dump(r.to_json_obj(), fh, indent=1, sort_keys=True)
-                fh.write("\n")
-        with open(os.path.join(config.out, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            _write(os.path.join(config.out, fname), r.to_json_obj())
+        _write(os.path.join(config.out, "summary.json"), summary)
     return (0 if all_pass else 1), summary
+
+
+def _write(path: str, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _print_summary(summary: dict, fmt: str, stream=None):
@@ -440,7 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", help="rational p")
     v.add_argument("--s", help="rational s with s^2 = p + q")
     v.add_argument("--weight", type=int, default=9, help="weight truncation W")
-    v.add_argument("--order", type=int, default=None, help="series order K (default: the smallest each check reads, at least 4)")
     v.add_argument("--hbar", action="append", default=None, help="hbar value a/b (repeatable)")
     v.add_argument("--format", choices=("json", "text"), default="text")
     v.add_argument("--out", default=None, help="directory for JSON reports")
@@ -496,7 +473,6 @@ def _cmd_verify(args) -> int:
         checks=checks,
         points=points,
         weight=args.weight,
-        order=args.order,
         hbars=hbars,
         out=args.out,
         perturbed=args.perturbed,
@@ -526,38 +502,40 @@ def _cmd_tau(args) -> int:
     series = build(point, args.weight)
     obj = series.to_json_obj()
     obj["provenance"]["engineVersion"] = ENGINE_VERSION
-    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, obj)
     else:
-        sys.stdout.write(text)
+        json.dump(obj, sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")
     return 0
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run_command(args) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "tau":
             return _cmd_tau(args)
-        if args.command == "list-checks":
-            for name, (_, doc) in CHECKS.items():
-                sys.stdout.write(f"{name:<20} {doc}\n")
-            return 0
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        for name, (_, doc) in CHECKS.items():  # list-checks
+            sys.stdout.write(f"{name:<20} {doc}\n")
+        return 0
     except InvariantViolation as exc:
         sys.stderr.write(f"internal invariant violation: {exc}\n")
-        out = getattr(args, "out", None)
-        if out:
-            os.makedirs(out, exist_ok=True)
-            with open(os.path.join(out, "invariant-violation.txt"), "w") as fh:
-                fh.write(str(exc) + "\n")
+        if args.command == "verify" and args.out:
+            with open(os.path.join(args.out, "invariant-violation.txt"), "w") as fh:
+                fh.write(f"{exc}\n")
         return 3
-    return 2
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        return _run_command(args)
+    except (ConfigError, OSError) as exc:
+        # the commands' only OSErrors come from their files: a report
+        # path that cannot be written is a usage error too
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

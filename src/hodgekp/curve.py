@@ -156,9 +156,7 @@ def _denominator_series(params: CurveParams, order: int) -> ZSeries:
 def _curve_from_denominator(N_poly: ZSeries, K: int, margin: int = 2):
     """x, f, h, y, N from the series 1/N-integrals, all to order >= K."""
     work = K + margin
-    N_full = N_poly.truncate(work) if N_poly.order >= work else ZSeries(
-        [N_poly.coeff_or_zero(e) for e in range(0, work + 1)], work
-    )
+    N_full = N_poly.truncate(work)
     inv_n = N_full.recip()
     x = (ZSeries.z(work) * inv_n).truncate(work).antiderivative()  # z/N integrated
     y = inv_n.antiderivative()  # since dx/z = dz/N
@@ -173,14 +171,18 @@ def _curve_from_denominator(N_poly: ZSeries, K: int, margin: int = 2):
     )
 
 
+# The smallest series order a curve can be built to.
+MIN_SERIES_ORDER = 4
+
+
 def build_curve(params: CurveParams, K: int) -> CurveSeries:
     """Construct all series data for a parameter point, to order K.
 
     The ratio series I is computed by the Gaussian-moment transform and
     is trusted to order K // 2.
     """
-    if K < 4:
-        raise ValueError("curve construction needs K >= 4")
+    if K < MIN_SERIES_ORDER:
+        raise ValueError(f"curve construction needs K >= {MIN_SERIES_ORDER}")
     N_poly = _denominator_series(params, K + 2)
     x, f, h, y, N = _curve_from_denominator(N_poly, K)
     R = r_series(params, K)

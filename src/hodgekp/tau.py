@@ -22,7 +22,7 @@ from .algebra import (
     double_factorial,
     rat_str,
 )
-from .curve import CurveParams, build_curve
+from .curve import MIN_SERIES_ORDER, CurveParams, CurveSeries, build_curve
 from .operators import (
     givental_routes,
     odd_t_to_big_t,
@@ -39,6 +39,7 @@ __all__ = [
     "tp_exp",
     "hodge_partition",
     "TauIdentityReport",
+    "PointArtifacts",
     "tau_qp_check",
     "tau_qp_theta_check",
     "trust_band",
@@ -316,40 +317,35 @@ def bgw_tau(W: int) -> TauSeries:
 # ---------------------------------------------------------------------------
 
 
+def _derived(body: TPoly, kind: str, params: CurveParams, W: int, pipeline: str) -> TauSeries:
+    provenance = {
+        "q": rat_str(params.q),
+        "p": rat_str(params.p),
+        "s": rat_str(params.s),
+        "W": W,
+        "pipeline": pipeline,
+    }
+    return TauSeries(body, kind, provenance)
+
+
 def hodge_partition(params: CurveParams, W: int, mode: str = "standard") -> TauSeries:
     """Quantized group action on the base tau-function, in T-variables.
 
     Computed by BOTH the termwise exponential and the factorized form;
     the two must agree exactly (any difference aborts).
     """
-    if mode not in ("standard", "theta"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "standard":
-        if W < 3:
-            raise ValueError("standard mode needs W >= 3")
-        base = odd_t_to_big_t(kw_tau(W).body)
-        kind = "HodgeZ"
-    else:
-        if W < 1:
-            raise ValueError("theta mode needs W >= 1")
-        base = odd_t_to_big_t(bgw_tau(W).body)
-        kind = "ThetaZ"
-    direct, fact = (route(base) for route in givental_routes(params, W, mode))
+    return _quantized_action(params, W, mode, PointArtifacts(params).base(mode, W))
+
+
+def _quantized_action(params: CurveParams, W: int, mode: str, base: TauSeries) -> TauSeries:
+    big = odd_t_to_big_t(base.body)
+    direct, fact = (route(big) for route in givental_routes(params, W, mode))
     if direct != fact:
         raise InvariantViolation(
-        f"pipeline disagreement in the quantized action ({mode}); diff = {(direct - fact)!r}"
+            f"pipeline disagreement in the quantized action ({mode}); diff = {(direct - fact)!r}"
         )
-    return TauSeries(
-        direct,
-        kind,
-        {
-            "q": rat_str(params.q),
-            "p": rat_str(params.p),
-            "s": rat_str(params.s),
-            "W": W,
-            "pipeline": "direct+factorized",
-        },
-    )
+    kind = "HodgeZ" if mode == "standard" else "ThetaZ"
+    return _derived(direct, kind, params, W, "direct+factorized")
 
 
 @dataclass
@@ -371,30 +367,58 @@ class TauIdentityReport:
         }
 
 
-def _tau_identity(params: CurveParams, W: int, mode: str) -> TauIdentityReport:
+def _tau_identity(
+    params: CurveParams, W: int, mode: str, curve: CurveSeries, base: TauSeries
+) -> TauIdentityReport:
     """Build one side's tau-function by the substitution route and by the
-    symmetry-group route; `mode` picks the side as in `hodge_partition`.
-
-    The group route reads f to order W + 1 and the translation vector up
-    to index W, so the curve is built to order W + 1 (at least 4).
-    """
-    curve = build_curve(params, max(W + 1, 4))
-    lhs = tqp_substitute(params, W)(hodge_partition(params, W, mode).body)
-    base, kind = (kw_tau, "tau_qp") if mode == "standard" else (bgw_tau, "tau_theta_qp")
-    rhs = rl_transform_virasoro(curve, W, mode)(base(W).body)
+    symmetry-group route from the side's base tau-function; `mode` picks
+    the side as in `hodge_partition`."""
+    lhs = tqp_substitute(params, W)(_quantized_action(params, W, mode, base).body)
+    rhs = rl_transform_virasoro(curve, W, mode)(base.body)
     equal = lhs == rhs
-    tau = TauSeries(
-        lhs,
-        kind,
-        {
-            "q": rat_str(params.q),
-            "p": rat_str(params.p),
-            "s": rat_str(params.s),
-            "W": W,
-            "pipeline": "substitution+group",
-        },
-    )
+    kind = "tau_qp" if mode == "standard" else "tau_theta_qp"
+    tau = _derived(lhs, kind, params, W, "substitution+group")
     return TauIdentityReport(params, W, equal, tau, None if equal else lhs - rhs)
+
+
+def _once(table: dict, key, build):
+    if key not in table:
+        table[key] = build()
+    return table[key]
+
+
+class PointArtifacts:
+    """The objects that the checks at one parameter point read, each built
+    once: the curve at each series order, the tau identity of each
+    (side, W), and the base tau-function of each (side, W), which does not
+    depend on the point, so the memos of one run share one `bases` dict."""
+
+    def __init__(self, params: CurveParams, bases: dict | None = None):
+        self.params = params
+        self.bases = {} if bases is None else bases
+        self.built: dict = {}
+
+    def curve(self, order: int) -> CurveSeries:
+        """The curve built to `order`, or to the smallest order a curve
+        can be built to if that is larger."""
+        K = max(order, MIN_SERIES_ORDER)
+        return _once(self.built, ("curve", K), lambda: build_curve(self.params, K))
+
+    def base(self, mode: str, W: int) -> TauSeries:
+        """The base tau-function of a side: KW for "standard", BGW for "theta"."""
+        if mode not in ("standard", "theta"):
+            raise ValueError(f"unknown mode {mode!r}")
+        build = kw_tau if mode == "standard" else bgw_tau
+        return _once(self.bases, (mode, W), lambda: build(W))
+
+    def identity(self, mode: str, W: int) -> TauIdentityReport:
+        # the group route reads f to order W + 1 and the translation
+        # vector to index W
+        return _once(
+            self.built,
+            (mode, W),
+            lambda: _tau_identity(self.params, W, mode, self.curve(W + 1), self.base(mode, W)),
+        )
 
 
 def tau_qp_check(params: CurveParams, W: int) -> TauIdentityReport:
@@ -405,10 +429,10 @@ def tau_qp_check(params: CurveParams, W: int) -> TauIdentityReport:
     tau-function and translates by the hbar^{-1}-weighted vector.  The
     two must agree exactly; the result is returned for KP testing.
     """
-    return _tau_identity(params, W, "standard")
+    return PointArtifacts(params).identity("standard", W)
 
 
 def tau_qp_theta_check(params: CurveParams, W: int) -> TauIdentityReport:
     """Theta-version of the tau-function identity, with the order-zero
     dilaton shift and the f-y translation vector."""
-    return _tau_identity(params, W, "theta")
+    return PointArtifacts(params).identity("theta", W)

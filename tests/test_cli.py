@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgekp.cli import (
     CHECKS,
@@ -12,7 +14,14 @@ from hodgekp.cli import (
     main,
     run_verification,
 )
-from hodgekp.curve import CurveParams
+from hodgekp.algebra import rat_str
+from hodgekp.curve import CurveParams, build_curve, identification_residual
+from hodgekp.operators import (
+    rl_identity_check,
+    virasoro_conjugation_check,
+    virasoro_factorization_check,
+)
+from hodgekp.tau import kw_tau
 
 
 class TestConfig:
@@ -24,13 +33,6 @@ class TestConfig:
     def test_unknown_check_rejected(self):
         config = RunConfig(checks=["no-such-check"], points=default_points())
         with pytest.raises(ConfigError, match="unknown check"):
-            run_verification(config)
-
-    def test_order_insufficiency_is_config_error(self):
-        config = RunConfig(
-            checks=["lemma-grunsky"], points=default_points()[:1], weight=9, order=5
-        )
-        with pytest.raises(ConfigError, match="order"):
             run_verification(config)
 
 
@@ -119,14 +121,7 @@ class TestReportsAndDeterminism:
                 assert a == b  # byte-deterministic per-check reports
 
     def test_failure_exit_status(self):
-        # a generic point run through kdv-reduction *expects* even-time
-        # dependence; force the opposite expectation via a reduction
-        # point with the wrong weight?  Instead: use a point where the
-        # control logic asserts dependence and feed the reduced point
-        # with perturbed=False -> both pass; so synthesize a failure by
-        # asking identification at insufficient weight=6 order... that is
-        # a config error.  Simplest true failure: unknown-free checks all
-        # pass, so drive exit=1 with a monkeypatched check.
+        # every shipped check passes on valid input, so a failure is patched in
         from hodgekp import cli
 
         original = cli.CHECKS["lemma-laplace"]
@@ -190,9 +185,9 @@ class TestReportsAndDeterminism:
         ["verify", "kp-kw", "--hbar", "0"],
         ["tau", "kw", "--weight", "2"],
         ["tau", "tau-theta-qp", "--weight", "0", "--q", "1", "--p", "3", "--s", "2"],
-        ["verify", "lemma-laplace", "--q", "1", "--p", "3", "--s", "2", "--order", "2"],
-        ["verify", "lemma-grunsky", "--q", "1", "--p", "3", "--s", "2", "--weight", "1", "--order", "3"],
-        ["verify", "identification", "--perturbed", "--order", "10"],
+        ["verify", "lemma-laplace", "--q", "1"],
+        ["verify", "lemma-grunsky", "--q", "1", "--p", "3", "--s", "2", "--weight", "0"],
+        ["verify", "identification", "--perturbed", "--weight", "0"],
         ["verify", "theorem-hodge", "--q", "1", "--p", "3", "--s", "2", "--weight", "2"],
         ["verify", "kp-kw", "--weight", "1"],
     ],
@@ -234,24 +229,33 @@ def test_each_check_runs_at_its_minimum_weight_and_exits_2_below(name, capsys):
 
 
 def test_default_orders_give_the_reports_of_the_former_default():
-    # each check builds its curve to the order it reads; the former
-    # default max(2W + 2, need) must not change a single report byte
+    # each check builds its curve to the order it reads; a curve built to
+    # the former default max(2W + 2, need) must give the same reports
+    from hodgekp import cli
+
     W = 6
-    former = {
-        "lemma-grunsky": 2 * W + 2,
-        "identification": 18,  # its size-4 residual needs 18 > 2W + 2
-        "lemma-changevars": 2 * W + 2,
-        "theorem-rl": 2 * W + 2,
-        "conjugation": 2 * W + 2,
-    }
     point = CurveParams(F(-1), F(2), F(1))
-    for name, order in former.items():
-        reports = []
-        for K in (None, order):
-            _, summary = run_verification(RunConfig(checks=[name], points=[point], weight=W, order=K))
-            assert summary["status"] == "pass"
-            reports.append(json.dumps(summary["results"], sort_keys=True))
-        assert reports[0] == reports[1], name
+    former = build_curve(point, 2 * W + 2)
+    names = ["lemma-grunsky", "identification", "lemma-changevars", "theorem-rl", "conjugation"]
+    config = RunConfig(checks=names, points=[point], weight=W)
+    _, summary = run_verification(config)
+    assert summary["status"] == "pass"
+    details = {r["check"]: r["details"] for r in summary["results"]}
+    assert details["lemma-grunsky"]["report"] == virasoro_factorization_check(former, W).to_json_obj()
+    # the size-4 identification residual needs order 18 > 2W + 2
+    residual = identification_residual(build_curve(point, 18), 4)
+    assert details["identification"]["residual"] == [[rat_str(x) for x in row] for row in residual]
+    rl = rl_identity_check(former, W, extra=[kw_tau(W).body])
+    assert details["theorem-rl"]["report"] == rl.to_json_obj()
+    assert details["conjugation"]["report"] == virasoro_conjugation_check(former, W).to_json_obj()
+
+    class FormerOrder(cli._PointRun):
+        def curve(self, order):
+            return former
+
+    changevars = cli._chk_lemma_changevars(FormerOrder(config, point, {}), point)
+    assert changevars.pop("passed")
+    assert changevars == details["lemma-changevars"]
 
 
 @pytest.mark.parametrize(
@@ -278,3 +282,86 @@ def test_group_elements_are_built_once_per_job(check, expected, monkeypatch):
     code, _ = run_verification(RunConfig(checks=[check], points=default_points()[:1], weight=8))
     assert code == 0
     assert calls == expected
+
+
+def test_each_curve_base_and_identity_is_built_once_per_run(monkeypatch):
+    import hodgekp.cli as cli
+    import hodgekp.tau as tau
+
+    keys = {
+        "build_curve": lambda params, K: (params, K),
+        "kw_tau": lambda W: W,
+        "bgw_tau": lambda W: W,
+        "_tau_identity": lambda params, W, mode, *inputs: (params, mode, W),
+    }
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name, keys[name](*args)] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in (cli, tau):
+        for name in keys:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    W = 5
+    points = default_points()[:2]
+    checks = ["theorem-rl", "lemma-changevars", "theorem-hodge", "theorem-theta", "kp-hodge", "kdv-reduction"]
+    code, _ = run_verification(RunConfig(checks=checks, points=points, weight=W))
+    assert code == 0
+    # curves to W + 1 (and to W for the Theta identity at W - 1), the
+    # Theta side at W - 1 for kp-hodge and kdv-reduction
+    expected = (
+        {("build_curve", (p, K)) for p in points for K in (W, W + 1)}
+        | {("kw_tau", W), ("bgw_tau", W), ("bgw_tau", W - 1)}
+        | {("_tau_identity", (p, mode, w)) for p in points for mode, w in [("standard", W), ("theta", W), ("theta", W - 1)]}
+    )
+    assert set(calls) == expected
+    assert all(n == 1 for n in calls.values()), calls
+
+
+@pytest.mark.parametrize("kind", ["verify", "tau"])
+def test_unwritable_out_exits_2_with_one_line(kind, tmp_path, capsys, monkeypatch):
+    from hodgekp import cli
+
+    if kind == "verify":
+        # --out names an existing file: refused before the first job
+        monkeypatch.setattr(cli, "_run_one", lambda *args: pytest.fail("a job ran"))
+        existing = tmp_path / "report"
+        existing.write_text("")
+        argv = ["verify", "lemma-laplace", "--q", "1", "--p", "3", "--s", "2", "--weight", "4", "--out", str(existing)]
+    else:
+        argv = ["tau", "kw", "--weight", "4", "--out", str(tmp_path / "missing" / "kw.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _point_sets(draw):
+    """2-3 points q, p = s^2 - q with s != 0, one of them on the reduction
+    locus q = -s^2 (p = -2q)."""
+    s = draw(_RATIONALS.filter(bool))
+    points = [CurveParams(-s * s, 2 * s * s, s)]
+    for _ in range(draw(st.integers(1, 2))):
+        s, q = draw(_RATIONALS.filter(bool)), draw(_RATIONALS)
+        points.append(CurveParams(q, s * s - q, s))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=10)
+@given(points=_point_sets())
+def test_checks_pass_at_random_points(points):
+    # several points in one run: curves or tau-functions shared across
+    # points would give a wrong report at one of them
+    checks = ["lemma-laplace", "identification", "theorem-hodge", "kdv-reduction"]
+    code, summary = run_verification(RunConfig(checks=checks, points=points, weight=4))
+    failed = [(r["check"], r["point"]) for r in summary["results"] if r["status"] != "pass"]
+    assert code == 0, failed
