@@ -42,7 +42,6 @@ from .operators import (
     virasoro_factorization_check,
     weight_monomials,
 )
-from .curve import witt_coefficients
 from .tau import (
     PointArtifacts,
     bgw_tau,
@@ -116,9 +115,10 @@ def _chk_lemma_grunsky(run: _PointRun, point: CurveParams) -> dict:
 
 
 def _chk_lemma_laplace(run: _PointRun, point: CurveParams) -> dict:
-    # order 2W + 2, so that I is listed to order W + 1
-    curve = run.curve(2 * run.config.weight + 2)
-    I = curve.I
+    # a curve of order at least 2W + 2 lists I to order W at least
+    W = run.config.weight
+    curve = run.curve(2 * W + 2)
+    I = curve.I.truncate(W)
     ok = I == curve.R.subs_neg().truncate(I.order)
     return {
         "passed": ok,
@@ -172,8 +172,7 @@ def _chk_lemma_changevars(run: _PointRun, point: CurveParams) -> dict:
     kmax = min(3, (W - 1) // 2)
     forms = tqp_forms(point, kmax, W)
     symbolic = tqp_forms_symbolic(point, kmax, W)
-    a = witt_coefficients(curve.f.truncate(W + 1))
-    v0 = linear_change_generator(a, W)
+    v0 = linear_change_generator(curve.witt(W), W)
     rb = curve.R.subs_neg()
     failures = []
     for k in range(kmax + 1):
@@ -326,9 +325,7 @@ def run_verification(config: RunConfig) -> tuple[int, dict]:
     for name in config.checks:
         if name not in CHECKS:
             raise ConfigError(f"unknown check name {name!r}; see `hodgekp list-checks`")
-        minimum = MIN_WEIGHT.get(name, 1)
-        if config.weight < minimum:
-            raise ConfigError(f"weight {config.weight} too small for check {name!r}: need >= {minimum}")
+        _require_weight(config.weight, MIN_WEIGHT.get(name, 1), f"check {name!r}")
     if config.out:
         # before the first job, so that an unusable --out costs no work
         os.makedirs(config.out, exist_ok=True)
@@ -460,6 +457,9 @@ def _parse_point(args) -> CurveParams | None:
 def _require_weight(W: int, minimum: int, what: str):
     if W < minimum:
         raise ConfigError(f"--weight {W} too small for {what}: need >= {minimum}")
+    # a series order beyond sys.maxsize cannot index a coefficient list
+    if 2 * W + 2 > sys.maxsize:
+        raise ConfigError(f"--weight {W} too large: the series order 2W + 2 exceeds {sys.maxsize}")
 
 
 def _cmd_verify(args) -> int:

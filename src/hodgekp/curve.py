@@ -144,6 +144,19 @@ class CurveSeries:
     R: ZSeries
     logR: ZSeries
     I: ZSeries
+    _witt: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def witt(self, n: int) -> list[Fraction]:
+        """The flow coefficients a_1..a_n of f (see `witt_coefficients`).
+
+        They are computed once per curve; a request no longer than an
+        earlier one reads a prefix of its list.
+        """
+        if n + 1 > self.f.order:
+            raise ValueError(f"flow coefficients a_1..a_{n} need f to order {n + 1}")
+        if n > len(self._witt):
+            self._witt = witt_coefficients(self.f.truncate(n + 1))
+        return self._witt[:n]
 
 
 def _denominator_series(params: CurveParams, order: int) -> ZSeries:
@@ -153,9 +166,9 @@ def _denominator_series(params: CurveParams, order: int) -> ZSeries:
     )
 
 
-def _curve_from_denominator(N_poly: ZSeries, K: int, margin: int = 2):
+def _curve_from_denominator(N_poly: ZSeries, K: int):
     """x, f, h, y, N from the series 1/N-integrals, all to order >= K."""
-    work = K + margin
+    work = K + 2
     N_full = N_poly.truncate(work)
     inv_n = N_full.recip()
     x = (ZSeries.z(work) * inv_n).truncate(work).antiderivative()  # z/N integrated
@@ -179,7 +192,7 @@ def build_curve(params: CurveParams, K: int) -> CurveSeries:
     """Construct all series data for a parameter point, to order K.
 
     The ratio series I is computed by the Gaussian-moment transform and
-    is trusted to order K // 2.
+    is listed to order (K - 1) // 2.
     """
     if K < MIN_SERIES_ORDER:
         raise ValueError(f"curve construction needs K >= {MIN_SERIES_ORDER}")
@@ -283,57 +296,30 @@ class GrunskyMatrix:
         return self.entries[k - 1][m - 1]
 
 
-def _bi_mul(A: list, B: list, cap: int) -> list:
-    out = [[Fraction(0)] * (cap + 1) for _ in range(cap + 1)]
-    for i in range(cap + 1):
-        for j in range(cap + 1):
-            a = A[i][j]
-            if not a:
-                continue
-            for k in range(cap + 1 - i):
-                row = B[k]
-                for l in range(cap + 1 - j):
-                    b = row[l]
-                    if b:
-                        out[i + k][j + l] += a * b
-    return out
-
-
 def grunsky_matrix(h: ZSeries, size: int) -> GrunskyMatrix:
-    """Grunsky coefficients of a normalized series h = z + O(z^2)."""
+    """Grunsky coefficients of a normalized series h = z + O(z^2).
+
+    From log(h(z) - h(w)) - log(z - w) = log(h(z)/z)
+    - sum_n (h(w)^n h(z)^(-n) - w^n z^(-n)) / n, only the sum carries
+    powers of w, so v_km = -sum_{n<=m} [w^m] h^n [z^(k+n)] (z/h)^n / n.
+    """
     if h.coeff_or_zero(0) != 0 or h.coeff_or_zero(1) != 1:
         raise ValueError("Grunsky coefficients need h = z + O(z^2)")
     if h.order < 2 * size + 1:
         raise ValueError("insufficient order: need h to order 2*size + 1")
-    cap = size
-    # X = (h(e1)-h(e2))/(e1-e2) - 1 = sum_{m>=2} h_m sum_{i+j=m-1} e1^i e2^j
-    X = [[Fraction(0)] * (cap + 1) for _ in range(cap + 1)]
-    for m in range(2, 2 * size + 2):
-        hm = h.coeff_or_zero(m)
-        if not hm:
-            continue
-        for i in range(m):
-            j = m - 1 - i
-            if i <= cap and j <= cap:
-                X[i][j] += hm
-    # log(1 + X) truncated at per-variable degree cap
-    acc = [[Fraction(0)] * (cap + 1) for _ in range(cap + 1)]
-    power = X
-    sign = Fraction(1)
-    n = 1
-    while True:
-        if all(all(c == 0 for c in row) for row in power):
-            break
-        for i in range(cap + 1):
-            for j in range(cap + 1):
-                if power[i][j]:
-                    acc[i][j] += sign * power[i][j] / n
-        if n >= 2 * cap:
-            break
-        power = _bi_mul(power, X, cap)
-        sign = -sign
-        n += 1
-    entries = [[acc[k][m] for m in range(1, size + 1)] for k in range(1, size + 1)]
+    inv = h.truncate(2 * size + 1).shift(-1).strip_lowest().recip()  # z/h
+    low = h.truncate(size)
+    h_pow = ZSeries.one(size)
+    inv_pow = ZSeries.one(2 * size)
+    entries = [[Fraction(0)] * size for _ in range(size)]
+    for n in range(1, size + 1):
+        h_pow = (h_pow * low).truncate(size)
+        inv_pow = (inv_pow * inv).truncate(2 * size)
+        for m in range(n, size + 1):
+            c = h_pow.coeff_or_zero(m)
+            if c:
+                for k in range(1, size + 1):
+                    entries[k - 1][m - 1] -= c * inv_pow.coeff_or_zero(k + n) / n
     return GrunskyMatrix(size, entries)
 
 
@@ -546,7 +532,7 @@ def perturbed_control_curve(K: int, *, quartic: bool = True) -> CurveSeries:
     N_poly = ZSeries.from_terms(terms, work + 2)
     x, f, h, y, N = _curve_from_denominator(N_poly, work)
     curve = CurveSeries(None, work, x, f, h, y, N, ZSeries.one(0), ZSeries.one(0), ZSeries.one(0))
-    I = i_series(curve)  # trusted to order work//2 = K
+    I = i_series(curve)  # listed to order (work - 1) // 2 = K - 1
     R = I.subs_neg()  # R(z) := I(-z)
     logR = (R - ZSeries.one(R.order)).log1p()
     return CurveSeries(

@@ -202,7 +202,6 @@ class HirotaReport:
     """Result of an exact bilinear check at one fixed hbar value."""
 
     check: str
-    checked_weight: int
     hbar_value: str | None = None
     y_weight: int | None = None
     equations: list = field(default_factory=list)
@@ -248,9 +247,7 @@ def _run_equations(
     )
     derivs = _scaled_derivatives(tau, dmax)
     pair_cache: dict[tuple[Mono, int], TPoly] = {}
-    report = HirotaReport(
-        check=check_name, checked_weight=W, hbar_value=hbar_label, y_weight=y_weight
-    )
+    report = HirotaReport(check=check_name, hbar_value=hbar_label, y_weight=y_weight)
     for label_mono, eq in equations:
         d = max((mono_weight(T_SIDE, g) for g in eq), default=0)
         covered = W - d

@@ -32,7 +32,6 @@ from .curve import (
     log_r_series,
     r_series,
     shift_data,
-    witt_coefficients,
 )
 
 __all__ = [
@@ -767,9 +766,7 @@ def virasoro_factorization_check(curve: CurveSeries, W: int) -> EqualityReport:
     """
     from .curve import grunsky_matrix
 
-    if curve.f.order < W + 1:
-        raise ValueError("curve order too small for this weight")
-    a = witt_coefficients(curve.f.truncate(W + 1))
+    a = curve.witt(W)
     big = virasoro_sum_op(a, W)
     v0 = linear_change_generator(a, W)
     size = max(W - 1, 1)
@@ -797,10 +794,11 @@ def _current_transform_series(curve: CurveSeries, max_j: int, max_n: int) -> tup
     """The series the conjugated current modes are read from.
 
     `flow[j] = h' (h/z)^(-j-1)` for 1 <= j <= max_j and
-    `mult[n] = h' h^(n-1)` for 1 <= n <= max_n; each depends only on
-    the curve and its index, not on the mode or the weight cap.
+    `mult[n] = h' h^(n-1)` for 1 <= n <= max_n, read from h to order
+    max_j + 1; each depends only on that prefix and its index, not on
+    the mode or the weight cap.
     """
-    h = curve.h
+    h = curve.h.truncate(max_j + 1)
     hp = h.derivative()
     inv = h.shift(-1).strip_lowest().recip()  # z/h
     power = inv
@@ -857,19 +855,20 @@ def virasoro_conjugation_check(
     modes = list(modes)
     max_lift = max((max(0, -k) for k in modes), default=0)
     max_cap = W + max_lift
-    if curve.f.order < max_cap + 1:
-        raise ValueError("curve order too small for this weight and mode range")
     # On a weight-<=cap space every generator with index <= cap still acts
     # (through its second-derivative part), so the flow coefficients must
     # extend to the lifted cap, not just to W.
-    a_full = witt_coefficients(curve.f.truncate(max_cap + 1))
+    a_full = curve.witt(max_cap)
     if flip_sign:
         a_full = [-c for c in a_full]
     report = EqualityReport(label=f"current-conjugation W={W}")
     basis_monos = weight_monomials(T_SIDE, W)
-    # The inverse group element only drops weight, so its action on a
-    # weight-<=W monomial does not depend on the ambient cap: compute once.
-    inv_op = virasoro_sum_op(a_full[:W], W).scale(-1)
+    # One group element for every cap: a term of a_k L_k that reads past a
+    # polynomial's cap differentiates a variable the polynomial lacks, so
+    # it acts on it as zero.  The inverse only drops weight, so its action
+    # on a weight-<=W monomial does not depend on the ambient cap.
+    big = virasoro_sum_op(a_full, max_cap)
+    inv_op = big.scale(-1)
     inv_images = {
         mono: exp_apply(inv_op, TPoly(T_SIDE, W, {mono: 1})) for mono in basis_monos
     }
@@ -877,7 +876,6 @@ def virasoro_conjugation_check(
     for k in modes:
         lift = max(0, -k)
         cap = W + lift
-        big = virasoro_sum_op(a_full[:cap], cap)
         rhs_op = _current_transform_coeffs(k, cap, flow, mult)
         jk = heisenberg_op(k, cap)
         for mono in basis_monos:
@@ -933,7 +931,7 @@ def rl_transform_virasoro(curve: CurveSeries, W: int, mode: str = "standard") ->
     t-variables, by the dilaton-shifted vector v in standard mode and by
     the order-zero vector v0 in theta mode.  Both operators are built
     once."""
-    a = witt_coefficients(curve.f.truncate(W + 1))
+    a = curve.witt(W)
     sd = shift_data(curve, check_moments=False)
     big = virasoro_sum_op(a, W)
     vector = {"standard": sd.v, "theta": sd.v0}[mode]

@@ -389,20 +389,25 @@ def _once(table: dict, key, build):
 
 class PointArtifacts:
     """The objects that the checks at one parameter point read, each built
-    once: the curve at each series order, the tau identity of each
-    (side, W), and the base tau-function of each (side, W), which does not
-    depend on the point, so the memos of one run share one `bases` dict."""
+    once: one curve, the tau identity of each (side, W), and the base
+    tau-function of each (side, W), which does not depend on the point,
+    so the memos of one run share one `bases` dict."""
 
     def __init__(self, params: CurveParams, bases: dict | None = None):
         self.params = params
         self.bases = {} if bases is None else bases
-        self.built: dict = {}
+        self.identities: dict = {}
+        self._curve: CurveSeries | None = None
 
     def curve(self, order: int) -> CurveSeries:
-        """The curve built to `order`, or to the smallest order a curve
-        can be built to if that is larger."""
+        """The point's curve, of order at least `order` and at least the
+        smallest order a curve can be built to.  A longer request builds
+        the curve to its order, and that curve replaces the old one;
+        every reader reads the prefix it needs."""
         K = max(order, MIN_SERIES_ORDER)
-        return _once(self.built, ("curve", K), lambda: build_curve(self.params, K))
+        if self._curve is None or self._curve.K < K:
+            self._curve = build_curve(self.params, K)
+        return self._curve
 
     def base(self, mode: str, W: int) -> TauSeries:
         """The base tau-function of a side: KW for "standard", BGW for "theta"."""
@@ -415,7 +420,7 @@ class PointArtifacts:
         # the group route reads f to order W + 1 and the translation
         # vector to index W
         return _once(
-            self.built,
+            self.identities,
             (mode, W),
             lambda: _tau_identity(self.params, W, mode, self.curve(W + 1), self.base(mode, W)),
         )

@@ -190,6 +190,8 @@ class TestReportsAndDeterminism:
         ["verify", "identification", "--perturbed", "--weight", "0"],
         ["verify", "theorem-hodge", "--q", "1", "--p", "3", "--s", "2", "--weight", "2"],
         ["verify", "kp-kw", "--weight", "1"],
+        ["verify", "lemma-grunsky", "--weight", "99999999999999999999999"],
+        ["tau", "kw", "--weight", "99999999999999999999999"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys):
@@ -261,12 +263,14 @@ def test_default_orders_give_the_reports_of_the_former_default():
 @pytest.mark.parametrize(
     "check,expected",
     [
-        ("theorem-rl", {"witt_coefficients": 1, "tqp_forms": 1, "givental_v_matrix": 1}),
-        ("lemma-factorization", {"givental_v_matrix": 1}),
+        ("theorem-rl", {"build_curve": 1, "witt_coefficients": 1, "tqp_forms": 1, "givental_v_matrix": 1}),
+        ("lemma-factorization", {"build_curve": 0, "givental_v_matrix": 1}),
     ],
 )
 def test_group_elements_are_built_once_per_job(check, expected, monkeypatch):
+    import hodgekp.curve as curve
     import hodgekp.operators as operators
+    import hodgekp.tau as tau
 
     calls = dict.fromkeys(expected, 0)
 
@@ -277,8 +281,11 @@ def test_group_elements_are_built_once_per_job(check, expected, monkeypatch):
 
         return wrapper
 
-    for name in expected:
-        monkeypatch.setattr(operators, name, counting(name, getattr(operators, name)))
+    # at every binding a job can reach them through
+    for module in (curve, operators, tau):
+        for name in expected:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     code, _ = run_verification(RunConfig(checks=[check], points=default_points()[:1], weight=8))
     assert code == 0
     assert calls == expected
@@ -286,10 +293,12 @@ def test_group_elements_are_built_once_per_job(check, expected, monkeypatch):
 
 def test_each_curve_base_and_identity_is_built_once_per_run(monkeypatch):
     import hodgekp.cli as cli
+    import hodgekp.curve as curve
     import hodgekp.tau as tau
 
     keys = {
         "build_curve": lambda params, K: (params, K),
+        "witt_coefficients": lambda f: repr(f),
         "kw_tau": lambda W: W,
         "bgw_tau": lambda W: W,
         "_tau_identity": lambda params, W, mode, *inputs: (params, mode, W),
@@ -303,7 +312,7 @@ def test_each_curve_base_and_identity_is_built_once_per_run(monkeypatch):
 
         return wrapper
 
-    for module in (cli, tau):
+    for module in (cli, curve, tau):
         for name in keys:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
@@ -312,15 +321,37 @@ def test_each_curve_base_and_identity_is_built_once_per_run(monkeypatch):
     checks = ["theorem-rl", "lemma-changevars", "theorem-hodge", "theorem-theta", "kp-hodge", "kdv-reduction"]
     code, _ = run_verification(RunConfig(checks=checks, points=points, weight=W))
     assert code == 0
-    # curves to W + 1 (and to W for the Theta identity at W - 1), the
-    # Theta side at W - 1 for kp-hodge and kdv-reduction
+    # one curve per point, to W + 1, whose flow coefficients a_1..a_W
+    # also serve the Theta identity at W - 1 that kp-hodge and
+    # kdv-reduction read
     expected = (
-        {("build_curve", (p, K)) for p in points for K in (W, W + 1)}
+        {("build_curve", (p, W + 1)) for p in points}
+        | {("witt_coefficients", repr(build_curve(p, W + 1).f)) for p in points}
         | {("kw_tau", W), ("bgw_tau", W), ("bgw_tau", W - 1)}
         | {("_tau_identity", (p, mode, w)) for p in points for mode, w in [("standard", W), ("theta", W), ("theta", W - 1)]}
     )
     assert set(calls) == expected
     assert all(n == 1 for n in calls.values()), calls
+
+
+@pytest.mark.parametrize("W", [4, 5])
+def test_each_check_reports_alike_alone_and_in_one_run(W):
+    # the checks at a point share one curve, built to the largest order
+    # asked for so far; in reverse order identification asks first, for
+    # order 18, more than any other check at these weights.  Every check
+    # reads only the prefix it needs, so its report is the one it gives alone.
+    points = [CurveParams(F(1), F(3), F(2)), CurveParams(F(-1), F(2), F(1))]
+
+    def reports(checks):
+        _, summary = run_verification(RunConfig(checks=checks, points=points, weight=W))
+        return {(r["check"], r["point"]): r for r in summary["results"]}
+
+    alone = {}
+    for name in CHECKS:
+        alone.update(reports([name]))
+    assert all(r["status"] == "pass" for r in alone.values())
+    for checks in (list(CHECKS), list(reversed(CHECKS))):
+        assert reports(checks) == alone
 
 
 @pytest.mark.parametrize("kind", ["verify", "tau"])

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hodgekp.algebra import ZSeries
 from hodgekp.curve import (
@@ -164,7 +165,52 @@ class TestISeries:
             i_series(curve132, curve132.K)
 
 
+def _bivariate_log_grunsky(h, size):
+    """Oracle sharing no code with `grunsky_matrix`: the coefficients of
+    z^k w^m, 1 <= k, m <= size, of log(1 + X) with
+    X = (h(z) - h(w))/(z - w) - 1 = sum_{n>=2} h_n sum_{i+j=n-1} z^i w^j,
+    as a bivariate series cut at degree `size` in each variable."""
+    X = {}
+    for n in range(2, 2 * size + 2):
+        for i in range(max(0, n - 1 - size), min(n - 1, size) + 1):
+            X[i, n - 1 - i] = h.coeff(n)
+    log, power = {}, {(0, 0): F(1)}
+    # X has no constant term, so X^n vanishes under the cut for n > 2*size
+    for n in range(1, 2 * size + 1):
+        nxt = {}
+        for (i, j), a in power.items():
+            for (k, l), b in X.items():
+                if i + k <= size and j + l <= size:
+                    nxt[i + k, j + l] = nxt.get((i + k, j + l), 0) + a * b
+        power = nxt
+        for key, c in power.items():
+            log[key] = log.get(key, 0) + F((-1) ** (n + 1), n) * c
+    return [[log.get((k, m), F(0)) for m in range(1, size + 1)] for k in range(1, size + 1)]
+
+
+def _assert_grunsky_matches_oracle(h, max_size):
+    oracle = _bivariate_log_grunsky(h, max_size)
+    for size in range(1, max_size + 1):
+        entries = grunsky_matrix(h, size).entries
+        assert entries == [row[:size] for row in oracle[:size]], size
+
+
 class TestGrunsky:
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    def test_matches_bivariate_log_on_catalog(self, point):
+        _assert_grunsky_matches_oracle(build_curve(point, 17).h, 8)
+
+    def test_matches_bivariate_log_on_perturbed_control(self):
+        _assert_grunsky_matches_oracle(perturbed_control_curve(18).h, 8)
+
+    @given(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), min_size=3, max_size=11)
+    )
+    def test_matches_bivariate_log_on_random_h(self, tail):
+        size = (len(tail) - 1) // 2
+        h = ZSeries([F(0), F(1), *tail], len(tail) + 1)
+        _assert_grunsky_matches_oracle(h, size)
+
     def test_identity_series_vanishes(self):
         G = grunsky_matrix(ZSeries.z(9), 4)
         assert all(G.v(k, m) == 0 for k in range(1, 5) for m in range(1, 5))
@@ -231,6 +277,14 @@ class TestWittCoefficients:
     def test_normalization_required(self):
         with pytest.raises(ValueError):
             witt_coefficients(ZSeries.one(6))
+
+    def test_curve_lists_them_once_and_reads_prefixes(self):
+        c = build_curve(CATALOG[0], 10)
+        assert c.witt(5) == witt_coefficients(c.f.truncate(6))
+        assert c.witt(9) == witt_coefficients(c.f)
+        assert c.witt(3) == witt_coefficients(c.f)[:3]
+        with pytest.raises(ValueError, match="order 11"):
+            c.witt(10)
 
 
 class TestShiftData:

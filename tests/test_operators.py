@@ -327,6 +327,18 @@ class TestExponentials:
             P = random_tpoly(rng, "t", 9)
             assert exp_apply(op, exp_apply(op.scale(-1), P)) == P
 
+    def test_group_element_at_a_larger_cap_acts_as_at_the_polynomials_cap(self, curve132):
+        # the conjugation check builds exp(sum a_k L_k) once, at its largest cap
+        rng = random.Random(73)
+        a = curve132.witt(12)
+        big = virasoro_sum_op(a, 12)
+        for cap in (4, 7, 12):
+            small = virasoro_sum_op(a[:cap], cap)
+            for _ in range(3):
+                P = random_tpoly(rng, "t", cap)
+                assert exp_apply(big, P) == exp_apply(small, P), cap
+                assert exp_apply(big.scale(-1), P) == exp_apply(small.scale(-1), P), cap
+
     def test_translation_matches_substitution(self):
         rng = random.Random(71)
         shifts = {1: F(1, 2), 3: F(-2, 3), 4: F(5)}
