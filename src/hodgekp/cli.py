@@ -457,9 +457,11 @@ def _parse_point(args) -> CurveParams | None:
 def _require_weight(W: int, minimum: int, what: str):
     if W < minimum:
         raise ConfigError(f"--weight {W} too small for {what}: need >= {minimum}")
-    # a series order beyond sys.maxsize cannot index a coefficient list
-    if 2 * W + 2 > sys.maxsize:
-        raise ConfigError(f"--weight {W} too large: the series order 2W + 2 exceeds {sys.maxsize}")
+    # a series order beyond sys.maxsize cannot index a coefficient list;
+    # the largest one allocated is 2W + 4, `build_curve`'s working order
+    # K + 2 for lemma-laplace's curve of order K = 2W + 2
+    if 2 * W + 4 > sys.maxsize:
+        raise ConfigError(f"--weight {W} too large: the series order 2W + 4 exceeds {sys.maxsize}")
 
 
 def _cmd_verify(args) -> int:

@@ -145,6 +145,7 @@ class CurveSeries:
     logR: ZSeries
     I: ZSeries
     _witt: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _shifts: ShiftData | None = field(default=None, init=False, repr=False, compare=False)
 
     def witt(self, n: int) -> list[Fraction]:
         """The flow coefficients a_1..a_n of f (see `witt_coefficients`).
@@ -157,6 +158,13 @@ class CurveSeries:
         if n > len(self._witt):
             self._witt = witt_coefficients(self.f.truncate(n + 1))
         return self._witt[:n]
+
+    def shifts(self) -> ShiftData:
+        """The dilaton shifts and translation vectors of this curve (see
+        `shift_data`, without its moment checks), computed once per curve."""
+        if self._shifts is None:
+            self._shifts = shift_data(self, check_moments=False)
+        return self._shifts
 
 
 def _denominator_series(params: CurveParams, order: int) -> ZSeries:

@@ -8,6 +8,7 @@ Operators are immutable descriptions; application is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -31,7 +32,6 @@ from .curve import (
     givental_v_matrix,
     log_r_series,
     r_series,
-    shift_data,
 )
 
 __all__ = [
@@ -165,85 +165,105 @@ class LinearOp:
             self._plan = _ApplyPlan(self)
         return self._plan
 
-    def apply(self, P: TPoly) -> TPoly:
-        """The image of P, in one pass over its monomials.
+    def _integer_plan(self) -> tuple[int, "_ApplyPlan"]:
+        """(D, the plan of D·op), D the LCM of the coefficient denominators;
+        built once and kept on the op's plan."""
+        plan = self._compiled()
+        if plan.integer is None:
+            D = math.lcm(*(c.denominator for h in self.terms.values() for c in h.terms.values()))
+            plan.integer = (D, _ApplyPlan(self, D))
+        return plan.integer
 
-        Each monomial visits only the derivative terms of the variables
-        it contains, and every product lands in one flat map from
-        monomial to {hbar exponent: Fraction}; the HbarPoly coefficients
-        are built once at the end, without the zeros.
-        """
+    def _check_side(self, P: TPoly):
         if P.kind != self.kind:
             raise ValueError(
                 f"operator acts on {self.kind}-side polynomials, got {P.kind}-side"
             )
-        plan = self._compiled()
-        cap = P.max_weight
-        odd = self.kind == BIG_T_SIDE  # weight(T_m) = 2m + 1, weight(t_k) = k
-        scalar, mults, by_var = plan.scalar, plan.mults, plan.by_var
-        out: dict[Mono, dict[int, Fraction]] = {}
 
-        def emit(mono, citems, pairs):
-            slot = out.get(mono)
-            if slot is None:
-                slot = out[mono] = {}
-            for e1, c1 in citems:
-                for e2, c2 in pairs:
-                    v = c1 * c2
-                    s = slot.get(e1 + e2)
-                    slot[e1 + e2] = v if s is None else s + v
-
-        for mono, c in P.terms.items():
-            citems = tuple(c.terms.items())
-            if scalar:
-                emit(mono, citems, scalar)
-            w = sum(((2 * v + 1) if odd else v) * e for v, e in mono)
-            for vars_, dw, pairs in mults:
-                if w + dw > cap:
-                    break
-                img = mono
-                for a in vars_:
-                    img = _mono_times(img, a)
-                emit(img, citems, pairs)
-            for i, (v, e) in enumerate(mono):
-                entry = by_var.get(v)
-                if entry is None:
-                    continue
-                d_pairs, md, dd_same, dd_other = entry
-                dmono = _mono_lower(mono, i)
-                if d_pairs is not None:
-                    emit(dmono, citems, _scaled(d_pairs, e))
-                if md:
-                    dw = w - ((2 * v + 1) if odd else v)
-                    for a, wa, pairs in md:
-                        if dw + wa <= cap:
-                            emit(_mono_times(dmono, a), citems, _scaled(pairs, e))
-                if dd_same is not None and e > 1:
-                    emit(_mono_lower(dmono, i), citems, _scaled(dd_same, e * (e - 1)))
-                for b, pairs in dd_other:
-                    for j in range(i + 1, len(mono)):
-                        vb, eb = mono[j]
-                        if vb == b:
-                            # in dmono b sits at j, or at j - 1 if v's entry (at i < j) vanished
-                            ddmono = _mono_lower(dmono, j if e > 1 else j - 1)
-                            emit(ddmono, citems, _scaled(pairs, e * eb))
-                            break
-                        if vb > b:
-                            break
-
+    def apply(self, P: TPoly) -> TPoly:
+        """The image of P, in one pass over its monomials (see `_apply_plan`)."""
+        self._check_side(P)
+        out = _apply_plan(
+            self._compiled(), self.kind, P.max_weight, ((m, c.terms) for m, c in P.terms.items())
+        )
         terms: dict[Mono, HbarPoly] = {}
         for mono, slot in out.items():
-            clean = {e: s for e, s in slot.items() if s}
-            if clean:
-                h = HbarPoly()
-                h.terms = clean
-                terms[mono] = h
-        res = TPoly(self.kind, cap)
+            h = HbarPoly()
+            h.terms = slot
+            terms[mono] = h
+        res = TPoly(self.kind, P.max_weight)
         res.terms = terms
         return res
 
     def __repr__(self) -> str:
         return f"LinearOp({self.kind}, {len(self.terms)} terms, drop>={self.min_weight_drop})"
+
+
+def _apply_plan(plan: "_ApplyPlan", kind: str, cap: int, items: Iterable[tuple]) -> dict:
+    """The fused apply kernel: the image of the polynomial whose terms are
+    `items`, pairs (monomial, {hbar exponent: coefficient}), under the
+    operator compiled into `plan`, truncated at weight `cap`.
+
+    The coefficients may be `int` or `Fraction`, those of `plan` alike.
+    Each monomial visits only the derivative terms of the variables it
+    contains, and every product lands in one flat map from monomial to
+    {hbar exponent: coefficient}, returned without zeros or empty slots.
+    """
+    odd = kind == BIG_T_SIDE  # weight(T_m) = 2m + 1, weight(t_k) = k
+    scalar, mults, by_var = plan.scalar, plan.mults, plan.by_var
+    out: dict[Mono, dict] = {}
+
+    def emit(mono, citems, pairs):
+        slot = out.get(mono)
+        if slot is None:
+            slot = out[mono] = {}
+        for e1, c1 in citems:
+            for e2, c2 in pairs:
+                v = c1 * c2
+                s = slot.get(e1 + e2)
+                slot[e1 + e2] = v if s is None else s + v
+
+    for mono, coeffs in items:
+        citems = tuple(coeffs.items())
+        if scalar:
+            emit(mono, citems, scalar)
+        w = sum(((2 * v + 1) if odd else v) * e for v, e in mono)
+        for vars_, dw, pairs in mults:
+            if w + dw > cap:
+                break
+            img = mono
+            for a in vars_:
+                img = _mono_times(img, a)
+            emit(img, citems, pairs)
+        for i, (v, e) in enumerate(mono):
+            entry = by_var.get(v)
+            if entry is None:
+                continue
+            d_pairs, md, dd_same, dd_other = entry
+            dmono = _mono_lower(mono, i)
+            if d_pairs is not None:
+                emit(dmono, citems, _scaled(d_pairs, e))
+            if md:
+                dw = w - ((2 * v + 1) if odd else v)
+                for a, wa, pairs in md:
+                    if dw + wa <= cap:
+                        emit(_mono_times(dmono, a), citems, _scaled(pairs, e))
+            if dd_same is not None and e > 1:
+                emit(_mono_lower(dmono, i), citems, _scaled(dd_same, e * (e - 1)))
+            if dd_other:
+                for j in range(i + 1, len(mono)):
+                    vb, eb = mono[j]
+                    pairs = dd_other.get(vb)
+                    if pairs is not None:
+                        # in dmono vb sits at j, or at j - 1 if v's entry (at i < j) vanished
+                        ddmono = _mono_lower(dmono, j if e > 1 else j - 1)
+                        emit(ddmono, citems, _scaled(pairs, e * eb))
+
+    return {
+        mono: clean
+        for mono, slot in out.items()
+        if (clean := {e: s for e, s in slot.items() if s})
+    }
 
 
 def _mono_times(mono: Mono, a: int) -> Mono:
@@ -273,9 +293,12 @@ def _scaled(pairs: dict, n: int) -> tuple:
 
 
 class _ApplyPlan:
-    """A LinearOp compiled for `LinearOp.apply`.
+    """A LinearOp compiled for `_apply_plan`.
 
-    Coefficients are tuples of (hbar exponent, Fraction) pairs.  The
+    Coefficients are tuples of (hbar exponent, Fraction) pairs, or, in a
+    plan built with an integer `scale` D, the integer coefficients of
+    D·op (D must clear every denominator).  `integer` caches that plan
+    of an op beside its plain one (see `LinearOp._integer_plan`).  The
     multiplicative terms ("id" merged into `scalar`, "m" and "mm" in
     `mults`, ascending in the weight they add) act on every monomial;
     the derivative terms are indexed by the variable they differentiate
@@ -285,17 +308,21 @@ class _ApplyPlan:
     since a derivative multiplies by the variable's exponent.
     """
 
-    __slots__ = ("drop", "scalar", "mults", "by_var")
+    __slots__ = ("drop", "scalar", "mults", "by_var", "integer")
 
-    def __init__(self, op: LinearOp):
+    def __init__(self, op: LinearOp, scale: int | None = None):
         self.drop = min((op.term_drop(k) for k in op.terms), default=0)
         self.scalar = ()
         self.mults = []
         self.by_var: dict[int, tuple] = {}
+        self.integer = None
         d_pairs, md, dd_same, dd_other = {}, {}, {}, {}
         for key, c in op.terms.items():
             tag = key[0]
-            pairs = tuple(c.terms.items())
+            if scale is None:
+                pairs = tuple(c.terms.items())
+            else:
+                pairs = tuple((e, x.numerator * (scale // x.denominator)) for e, x in c.terms.items())
             if tag == "id":
                 self.scalar = pairs
             elif tag in ("m", "mm"):
@@ -310,7 +337,7 @@ class _ApplyPlan:
                 if a == b:
                     dd_same[a] = {1: pairs}
                 else:
-                    dd_other.setdefault(a, []).append((b, {1: pairs}))
+                    dd_other.setdefault(a, {})[b] = {1: pairs}
             else:
                 raise ValueError(f"unknown term tag {tag!r}")
         self.mults.sort(key=lambda m: m[1])
@@ -319,29 +346,70 @@ class _ApplyPlan:
                 d_pairs.get(v),
                 md.get(v, []),
                 dd_same.get(v),
-                dd_other.get(v, []),
+                dd_other.get(v),
             )
 
 
 def exp_apply(op: LinearOp, P: TPoly) -> TPoly:
-    """exp(op) . P as a finite sum; op must drop weight by at least 1."""
+    """exp(op) . P as a finite sum; op must drop weight by at least 1.
+
+    The sum runs on integers.  With D the LCM of op's coefficient
+    denominators and d that of P's, the iterates u_0 = d·P and
+    u_n = (D·op) u_{n-1} = d·D^n·op^n P have integer coefficients, and
+    the sum up to the last nonzero iterate u_N is
+
+        exp(op) . P = sum_n op^n P / n!
+                    = sum_n u_n · (N!/n!) · D^(N-n) / (N!·D^N·d),
+
+    every weight N!/n! · D^(N-n) an integer.  The numerators are summed
+    exactly, and each output coefficient becomes one `Fraction` over the
+    one denominator, reduced once.  Each hbar exponent keeps its own
+    coefficient, so hbar-Laurent coefficients pass through unchanged.
+    """
     if op.is_zero():
         return P
     if op.min_weight_drop < 1:
         raise ValueError("exponential does not terminate on truncated space")
-    acc = P
-    term = P
-    n = 1
+    op._check_side(P)
+    D, plan = op._integer_plan()
+    d = math.lcm(*(c.denominator for h in P.terms.values() for c in h.terms.values()))
+    u = {
+        mono: {e: c.numerator * (d // c.denominator) for e, c in h.terms.items()}
+        for mono, h in P.terms.items()
+    }
+    iterates = [u]
     bound = P.max_weight // op.min_weight_drop + 1
     while True:
-        term = op.apply(term).scale(Fraction(1, n))
-        if term.is_zero():
+        u = _apply_plan(plan, op.kind, P.max_weight, u.items())
+        if not u:
             break
-        acc = acc + term
-        n += 1
-        if n > bound + 1:
+        iterates.append(u)
+        if len(iterates) > bound + 1:
             raise InvariantViolation("nilpotence bound exceeded in exp_apply")
-    return acc
+    N = len(iterates) - 1
+    weights = [1] * (N + 1)  # N!/n! · D^(N-n)
+    for n in range(N, 0, -1):
+        weights[n - 1] = weights[n] * n * D
+    acc: dict[Mono, dict[int, int]] = {}
+    for u, weight in zip(iterates, weights):
+        for mono, slot in u.items():
+            a = acc.get(mono)
+            if a is None:
+                acc[mono] = a = {}
+            for e, c in slot.items():
+                s = a.get(e)
+                a[e] = c * weight if s is None else s + c * weight
+    den = math.factorial(N) * D**N * d
+    terms: dict[Mono, HbarPoly] = {}
+    for mono, a in acc.items():
+        clean = {e: Fraction(c, den) for e, c in a.items() if c}
+        if clean:
+            h = HbarPoly()
+            h.terms = clean
+            terms[mono] = h
+    res = TPoly(op.kind, P.max_weight)
+    res.terms = terms
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +1000,7 @@ def rl_transform_virasoro(curve: CurveSeries, W: int, mode: str = "standard") ->
     the order-zero vector v0 in theta mode.  Both operators are built
     once."""
     a = curve.witt(W)
-    sd = shift_data(curve, check_moments=False)
+    sd = curve.shifts()
     big = virasoro_sum_op(a, W)
     vector = {"standard": sd.v, "theta": sd.v0}[mode]
     trans = translation_op(

@@ -192,6 +192,7 @@ class TestReportsAndDeterminism:
         ["verify", "kp-kw", "--weight", "1"],
         ["verify", "lemma-grunsky", "--weight", "99999999999999999999999"],
         ["tau", "kw", "--weight", "99999999999999999999999"],
+        ["verify", "lemma-grunsky", "--q", "1", "--p", "3", "--s", "2", "--weight", "4611686018427387902"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys):
@@ -294,6 +295,7 @@ def test_group_elements_are_built_once_per_job(check, expected, monkeypatch):
 def test_each_curve_base_and_identity_is_built_once_per_run(monkeypatch):
     import hodgekp.cli as cli
     import hodgekp.curve as curve
+    import hodgekp.operators as operators
     import hodgekp.tau as tau
 
     keys = {
@@ -302,17 +304,18 @@ def test_each_curve_base_and_identity_is_built_once_per_run(monkeypatch):
         "kw_tau": lambda W: W,
         "bgw_tau": lambda W: W,
         "_tau_identity": lambda params, W, mode, *inputs: (params, mode, W),
+        "shift_data": lambda c, **kwargs: (c.params, c.K),
     }
     calls = Counter()
 
     def counting(name, fn):
-        def wrapper(*args):
-            calls[name, keys[name](*args)] += 1
-            return fn(*args)
+        def wrapper(*args, **kwargs):
+            calls[name, keys[name](*args, **kwargs)] += 1
+            return fn(*args, **kwargs)
 
         return wrapper
 
-    for module in (cli, curve, tau):
+    for module in (cli, curve, operators, tau):
         for name in keys:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
@@ -322,10 +325,11 @@ def test_each_curve_base_and_identity_is_built_once_per_run(monkeypatch):
     code, _ = run_verification(RunConfig(checks=checks, points=points, weight=W))
     assert code == 0
     # one curve per point, to W + 1, whose flow coefficients a_1..a_W
-    # also serve the Theta identity at W - 1 that kp-hodge and
-    # kdv-reduction read
+    # and shift data also serve the Theta identity at W - 1 that kp-hodge
+    # and kdv-reduction read
     expected = (
         {("build_curve", (p, W + 1)) for p in points}
+        | {("shift_data", (p, W + 1)) for p in points}
         | {("witt_coefficients", repr(build_curve(p, W + 1).f)) for p in points}
         | {("kw_tau", W), ("bgw_tau", W), ("bgw_tau", W - 1)}
         | {("_tau_identity", (p, mode, w)) for p in points for mode, w in [("standard", W), ("theta", W), ("theta", W - 1)]}

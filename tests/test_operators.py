@@ -358,6 +358,69 @@ class TestExponentials:
             exp_apply(op, t(1))
 
 
+def series_exp_apply(op, P):
+    """The reference for `exp_apply`: sum_n op^n P / n!, each power from
+    `term_by_term_apply`, in whole `Fraction` polynomials."""
+    acc, term, n = P, P, 0
+    while True:
+        n += 1
+        term = term_by_term_apply(op, term).scale(F(1, n))
+        if term.is_zero():
+            return acc
+        acc = acc + term
+
+
+def stores_no_zero(P):
+    return all(h.terms and all(h.terms.values()) for h in P.terms.values())
+
+
+class TestIntegerExponential:
+    """`exp_apply`, which sums on integers, against the `Fraction` series."""
+
+    @pytest.mark.parametrize("kind", ["t", "T"])
+    def test_matches_the_series_of_term_by_term_powers(self, kind):
+        @given(apply_cases(kinds=(kind,)).filter(lambda case: case[0].min_weight_drop >= 1))
+        def check(case):
+            op, P = case
+            got = exp_apply(op, P)
+            assert got == series_exp_apply(op, P)
+            assert stores_no_zero(got)
+            assert exp_apply(LinearOp(kind), P) == P
+
+        check()
+
+    @given(st.sampled_from(["t", "T"]), nonzero_laurent, nonzero_laurent, st.data())
+    def test_images_cancelling_to_zero(self, kind, c1, c2, data):
+        # c1 d/dx_a + c2 d/dx_b sends m (c2 x_a - c1 x_b) to c1 c2 m - c2 c1 m = 0
+        cap = 11
+        variables = _variables(kind, cap)
+        a, b = data.draw(st.lists(st.sampled_from(variables), min_size=2, max_size=2, unique=True))
+        op = LinearOp.from_terms(kind, [("d", a, c1), ("d", b, c2)])
+        room = cap - max(_weight(kind, a), _weight(kind, b))
+        monos = [m for m in weight_monomials(kind, room) if not {a, b} & {v for v, _ in m}]
+        terms = data.draw(st.dictionaries(st.sampled_from(monos), nonzero_laurent, min_size=1, max_size=4))
+        xa, xb = (TPoly.variable(kind, v, cap) for v in (a, b))
+        kernel = TPoly(kind, cap, terms) * (xa.scale(c2) - xb.scale(c1))
+        assert op.apply(kernel).is_zero()
+        assert exp_apply(op, kernel) == kernel
+        more = data.draw(st.dictionaries(st.sampled_from(weight_monomials(kind, cap)), hbar_laurent, max_size=4))
+        P = kernel + TPoly(kind, cap, more)
+        got = exp_apply(op, P)
+        assert got == series_exp_apply(op, P)
+        assert stores_no_zero(got)
+
+    @given(st.integers(1, 3), st.sampled_from(["kw", "bgw"]), st.data())
+    def test_hbar_inverse_operators(self, k, shift, data):
+        W = 4 * k + 1
+        trans = translation_op({m: HbarPoly.hbar(-1, F(m + 1, 3)) for m in range(3)}, W, "T")
+        terms = data.draw(st.dictionaries(st.sampled_from(weight_monomials("T", W)), hbar_laurent, max_size=6))
+        P = TPoly("T", W, terms)
+        for op in (w_op(k, W, shift).scale(F(2, 5)), trans, trans + w_op(k, W, shift)):
+            got = exp_apply(op, P)
+            assert got == series_exp_apply(op, P)
+            assert stores_no_zero(got)
+
+
 class TestGiventalAction:
     def test_zero_couplings_identity(self):
         rng = random.Random(73)
