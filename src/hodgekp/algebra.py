@@ -8,6 +8,7 @@ treated as immutable after construction.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -532,6 +533,35 @@ def mono_str(kind: str, mono: Mono) -> str:
     return " ".join(f"{kind}{v}" + (f"^{e}" if e > 1 else "") for v, e in mono)
 
 
+def mul_into(a: list, b: list, cap: int, k: int, out: dict) -> None:
+    """The integer product kernel: add k·(a·b), cut at weight `cap`, to `out`.
+
+    `a` and `b` are lists of (weight, monomial, ((hbar exponent, int), ...))
+    sorted by weight, as `TPoly.integer_terms` gives them; `out` maps
+    each monomial to {hbar exponent: int}.  Coefficients that cancel stay
+    in `out` as zeros, for the caller to drop when it reads them.
+    """
+    if not b:
+        return
+    wb0 = b[0][0]
+    for wa, ma, ca in a:
+        if wa + wb0 > cap:
+            break
+        ca = tuple((e, c * k) for e, c in ca) if k != 1 else ca
+        for wb, mb, cb in b:
+            if wa + wb > cap:
+                break
+            mono = mono_mul(ma, mb) if ma and mb else ma or mb
+            slot = out.get(mono)
+            if slot is None:
+                slot = out[mono] = {}
+            for e1, c1 in ca:
+                for e2, c2 in cb:
+                    e = e1 + e2
+                    s = slot.get(e)
+                    slot[e] = c1 * c2 if s is None else s + c1 * c2
+
+
 class TPoly:
     """Weight-truncated sparse polynomial with HbarPoly coefficients.
 
@@ -672,33 +702,47 @@ class TPoly:
         return res
 
     def __mul__(self, other) -> "TPoly":
+        """The product, on integers: each factor is cleared by the LCM of its
+        denominators, the integer kernel `mul_into` multiplies, and each
+        nonzero coefficient becomes one `Fraction` over d_a·d_b."""
         if not isinstance(other, TPoly):
             return self.scale(other)
         self._check_compatible(other)
         W = self.max_weight
-        a = sorted(
-            ((mono_weight(self.kind, m), m, c) for m, c in self.terms.items()),
-            key=lambda x: (x[0], x[1]),
+        da, a = self.integer_terms()
+        db, b = other.integer_terms()
+        out: dict[Mono, dict[int, int]] = {}
+        mul_into(a, b, W, 1, out)
+        return TPoly.from_integer_terms(self.kind, W, out, da * db)
+
+    def integer_terms(self) -> tuple[int, list]:
+        """(d, terms of d·self): d the LCM of the coefficient denominators,
+        the terms the kernel's lists (weight, monomial, ((e, int), ...))
+        sorted by (weight, monomial)."""
+        d = math.lcm(*(c.denominator for h in self.terms.values() for c in h.terms.values()))
+        items = sorted(
+            (
+                mono_weight(self.kind, m),
+                m,
+                tuple((e, c.numerator * (d // c.denominator)) for e, c in h.terms.items()),
+            )
+            for m, h in self.terms.items()
         )
-        b = sorted(
-            ((mono_weight(other.kind, m), m, c) for m, c in other.terms.items()),
-            key=lambda x: (x[0], x[1]),
-        )
-        out: dict[Mono, HbarPoly] = {}
-        for wa, ma, ca in a:
-            for wb, mb, cb in b:
-                if wa + wb > W:
-                    break
-                mono = mono_mul(ma, mb)
-                c = ca * cb
-                s = out.get(mono)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        res = TPoly(self.kind, W)
-        res.terms = out
+        return d, items
+
+    @classmethod
+    def from_integer_terms(cls, kind: str, max_weight: int, acc: Mapping, den: int) -> "TPoly":
+        """The polynomial acc / den, acc mapping monomials to {e: int}; one
+        reduced `Fraction` per nonzero coefficient, zeros dropped."""
+        terms: dict[Mono, HbarPoly] = {}
+        for mono, slot in acc.items():
+            clean = {e: Fraction(c, den) for e, c in slot.items() if c}
+            if clean:
+                h = HbarPoly()
+                h.terms = clean
+                terms[mono] = h
+        res = cls(kind, max_weight)
+        res.terms = terms
         return res
 
     def __rmul__(self, other) -> "TPoly":

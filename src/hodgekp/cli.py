@@ -109,8 +109,10 @@ class _PointRun(PointArtifacts):
 
 
 def _chk_lemma_grunsky(run: _PointRun, point: CurveParams) -> dict:
+    # it reads order 2W + 1; asking for lemma-laplace's 2W + 2 builds the
+    # point's curve once for both
     W = run.config.weight
-    rep = virasoro_factorization_check(run.curve(2 * W + 1), W)
+    rep = virasoro_factorization_check(run.curve(2 * W + 2), W)
     return {"passed": rep.passed, "report": rep.to_json_obj()}
 
 
@@ -537,6 +539,10 @@ def main(argv=None) -> int:
         # the commands' only OSErrors come from their files: a report
         # path that cannot be written is a usage error too
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError:
+        # only a weight far beyond what a run can hold asks for that much
+        sys.stderr.write(f"error: --weight {args.weight} too large: its series do not fit in memory\n")
         return 2
 
 

@@ -3,9 +3,18 @@
 The generating bilinear identity is expanded through elementary Schur
 polynomials; every coefficient of an auxiliary y-monomial gives one
 bilinear equation in the Hirota symbols, which is evaluated exactly by
-the two-copy polynomial shift.  A "pass" always means: every residual
-coefficient inside the stated weight budget vanishes exactly.  Nothing
-asymptotic is ever claimed.
+the two-copy polynomial shift in binomial form,
+
+    D^gamma tau . tau = sum_{beta <= gamma} (-1)^|gamma - beta|
+                        C(gamma, beta) d^beta tau . d^(gamma-beta) tau,
+
+on integers: tau is cleared once by the LCM d of its denominators, the
+derivatives of d·tau carry no 1/beta!, every weight C(gamma, beta) is an
+integer, and each product goes through the integer kernel
+`algebra.mul_into` that `TPoly.__mul__` uses too.  A residual
+coefficient becomes a `Fraction` only where it is nonzero.  A "pass"
+always means: every residual coefficient inside the stated weight budget
+vanishes exactly.  Nothing asymptotic is ever claimed.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .algebra import (
     mono_mul,
     mono_str,
     mono_weight,
+    mul_into,
     rat_str,
 )
 
@@ -77,40 +87,58 @@ def _require_specialized(tau: TPoly):
             raise ValueError("hbar must be specialized before a bilinear check")
 
 
-def _scaled_derivatives(tau: TPoly, dmax: int) -> dict[Mono, TPoly]:
-    """All d^gamma tau / gamma! for D-multi-indices of weight <= dmax."""
+def _derivatives(tau: TPoly, dmax: int) -> tuple[int, dict[Mono, list]]:
+    """(d, {gamma: d^gamma (d·tau)}) for the D-multi-indices gamma of weight
+    <= dmax, d the LCM of tau's denominators: integer polynomials, as
+    the weight-sorted term lists of `mul_into`, with no 1/gamma!."""
     from .operators import weight_monomials
 
-    out: dict[Mono, TPoly] = {(): tau}
+    d, terms = tau.integer_terms()
+    out: dict[Mono, list] = {(): terms}
     for gamma in weight_monomials(T_SIDE, dmax):
         if gamma == ():
             continue
         # peel one derivative off the last variable entry
         v, e = gamma[-1]
         prev = gamma[:-1] + ((v, e - 1),) if e > 1 else gamma[:-1]
-        out[gamma] = out[prev].diff(v).scale(Fraction(1, e))
+        out[gamma] = _diff_terms(out[prev], v)
+    return d, out
+
+
+def _diff_terms(terms: list, v: int) -> list:
+    """d/dt_v of a weight-sorted term list; the result stays weight-sorted."""
+    out = []
+    for w, mono, coeffs in terms:
+        for i, (u, e) in enumerate(mono):
+            if u == v:
+                lower = mono[:i] + ((v, e - 1),) + mono[i + 1 :] if e > 1 else mono[:i] + mono[i + 1 :]
+                out.append((w - v, lower, tuple((h, c * e) for h, c in coeffs)))
+                break
     return out
 
 
-def _bilinear_pair(derivs: dict[Mono, TPoly], gamma: Mono, cap: int) -> TPoly:
-    """D^gamma tau . tau up to weight `cap`, by the exact two-copy expansion
+def _bilinear_pair(derivs: dict[Mono, list], gamma: Mono, cap: int) -> dict:
+    """d²·(D^gamma tau . tau) up to weight `cap`, on integers, by the exact
+    two-copy expansion in binomial form
 
-        D^gamma tau . tau = gamma! sum_{beta <= gamma} (-1)^|gamma - beta|
-                            (d^beta tau / beta!) (d^(gamma-beta) tau / (gamma-beta)!),
+        D^gamma tau . tau = sum_{beta <= gamma} (-1)^|gamma - beta|
+                            C(gamma, beta) d^beta tau . d^(gamma-beta) tau,
 
-    with `derivs` mapping each beta to d^beta tau / beta!.  The splits beta
-    and gamma - beta give the same product with signs (-1)^|gamma - beta|
-    and (-1)^|beta|: for odd |gamma| they cancel (D^gamma tau . tau is
-    antisymmetric, so zero), and for even |gamma| each unordered split is
-    taken once, doubled when beta != gamma - beta.  The factors are cut
-    at `cap` before multiplying, which leaves every coefficient of weight
-    <= cap exact, since no monomial has negative weight.
+    C(gamma, beta) = prod_i C(gamma_i, beta_i) = gamma!/(beta!(gamma-beta)!),
+    with `derivs` mapping each beta to d^beta (d·tau) (see `_derivatives`).
+    The splits beta and gamma - beta give the same product with signs
+    (-1)^|gamma - beta| and (-1)^|beta|: for odd |gamma| they cancel
+    (D^gamma tau . tau is antisymmetric, so zero), and for even |gamma|
+    each unordered split is taken once, doubled when beta != gamma - beta.
+    So each split goes through `mul_into` with the integer weight
+    sign · twice · C(gamma, beta).  The kernel cuts at `cap`, which leaves
+    every coefficient of weight <= cap exact, since no monomial has
+    negative weight.  The result maps monomials to {hbar exponent: int}
+    and may hold zeros.
     """
-    out = TPoly.zero(derivs[()].kind, cap)
-    size = sum(e for _, e in gamma)
-    if size % 2:
+    out: dict[Mono, dict[int, int]] = {}
+    if sum(e for _, e in gamma) % 2:
         return out
-    gfact = math.prod(math.factorial(e) for _, e in gamma)
     for exps in itertools.product(*(range(e + 1) for _, e in gamma)):
         rest = tuple(e - b for (_, e), b in zip(gamma, exps))
         if exps > rest:
@@ -119,8 +147,8 @@ def _bilinear_pair(derivs: dict[Mono, TPoly], gamma: Mono, cap: int) -> TPoly:
         comp = tuple((v, r) for (v, _), r in zip(gamma, rest) if r)
         sign = -1 if sum(rest) % 2 else 1
         twice = 1 if exps == rest else 2
-        prod = derivs[beta].with_max_weight(cap) * derivs[comp].with_max_weight(cap)
-        out = out + prod.scale(Fraction(sign * twice * gfact))
+        binom = math.prod(math.comb(e, b) for (_, e), b in zip(gamma, exps))
+        mul_into(derivs[beta], derivs[comp], cap, sign * twice * binom, out)
     return out
 
 
@@ -238,6 +266,11 @@ def _run_equations(
     Without a band tau must be hbar-specialized and every coefficient
     there counts.  With a band (a, b) only the hbar exponents e with
     a*e <= W + b*(v + d) count, each recorded separately.
+
+    The residual sum_gamma c_gamma D^gamma tau.tau is summed on integers,
+    as sum_gamma (L·c_gamma)·pair_gamma over L·s², with s the denominator
+    of tau cleared by `_derivatives`, pair_gamma = s²·D^gamma tau.tau from
+    `_bilinear_pair` and L the LCM of the equation's c_gamma denominators.
     """
     if band is None:
         _require_specialized(tau)
@@ -245,30 +278,40 @@ def _run_equations(
     dmax = max(
         (mono_weight(T_SIDE, g) for _, eq in equations for g in eq), default=0
     )
-    derivs = _scaled_derivatives(tau, dmax)
-    pair_cache: dict[tuple[Mono, int], TPoly] = {}
+    s, derivs = _derivatives(tau, dmax)
+    pair_cache: dict[tuple[Mono, int], dict] = {}
     report = HirotaReport(check=check_name, hbar_value=hbar_label, y_weight=y_weight)
     for label_mono, eq in equations:
         d = max((mono_weight(T_SIDE, g) for g in eq), default=0)
         covered = W - d
         label = "y[" + mono_str(T_SIDE, label_mono).replace("t", "y") + "]" if isinstance(label_mono, tuple) else str(label_mono)
-        residual = TPoly.zero(tau.kind, covered)
+        L = math.lcm(*(c.denominator for c in eq.values()))
+        acc: dict[Mono, dict[int, int]] = {}
         for gamma, c in sorted(eq.items()):
             key = (gamma, covered)
             if key not in pair_cache:
                 pair_cache[key] = _bilinear_pair(derivs, gamma, covered)
-            residual = residual + pair_cache[key].scale(c)
+            k = c.numerator * (L // c.denominator)
+            for mono, pair in pair_cache[key].items():
+                slot = acc.get(mono)
+                if slot is None:
+                    slot = acc[mono] = {}
+                for e, x in pair.items():
+                    y = slot.get(e)
+                    slot[e] = k * x if y is None else y + k * x
+        den = L * s * s
         failures = []
-        for mono, c in residual.sorted_terms():
-            v = mono_weight(tau.kind, mono)
+        nonzero = [(mono_weight(tau.kind, m), m, slot) for m, slot in acc.items() if any(slot.values())]
+        for v, mono, slot in sorted(nonzero):
             where = {"equation": label, "monomial": mono_str(tau.kind, mono)}
             if band is None:
-                failures.append({**where, "residual": repr(c)})
+                residual = HbarPoly({e: Fraction(x, den) for e, x in slot.items() if x})
+                failures.append({**where, "residual": repr(residual)})
                 continue
             a, b = band
-            for e in c.exponents():
-                if a * e <= W + b * (v + d) and c.coeff(e):
-                    failures.append({**where, "hbarExponent": e, "residual": rat_str(c.coeff(e))})
+            for e in sorted(slot):
+                if slot[e] and a * e <= W + b * (v + d):
+                    failures.append({**where, "hbarExponent": e, "residual": rat_str(Fraction(slot[e], den))})
         status = "skipped" if covered < 0 else "fail" if failures else "pass"
         report.equations.append(EquationStatus(label, covered, status))
         report.failures.extend(failures)

@@ -399,17 +399,7 @@ def exp_apply(op: LinearOp, P: TPoly) -> TPoly:
             for e, c in slot.items():
                 s = a.get(e)
                 a[e] = c * weight if s is None else s + c * weight
-    den = math.factorial(N) * D**N * d
-    terms: dict[Mono, HbarPoly] = {}
-    for mono, a in acc.items():
-        clean = {e: Fraction(c, den) for e, c in a.items() if c}
-        if clean:
-            h = HbarPoly()
-            h.terms = clean
-            terms[mono] = h
-    res = TPoly(op.kind, P.max_weight)
-    res.terms = terms
-    return res
+    return TPoly.from_integer_terms(op.kind, P.max_weight, acc, math.factorial(N) * D**N * d)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from hodgekp.algebra import TPoly, ZSeries
+from hodgekp.algebra import HbarPoly, TPoly, ZSeries
 from hodgekp.curve import CurveParams, build_curve
 from hodgekp.operators import weight_monomials
 
@@ -53,3 +53,24 @@ def random_tpoly(rng, kind, max_weight, terms=6, cap=None):
         m = rng.choice(monos)
         chosen[m] = random_rational(rng)
     return TPoly(kind, cap if cap is not None else max_weight, chosen)
+
+
+def fraction_product(P, Q, cap=None):
+    """P·Q cut at weight `cap` (default: P's cap), term by term in
+    `Fraction`s: an oracle for `TPoly.__mul__` that shares no code with
+    its integer kernel."""
+    cap = P.max_weight if cap is None else cap
+    weight = (lambda v: v) if P.kind == "t" else (lambda v: 2 * v + 1)
+    out = {}
+    for ma, ca in P.terms.items():
+        for mb, cb in Q.terms.items():
+            exps = dict(ma)
+            for v, e in mb:
+                exps[v] = exps.get(v, 0) + e
+            if sum(weight(v) * e for v, e in exps.items()) > cap:
+                continue
+            slot = out.setdefault(tuple(sorted(exps.items())), {})
+            for e1, c1 in ca.terms.items():
+                for e2, c2 in cb.terms.items():
+                    slot[e1 + e2] = slot.get(e1 + e2, Fraction(0)) + c1 * c2
+    return TPoly(P.kind, cap, {m: HbarPoly(slot) for m, slot in out.items()})

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hodgekp.algebra import HbarPoly, TPoly, ZSeries, double_factorial, rat, rat_str
+from hodgekp.operators import weight_monomials
 
-from conftest import random_series, random_tpoly
+from conftest import fraction_product, random_series, random_tpoly
 
 
 def z(order):
@@ -241,6 +242,39 @@ class TestTPoly:
             Q = random_tpoly(rng, "t", 8)
             for out in (P * Q, P + Q, P.diff(1), P.mul_var(2)):
                 assert all(mono_weight("t", m) <= 8 for m in out.terms)
+
+
+def _drawn_tpoly(draw, kind, cap, support):
+    """A TPoly with cap `cap` whose monomials have weight <= `support` and
+    whose coefficients are hbar-Laurent with denominators up to 7."""
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    hbar = st.dictionaries(st.integers(-2, 2), coeff, min_size=1, max_size=3)
+    monos = weight_monomials(kind, support)
+    terms = draw(st.dictionaries(st.sampled_from(monos), hbar, max_size=7))
+    return TPoly(kind, cap, {m: HbarPoly(c) for m, c in terms.items()})
+
+
+class TestIntegerProduct:
+    """`TPoly.__mul__` runs on integers over one denominator; the oracle
+    multiplies term by term in `Fraction`s."""
+
+    @given(st.data(), st.sampled_from(["t", "T"]), st.integers(0, 9), st.integers(0, 9), st.integers(0, 9))
+    def test_matches_fraction_oracle(self, data, kind, cap, support_a, support_b):
+        P = _drawn_tpoly(data.draw, kind, cap, support_a)
+        Q = _drawn_tpoly(data.draw, kind, cap, support_b)
+        # (P + Q)(P - Q): the cross terms cancel inside one product
+        for A, B in ((P, Q), (P + Q, P - Q), (Q, P)):
+            got = A * B
+            assert got == fraction_product(A, B)
+            assert all(h.terms and all(h.terms.values()) for h in got.terms.values())
+
+    def test_cancelling_product_stores_no_zero(self):
+        t1, t2 = TPoly.variable("t", 1, 4), TPoly.variable("t", 2, 4)
+        h = TPoly.constant(HbarPoly({-1: F(1, 7), 2: F(3, 5)}), "t", 4)
+        got = (t1 + t2 * h) * (t1 - t2 * h)
+        assert got == fraction_product(t1 + t2 * h, t1 - t2 * h)
+        assert ((1, 1), (2, 1)) not in got.terms
+        assert (t1 * TPoly.zero("t", 4)).terms == {}
 
 
 class TestSubstitution:

@@ -193,6 +193,7 @@ class TestReportsAndDeterminism:
         ["verify", "lemma-grunsky", "--weight", "99999999999999999999999"],
         ["tau", "kw", "--weight", "99999999999999999999999"],
         ["verify", "lemma-grunsky", "--q", "1", "--p", "3", "--s", "2", "--weight", "4611686018427387902"],
+        ["verify", "lemma-grunsky", "--q", "1", "--p", "3", "--s", "2", "--weight", "4611686018427387901"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys):
@@ -400,3 +401,25 @@ def test_checks_pass_at_random_points(points):
     code, summary = run_verification(RunConfig(checks=checks, points=points, weight=4))
     failed = [(r["check"], r["point"]) for r in summary["results"] if r["status"] != "pass"]
     assert code == 0, failed
+
+
+def test_verify_all_traffic_builds_one_curve_per_point(monkeypatch):
+    # the checks of `verify all` without conjugation at W=8: lemma-grunsky
+    # asks for lemma-laplace's order 2W + 2, so the point's first curve
+    # serves every later check
+    import hodgekp.tau as tau
+
+    built = Counter()
+    build = tau.build_curve
+
+    def counting(params, K):
+        built[params, K] += 1
+        return build(params, K)
+
+    monkeypatch.setattr(tau, "build_curve", counting)
+    W = 8
+    checks = [name for name in CHECKS if name != "conjugation"]
+    point = CurveParams(F(1), F(3), F(2))
+    code, _ = run_verification(RunConfig(checks=checks, points=[point], weight=W))
+    assert code == 0
+    assert built == {(point, 2 * W + 2): 1}

@@ -5,11 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from hodgekp.algebra import HbarPoly, TPoly, mono_weight
+from hodgekp.algebra import HbarPoly, TPoly, mono_str, mono_weight
 from hodgekp.curve import CurveParams
 from hodgekp.kp import (
     _bilinear_pair,
-    _scaled_derivatives,
+    _derivatives,
     hbar_weight_strip,
     hirota_equation_table,
     hirota_first_equation,
@@ -21,7 +21,7 @@ from hodgekp.kp import (
 from hodgekp.operators import weight_monomials
 from hodgekp.tau import bgw_tau, kw_tau, tau_qp_check, tau_qp_theta_check, trust_band
 
-from conftest import random_tpoly
+from conftest import fraction_product, random_tpoly
 
 
 def t(k, w=8):
@@ -231,24 +231,66 @@ class TestMergedEquationLoop:
         ]
 
 
-def all_splits_pair(derivs, gamma):
+def scaled_derivatives(tau, dmax):
+    """d^beta tau / beta! for every beta of weight <= dmax, by `TPoly.diff`
+    and `Fraction` scaling, for the oracles below."""
+    out = {(): tau}
+    for beta in weight_monomials("t", dmax):
+        P = tau
+        for v, e in beta:
+            for _ in range(e):
+                P = P.diff(v)
+            P = P.scale(F(1, math.factorial(e)))
+        out[beta] = P
+    return out
+
+
+def all_splits_pair(derivs, gamma, cap):
     """The reference for `_bilinear_pair`: every split beta + (gamma - beta)
-    taken on its own, at the full weight cap of tau, summed with sign
-    (-1)^|gamma - beta| and factor gamma!."""
-    some = derivs[()]
-    acc = TPoly.zero(some.kind, some.max_weight)
+    taken on its own, with sign (-1)^|gamma - beta| and factor gamma!,
+    multiplied term by term in `Fraction`s and cut at `cap`."""
+    acc = TPoly.zero("t", cap)
     gfact = math.prod(math.factorial(e) for _, e in gamma)
     for exps in itertools.product(*(range(e + 1) for _, e in gamma)):
         beta = tuple((v, b) for (v, _), b in zip(gamma, exps) if b)
         rest = tuple((v, e - b) for (v, e), b in zip(gamma, exps) if e - b)
         sign = (-1) ** sum(e for _, e in rest)
-        acc = acc + (derivs[beta] * derivs[rest]).scale(F(sign * gfact))
+        acc = acc + fraction_product(derivs[beta], derivs[rest], cap).scale(F(sign * gfact))
     return acc
 
 
+def oracle_failures(tau, y_weight, band=None):
+    """The failure list of a Hirota check, from residuals summed in
+    `Fraction`s over `all_splits_pair`, in the order the check reports."""
+    W = tau.max_weight
+    table = hirota_equation_table(y_weight)
+    derivs = scaled_derivatives(tau, max(mono_weight("t", g) for _, eq in table for g in eq))
+    failures = []
+    for label_mono, eq in table:
+        d = max(mono_weight("t", g) for g in eq)
+        residual = TPoly.zero("t", W - d)
+        for gamma, c in eq.items():
+            residual = residual + all_splits_pair(derivs, gamma, W - d).scale(c)
+        label = "y[" + mono_str("t", label_mono).replace("t", "y") + "]"
+        for mono, h in residual.sorted_terms():
+            where = {"equation": label, "monomial": mono_str("t", mono)}
+            if band is None:
+                failures.append({**where, "residual": repr(h)})
+                continue
+            a, b = band
+            v = mono_weight("t", mono)
+            failures.extend(
+                {**where, "hbarExponent": e, "residual": f"{x.numerator}/{x.denominator}" if x.denominator > 1 else str(x.numerator)}
+                for e, x in sorted(h.terms.items())
+                if a * e <= W + b * (v + d)
+            )
+    return failures
+
+
 class TestBilinearPair:
-    """The halved, capped pair kernel against the all-splits expansion,
-    on the covered range of every equation of the y-weight-3 table."""
+    """The integer pair kernel against the all-splits expansion in
+    `Fraction`s, on the covered range of every equation of the
+    y-weight-3 table."""
 
     @pytest.mark.parametrize("which", ["kw-specialized", "tau-qp-graded"])
     def test_matches_all_splits_on_covered_range(self, which):
@@ -258,12 +300,35 @@ class TestBilinearPair:
             tau = tau_qp_check(CurveParams(F(1), F(3), F(2)), 7).tau.body
         W = tau.max_weight
         gammas = {g for _, eq in hirota_equation_table(3) for g in eq}
-        derivs = _scaled_derivatives(tau, max(mono_weight("t", g) for g in gammas))
+        dmax = max(mono_weight("t", g) for g in gammas)
+        d, derivs = _derivatives(tau, dmax)
+        assert d == math.lcm(*(x.denominator for h in tau.terms.values() for x in h.terms.values()))
+        oracle = scaled_derivatives(tau, dmax)
         nonzero = 0
         for gamma in sorted(gammas):
             cap = W - mono_weight("t", gamma)
-            got = _bilinear_pair(derivs, gamma, cap)
-            expect = all_splits_pair(derivs, gamma).with_max_weight(cap)
+            pair = _bilinear_pair(derivs, gamma, cap)
+            assert all(isinstance(x, int) for slot in pair.values() for x in slot.values())
+            got = TPoly("t", cap, {m: HbarPoly({e: F(x, d * d) for e, x in slot.items()}) for m, slot in pair.items()})
+            expect = all_splits_pair(oracle, gamma, cap)
             assert got == expect, gamma
             nonzero += not got.is_zero()
         assert nonzero >= 2
+
+
+class TestPinnedFailures:
+    """The failure lists of broken taus, entry by entry, against residuals
+    computed in `Fraction`s."""
+
+    def test_perturbed_full_check(self):
+        tau = specialize_hbar(kw_tau(9).body, 1)
+        tau = tau + TPoly("t", 9, {((1, 1), (3, 1)): F(1, 7), ((2, 2),): F(-3, 5)})
+        failures = hirota_full_check(tau, 3).failures
+        assert failures and failures == oracle_failures(tau, 3)
+
+    def test_mutated_graded_check(self):
+        band = trust_band("tau_qp")
+        body = tau_qp_check(CurveParams(F(1), F(3), F(2)), 8).tau.body
+        body = body + TPoly("t", 8, {((3, 1),): HbarPoly({1: F(1, 7), -1: F(2, 3)}), ((1, 2),): HbarPoly.hbar(2, F(-1, 6))})
+        failures = hirota_graded_check(body, 3, band).failures
+        assert failures and failures == oracle_failures(body, 3, band)
