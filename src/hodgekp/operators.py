@@ -306,9 +306,21 @@ class _ApplyPlan:
     the variables it contains.  Derivative coefficients are kept as
     {integer factor: pairs} memos, factor 1 being the coefficient itself,
     since a derivative multiplies by the variable's exponent.
+
+    For `exp_apply` the plan also numbers monomials lazily (`ids` maps a
+    monomial to its id, `monos` an id back to its monomial; nothing is
+    numbered up front) and keeps one row per monomial once it is reached
+    (`rows[id]`, None until then): the image of that unit monomial under
+    the plan, computed by `_apply_plan` itself, as a tuple of (target id,
+    hbar exponent, integer factor).  Only ops that drop weight by at least
+    1 reach `exp_apply`, so they have no "id", "m" or "mm" terms, and every
+    image lies strictly below its monomial's weight: no cap cuts a row, a
+    row depends on its monomial alone, and it serves every iterate of
+    every later call on the same op.  Rows live and die with the op.
+    `low` and `span` bound the op's hbar exponents (see `compile_rows`).
     """
 
-    __slots__ = ("drop", "scalar", "mults", "by_var", "integer")
+    __slots__ = ("drop", "scalar", "mults", "by_var", "integer", "ids", "monos", "rows", "low", "span")
 
     def __init__(self, op: LinearOp, scale: int | None = None):
         self.drop = min((op.term_drop(k) for k in op.terms), default=0)
@@ -316,6 +328,12 @@ class _ApplyPlan:
         self.mults = []
         self.by_var: dict[int, tuple] = {}
         self.integer = None
+        self.ids: dict[Mono, int] = {}
+        self.monos: list[Mono] = []
+        self.rows: list[tuple | None] = []
+        exps = [e for c in op.terms.values() for e in c.terms]
+        self.low = min(exps, default=0)
+        self.span = max(exps, default=0) - self.low + 1
         d_pairs, md, dd_same, dd_other = {}, {}, {}, {}
         for key, c in op.terms.items():
             tag = key[0]
@@ -349,6 +367,36 @@ class _ApplyPlan:
                 dd_other.get(v),
             )
 
+    def number(self, mono: Mono) -> int:
+        """The id of the monomial, numbering it (with no row yet) if new."""
+        i = self.ids.get(mono)
+        if i is None:
+            i = self.ids[mono] = len(self.monos)
+            self.monos.append(mono)
+            self.rows.append(None)
+        return i
+
+    def compile_rows(self, ids: list, kind: str, cap: int) -> None:
+        """Build and keep the rows of the monomial ids `ids` in one kernel pass.
+
+        The k-th monomial enters `_apply_plan` on its own band of hbar
+        exponents, as the unit coefficient at k·span − low, so an image term
+        of exponent k·span + (e − low), e in [low, low + span) an exponent
+        of the op, came from that monomial with the op's exponent e.  Any
+        cap at or above the monomials' weights gives the same rows.
+        """
+        monos, span, low = self.monos, self.span, self.low
+        image = _apply_plan(self, kind, cap, [(monos[i], {k * span - low: 1}) for k, i in enumerate(ids)])
+        entries = [[] for _ in ids]
+        number = self.number
+        for target, slot in image.items():
+            j = number(target)
+            for e, c in slot.items():
+                k, r = divmod(e, span)
+                entries[k].append((j, r + low, c))
+        for i, row in zip(ids, entries):
+            self.rows[i] = tuple(row)
+
 
 def exp_apply(op: LinearOp, P: TPoly) -> TPoly:
     """exp(op) . P as a finite sum; op must drop weight by at least 1.
@@ -361,9 +409,14 @@ def exp_apply(op: LinearOp, P: TPoly) -> TPoly:
         exp(op) . P = sum_n op^n P / n!
                     = sum_n u_n · (N!/n!) · D^(N-n) / (N!·D^N·d),
 
-    every weight N!/n! · D^(N-n) an integer.  The numerators are summed
-    exactly, and each output coefficient becomes one `Fraction` over the
-    one denominator, reduced once.  Each hbar exponent keeps its own
+    every weight N!/n! · D^(N-n) an integer.  Each step is a sparse
+    integer matrix-vector product on {(monomial id, hbar exponent): int},
+    read from the rows of the integer plan of D·op (see `_ApplyPlan`); a
+    row is built the first time its monomial is reached and kept on the
+    op, so later iterates and later calls on the same op only look it up.
+    The numerators are summed exactly on ids, mapped back to monomials
+    once, and each output coefficient becomes one `Fraction` over the one
+    denominator, reduced once.  Each hbar exponent keeps its own
     coefficient, so hbar-Laurent coefficients pass through unchanged.
     """
     if op.is_zero():
@@ -372,15 +425,26 @@ def exp_apply(op: LinearOp, P: TPoly) -> TPoly:
         raise ValueError("exponential does not terminate on truncated space")
     op._check_side(P)
     D, plan = op._integer_plan()
+    rows, kind, cap = plan.rows, op.kind, P.max_weight
     d = math.lcm(*(c.denominator for h in P.terms.values() for c in h.terms.values()))
     u = {
-        mono: {e: c.numerator * (d // c.denominator) for e, c in h.terms.items()}
+        (plan.number(mono), e): c.numerator * (d // c.denominator)
         for mono, h in P.terms.items()
+        for e, c in h.terms.items()
     }
     iterates = [u]
-    bound = P.max_weight // op.min_weight_drop + 1
+    bound = cap // op.min_weight_drop + 1
     while True:
-        u = _apply_plan(plan, op.kind, P.max_weight, u.items())
+        nxt: dict[tuple, int] = {}
+        unseen = [i for i in dict.fromkeys(i for i, _ in u) if rows[i] is None]
+        if unseen:
+            plan.compile_rows(unseen, kind, cap)
+        for (i, e1), c1 in u.items():
+            for j, e2, c2 in rows[i]:
+                key = (j, e1 + e2)
+                s = nxt.get(key)
+                nxt[key] = c1 * c2 if s is None else s + c1 * c2
+        u = {key: c for key, c in nxt.items() if c}
         if not u:
             break
         iterates.append(u)
@@ -390,16 +454,15 @@ def exp_apply(op: LinearOp, P: TPoly) -> TPoly:
     weights = [1] * (N + 1)  # N!/n! · D^(N-n)
     for n in range(N, 0, -1):
         weights[n - 1] = weights[n] * n * D
-    acc: dict[Mono, dict[int, int]] = {}
+    total: dict[tuple, int] = {}
     for u, weight in zip(iterates, weights):
-        for mono, slot in u.items():
-            a = acc.get(mono)
-            if a is None:
-                acc[mono] = a = {}
-            for e, c in slot.items():
-                s = a.get(e)
-                a[e] = c * weight if s is None else s + c * weight
-    return TPoly.from_integer_terms(op.kind, P.max_weight, acc, math.factorial(N) * D**N * d)
+        for key, c in u.items():
+            s = total.get(key)
+            total[key] = c * weight if s is None else s + c * weight
+    acc: dict[Mono, dict[int, int]] = {}
+    for (i, e), c in total.items():
+        acc.setdefault(plan.monos[i], {})[e] = c
+    return TPoly.from_integer_terms(kind, cap, acc, math.factorial(N) * D**N * d)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +839,9 @@ class EqualityReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No discrepancy on a basis of at least one element: a comparison
+        that compared nothing does not pass."""
+        return self.checked >= 1 and not self.failures
 
     def to_json_obj(self) -> dict:
         return {

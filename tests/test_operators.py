@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -421,6 +422,81 @@ class TestIntegerExponential:
             assert stores_no_zero(got)
 
 
+    @pytest.mark.parametrize("kind", ["t", "T"])
+    def test_rows_reused_across_calls(self, kind):
+        # one op applied in turn to inputs at several caps: the later calls
+        # read the rows the earlier ones compiled on the op's plan
+        @given(apply_cases(kinds=(kind,)).filter(lambda case: case[0].min_weight_drop >= 1), st.data())
+        def check(case, data):
+            op, P = case
+            caps = st.integers(1, 9) if kind == "t" else st.integers(1, 11)
+            inputs = [P]
+            for cap in data.draw(st.lists(caps, min_size=2, max_size=4)):
+                terms = data.draw(st.dictionaries(st.sampled_from(weight_monomials(kind, cap)), hbar_laurent, max_size=6))
+                inputs.append(TPoly(kind, cap, terms))
+            inputs.append(P.scale(F(-3, 2)))  # P's monomials again: every row is already built
+            for Q in inputs:
+                got = exp_apply(op, Q)
+                assert got == series_exp_apply(op, Q)
+                assert got == exp_apply(LinearOp(kind, op.terms), Q)
+                assert stores_no_zero(got)
+
+        check()
+
+    @given(st.sampled_from(["t", "T"]), nonzero_laurent, nonzero_laurent, st.data())
+    def test_rows_reused_on_images_cancelling_to_zero(self, kind, c1, c2, data):
+        # as in test_images_cancelling_to_zero, but with one op for every
+        # input, so the kernel and the inputs after it run on cached rows
+        cap = 11
+        variables = _variables(kind, cap)
+        a, b = data.draw(st.lists(st.sampled_from(variables), min_size=2, max_size=2, unique=True))
+        op = LinearOp.from_terms(kind, [("d", a, c1), ("d", b, c2)])
+        room = cap - max(_weight(kind, a), _weight(kind, b))
+        monos = [m for m in weight_monomials(kind, room) if not {a, b} & {v for v, _ in m}]
+        terms = data.draw(st.dictionaries(st.sampled_from(monos), nonzero_laurent, min_size=1, max_size=4))
+        xa, xb = (TPoly.variable(kind, v, cap) for v in (a, b))
+        kernel = TPoly(kind, cap, terms) * (xa.scale(c2) - xb.scale(c1))
+        more = data.draw(st.dictionaries(st.sampled_from(weight_monomials(kind, cap)), hbar_laurent, max_size=4))
+        for Q in (kernel, kernel + TPoly(kind, cap, more), kernel.scale(F(2, 7)), TPoly(kind, cap, more)):
+            got = exp_apply(op, Q)
+            assert got == series_exp_apply(op, Q)
+            assert got == exp_apply(LinearOp(kind, op.terms), Q)
+            assert stores_no_zero(got)
+        assert exp_apply(op, kernel) == kernel
+
+    def test_each_row_is_built_once_per_op(self, curve132, monkeypatch):
+        # the conjugation check applies a few group elements to many inputs;
+        # each monomial an op reaches enters the apply kernel once for it
+        from hodgekp import operators
+
+        real_exp, real_kernel = operators.exp_apply, operators._apply_plan
+        inside, exp_calls, kernel_calls = [0], [], []
+
+        def counting_exp(op, P):
+            exp_calls.append(op)
+            inside[0] += 1
+            try:
+                return real_exp(op, P)
+            finally:
+                inside[0] -= 1
+
+        def counting_kernel(plan, kind, cap, items):
+            items = list(items)
+            if inside[0]:
+                kernel_calls.append((plan, [mono for mono, _ in items]))
+            return real_kernel(plan, kind, cap, items)
+
+        monkeypatch.setattr(operators, "exp_apply", counting_exp)
+        monkeypatch.setattr(operators, "_apply_plan", counting_kernel)
+        rep = virasoro_conjugation_check(curve132, 4)
+        assert rep.passed and rep.checked > 0
+        reached = Counter((id(plan), mono) for plan, monos in kernel_calls for mono in monos)
+        assert reached and max(reached.values()) == 1
+        assert len(kernel_calls) <= len(reached)
+        # the reuse is real: many more applications than ops
+        assert len(exp_calls) > 10 * len({id(op) for op in exp_calls})
+
+
 class TestGiventalAction:
     def test_zero_couplings_identity(self):
         rng = random.Random(73)
@@ -561,6 +637,12 @@ class TestEqualityHarness:
         rep = operator_equality_check(lambda P: P, lambda P: P.scale(2), basis, "x2")
         assert not rep.passed
 
+    def test_empty_basis_does_not_pass(self):
+        rep = operator_equality_check(lambda P: P, lambda P: P.scale(2), [], "empty")
+        assert rep.checked == 0 and not rep.failures
+        assert not rep.passed
+        assert rep.to_json_obj()["status"] == "fail"
+
 
 class TestFactorizationOfGroupElement:
     def test_grunsky_kernel_factorization(self, curve132):
@@ -587,6 +669,12 @@ class TestConjugation:
     def test_flipped_sign_fails_first_order(self, curve132):
         rep = virasoro_conjugation_check(curve132, 5, modes=[1], flip_sign=True)
         assert not rep.passed
+
+    def test_no_modes_does_not_pass(self, curve132):
+        rep = virasoro_conjugation_check(curve132, 3, modes=[])
+        assert rep.checked == 0
+        assert not rep.passed
+        assert rep.to_json_obj()["status"] == "fail"
 
     @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
     def test_flow_series_match_unit_pow(self, point):
