@@ -21,7 +21,6 @@ from .curve import (
     witt_coefficients,
 )
 from .kp import (
-    hirota_first_equation,
     hirota_full_check,
     hirota_graded_check,
     kdv_reduction_check,

@@ -485,13 +485,6 @@ class ZSeries:
             self.lowest,
         )
 
-    def even_part(self) -> "ZSeries":
-        return ZSeries(
-            [c if (self.lowest + i) % 2 == 0 else Fraction(0) for i, c in enumerate(self.coeffs)],
-            self.order,
-            self.lowest,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Weight-truncated sparse multivariate polynomials
@@ -715,20 +708,20 @@ class TPoly:
         mul_into(a, b, W, 1, out)
         return TPoly.from_integer_terms(self.kind, W, out, da * db)
 
-    def integer_terms(self) -> tuple[int, list]:
+    def cleared_terms(self) -> tuple[int, list]:
         """(d, terms of d·self): d the LCM of the coefficient denominators,
-        the terms the kernel's lists (weight, monomial, ((e, int), ...))
-        sorted by (weight, monomial)."""
-        d = math.lcm(*(c.denominator for h in self.terms.values() for c in h.terms.values()))
-        items = sorted(
-            (
-                mono_weight(self.kind, m),
-                m,
-                tuple((e, c.numerator * (d // c.denominator)) for e, c in h.terms.items()),
-            )
+        the terms pairs (monomial, ((e, int), ...)) in the order of `terms`."""
+        d = math.lcm(*[c.denominator for h in self.terms.values() for c in h.terms.values()])
+        return d, [
+            (m, tuple([(e, c.numerator * (d // c.denominator)) for e, c in h.terms.items()]))
             for m, h in self.terms.items()
-        )
-        return d, items
+        ]
+
+    def integer_terms(self) -> tuple[int, list]:
+        """`cleared_terms` as the kernel's lists (weight, monomial,
+        ((e, int), ...)), sorted by (weight, monomial)."""
+        d, items = self.cleared_terms()
+        return d, sorted((mono_weight(self.kind, m), m, cs) for m, cs in items)
 
     @classmethod
     def from_integer_terms(cls, kind: str, max_weight: int, acc: Mapping, den: int) -> "TPoly":

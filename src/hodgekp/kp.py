@@ -40,7 +40,6 @@ __all__ = [
     "specialize_hbar",
     "hbar_weight_strip",
     "HirotaReport",
-    "hirota_first_equation",
     "hirota_full_check",
     "hirota_graded_check",
     "kdv_reduction_check",
@@ -316,16 +315,6 @@ def _run_equations(
         report.equations.append(EquationStatus(label, covered, status))
         report.failures.extend(failures)
     return report
-
-
-def hirota_first_equation(tau: TPoly, hbar_label: str | None = None) -> HirotaReport:
-    """The lowest bilinear equation (D_1^4 + 3 D_2^2 - 4 D_1 D_3) tau.tau = 0."""
-    eq = {
-        ((1, 4),): Fraction(1),
-        ((2, 2),): Fraction(3),
-        ((1, 1), (3, 1)): Fraction(-4),
-    }
-    return _run_equations(tau, [("D1^4+3*D2^2-4*D1*D3", eq)], "hirota-first", None, hbar_label)
 
 
 def hirota_full_check(tau: TPoly, y_weight: int, hbar_label: str | None = None) -> HirotaReport:

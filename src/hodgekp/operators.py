@@ -165,15 +165,6 @@ class LinearOp:
             self._plan = _ApplyPlan(self)
         return self._plan
 
-    def _integer_plan(self) -> tuple[int, "_ApplyPlan"]:
-        """(D, the plan of D·op), D the LCM of the coefficient denominators;
-        built once and kept on the op's plan."""
-        plan = self._compiled()
-        if plan.integer is None:
-            D = math.lcm(*(c.denominator for h in self.terms.values() for c in h.terms.values()))
-            plan.integer = (D, _ApplyPlan(self, D))
-        return plan.integer
-
     def _check_side(self, P: TPoly):
         if P.kind != self.kind:
             raise ValueError(
@@ -181,33 +172,28 @@ class LinearOp:
             )
 
     def apply(self, P: TPoly) -> TPoly:
-        """The image of P, in one pass over its monomials (see `_apply_plan`)."""
+        """The image of P, in one pass over its monomials on integers (see
+        `_apply_plan`): (D·op)(d·P) over D·d, one `Fraction` per output
+        coefficient."""
         self._check_side(P)
-        out = _apply_plan(
-            self._compiled(), self.kind, P.max_weight, ((m, c.terms) for m, c in P.terms.items())
-        )
-        terms: dict[Mono, HbarPoly] = {}
-        for mono, slot in out.items():
-            h = HbarPoly()
-            h.terms = slot
-            terms[mono] = h
-        res = TPoly(self.kind, P.max_weight)
-        res.terms = terms
-        return res
+        plan = self._compiled()
+        d, items = P.cleared_terms()
+        out = _apply_plan(plan, self.kind, P.max_weight, items)
+        return TPoly.from_integer_terms(self.kind, P.max_weight, out, plan.D * d)
 
     def __repr__(self) -> str:
         return f"LinearOp({self.kind}, {len(self.terms)} terms, drop>={self.min_weight_drop})"
 
 
 def _apply_plan(plan: "_ApplyPlan", kind: str, cap: int, items: Iterable[tuple]) -> dict:
-    """The fused apply kernel: the image of the polynomial whose terms are
-    `items`, pairs (monomial, {hbar exponent: coefficient}), under the
-    operator compiled into `plan`, truncated at weight `cap`.
+    """The fused apply kernel: the image of the integer polynomial whose
+    terms are `items`, pairs (monomial, ((hbar exponent, int), ...)), under
+    D·op, the integer operator compiled into `plan`, truncated at weight
+    `cap`.
 
-    The coefficients may be `int` or `Fraction`, those of `plan` alike.
     Each monomial visits only the derivative terms of the variables it
     contains, and every product lands in one flat map from monomial to
-    {hbar exponent: coefficient}, returned without zeros or empty slots.
+    {hbar exponent: int}, returned without zeros or empty slots.
     """
     odd = kind == BIG_T_SIDE  # weight(T_m) = 2m + 1, weight(t_k) = k
     scalar, mults, by_var = plan.scalar, plan.mults, plan.by_var
@@ -223,8 +209,7 @@ def _apply_plan(plan: "_ApplyPlan", kind: str, cap: int, items: Iterable[tuple])
                 s = slot.get(e1 + e2)
                 slot[e1 + e2] = v if s is None else s + v
 
-    for mono, coeffs in items:
-        citems = tuple(coeffs.items())
+    for mono, citems in items:
         if scalar:
             emit(mono, citems, scalar)
         w = sum(((2 * v + 1) if odd else v) * e for v, e in mono)
@@ -293,12 +278,10 @@ def _scaled(pairs: dict, n: int) -> tuple:
 
 
 class _ApplyPlan:
-    """A LinearOp compiled for `_apply_plan`.
+    """A LinearOp compiled for `_apply_plan`: the integer operator D·op.
 
-    Coefficients are tuples of (hbar exponent, Fraction) pairs, or, in a
-    plan built with an integer `scale` D, the integer coefficients of
-    D·op (D must clear every denominator).  `integer` caches that plan
-    of an op beside its plain one (see `LinearOp._integer_plan`).  The
+    D is the LCM of the op's coefficient denominators, cleared once here;
+    coefficients are tuples of (hbar exponent, int) pairs of D·op.  The
     multiplicative terms ("id" merged into `scalar`, "m" and "mm" in
     `mults`, ascending in the weight they add) act on every monomial;
     the derivative terms are indexed by the variable they differentiate
@@ -311,23 +294,24 @@ class _ApplyPlan:
     monomial to its id, `monos` an id back to its monomial; nothing is
     numbered up front) and keeps one row per monomial once it is reached
     (`rows[id]`, None until then): the image of that unit monomial under
-    the plan, computed by `_apply_plan` itself, as a tuple of (target id,
+    D·op, computed by `_apply_plan` itself, as a tuple of (target id,
     hbar exponent, integer factor).  Only ops that drop weight by at least
     1 reach `exp_apply`, so they have no "id", "m" or "mm" terms, and every
     image lies strictly below its monomial's weight: no cap cuts a row, a
     row depends on its monomial alone, and it serves every iterate of
-    every later call on the same op.  Rows live and die with the op.
-    `low` and `span` bound the op's hbar exponents (see `compile_rows`).
+    every later call on the same op, exp(op) and exp(-op) alike.  Rows
+    live and die with the op.  `low` and `span` bound the op's hbar
+    exponents (see `compile_rows`).
     """
 
-    __slots__ = ("drop", "scalar", "mults", "by_var", "integer", "ids", "monos", "rows", "low", "span")
+    __slots__ = ("D", "drop", "scalar", "mults", "by_var", "ids", "monos", "rows", "low", "span")
 
-    def __init__(self, op: LinearOp, scale: int | None = None):
+    def __init__(self, op: LinearOp):
+        self.D = D = math.lcm(*(c.denominator for h in op.terms.values() for c in h.terms.values()))
         self.drop = min((op.term_drop(k) for k in op.terms), default=0)
         self.scalar = ()
         self.mults = []
         self.by_var: dict[int, tuple] = {}
-        self.integer = None
         self.ids: dict[Mono, int] = {}
         self.monos: list[Mono] = []
         self.rows: list[tuple | None] = []
@@ -337,10 +321,7 @@ class _ApplyPlan:
         d_pairs, md, dd_same, dd_other = {}, {}, {}, {}
         for key, c in op.terms.items():
             tag = key[0]
-            if scale is None:
-                pairs = tuple(c.terms.items())
-            else:
-                pairs = tuple((e, x.numerator * (scale // x.denominator)) for e, x in c.terms.items())
+            pairs = tuple((e, x.numerator * (D // x.denominator)) for e, x in c.terms.items())
             if tag == "id":
                 self.scalar = pairs
             elif tag in ("m", "mm"):
@@ -386,7 +367,7 @@ class _ApplyPlan:
         cap at or above the monomials' weights gives the same rows.
         """
         monos, span, low = self.monos, self.span, self.low
-        image = _apply_plan(self, kind, cap, [(monos[i], {k * span - low: 1}) for k, i in enumerate(ids)])
+        image = _apply_plan(self, kind, cap, [(monos[i], ((k * span - low, 1),)) for k, i in enumerate(ids)])
         entries = [[] for _ in ids]
         number = self.number
         for target, slot in image.items():
@@ -398,40 +379,39 @@ class _ApplyPlan:
             self.rows[i] = tuple(row)
 
 
-def exp_apply(op: LinearOp, P: TPoly) -> TPoly:
-    """exp(op) . P as a finite sum; op must drop weight by at least 1.
+def exp_apply(op: LinearOp, P: TPoly, *, inverse: bool = False) -> TPoly:
+    """exp(op) . P, or exp(-op) . P with `inverse`, as a finite sum; op
+    must drop weight by at least 1.
 
     The sum runs on integers.  With D the LCM of op's coefficient
     denominators and d that of P's, the iterates u_0 = d·P and
     u_n = (D·op) u_{n-1} = d·D^n·op^n P have integer coefficients, and
     the sum up to the last nonzero iterate u_N is
 
-        exp(op) . P = sum_n op^n P / n!
-                    = sum_n u_n · (N!/n!) · D^(N-n) / (N!·D^N·d),
+        exp(±op) . P = sum_n (±1)^n op^n P / n!
+                     = sum_n u_n · (±1)^n (N!/n!) · D^(N-n) / (N!·D^N·d),
 
-    every weight N!/n! · D^(N-n) an integer.  Each step is a sparse
-    integer matrix-vector product on {(monomial id, hbar exponent): int},
-    read from the rows of the integer plan of D·op (see `_ApplyPlan`); a
-    row is built the first time its monomial is reached and kept on the
-    op, so later iterates and later calls on the same op only look it up.
-    The numerators are summed exactly on ids, mapped back to monomials
-    once, and each output coefficient becomes one `Fraction` over the one
-    denominator, reduced once.  Each hbar exponent keeps its own
-    coefficient, so hbar-Laurent coefficients pass through unchanged.
+    every weight (±1)^n N!/n! · D^(N-n) an integer: exp(-op) reads the
+    same iterates, and so the same rows, as exp(op), with the weights of
+    the odd n negated.  Each step is a sparse integer matrix-vector
+    product on {(monomial id, hbar exponent): int}, read from the rows of
+    op's integer plan D·op (see `_ApplyPlan`); a row is built the first
+    time its monomial is reached and kept on the op, so later iterates
+    and later calls on the same op only look it up.  The numerators are
+    summed exactly on ids, mapped back to monomials once, and each output
+    coefficient becomes one `Fraction` over the one denominator, reduced
+    once.  Each hbar exponent keeps its own coefficient, so hbar-Laurent
+    coefficients pass through unchanged.
     """
     if op.is_zero():
         return P
     if op.min_weight_drop < 1:
         raise ValueError("exponential does not terminate on truncated space")
     op._check_side(P)
-    D, plan = op._integer_plan()
-    rows, kind, cap = plan.rows, op.kind, P.max_weight
-    d = math.lcm(*(c.denominator for h in P.terms.values() for c in h.terms.values()))
-    u = {
-        (plan.number(mono), e): c.numerator * (d // c.denominator)
-        for mono, h in P.terms.items()
-        for e, c in h.terms.items()
-    }
+    plan = op._compiled()
+    D, rows, kind, cap = plan.D, plan.rows, op.kind, P.max_weight
+    d, items = P.cleared_terms()
+    u = {(plan.number(mono), e): c for mono, cs in items for e, c in cs}
     iterates = [u]
     bound = cap // op.min_weight_drop + 1
     while True:
@@ -454,6 +434,8 @@ def exp_apply(op: LinearOp, P: TPoly) -> TPoly:
     weights = [1] * (N + 1)  # N!/n! · D^(N-n)
     for n in range(N, 0, -1):
         weights[n - 1] = weights[n] * n * D
+    if inverse:
+        weights[1::2] = [-w for w in weights[1::2]]
     total: dict[tuple, int] = {}
     for u, weight in zip(iterates, weights):
         for key, c in u.items():
@@ -970,8 +952,9 @@ def virasoro_conjugation_check(
 ) -> EqualityReport:
     """Check V J_k V^{-1} = (h-transformed current modes) on a monomial basis.
 
-    flip_sign negates the flow coefficients; the identity must then fail
-    at first order, pinning the sign convention operationally.
+    V = exp(sum a_k L_k).  flip_sign negates the flow coefficients, so
+    V = exp(-sum a_k L_k); the identity must then fail at first order,
+    pinning the sign convention operationally.
     """
     if modes is None:
         modes = [k for k in range(-W, W + 1) if k]
@@ -981,19 +964,17 @@ def virasoro_conjugation_check(
     # On a weight-<=cap space every generator with index <= cap still acts
     # (through its second-derivative part), so the flow coefficients must
     # extend to the lifted cap, not just to W.
-    a_full = curve.witt(max_cap)
-    if flip_sign:
-        a_full = [-c for c in a_full]
     report = EqualityReport(label=f"current-conjugation W={W}")
     basis_monos = weight_monomials(T_SIDE, W)
-    # One group element for every cap: a term of a_k L_k that reads past a
-    # polynomial's cap differentiates a variable the polynomial lacks, so
-    # it acts on it as zero.  The inverse only drops weight, so its action
-    # on a weight-<=W monomial does not depend on the ambient cap.
-    big = virasoro_sum_op(a_full, max_cap)
-    inv_op = big.scale(-1)
+    # One operator for every cap and for both V and V^{-1}: a term of
+    # a_k L_k that reads past a polynomial's cap differentiates a variable
+    # the polynomial lacks, so it acts on it as zero, and exp(-A) reads
+    # A's rows.  The inverse only drops weight, so its action on a
+    # weight-<=W monomial does not depend on the ambient cap.
+    big = virasoro_sum_op(curve.witt(max_cap), max_cap)
     inv_images = {
-        mono: exp_apply(inv_op, TPoly(T_SIDE, W, {mono: 1})) for mono in basis_monos
+        mono: exp_apply(big, TPoly(T_SIDE, W, {mono: 1}), inverse=not flip_sign)
+        for mono in basis_monos
     }
     flow, mult = _current_transform_series(curve, max_cap, max_lift)
     for k in modes:
@@ -1003,7 +984,7 @@ def virasoro_conjugation_check(
         jk = heisenberg_op(k, cap)
         for mono in basis_monos:
             P = TPoly(T_SIDE, cap, {mono: 1})
-            left = exp_apply(big, jk.apply(inv_images[mono].with_max_weight(cap)))
+            left = exp_apply(big, jk.apply(inv_images[mono].with_max_weight(cap)), inverse=flip_sign)
             right = rhs_op.apply(P)
             report.checked += 1
             if left != right:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction as F
@@ -396,8 +397,9 @@ def _point_sets(draw):
 @given(points=_point_sets())
 def test_checks_pass_at_random_points(points):
     # several points in one run: curves or tau-functions shared across
-    # points would give a wrong report at one of them
-    checks = ["lemma-laplace", "identification", "theorem-hodge", "kdv-reduction"]
+    # points would give a wrong report at one of them; kp-hodge and
+    # conjugation (V^{-1} read from V's rows) run at rational points too
+    checks = ["lemma-laplace", "identification", "theorem-hodge", "kdv-reduction", "kp-hodge", "conjugation"]
     code, summary = run_verification(RunConfig(checks=checks, points=points, weight=4))
     failed = [(r["check"], r["point"]) for r in summary["results"] if r["status"] != "pass"]
     assert code == 0, failed
@@ -423,3 +425,18 @@ def test_verify_all_traffic_builds_one_curve_per_point(monkeypatch):
     code, _ = run_verification(RunConfig(checks=checks, points=[point], weight=W))
     assert code == 0
     assert built == {(point, 2 * W + 2): 1}
+
+
+# sha256 of the per-check reports of conjugation over the shipped catalog at
+# W=6, each serialized as `verify --out` writes it; the same reports as the
+# conj-w6 seed-0 digest in perfbench/README.md
+CONJUGATION_W6_DIGEST = "bc9d822402a42fe406317a4a54c11fd2b7c2d52d24c7332b97fcf8ba15a1b731"
+
+
+def test_conjugation_reports_are_byte_identical():
+    code, summary = run_verification(RunConfig(checks=["conjugation"], points=default_points(), weight=6))
+    assert code == 0
+    h = hashlib.sha256()
+    for obj in summary["results"]:
+        h.update((json.dumps(obj, indent=1, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == CONJUGATION_W6_DIGEST

@@ -12,7 +12,6 @@ from hodgekp.kp import (
     _derivatives,
     hbar_weight_strip,
     hirota_equation_table,
-    hirota_first_equation,
     hirota_full_check,
     hirota_graded_check,
     kdv_reduction_check,
@@ -52,7 +51,7 @@ class TestSpecializeHbar:
         body = kw_tau(9).body
         stripped = hbar_weight_strip(body, 1, 3)
         assert stripped.coeff(((1, 3),)) == HbarPoly.const(F(1, 6))
-        assert hirota_first_equation(stripped).passed
+        assert hirota_full_check(stripped, 3).passed
 
     def test_weight_strip_rejects_ungraded(self):
         P = TPoly("t", 4, {((1, 3),): HbarPoly.hbar(2)})
@@ -70,22 +69,31 @@ def _exp_of_linear(c1, W=8):
 
 
 class TestFirstEquation:
+    """The lowest equation, (D_1^4 + 3 D_2^2 - 4 D_1 D_3) tau.tau = 0, is the
+    y[y3] equation of the y-weight-3 table."""
+
+    def test_first_equation_is_in_the_table(self):
+        eq = dict(hirota_equation_table(3))[((3, 1),)]
+        # the odd Hirota monomials D_1^2 D_2 and D_4 vanish on any f.f
+        even = {g: c for g, c in eq.items() if sum(e for _, e in g) % 2 == 0}
+        assert even == {((1, 4),): F(-1, 12), ((2, 2),): F(-3, 12), ((1, 1), (3, 1)): F(4, 12)}
+
     def test_constant_tau(self):
-        assert hirota_first_equation(TPoly.one("t", 8)).passed
+        assert hirota_full_check(TPoly.one("t", 8), 3).passed
 
     def test_vacuum_translate(self):
-        assert hirota_first_equation(_exp_of_linear(1)).passed
+        assert hirota_full_check(_exp_of_linear(1), 3).passed
 
     def test_non_tau_detected(self):
         bad = TPoly.one("t", 8) + t(1) + t(2) * t(2)
-        rep = hirota_first_equation(bad)
+        rep = hirota_full_check(bad, 3)
         assert not rep.passed
-        assert rep.failures
+        assert any(f["equation"] == "y[y3]" for f in rep.failures)
 
     def test_requires_specialized_hbar(self):
         P = TPoly("t", 6, {((1, 1),): HbarPoly.hbar(1)})
         with pytest.raises(ValueError, match="specialized"):
-            hirota_first_equation(P)
+            hirota_full_check(P, 3)
 
 
 class TestSchurTaus:
@@ -174,6 +182,25 @@ class TestGradedMembership:
         mutated = rep.tau.body + TPoly("t", 8, {((3, 1),): HbarPoly.hbar(1, F(1, 7))})
         r = hirota_graded_check(mutated, 3, trust_band("tau_qp"))
         assert not r.passed
+
+    @pytest.mark.parametrize(
+        "check, W, band, e, caught",
+        [  # (tau_qp_check, 8, "tau_qp", 1, True) is test_in_band_mutation_detected
+            (tau_qp_check, 8, "tau_qp", 2, False),
+            (tau_qp_theta_check, 7, "tau_theta_qp", 4, True),
+            (tau_qp_theta_check, 7, "tau_theta_qp", 5, False),
+        ],
+    )
+    def test_mutations_on_both_sides_of_the_trust_band(self, check, W, band, e, caught):
+        # (1/7) hbar^e t3: at the lower e its residual coefficients reach the
+        # band a*e <= W + b*(v + d) and the check must fail; one hbar power
+        # higher they all fall outside it, where the series itself is only a
+        # partial sum, and the check must not see it
+        assert trust_band(band) == {"tau_qp": (12, 3), "tau_theta_qp": (2, 1)}[band]
+        body = check(CurveParams(F(1), F(3), F(2)), W).tau.body
+        assert hirota_graded_check(body, 3, trust_band(band)).passed
+        mutated = body + TPoly("t", W, {((3, 1),): HbarPoly.hbar(e, F(1, 7))})
+        assert hirota_graded_check(mutated, 3, trust_band(band)).passed != caught
 
     def test_fixed_hbar_coefficients_are_truncation_unstable(self):
         # the reason the graded check exists: specializing hbar sums

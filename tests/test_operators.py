@@ -327,6 +327,17 @@ class TestExponentials:
         for _ in range(5):
             P = random_tpoly(rng, "t", 9)
             assert exp_apply(op, exp_apply(op.scale(-1), P)) == P
+            assert exp_apply(op, exp_apply(op, P), inverse=True) == P
+            assert exp_apply(op, P, inverse=True) == exp_apply(op.scale(-1), P)
+
+    @given(apply_cases(tags=("d", "dd", "md")).filter(lambda case: case[0].min_weight_drop >= 1))
+    def test_inverse_reads_the_rows_of_the_op(self, case):
+        # exp(-op) from op's own rows: the inverse of exp(op), and the
+        # exponential of the negated op
+        op, P = case
+        assert exp_apply(op, exp_apply(op, P), inverse=True) == P
+        assert exp_apply(op, exp_apply(op, P, inverse=True)) == P
+        assert exp_apply(op, P, inverse=True) == exp_apply(op.scale(-1), P)
 
     def test_group_element_at_a_larger_cap_acts_as_at_the_polynomials_cap(self, curve132):
         # the conjugation check builds exp(sum a_k L_k) once, at its largest cap
@@ -339,6 +350,7 @@ class TestExponentials:
                 P = random_tpoly(rng, "t", cap)
                 assert exp_apply(big, P) == exp_apply(small, P), cap
                 assert exp_apply(big.scale(-1), P) == exp_apply(small.scale(-1), P), cap
+                assert exp_apply(big, P, inverse=True) == exp_apply(small, P, inverse=True), cap
 
     def test_translation_matches_substitution(self):
         rng = random.Random(71)
@@ -465,18 +477,18 @@ class TestIntegerExponential:
         assert exp_apply(op, kernel) == kernel
 
     def test_each_row_is_built_once_per_op(self, curve132, monkeypatch):
-        # the conjugation check applies a few group elements to many inputs;
-        # each monomial an op reaches enters the apply kernel once for it
+        # the conjugation check applies one group element, as V and as V^{-1},
+        # to many inputs; each monomial it reaches enters the apply kernel once
         from hodgekp import operators
 
         real_exp, real_kernel = operators.exp_apply, operators._apply_plan
         inside, exp_calls, kernel_calls = [0], [], []
 
-        def counting_exp(op, P):
+        def counting_exp(op, P, **kwargs):
             exp_calls.append(op)
             inside[0] += 1
             try:
-                return real_exp(op, P)
+                return real_exp(op, P, **kwargs)
             finally:
                 inside[0] -= 1
 
@@ -488,13 +500,19 @@ class TestIntegerExponential:
 
         monkeypatch.setattr(operators, "exp_apply", counting_exp)
         monkeypatch.setattr(operators, "_apply_plan", counting_kernel)
-        rep = virasoro_conjugation_check(curve132, 4)
-        assert rep.passed and rep.checked > 0
-        reached = Counter((id(plan), mono) for plan, monos in kernel_calls for mono in monos)
-        assert reached and max(reached.values()) == 1
-        assert len(kernel_calls) <= len(reached)
-        # the reuse is real: many more applications than ops
-        assert len(exp_calls) > 10 * len({id(op) for op in exp_calls})
+        for flip_sign in (False, True):
+            exp_calls.clear()
+            kernel_calls.clear()
+            rep = virasoro_conjugation_check(curve132, 4, flip_sign=flip_sign)
+            assert rep.passed != flip_sign and rep.checked > 0
+            reached = Counter((id(plan), mono) for plan, monos in kernel_calls for mono in monos)
+            assert reached and max(reached.values()) == 1
+            assert len(kernel_calls) <= len(reached)
+            # one group element: V^{-1} reads V's plan, in the control as well
+            assert len({id(plan) for plan, _ in kernel_calls}) == 1, flip_sign
+            assert len({id(op) for op in exp_calls}) == 1, flip_sign
+            # the reuse is real: many more applications than ops
+            assert len(exp_calls) > 10
 
 
 class TestGiventalAction:

@@ -230,6 +230,69 @@ class TestHodgePartition:
         assert Z.body.constant_term().coeff(0) == 1
 
 
+def _series_mul(a, b, n):
+    """Product of two power series (coefficient lists) to order n."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
+
+
+def _faber_pandharipande(G):
+    """{(g, i): [t^(2g) k^i] ((t/2)/sin(t/2))^(k+1)} for 1 <= g <= G.
+
+    With L = log((t/2)/sin(t/2)), the power is exp((k+1) L) =
+    sum_m (k+1)^m L^m / m!, and L starts at t^2, so m <= G suffices."""
+    n = 2 * G
+    # u = sin(t/2)/(t/2) - 1 and L = -log(1 + u) = sum_m (-1)^m u^m / m
+    u = [F(0)] * (n + 1)
+    for j in range(1, G + 1):
+        u[2 * j] = F((-1) ** j, 4**j * math.factorial(2 * j + 1))
+    L, power = [F(0)] * (n + 1), [F(1)] + [F(0)] * n
+    for m in range(1, G + 1):
+        power = _series_mul(power, u, n)
+        L = [x + F((-1) ** m, m) * y for x, y in zip(L, power)]
+    out, power = {}, [F(1)] + [F(0)] * n
+    for m in range(G + 1):
+        for g in range(1, G + 1):
+            for i in range(m + 1):
+                c = math.comb(m, i) * power[2 * g] / math.factorial(m)
+                out[g, i] = out.get((g, i), F(0)) + c
+        power = _series_mul(power, L, n)
+    return out
+
+
+class TestFaberPandharipande:
+    """One-point linear Hodge integrals against Faber-Pandharipande,
+    1 + sum_{g>=1} sum_i t^(2g) k^i <psi^(2g-2+i) lambda_(g-i)>_g
+    = ((t/2)/sin(t/2))^(k+1), computed here from sin alone.
+
+    At q = 0 or p = 0 the class is Lambda^v(4) = sum_j (-4)^j lambda_j, so
+    [T_d hbar^(2g-1)] Z = (-4)^(g-i) <psi^d lambda_(g-i)>_g, i = d - 2g + 2."""
+
+    W = 21
+
+    @pytest.mark.parametrize("q,p", [(0, 4), (4, 0)])
+    def test_in_band_one_point_coefficients(self, q, p):
+        Z = hodge_partition(CurveParams(F(q), F(p), F(2)), self.W)
+        a, b = trust_band(Z.kind)
+        G = 5
+        fp = _faber_pandharipande(G)
+        assert fp[1, 0] == F(1, 24) and fp[2, 2] == F(1, 1152)
+        checked = nonzero = 0
+        for d in range((self.W - 1) // 2 + 1):
+            assert a * (2 * G + 1) > self.W + b * (2 * d + 1)  # no genus above G is in band
+            for g in range(1, G + 1):
+                if a * (2 * g - 1) > self.W + b * (2 * d + 1):
+                    continue
+                i = d - 2 * g + 2
+                expect = (-4) ** (g - i) * fp[g, i] if 0 <= i <= g else 0
+                assert Z.body.coeff(((d, 1),)).coeff(2 * g - 1) == expect, (d, g)
+                checked += 1
+                nonzero += expect != 0
+        assert nonzero == 8 and checked > nonzero
+        # genus 2, and genus 4 at the top psi power <tau_10>_4 = 1/(24^4 4!)
+        assert [Z.body.coeff(((d, 1),)).coeff(3) for d in (2, 3, 4)] == [F(7, 360), F(-1, 120), F(1, 1152)]
+        assert Z.body.coeff(((10, 1),)).coeff(7) == F(1, 24**4 * 24)
+
+
 class TestTauQpIdentity:
     @pytest.mark.parametrize(
         "q,p,s",
