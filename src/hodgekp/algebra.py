@@ -83,10 +83,6 @@ class HbarPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "HbarPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "HbarPoly":
         return cls({0: Fraction(1)})
 
@@ -526,13 +522,26 @@ def mono_str(kind: str, mono: Mono) -> str:
     return " ".join(f"{kind}{v}" + (f"^{e}" if e > 1 else "") for v, e in mono)
 
 
+def _canonical(mono) -> Mono:
+    """A monomial given as (variable, exponent) pairs, as a `Mono`: repeated
+    variables merged, zero exponents dropped, negative ones rejected."""
+    exps: dict[int, int] = {}
+    for v, e in mono:
+        v, e = int(v), int(e)
+        if e < 0:
+            raise ValueError(f"negative exponent {e} of variable {v}")
+        if e:
+            exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
 def mul_into(a: list, b: list, cap: int, k: int, out: dict) -> None:
     """The integer product kernel: add k·(a·b), cut at weight `cap`, to `out`.
 
     `a` and `b` are lists of (weight, monomial, ((hbar exponent, int), ...))
-    sorted by weight, as `TPoly.integer_terms` gives them; `out` maps
-    each monomial to {hbar exponent: int}.  Coefficients that cancel stay
-    in `out` as zeros, for the caller to drop when it reads them.
+    sorted by weight, as `weight_sorted` gives them; `out` maps each
+    monomial to {hbar exponent: int}.  Coefficients that cancel stay in
+    `out` as zeros, for the caller to drop when it reads them.
     """
     if not b:
         return
@@ -555,40 +564,105 @@ def mul_into(a: list, b: list, cap: int, k: int, out: dict) -> None:
                     slot[e] = c1 * c2 if s is None else s + c1 * c2
 
 
+def weight_sorted(kind: str, num: Mapping[Mono, Mapping[int, int]]) -> list:
+    """Integer terms {monomial: {hbar exponent: int}} as the lists that
+    `mul_into` reads, sorted by weight, with the zeros dropped."""
+    return sorted(
+        (mono_weight(kind, m), m, cs)
+        for m, slot in num.items()
+        if (cs := tuple((e, c) for e, c in slot.items() if c))
+    )
+
+
+def mul_sorted(kind: str, a: list, b: list, cap: int) -> list:
+    """a·b cut at weight `cap`, for weight-sorted lists a and b, as a
+    weight-sorted list."""
+    out: dict[Mono, dict[int, int]] = {}
+    mul_into(a, b, cap, 1, out)
+    return weight_sorted(kind, out)
+
+
+def exp_weights(N: int, D: int) -> list[int]:
+    """The integers w_n = N!/n! · D^(N-n) for n = 0..N, which put a sum of
+    u_n / (n!·D^n) over one denominator: sum_n w_n·u_n / (N!·D^N)."""
+    weights = [1] * (N + 1)
+    for n in range(N, 0, -1):
+        weights[n - 1] = weights[n] * n * D
+    return weights
+
+
+def _reduce(acc: Mapping[Mono, Mapping[int, int]], den: int) -> tuple[dict, int]:
+    """(num, den) of acc / den in the normal form of `TPoly`."""
+    num = {}
+    g = den
+    for mono, slot in acc.items():
+        if not all(slot.values()):
+            slot = {e: c for e, c in slot.items() if c}
+        if not slot:
+            continue
+        num[mono] = slot
+        if g != 1:
+            g = math.gcd(g, *slot.values())
+    if not num:
+        return num, 1
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = {m: {e: c // g for e, c in slot.items()} for m, slot in num.items()}
+        den //= g
+    return num, den
+
+
 class TPoly:
-    """Weight-truncated sparse polynomial with HbarPoly coefficients.
+    """Weight-truncated sparse polynomial with coefficients Laurent in hbar.
 
     kind selects the variable family: "t" (t_1, t_2, ... with
     weight(t_k) = k) or "T" (T_0, T_1, ... with weight(T_m) = 2m+1).
     Monomials of total weight above max_weight are discarded by every
     operation; the two families never mix inside one value.
+
+    The value is num / den on integers: `num` maps each monomial to
+    {hbar exponent: int}, with no zero numerator and no empty map, and
+    den > 0 has no common factor with all the numerators.  So den is the
+    LCM of the reduced coefficient denominators, the form is unique and
+    equality is structural.  Every operation ends in `_normal`, which
+    restores this form.  A `Fraction` is built only where a coefficient
+    is read: `coeff`, `constant_term`, `terms`, `repr` and the JSON form.
     """
 
-    __slots__ = ("kind", "max_weight", "terms")
+    __slots__ = ("kind", "max_weight", "num", "den")
 
     def __init__(self, kind: str, max_weight: int, terms: Mapping[Mono, object] | None = None):
+        """`terms` maps monomials, as (variable, exponent) pairs, to
+        HbarPoly, Fraction or int coefficients."""
         if kind not in (T_SIDE, BIG_T_SIDE):
             raise ValueError(f"unknown variable kind {kind!r}")
+        acc: dict[Mono, dict[int, Fraction]] = {}
+        for mono, c in (terms or {}).items():
+            mono = _canonical(mono)
+            if mono_weight(kind, mono) > max_weight:
+                continue
+            slot = acc.setdefault(mono, {})
+            for e, x in HbarPoly.promote(c).terms.items():
+                slot[e] = slot.get(e, 0) + x
+        den = math.lcm(*[x.denominator for slot in acc.values() for x in slot.values()])
         self.kind = kind
         self.max_weight = max_weight
-        clean: dict[Mono, HbarPoly] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = HbarPoly.promote(c)
-                if c.is_zero():
-                    continue
-                mono = tuple(sorted((int(v), int(e)) for v, e in mono if e))
-                if mono_weight(kind, mono) > max_weight:
-                    continue
-                if mono in clean:
-                    s = clean[mono] + c
-                    if s.is_zero():
-                        del clean[mono]
-                    else:
-                        clean[mono] = s
-                else:
-                    clean[mono] = c
-        self.terms = clean
+        num = {
+            m: {e: x.numerator * (den // x.denominator) for e, x in slot.items()}
+            for m, slot in acc.items()
+        }
+        self.num, self.den = _reduce(num, den)
+
+    @classmethod
+    def _normal(cls, kind: str, max_weight: int, acc: Mapping, den: int) -> "TPoly":
+        """The polynomial acc / den, acc mapping monomials to {hbar exponent:
+        int} (zeros allowed) and den a nonzero int, in normal form."""
+        res = cls.__new__(cls)
+        res.kind = kind
+        res.max_weight = max_weight
+        res.num, res.den = _reduce(acc, den)
+        return res
 
     # -- constructors -------------------------------------------------------
 
@@ -611,44 +685,40 @@ class TPoly:
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
-    def coeff(self, mono: Mono) -> HbarPoly:
-        mono = tuple(sorted((v, e) for v, e in mono if e))
-        return self.terms.get(mono, HbarPoly.zero())
+    def _read(self, slot: Mapping[int, int]) -> HbarPoly:
+        h = HbarPoly()
+        h.terms = {e: Fraction(c, self.den) for e, c in slot.items()}
+        return h
+
+    @property
+    def terms(self) -> dict[Mono, HbarPoly]:
+        """The coefficients as a new {monomial: HbarPoly} map, read-only."""
+        return {m: self._read(slot) for m, slot in self.num.items()}
+
+    def coeff(self, mono) -> HbarPoly:
+        return self._read(self.num.get(_canonical(mono), {}))
 
     def constant_term(self) -> HbarPoly:
-        return self.terms.get((), HbarPoly.zero())
+        return self._read(self.num.get((), {}))
 
     def variables(self) -> set:
-        out = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                out.add(v)
-        return out
-
-    def degree(self) -> int:
-        return max((sum(e for _, e in mono) for mono in self.terms), default=0)
+        return {v for mono in self.num for v, _ in mono}
 
     def is_linear(self) -> bool:
         """Degree <= 1 in the variables (an affine-linear combination)."""
-        return self.degree() <= 1
+        return all(sum(e for _, e in mono) <= 1 for mono in self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TPoly):
             return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.terms == other.terms
-        )
+        return self.kind == other.kind and self.den == other.den and self.num == other.num
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (mono_weight(self.kind, m), m)):
-            bits.append(f"({self.terms[mono]!r})*{mono_str(self.kind, mono)}")
-        return " + ".join(bits)
+        return " + ".join(f"({c!r})*{mono_str(self.kind, mono)}" for mono, c in self.sorted_terms())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -659,139 +729,82 @@ class TPoly:
             raise ValueError("mismatched weight truncations")
 
     def __add__(self, other) -> "TPoly":
+        """The sum on integers, over the LCM of the two denominators."""
         if not isinstance(other, TPoly):
             other = TPoly.constant(other, self.kind, self.max_weight)
         self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(mono, None)
+        den = math.lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        if ka == 1:
+            out = dict(self.num)
+        else:
+            out = {m: {e: c * ka for e, c in s.items()} for m, s in self.num.items()}
+        for mono, s in other.num.items():
+            prev = out.get(mono)
+            if prev is None:
+                out[mono] = s if kb == 1 else {e: c * kb for e, c in s.items()}
             else:
-                out[mono] = s
-        res = TPoly(self.kind, self.max_weight)
-        res.terms = out
-        return res
+                slot = dict(prev)
+                for e, c in s.items():
+                    slot[e] = slot.get(e, 0) + c * kb
+                out[mono] = slot
+        return TPoly._normal(self.kind, self.max_weight, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TPoly":
-        res = TPoly(self.kind, self.max_weight)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        out = {m: {e: -c for e, c in s.items()} for m, s in self.num.items()}
+        return TPoly._normal(self.kind, self.max_weight, out, self.den)
 
     def __sub__(self, other) -> "TPoly":
         if not isinstance(other, TPoly):
             other = TPoly.constant(other, self.kind, self.max_weight)
         return self + (-other)
 
-    def scale(self, c) -> "TPoly":
-        c = HbarPoly.promote(c)
-        if c.is_zero():
-            return TPoly.zero(self.kind, self.max_weight)
-        res = TPoly(self.kind, self.max_weight)
-        res.terms = {m: v * c for m, v in self.terms.items()}
-        return res
-
     def __mul__(self, other) -> "TPoly":
-        """The product, on integers: each factor is cleared by the LCM of its
-        denominators, the integer kernel `mul_into` multiplies, and each
-        nonzero coefficient becomes one `Fraction` over d_a·d_b."""
+        """The product, on integers: each operand sorted by weight, the
+        numerators multiplied by `mul_into`, over the product of the
+        denominators.  A factor that is not a TPoly is a constant
+        (HbarPoly, Fraction or int)."""
         if not isinstance(other, TPoly):
-            return self.scale(other)
+            other = TPoly.constant(other, self.kind, self.max_weight)
         self._check_compatible(other)
-        W = self.max_weight
-        da, a = self.integer_terms()
-        db, b = other.integer_terms()
         out: dict[Mono, dict[int, int]] = {}
-        mul_into(a, b, W, 1, out)
-        return TPoly.from_integer_terms(self.kind, W, out, da * db)
+        a, b = weight_sorted(self.kind, self.num), weight_sorted(other.kind, other.num)
+        mul_into(a, b, self.max_weight, 1, out)
+        return TPoly._normal(self.kind, self.max_weight, out, self.den * other.den)
 
-    def cleared_terms(self) -> tuple[int, list]:
-        """(d, terms of d·self): d the LCM of the coefficient denominators,
-        the terms pairs (monomial, ((e, int), ...)) in the order of `terms`."""
-        d = math.lcm(*[c.denominator for h in self.terms.values() for c in h.terms.values()])
-        return d, [
-            (m, tuple([(e, c.numerator * (d // c.denominator)) for e, c in h.terms.items()]))
-            for m, h in self.terms.items()
-        ]
-
-    def integer_terms(self) -> tuple[int, list]:
-        """`cleared_terms` as the kernel's lists (weight, monomial,
-        ((e, int), ...)), sorted by (weight, monomial)."""
-        d, items = self.cleared_terms()
-        return d, sorted((mono_weight(self.kind, m), m, cs) for m, cs in items)
-
-    @classmethod
-    def from_integer_terms(cls, kind: str, max_weight: int, acc: Mapping, den: int) -> "TPoly":
-        """The polynomial acc / den, acc mapping monomials to {e: int}; one
-        reduced `Fraction` per nonzero coefficient, zeros dropped."""
-        terms: dict[Mono, HbarPoly] = {}
-        for mono, slot in acc.items():
-            clean = {e: Fraction(c, den) for e, c in slot.items() if c}
-            if clean:
-                h = HbarPoly()
-                h.terms = clean
-                terms[mono] = h
-        res = cls(kind, max_weight)
-        res.terms = terms
-        return res
-
-    def __rmul__(self, other) -> "TPoly":
-        return self.scale(other)
+    __rmul__ = __mul__
+    scale = __mul__
 
     # -- structure maps -----------------------------------------------------
 
     def diff(self, var: int) -> "TPoly":
         """Partial derivative with respect to the given variable index."""
-        out: dict[Mono, HbarPoly] = {}
-        for mono, c in self.terms.items():
-            d = dict(mono)
-            e = d.get(var)
-            if not e:
-                continue
-            if e == 1:
-                del d[var]
-            else:
-                d[var] = e - 1
-            key = tuple(sorted(d.items()))
-            s = out.get(key)
-            add = c * Fraction(e)
-            s = add if s is None else s + add
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        res = TPoly(self.kind, self.max_weight)
-        res.terms = out
-        return res
+        out = {}
+        for mono, slot in self.num.items():
+            for i, (v, e) in enumerate(mono):
+                if v == var:
+                    lower = mono[:i] + ((v, e - 1),) + mono[i + 1 :] if e > 1 else mono[:i] + mono[i + 1 :]
+                    out[lower] = {h: c * e for h, c in slot.items()}
+                    break
+        return TPoly._normal(self.kind, self.max_weight, out, self.den)
 
     def mul_var(self, var: int, coeff=1) -> "TPoly":
         """Multiply by coeff * (variable var), truncating at max_weight."""
-        w = var_weight(self.kind, var)
-        coeff = HbarPoly.promote(coeff)
-        out: dict[Mono, HbarPoly] = {}
-        for mono, c in self.terms.items():
-            if mono_weight(self.kind, mono) + w > self.max_weight:
-                continue
-            key = mono_mul(mono, ((var, 1),))
-            s = out.get(key)
-            add = c * coeff
-            s = add if s is None else s + add
-            if not s.is_zero():
-                out[key] = s
-            else:
-                out.pop(key, None)
-        res = TPoly(self.kind, self.max_weight)
-        res.terms = out
-        return res
+        return self * TPoly.variable(self.kind, var, self.max_weight, coeff)
 
     def substitute(self, images: Mapping[int, "TPoly"]) -> "TPoly":
         """Ring-homomorphism substitution: replace every variable by its image.
 
         Every variable occurring in the polynomial must have an image; all
         images must share one kind and weight cap.  Truncation applies.
+
+        The sum runs on integers.  With N_v / d_v the image of v and E_v
+        the top exponent of v in the polynomial, each monomial's product
+        of image powers is taken by `mul_into` from one table of the powers
+        N_v^e, and lands, times prod_v d_v^(E_v - e_v), in one sum over
+        den·prod_v d_v^E_v.
         """
         occurring = self.variables()
         missing = occurring - set(images)
@@ -805,49 +818,39 @@ class TPoly:
                     raise ValueError("substitution images must agree in kind and weight cap")
         else:
             kind, W = self.kind, self.max_weight
-        power_cache: dict[tuple[int, int], TPoly] = {}
-
-        def power(v: int, e: int) -> TPoly:
-            key = (v, e)
-            got = power_cache.get(key)
-            if got is None:
-                if e == 1:
-                    got = images[v]
-                else:
-                    got = power(v, e - 1) * images[v]
-                power_cache[key] = got
-            return got
-
-        acc = TPoly.zero(kind, W)
-        for mono, c in self.terms.items():
-            term = TPoly.constant(c, kind, W)
+        top: dict[int, int] = {}
+        for mono in self.num:
             for v, e in mono:
-                term = term * power(v, e)
-                if term.is_zero():
-                    break
-            acc = acc + term
-        return acc
-
-    def map_coeffs(self, fn) -> "TPoly":
-        out: dict[Mono, HbarPoly] = {}
-        for mono, c in self.terms.items():
-            nc = fn(c)
-            if not nc.is_zero():
-                out[mono] = nc
-        res = TPoly(self.kind, self.max_weight)
-        res.terms = out
-        return res
+                top[v] = max(top.get(v, 0), e)
+        powers: dict[tuple[int, int], list] = {}
+        for v, E in top.items():
+            p = powers[v, 1] = weight_sorted(kind, images[v].num)
+            for e in range(2, E + 1):
+                p = powers[v, e] = mul_sorted(kind, p, powers[v, 1], W)
+        one = [(0, (), ((0, 1),))]
+        acc: dict[Mono, dict[int, int]] = {}
+        for mono, slot in self.num.items():
+            exps = dict(mono)
+            k = math.prod(images[v].den ** (E - exps.get(v, 0)) for v, E in top.items())
+            factors = [powers[v, e] for v, e in mono] or [one]
+            term = [(0, (), tuple(slot.items()))]
+            for f in factors[:-1]:
+                term = mul_sorted(kind, term, f, W)
+            mul_into(term, factors[-1], W, k, acc)
+        den = self.den * math.prod(images[v].den ** E for v, E in top.items())
+        return TPoly._normal(kind, W, acc, den)
 
     def with_max_weight(self, W: int) -> "TPoly":
         """Same polynomial viewed with a different weight cap (truncating)."""
-        return TPoly(self.kind, W, self.terms)
+        out = {m: s for m, s in self.num.items() if mono_weight(self.kind, m) <= W}
+        return TPoly._normal(self.kind, W, out, self.den)
 
     # -- serialization ------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda kv: (mono_weight(self.kind, kv[0]), kv[0])
-        )
+    def sorted_terms(self) -> list[tuple[Mono, HbarPoly]]:
+        """(monomial, coefficient) pairs sorted by (weight, monomial)."""
+        monos = sorted(self.num, key=lambda m: (mono_weight(self.kind, m), m))
+        return [(m, self._read(self.num[m])) for m in monos]
 
     def to_json_obj(self) -> list:
         out = []

@@ -8,7 +8,7 @@ the two-copy polynomial shift in binomial form,
     D^gamma tau . tau = sum_{beta <= gamma} (-1)^|gamma - beta|
                         C(gamma, beta) d^beta tau . d^(gamma-beta) tau,
 
-on integers: tau is cleared once by the LCM d of its denominators, the
+on integers: tau is its integer numerators over one denominator d, the
 derivatives of d·tau carry no 1/beta!, every weight C(gamma, beta) is an
 integer, and each product goes through the integer kernel
 `algebra.mul_into` that `TPoly.__mul__` uses too.  A residual
@@ -34,11 +34,11 @@ from .algebra import (
     mono_weight,
     mul_into,
     rat_str,
+    weight_sorted,
 )
 
 __all__ = [
     "specialize_hbar",
-    "hbar_weight_strip",
     "HirotaReport",
     "hirota_full_check",
     "hirota_graded_check",
@@ -48,31 +48,20 @@ __all__ = [
 
 
 def specialize_hbar(P: TPoly, value) -> TPoly:
-    """Evaluate every coefficient at a fixed rational hbar, exactly."""
-    value = Fraction(value) if not isinstance(value, Fraction) else value
-    return P.map_coeffs(lambda c: HbarPoly.const(c.at(value)))
+    """Evaluate every coefficient at a fixed rational hbar = a/b, exactly.
 
-
-def hbar_weight_strip(P: TPoly, num: int, den: int) -> TPoly:
-    """Remove an hbar-grading of slope num/den (exponent = weight*num/den).
-
-    This is the exact form of absorbing hbar by a fractional-power time
-    rescaling; it requires every monomial to carry exactly the graded
-    power and errors otherwise.
+    On integers: with lo <= 0 <= hi bounding P's hbar exponents,
+    hbar^e = a^(e-lo)·b^(hi-e) / (a^-lo·b^hi), both exponents >= 0.
     """
-    out = {}
-    for mono, c in P.terms.items():
-        w = mono_weight(P.kind, mono)
-        if (w * num) % den:
-            raise ValueError(f"weight {w} is not compatible with grading {num}/{den}")
-        e = w * num // den
-        if set(c.terms) - {e}:
-            raise ValueError(f"monomial {mono_str(P.kind, mono)} is not hbar-graded")
-        if c.coeff(e):
-            out[mono] = HbarPoly.const(c.coeff(e))
-    res = TPoly(P.kind, P.max_weight)
-    res.terms = out
-    return res
+    value = Fraction(value)
+    a, b = value.numerator, value.denominator
+    exps = {e for slot in P.num.values() for e in slot}
+    lo, hi = min(exps | {0}), max(exps | {0})
+    if a == 0 and lo < 0:
+        raise ZeroDivisionError("hbar=0 with negative hbar-exponents present")
+    powers = {e: a ** (e - lo) * b ** (hi - e) for e in exps}
+    out = {mono: {0: sum(c * powers[e] for e, c in slot.items())} for mono, slot in P.num.items()}
+    return TPoly._normal(P.kind, P.max_weight, out, P.den * a ** (-lo) * b**hi)
 
 
 # ---------------------------------------------------------------------------
@@ -81,19 +70,17 @@ def hbar_weight_strip(P: TPoly, num: int, den: int) -> TPoly:
 
 
 def _require_specialized(tau: TPoly):
-    for c in tau.terms.values():
-        if set(c.terms) - {0}:
-            raise ValueError("hbar must be specialized before a bilinear check")
+    if any(e for slot in tau.num.values() for e in slot):
+        raise ValueError("hbar must be specialized before a bilinear check")
 
 
 def _derivatives(tau: TPoly, dmax: int) -> tuple[int, dict[Mono, list]]:
     """(d, {gamma: d^gamma (d·tau)}) for the D-multi-indices gamma of weight
-    <= dmax, d the LCM of tau's denominators: integer polynomials, as
-    the weight-sorted term lists of `mul_into`, with no 1/gamma!."""
+    <= dmax, d the denominator of tau: integer polynomials, as the
+    weight-sorted term lists of `mul_into`, with no 1/gamma!."""
     from .operators import weight_monomials
 
-    d, terms = tau.integer_terms()
-    out: dict[Mono, list] = {(): terms}
+    out: dict[Mono, list] = {(): weight_sorted(tau.kind, tau.num)}
     for gamma in weight_monomials(T_SIDE, dmax):
         if gamma == ():
             continue
@@ -101,7 +88,7 @@ def _derivatives(tau: TPoly, dmax: int) -> tuple[int, dict[Mono, list]]:
         v, e = gamma[-1]
         prev = gamma[:-1] + ((v, e - 1),) if e > 1 else gamma[:-1]
         out[gamma] = _diff_terms(out[prev], v)
-    return d, out
+    return tau.den, out
 
 
 def _diff_terms(terms: list, v: int) -> list:
@@ -267,9 +254,9 @@ def _run_equations(
     a*e <= W + b*(v + d) count, each recorded separately.
 
     The residual sum_gamma c_gamma D^gamma tau.tau is summed on integers,
-    as sum_gamma (L·c_gamma)·pair_gamma over L·s², with s the denominator
-    of tau cleared by `_derivatives`, pair_gamma = s²·D^gamma tau.tau from
-    `_bilinear_pair` and L the LCM of the equation's c_gamma denominators.
+    as sum_gamma (L·c_gamma)·pair_gamma over L·s², with s = tau.den,
+    pair_gamma = s²·D^gamma tau.tau from `_bilinear_pair` and L the LCM
+    of the equation's c_gamma denominators.
     """
     if band is None:
         _require_specialized(tau)
@@ -363,7 +350,7 @@ def kdv_reduction_check(tau: TPoly) -> EvenTimeReport:
         raise ValueError("the even-time check applies to t-side polynomials")
     bad = [
         mono_str(tau.kind, mono)
-        for mono, _ in tau.sorted_terms()
+        for mono in sorted(tau.num, key=lambda m: (mono_weight(tau.kind, m), m))
         if any(v % 2 == 0 for v, _ in mono)
     ]
     return EvenTimeReport(not bad, bad)

@@ -23,6 +23,7 @@ from .algebra import (
     T_SIDE,
     ZSeries,
     double_factorial,
+    exp_weights,
     mono_str,
     mono_weight,
     var_weight,
@@ -173,13 +174,11 @@ class LinearOp:
 
     def apply(self, P: TPoly) -> TPoly:
         """The image of P, in one pass over its monomials on integers (see
-        `_apply_plan`): (D·op)(d·P) over D·d, one `Fraction` per output
-        coefficient."""
+        `_apply_plan`): (D·op)(P.num) over D·P.den."""
         self._check_side(P)
         plan = self._compiled()
-        d, items = P.cleared_terms()
-        out = _apply_plan(plan, self.kind, P.max_weight, items)
-        return TPoly.from_integer_terms(self.kind, P.max_weight, out, plan.D * d)
+        out = _apply_plan(plan, self.kind, P.max_weight, P.num.items())
+        return TPoly._normal(self.kind, P.max_weight, out, plan.D * P.den)
 
     def __repr__(self) -> str:
         return f"LinearOp({self.kind}, {len(self.terms)} terms, drop>={self.min_weight_drop})"
@@ -187,13 +186,12 @@ class LinearOp:
 
 def _apply_plan(plan: "_ApplyPlan", kind: str, cap: int, items: Iterable[tuple]) -> dict:
     """The fused apply kernel: the image of the integer polynomial whose
-    terms are `items`, pairs (monomial, ((hbar exponent, int), ...)), under
-    D·op, the integer operator compiled into `plan`, truncated at weight
-    `cap`.
+    terms are `items`, pairs (monomial, {hbar exponent: int}), under D·op,
+    the integer operator compiled into `plan`, truncated at weight `cap`.
 
     Each monomial visits only the derivative terms of the variables it
     contains, and every product lands in one flat map from monomial to
-    {hbar exponent: int}, returned without zeros or empty slots.
+    {hbar exponent: int}, returned with the zeros of cancellations.
     """
     odd = kind == BIG_T_SIDE  # weight(T_m) = 2m + 1, weight(t_k) = k
     scalar, mults, by_var = plan.scalar, plan.mults, plan.by_var
@@ -209,7 +207,8 @@ def _apply_plan(plan: "_ApplyPlan", kind: str, cap: int, items: Iterable[tuple])
                 s = slot.get(e1 + e2)
                 slot[e1 + e2] = v if s is None else s + v
 
-    for mono, citems in items:
+    for mono, slot in items:
+        citems = tuple(slot.items())
         if scalar:
             emit(mono, citems, scalar)
         w = sum(((2 * v + 1) if odd else v) * e for v, e in mono)
@@ -243,12 +242,7 @@ def _apply_plan(plan: "_ApplyPlan", kind: str, cap: int, items: Iterable[tuple])
                         # in dmono vb sits at j, or at j - 1 if v's entry (at i < j) vanished
                         ddmono = _mono_lower(dmono, j if e > 1 else j - 1)
                         emit(ddmono, citems, _scaled(pairs, e * eb))
-
-    return {
-        mono: clean
-        for mono, slot in out.items()
-        if (clean := {e: s for e, s in slot.items() if s})
-    }
+    return out
 
 
 def _mono_times(mono: Mono, a: int) -> Mono:
@@ -367,14 +361,14 @@ class _ApplyPlan:
         cap at or above the monomials' weights gives the same rows.
         """
         monos, span, low = self.monos, self.span, self.low
-        image = _apply_plan(self, kind, cap, [(monos[i], ((k * span - low, 1),)) for k, i in enumerate(ids)])
+        image = _apply_plan(self, kind, cap, [(monos[i], {k * span - low: 1}) for k, i in enumerate(ids)])
         entries = [[] for _ in ids]
         number = self.number
         for target, slot in image.items():
-            j = number(target)
             for e, c in slot.items():
-                k, r = divmod(e, span)
-                entries[k].append((j, r + low, c))
+                if c:
+                    k, r = divmod(e, span)
+                    entries[k].append((number(target), r + low, c))
         for i, row in zip(ids, entries):
             self.rows[i] = tuple(row)
 
@@ -384,7 +378,7 @@ def exp_apply(op: LinearOp, P: TPoly, *, inverse: bool = False) -> TPoly:
     must drop weight by at least 1.
 
     The sum runs on integers.  With D the LCM of op's coefficient
-    denominators and d that of P's, the iterates u_0 = d·P and
+    denominators and d = P.den, the iterates u_0 = d·P and
     u_n = (D·op) u_{n-1} = d·D^n·op^n P have integer coefficients, and
     the sum up to the last nonzero iterate u_N is
 
@@ -398,10 +392,9 @@ def exp_apply(op: LinearOp, P: TPoly, *, inverse: bool = False) -> TPoly:
     op's integer plan D·op (see `_ApplyPlan`); a row is built the first
     time its monomial is reached and kept on the op, so later iterates
     and later calls on the same op only look it up.  The numerators are
-    summed exactly on ids, mapped back to monomials once, and each output
-    coefficient becomes one `Fraction` over the one denominator, reduced
-    once.  Each hbar exponent keeps its own coefficient, so hbar-Laurent
-    coefficients pass through unchanged.
+    summed exactly on ids and mapped back to monomials once, over the one
+    denominator.  Each hbar exponent keeps its own coefficient, so
+    hbar-Laurent coefficients pass through unchanged.
     """
     if op.is_zero():
         return P
@@ -410,8 +403,7 @@ def exp_apply(op: LinearOp, P: TPoly, *, inverse: bool = False) -> TPoly:
     op._check_side(P)
     plan = op._compiled()
     D, rows, kind, cap = plan.D, plan.rows, op.kind, P.max_weight
-    d, items = P.cleared_terms()
-    u = {(plan.number(mono), e): c for mono, cs in items for e, c in cs}
+    u = {(plan.number(mono), e): c for mono, slot in P.num.items() for e, c in slot.items()}
     iterates = [u]
     bound = cap // op.min_weight_drop + 1
     while True:
@@ -431,9 +423,7 @@ def exp_apply(op: LinearOp, P: TPoly, *, inverse: bool = False) -> TPoly:
         if len(iterates) > bound + 1:
             raise InvariantViolation("nilpotence bound exceeded in exp_apply")
     N = len(iterates) - 1
-    weights = [1] * (N + 1)  # N!/n! · D^(N-n)
-    for n in range(N, 0, -1):
-        weights[n - 1] = weights[n] * n * D
+    weights = exp_weights(N, D)
     if inverse:
         weights[1::2] = [-w for w in weights[1::2]]
     total: dict[tuple, int] = {}
@@ -444,7 +434,7 @@ def exp_apply(op: LinearOp, P: TPoly, *, inverse: bool = False) -> TPoly:
     acc: dict[Mono, dict[int, int]] = {}
     for (i, e), c in total.items():
         acc.setdefault(plan.monos[i], {})[e] = c
-    return TPoly.from_integer_terms(kind, cap, acc, math.factorial(N) * D**N * d)
+    return TPoly._normal(kind, cap, acc, math.factorial(N) * D**N * P.den)
 
 
 # ---------------------------------------------------------------------------
@@ -623,20 +613,12 @@ def transformed_variable_images(
     rb = [R.subs_neg().coeff_or_zero(e) for e in range(M + 1)]
     images: dict[int, TPoly] = {}
     for k in range(M + 1):
-        img = TPoly.zero(BIG_T_SIDE, W)
-        for m in range(k + 1):
-            c = rb[k - m]
-            if c:
-                img = img + TPoly.variable(BIG_T_SIDE, m, W, c)
+        terms = {((m, 1),): rb[k - m] for m in range(k + 1)}
         if mode == "standard" and k >= 2:
-            const = -rb[k - 1]
+            terms[()] = HbarPoly.hbar(-1, -rb[k - 1])
         elif mode == "theta" and k >= 1:
-            const = -rb[k]
-        else:
-            const = Fraction(0)
-        if const:
-            img = img + TPoly.constant(HbarPoly.hbar(-1, const), BIG_T_SIDE, W)
-        images[k] = img
+            terms[()] = HbarPoly.hbar(-1, -rb[k])
+        images[k] = TPoly(BIG_T_SIDE, W, terms)
     return images
 
 
@@ -695,37 +677,28 @@ def odd_t_to_big_t(P: TPoly) -> TPoly:
     """Relabel odd t-variables into T-variables: t_{2m+1} = T_m / (2m+1)!!."""
     if P.kind != T_SIDE:
         raise ValueError("expected a t-side polynomial")
-    out: dict[Mono, HbarPoly] = {}
-    for mono, c in P.terms.items():
-        new = []
-        scale = Fraction(1)
-        for v, e in mono:
-            if v % 2 == 0:
-                raise ValueError("polynomial involves even time variables")
-            m = (v - 1) // 2
-            new.append((m, e))
-            scale /= Fraction(double_factorial(2 * m + 1)) ** e
-        out[tuple(sorted(new))] = c * scale
-    res = TPoly(BIG_T_SIDE, P.max_weight)
-    res.terms = out
-    return res
+    factors = {}
+    for mono in P.num:
+        if any(v % 2 == 0 for v, _ in mono):
+            raise ValueError("polynomial involves even time variables")
+        factors[mono] = math.prod(double_factorial(v) ** e for v, e in mono)
+    L = math.lcm(*factors.values())
+    out = {
+        tuple((v // 2, e) for v, e in mono): {h: c * (L // factors[mono]) for h, c in slot.items()}
+        for mono, slot in P.num.items()
+    }
+    return TPoly._normal(BIG_T_SIDE, P.max_weight, out, P.den * L)
 
 
 def big_t_to_odd_t(P: TPoly) -> TPoly:
     """Relabel T-variables into odd t-variables: T_m = (2m+1)!! t_{2m+1}."""
     if P.kind != BIG_T_SIDE:
         raise ValueError("expected a T-side polynomial")
-    out: dict[Mono, HbarPoly] = {}
-    for mono, c in P.terms.items():
-        new = []
-        scale = Fraction(1)
-        for m, e in mono:
-            new.append((2 * m + 1, e))
-            scale *= Fraction(double_factorial(2 * m + 1)) ** e
-        out[tuple(sorted(new))] = c * scale
-    res = TPoly(T_SIDE, P.max_weight)
-    res.terms = out
-    return res
+    out = {}
+    for mono, slot in P.num.items():
+        f = math.prod(double_factorial(2 * m + 1) ** e for m, e in mono)
+        out[tuple((2 * m + 1, e) for m, e in mono)] = {h: c * f for h, c in slot.items()}
+    return TPoly._normal(T_SIDE, P.max_weight, out, P.den)
 
 
 def tqp_forms(params, max_index: int, W: int) -> list[TPoly]:
@@ -1013,7 +986,7 @@ def tqp_substitute(params, W: int) -> PolyMap:
 
     def substitute(P: TPoly) -> TPoly:
         if not P.variables():
-            return TPoly(T_SIDE, W, {(): P.constant_term()})
+            return TPoly._normal(T_SIDE, W, P.num, P.den)
         return P.substitute(forms)
 
     return _map_on(BIG_T_SIDE, W, substitute)

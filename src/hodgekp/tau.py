@@ -20,7 +20,10 @@ from .algebra import (
     TPoly,
     T_SIDE,
     double_factorial,
+    exp_weights,
+    mul_sorted,
     rat_str,
+    weight_sorted,
 )
 from .curve import MIN_SERIES_ORDER, CurveParams, CurveSeries, build_curve
 from .operators import (
@@ -209,19 +212,30 @@ class TauSeries:
 
 
 def tp_exp(F: TPoly) -> TPoly:
-    """exp of a polynomial without constant term (finite by weight truncation)."""
-    if not F.constant_term().is_zero():
+    """exp of a polynomial without constant term (finite by weight truncation).
+
+    On integers: with F = N/d, the powers u_n = N^n are weight-sorted
+    lists that `mul_into` extends by one factor N each, and
+    exp(F) = sum_n u_n / (n!·d^n) is summed over one denominator.
+    """
+    if () in F.num:
         raise ValueError("exp needs a polynomial with zero constant term")
-    acc = TPoly.one(F.kind, F.max_weight)
-    term = acc
-    n = 1
+    kind, W = F.kind, F.max_weight
+    f = weight_sorted(kind, F.num)
+    iterates = [[(0, (), ((0, 1),))]]
     while True:
-        term = (term * F).scale(Fraction(1, n))
-        if term.is_zero():
+        u = mul_sorted(kind, iterates[-1], f, W)
+        if not u:
             break
-        acc = acc + term
-        n += 1
-    return acc
+        iterates.append(u)
+    N = len(iterates) - 1
+    acc: dict = {}
+    for u, weight in zip(iterates, exp_weights(N, F.den)):
+        for _, mono, cs in u:
+            slot = acc.setdefault(mono, {})
+            for e, c in cs:
+                slot[e] = slot.get(e, 0) + c * weight
+    return TPoly._normal(kind, W, acc, math.factorial(N) * F.den**N)
 
 
 def _partitions_into(total: int, parts: int):
@@ -244,7 +258,7 @@ def _partitions_into(total: int, parts: int):
 def _assemble_tau(W: int, correlator, dimension, self_check=None) -> TPoly:
     """Sum hbar^(2g-2+n) <...> prod t / automorphisms over all strata
     with t-weight at most W, then exponentiate."""
-    F = TPoly.zero(T_SIDE, W)
+    terms = {}
     g = 0
     while True:
         emitted_for_g = False
@@ -270,13 +284,13 @@ def _assemble_tau(W: int, correlator, dimension, self_check=None) -> TPoly:
                     coeff *= Fraction(double_factorial(2 * a + 1)) ** e
                     coeff /= math.factorial(e)
                 mono = tuple(sorted((2 * a + 1, e) for a, e in mult.items()))
-                F = F + TPoly(T_SIDE, W, {mono: HbarPoly.hbar(2 * g - 2 + n, coeff)})
+                terms[mono] = HbarPoly.hbar(2 * g - 2 + n, coeff)
         if not emitted_for_g and dimension(g, 1) is not None and 2 * dimension(g, 1) + 1 > W:
             break
         if g > W:
             break
         g += 1
-    return tp_exp(F)
+    return tp_exp(TPoly(T_SIDE, W, terms))
 
 
 def kw_tau(W: int) -> TauSeries:

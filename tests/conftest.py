@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from hodgekp.algebra import HbarPoly, TPoly, ZSeries
+from hodgekp.algebra import HbarPoly, TPoly, ZSeries, mono_str, mono_weight
 from hodgekp.curve import CurveParams, build_curve
 from hodgekp.operators import weight_monomials
 
@@ -74,3 +74,22 @@ def fraction_product(P, Q, cap=None):
                 for e2, c2 in cb.terms.items():
                     slot[e1 + e2] = slot.get(e1 + e2, Fraction(0)) + c1 * c2
     return TPoly(P.kind, cap, {m: HbarPoly(slot) for m, slot in out.items()})
+
+
+def hbar_weight_strip(P, num, den):
+    """Remove an hbar-grading of slope num/den (exponent = weight*num/den).
+
+    This is the exact form of absorbing hbar by a fractional-power time
+    rescaling; it requires every monomial to carry exactly the graded
+    power and errors otherwise.
+    """
+    out = {}
+    for mono, c in P.terms.items():
+        w = mono_weight(P.kind, mono)
+        if (w * num) % den:
+            raise ValueError(f"weight {w} is not compatible with grading {num}/{den}")
+        e = w * num // den
+        if set(c.terms) - {e}:
+            raise ValueError(f"monomial {mono_str(P.kind, mono)} is not hbar-graded")
+        out[mono] = c.coeff(e)
+    return TPoly(P.kind, P.max_weight, out)

@@ -233,6 +233,18 @@ class TestTPoly:
         with pytest.raises(ValueError, match="kind"):
             TPoly.variable("t", 1, 4) * TPoly.variable("T", 0, 4)
 
+    def test_monomial_keys_are_canonical(self):
+        t1 = TPoly.variable("t", 1, 5)
+        repeated = TPoly("t", 5, {((1, 1), (1, 1)): 1})
+        assert repeated == t1 * t1
+        assert TPoly("t", 5, {((3, 1), (1, 2), (3, 0)): F(2, 3)}) == TPoly("t", 5, {((1, 2), (3, 1)): F(2, 3)})
+        assert (t1 * t1).coeff(((1, 1), (1, 1))) == HbarPoly.one()
+        for mono in (((1, 1), (1, -1)), ((2, -1),)):
+            with pytest.raises(ValueError, match="negative"):
+                TPoly("t", 5, {mono: 1})
+            with pytest.raises(ValueError, match="negative"):
+                t1.coeff(mono)
+
     def test_weight_bookkeeping_random(self):
         from hodgekp.algebra import mono_weight
 

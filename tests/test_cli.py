@@ -427,16 +427,42 @@ def test_verify_all_traffic_builds_one_curve_per_point(monkeypatch):
     assert built == {(point, 2 * W + 2): 1}
 
 
-# sha256 of the per-check reports of conjugation over the shipped catalog at
-# W=6, each serialized as `verify --out` writes it; the same reports as the
-# conj-w6 seed-0 digest in perfbench/README.md
-CONJUGATION_W6_DIGEST = "bc9d822402a42fe406317a4a54c11fd2b7c2d52d24c7332b97fcf8ba15a1b731"
+# sha256 of the per-check reports over the shipped catalog, each serialized
+# as `verify --out` writes it: the same reports as the seed-0 digests of the
+# conj-w6, kp-w11 and sweep-w8 workloads in perfbench/README.md
+REPORT_DIGESTS = [
+    (("conjugation",), 6, "bc9d822402a42fe406317a4a54c11fd2b7c2d52d24c7332b97fcf8ba15a1b731"),
+    (
+        ("kp-kw", "kp-bgw", "kp-hodge", "theorem-hodge", "theorem-theta", "kdv-reduction"),
+        11,
+        "b19873717c27d6e68d763fce13ce24544372cc13c3a61d0cf1ffee85d8d7aae8",
+    ),
+    (
+        (
+            "lemma-grunsky",
+            "lemma-laplace",
+            "identification",
+            "lemma-factorization",
+            "lemma-changevars",
+            "theorem-rl",
+            "theorem-hodge",
+            "theorem-theta",
+            "kp-kw",
+            "kp-bgw",
+            "kp-hodge",
+            "kdv-reduction",
+        ),
+        8,
+        "7b790c5a3f9585a1c57623744f635ae1ac0f4c4f5ad9cf25ddf7cc7b7b0bbf63",
+    ),
+]
 
 
-def test_conjugation_reports_are_byte_identical():
-    code, summary = run_verification(RunConfig(checks=["conjugation"], points=default_points(), weight=6))
+@pytest.mark.parametrize("checks, weight, digest", REPORT_DIGESTS, ids=["conj-w6", "kp-w11", "sweep-w8"])
+def test_reports_are_byte_identical(checks, weight, digest):
+    code, summary = run_verification(RunConfig(checks=list(checks), points=default_points(), weight=weight))
     assert code == 0
     h = hashlib.sha256()
     for obj in summary["results"]:
         h.update((json.dumps(obj, indent=1, sort_keys=True) + "\n").encode())
-    assert h.hexdigest() == CONJUGATION_W6_DIGEST
+    assert h.hexdigest() == digest

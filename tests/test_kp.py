@@ -10,7 +10,6 @@ from hodgekp.curve import CurveParams
 from hodgekp.kp import (
     _bilinear_pair,
     _derivatives,
-    hbar_weight_strip,
     hirota_equation_table,
     hirota_full_check,
     hirota_graded_check,
@@ -20,7 +19,7 @@ from hodgekp.kp import (
 from hodgekp.operators import weight_monomials
 from hodgekp.tau import bgw_tau, kw_tau, tau_qp_check, tau_qp_theta_check, trust_band
 
-from conftest import fraction_product, random_tpoly
+from conftest import fraction_product, hbar_weight_strip, random_tpoly
 
 
 def t(k, w=8):

@@ -1,9 +1,10 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from hodgekp.algebra import HbarPoly, TPoly, ZSeries, double_factorial
 from hodgekp.curve import CATALOG, CurveParams, CurveSeries, build_curve, witt_coefficients
@@ -383,8 +384,12 @@ def series_exp_apply(op, P):
         acc = acc + term
 
 
-def stores_no_zero(P):
-    return all(h.terms and all(h.terms.values()) for h in P.terms.values())
+def in_normal_form(P):
+    """P.num / P.den is in the normal form of `TPoly`: den > 0, no zero
+    numerator, no empty slot, and no factor common to den and every
+    numerator."""
+    values = [c for slot in P.num.values() for c in slot.values()]
+    return P.den > 0 and all(P.num.values()) and all(values) and math.gcd(P.den, *values) == 1
 
 
 class TestIntegerExponential:
@@ -397,7 +402,7 @@ class TestIntegerExponential:
             op, P = case
             got = exp_apply(op, P)
             assert got == series_exp_apply(op, P)
-            assert stores_no_zero(got)
+            assert in_normal_form(got)
             assert exp_apply(LinearOp(kind), P) == P
 
         check()
@@ -420,7 +425,7 @@ class TestIntegerExponential:
         P = kernel + TPoly(kind, cap, more)
         got = exp_apply(op, P)
         assert got == series_exp_apply(op, P)
-        assert stores_no_zero(got)
+        assert in_normal_form(got)
 
     @given(st.integers(1, 3), st.sampled_from(["kw", "bgw"]), st.data())
     def test_hbar_inverse_operators(self, k, shift, data):
@@ -431,7 +436,7 @@ class TestIntegerExponential:
         for op in (w_op(k, W, shift).scale(F(2, 5)), trans, trans + w_op(k, W, shift)):
             got = exp_apply(op, P)
             assert got == series_exp_apply(op, P)
-            assert stores_no_zero(got)
+            assert in_normal_form(got)
 
 
     @pytest.mark.parametrize("kind", ["t", "T"])
@@ -451,7 +456,7 @@ class TestIntegerExponential:
                 got = exp_apply(op, Q)
                 assert got == series_exp_apply(op, Q)
                 assert got == exp_apply(LinearOp(kind, op.terms), Q)
-                assert stores_no_zero(got)
+                assert in_normal_form(got)
 
         check()
 
@@ -473,7 +478,7 @@ class TestIntegerExponential:
             got = exp_apply(op, Q)
             assert got == series_exp_apply(op, Q)
             assert got == exp_apply(LinearOp(kind, op.terms), Q)
-            assert stores_no_zero(got)
+            assert in_normal_form(got)
         assert exp_apply(op, kernel) == kernel
 
     def test_each_row_is_built_once_per_op(self, curve132, monkeypatch):
@@ -513,6 +518,50 @@ class TestIntegerExponential:
             assert len({id(op) for op in exp_calls}) == 1, flip_sign
             # the reuse is real: many more applications than ops
             assert len(exp_calls) > 10
+
+
+integer_laurent = st.dictionaries(st.integers(-2, 2), st.integers(-6, 6), min_size=1, max_size=3).map(HbarPoly)
+
+
+def _drawn_poly(data, kind, cap, coeffs=hbar_laurent, size=6):
+    terms = data.draw(st.dictionaries(st.sampled_from(weight_monomials(kind, cap)), coeffs, max_size=size))
+    return TPoly(kind, cap, terms)
+
+
+class TestNormalForm:
+    """Every operation returns num / den in normal form, and equality on
+    that form is structural."""
+
+    @given(apply_cases(), st.data())
+    def test_every_operation_returns_normal_form(self, case, data):
+        op, P = case
+        kind, cap = P.kind, P.max_weight
+        Q = _drawn_poly(data, kind, cap)
+        images = {v: _drawn_poly(data, kind, cap, size=3) for v in P.variables()}
+        results = [
+            P + Q,
+            P - Q,
+            P.scale(data.draw(nonzero_laurent)),
+            P * Q,
+            P.substitute(images),
+            P.with_max_weight(data.draw(st.integers(0, cap))),
+            op.apply(P),
+        ]
+        if op.min_weight_drop >= 1:
+            results.append(exp_apply(op, P))
+        for R in results:
+            assert in_normal_form(R)
+
+    @given(st.sampled_from(["t", "T"]), st.integers(2, 30), st.integers(2, 30), st.data())
+    def test_ring_laws_with_coprime_denominators(self, kind, p, q, data):
+        assume(math.gcd(p, q) == 1)
+        cap = data.draw(st.integers(1, 9))
+        P = _drawn_poly(data, kind, cap, integer_laurent).scale(F(1, p))
+        Q = _drawn_poly(data, kind, cap, integer_laurent).scale(F(1, q))
+        assert math.gcd(P.den, Q.den) == 1
+        assert P * Q == Q * P
+        assert (P + Q) - Q == P
+        assert all(in_normal_form(R) for R in (P, Q, P * Q, P + Q))
 
 
 class TestGiventalAction:

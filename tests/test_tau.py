@@ -177,7 +177,7 @@ class TestConstraintResiduals:
     through a different functional form than the recursion they used."""
 
     def test_psi_tau_constraints(self):
-        from hodgekp.kp import hbar_weight_strip
+        from conftest import hbar_weight_strip
 
         W = 12
         tau = hbar_weight_strip(kw_tau(W).body, 1, 3)
@@ -193,7 +193,7 @@ class TestConstraintResiduals:
                 assert mono_weight("t", mono) > covered, (n, mono, c)
 
     def test_theta_tau_constraints(self):
-        from hodgekp.kp import hbar_weight_strip
+        from conftest import hbar_weight_strip
 
         W = 10
         tau = hbar_weight_strip(bgw_tau(W).body, 1, 1)
@@ -291,6 +291,37 @@ class TestFaberPandharipande:
         # genus 2, and genus 4 at the top psi power <tau_10>_4 = 1/(24^4 4!)
         assert [Z.body.coeff(((d, 1),)).coeff(3) for d in (2, 3, 4)] == [F(7, 360), F(-1, 120), F(1, 1152)]
         assert Z.body.coeff(((10, 1),)).coeff(7) == F(1, 24**4 * 24)
+
+
+class TestLambdaG:
+    """Two-point linear Hodge integrals against the lambda_g formula
+    <tau_a tau_b lambda_g>_g = C(2g-1; a, b) b_g (Getzler-Pandharipande,
+    Faber-Pandharipande), with 1 + sum_g b_g t^(2g) = (t/2)/sin(t/2), the
+    k = 0 part of the Faber-Pandharipande oracle above.
+
+    At q = 0 or p = 0 the class is Lambda^v(4) = sum_j (-4)^j lambda_j, and
+    for a + b = 2g - 1 dimension leaves only lambda_g.  So the connected
+    coefficient, [T_a T_b hbar^(2g)] Z minus the products of Z's one-point
+    coefficients, is (-4)^g C(2g-1; a, b) b_g."""
+
+    W = 27
+
+    @pytest.mark.parametrize("q,p", [(0, 4), (4, 0)])
+    def test_in_band_two_point_coefficients(self, q, p):
+        Z = hodge_partition(CurveParams(F(q), F(p), F(2)), self.W)
+        a_band, b_band = trust_band(Z.kind)
+        G = 3
+        fp = _faber_pandharipande(G)
+        got = {}
+        for g in range(1, G + 1):
+            for a in range(g):
+                b = 2 * g - 1 - a
+                if a_band * 2 * g > self.W + b_band * (2 * a + 2 * b + 2):
+                    continue
+                one_point = Z.body.coeff(((a, 1),)) * Z.body.coeff(((b, 1),))
+                got[a, b, g] = Z.body.coeff(((a, 1), (b, 1))).coeff(2 * g) - one_point.coeff(2 * g)
+                assert got[a, b, g] == (-4) ** g * math.comb(2 * g - 1, a) * fp[g, 0], (a, b, g)
+        assert got == {(0, 1, 1): F(-1, 6), (0, 3, 2): F(7, 360), (1, 2, 2): F(7, 120)}
 
 
 class TestTauQpIdentity:
