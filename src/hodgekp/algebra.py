@@ -9,6 +9,7 @@ treated as immutable after construction.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -196,6 +197,76 @@ class HbarPoly:
 # ---------------------------------------------------------------------------
 
 
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int or an exact rational; an int or
+    a Fraction is read without building a new Fraction."""
+    if isinstance(value, int):
+        return value, 1
+    value = rat(value)
+    return value.numerator, value.denominator
+
+
+def _lowest_terms(num: list, den: int) -> tuple[list, int]:
+    """The integers num over the nonzero den, divided by their common
+    factor, with den > 0."""
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return num, den
+
+
+def _strip_zeros(num: list, lowest: int) -> tuple[list, int]:
+    """The coefficient list with its zeros below exponent 0 dropped from
+    the front (always keeping one entry), and its new lowest exponent."""
+    i = 0
+    while lowest + i < 0 and i < len(num) - 1 and not num[i]:
+        i += 1
+    return num[i:], lowest + i
+
+
+def _convolve(a: list, b: list, n: int) -> list:
+    """The first n coefficients of the product of two integer coefficient
+    lists (index = exponent)."""
+    out = [0] * n
+    b = b[:n]
+    for i, x in enumerate(a[:n]):
+        if x:
+            m = min(len(b), n - i)
+            out[i : i + m] = [o + x * y for o, y in zip(out[i : i + m], b)]
+    return out
+
+
+def _recurrence(w: list, div: list) -> tuple[list, int]:
+    """The rationals b_0 = 1 and b_k = sum_{j=1..k} w_j b_(k-j) / div_k for
+    k < len(w), for integers w_j and nonzero integers div_k, as integer
+    numerators over one denominator.
+
+    The denominator is brought to lowest terms at each step, so it is
+    the LCM of the denominators of b_0..b_k.  As b_k depends only on
+    w_1..w_k, its size follows the first k inputs; one denominator for
+    the whole input, such as a_0^(k+1) for a reciprocal, would carry
+    the factors of every input coefficient into every b_k.
+    """
+    b, d = [1], 1
+    for k in range(1, len(w)):
+        s = sum(map(operator.mul, w[1 : k + 1], reversed(b)))
+        q = div[k] * d
+        g = math.gcd(s, q)
+        if q < 0:
+            g = -g
+        s, q = s // g, q // g
+        lcm = d // math.gcd(d, q) * q
+        if lcm != d:
+            r = lcm // d
+            b = [x * r for x in b]
+            d = lcm
+        b.append(s * (d // q))
+    return b, d
+
+
 class ZSeries:
     """Truncated formal series in z with exact rational coefficients.
 
@@ -203,60 +274,96 @@ class ZSeries:
     order is tracked explicitly and never inferred.  Most series here
     are plain power series (lowest == 0); a negative lowest gives a
     Laurent tail for intermediate work.
+
+    The value is sum_i num[i] z^(lowest+i) / den on integers: `num` lists
+    the numerators of z^lowest..z^order and den > 0 has no common factor
+    with all of them (den == 1 for the zero series), so the form is
+    unique.  Every operation runs on the integers and ends in `_normal`,
+    which restores this form.  A `Fraction` is built only where a
+    coefficient is read: `coeff`, `coeff_or_zero` and `repr`.
     """
 
-    __slots__ = ("coeffs", "order", "lowest")
+    __slots__ = ("num", "den", "order", "lowest")
 
     def __init__(self, coeffs: Sequence, order: int, lowest: int = 0):
-        coeffs = [rat(c) for c in coeffs]
+        """`coeffs` are the coefficients of z^lowest..z^order, as ints or
+        exact rationals."""
         if order < lowest:
             raise ValueError("order below lowest exponent")
         if len(coeffs) != order - lowest + 1:
             raise ValueError("coefficient list does not match the claimed order")
-        self.coeffs = coeffs
+        pairs = [_ratio(c) for c in coeffs]
+        den = math.lcm(*[d for _, d in pairs])
+        self.num, self.den = _lowest_terms([n * (den // d) for n, d in pairs], den)
         self.order = order
         self.lowest = lowest
+
+    @classmethod
+    def _normal(cls, num: list, order: int, lowest: int, den: int) -> "ZSeries":
+        """The series sum_i num[i] z^(lowest+i) / den, for integers num and
+        a nonzero integer den, in normal form."""
+        res = cls.__new__(cls)
+        res.num, res.den = _lowest_terms(num, den)
+        res.order = order
+        res.lowest = lowest
+        return res
+
+    @classmethod
+    def _from_exponents(cls, num: list, order: int, lowest: int, den: int) -> "ZSeries":
+        """As `_normal`, with the lowest exponent that `from_terms` gives a
+        result built from its nonzero terms: leading zeros below z^0
+        dropped and a start above z^0 padded down to it."""
+        num, lowest = _strip_zeros(num, lowest)
+        if lowest > 0:
+            num, lowest = [0] * lowest + num, 0
+        return cls._normal(num, order, lowest, den)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "ZSeries":
-        return cls([Fraction(0)] * (order + 1), order)
+        return cls._normal([0] * (order + 1), order, 0, 1)
 
     @classmethod
     def one(cls, order: int) -> "ZSeries":
-        c = [Fraction(0)] * (order + 1)
-        c[0] = Fraction(1)
-        return cls(c, order)
+        return cls._normal([1] + [0] * order, order, 0, 1)
 
     @classmethod
     def z(cls, order: int) -> "ZSeries":
-        c = [Fraction(0)] * (order + 1)
+        num = [0] * (order + 1)
         if order >= 1:
-            c[1] = Fraction(1)
-        return cls(c, order)
+            num[1] = 1
+        return cls._normal(num, order, 0, 1)
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, object], order: int) -> "ZSeries":
         lo = min([0] + [e for e in terms])
-        c = [Fraction(0)] * (order - lo + 1)
+        c = [0] * (order - lo + 1)
         for e, v in terms.items():
             if e > order:
                 continue
-            c[e - lo] = rat(v)
+            c[e - lo] = v
         return cls(c, order, lo)
 
     # -- queries ------------------------------------------------------------
 
+    def numerator(self, exponent: int) -> int:
+        """The integer numerator, over `den`, of the coefficient of
+        z^exponent; 0 outside lowest..order."""
+        if exponent < self.lowest or exponent > self.order:
+            return 0
+        return self.num[exponent - self.lowest]
+
     def coeff(self, exponent: int) -> Fraction:
         if exponent > self.order:
             raise ValueError(f"coefficient of z^{exponent} beyond trusted order {self.order}")
-        if exponent < self.lowest:
-            return Fraction(0)
-        return self.coeffs[exponent - self.lowest]
+        return self.coeff_or_zero(exponent)
+
+    def coeff_or_zero(self, exponent: int) -> Fraction:
+        return Fraction(self.numerator(exponent), self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZSeries):
@@ -264,8 +371,9 @@ class ZSeries:
         if self.order != other.order:
             return False
         lo = min(self.lowest, other.lowest)
+        a, b = self.den, other.den
         return all(
-            self.coeff(e) == other.coeff(e) for e in range(lo, self.order + 1)
+            self.numerator(e) * b == other.numerator(e) * a for e in range(lo, self.order + 1)
         )
 
     def __repr__(self) -> str:
@@ -284,134 +392,130 @@ class ZSeries:
             return self
         if order < self.lowest:
             raise ValueError("truncation below lowest exponent")
-        return ZSeries(self.coeffs[: order - self.lowest + 1], order, self.lowest)
+        return ZSeries._normal(self.num[: order - self.lowest + 1], order, self.lowest, self.den)
 
     def shift(self, k: int) -> "ZSeries":
         """Multiply by z**k (k may be negative)."""
-        return ZSeries(self.coeffs, self.order + k, self.lowest + k)
+        return ZSeries._normal(self.num, self.order + k, self.lowest + k, self.den)
 
     def strip_lowest(self) -> "ZSeries":
         """Drop known-zero leading coefficients below exponent 0."""
-        s = self
-        while s.lowest < 0 and s.coeffs and s.coeffs[0] == 0:
-            s = ZSeries(s.coeffs[1:], s.order, s.lowest + 1)
-        return s
+        num, lowest = _strip_zeros(self.num, self.lowest)
+        return ZSeries._normal(num, self.order, lowest, self.den)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "ZSeries":
+        """The sum on integers, over the LCM of the two denominators."""
         if not isinstance(other, ZSeries):
-            other = ZSeries.from_terms({0: rat(other)}, self.order)
+            other = ZSeries.from_terms({0: other}, self.order)
         order = min(self.order, other.order)
         lo = min(self.lowest, other.lowest)
-        return ZSeries(
-            [self.coeff_or_zero(e) + other.coeff_or_zero(e) for e in range(lo, order + 1)],
-            order,
-            lo,
-        )
-
-    def coeff_or_zero(self, exponent: int) -> Fraction:
-        if exponent < self.lowest or exponent > self.order:
-            return Fraction(0)
-        return self.coeffs[exponent - self.lowest]
+        den = math.lcm(self.den, other.den)
+        out = [0] * (order - lo + 1)
+        for s in (self, other):
+            k = den // s.den
+            off = s.lowest - lo
+            for i, c in enumerate(s.num[: max(0, order - s.lowest + 1)]):
+                out[off + i] += c * k
+        return ZSeries._normal(out, order, lo, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ZSeries":
-        return ZSeries([-c for c in self.coeffs], self.order, self.lowest)
+        return ZSeries._normal([-c for c in self.num], self.order, self.lowest, self.den)
 
     def __sub__(self, other) -> "ZSeries":
         if not isinstance(other, ZSeries):
-            other = ZSeries.from_terms({0: rat(other)}, self.order)
+            other = ZSeries.from_terms({0: other}, self.order)
         return self + (-other)
 
     def __rsub__(self, other) -> "ZSeries":
         return (-self) + other
 
     def scale(self, c) -> "ZSeries":
-        c = rat(c)
-        return ZSeries([c * x for x in self.coeffs], self.order, self.lowest)
+        n, d = _ratio(c)
+        return ZSeries._normal([n * x for x in self.num], self.order, self.lowest, self.den * d)
 
     def __mul__(self, other) -> "ZSeries":
+        """The product: the integer convolution of the numerators over the
+        product of the denominators."""
         if not isinstance(other, ZSeries):
             return self.scale(other)
         lo = self.lowest + other.lowest
         order = min(self.order + other.lowest, other.order + self.lowest)
-        out = [Fraction(0)] * (order - lo + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            ea = self.lowest + i
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                e = ea + other.lowest + j
-                if e > order:
-                    break
-                out[e - lo] += a * b
-        return ZSeries(out, order, lo)
+        out = _convolve(self.num, other.num, order - lo + 1)
+        return ZSeries._normal(out, order, lo, self.den * other.den)
 
     def __rmul__(self, other) -> "ZSeries":
         return self.scale(other)
 
     def recip(self) -> "ZSeries":
-        """Multiplicative inverse of a unit (nonzero constant term)."""
-        if self.lowest > 0 or self.coeff_or_zero(0) == 0:
+        """Multiplicative inverse of a unit (nonzero constant term).
+
+        With a = den·self on the integers, 1/self = den/a and a_0/a has
+        the coefficients b_0 = 1, b_k = -sum_{j<=k} a_j b_(k-j) / a_0
+        (see `_recurrence`).
+        """
+        if self.lowest > 0 or self.numerator(0) == 0:
             raise ValueError("not a unit")
-        if any(self.coeff_or_zero(e) for e in range(self.lowest, 0)):
+        if any(self.num[: -self.lowest]):
             raise ValueError("not a unit")
         n = self.order
-        a = [self.coeff_or_zero(e) for e in range(0, n + 1)]
-        inv0 = 1 / a[0]
-        out = [Fraction(0)] * (n + 1)
-        out[0] = inv0
-        for k in range(1, n + 1):
-            s = sum(a[j] * out[k - j] for j in range(1, k + 1))
-            out[k] = -inv0 * s
-        return ZSeries(out, n)
+        a = self.num[-self.lowest :]
+        b, d = _recurrence([-x for x in a], [a[0]] * (n + 1))
+        return ZSeries._normal([x * self.den for x in b], n, 0, d * a[0])
 
     # -- composition and reversion ------------------------------------------
 
     def compose(self, inner: "ZSeries") -> "ZSeries":
-        """Substitute inner(z) for z; inner must have zero constant term."""
+        """Substitute inner(z) for z; inner must have zero constant term.
+
+        Horner's rule on the numerators: with inner = X/d and the
+        numerators s_j of self, acc <- acc·X/d + s_j from j = n down to
+        0, each step over its own denominator in lowest terms (a cut-off
+        product shares a large factor with d^k, and carrying it would
+        grow the integers with every step).
+        """
         if self.lowest < 0:
             raise ValueError("composition needs a power-series outer factor")
-        if inner.lowest < 0 or inner.coeff_or_zero(0) != 0:
+        if inner.lowest < 0 or inner.numerator(0) != 0:
             raise ValueError("inner series must have zero constant term")
         order = min(self.order, inner.order)
-        inner_t = inner.truncate(order)
-        acc = ZSeries.from_terms({0: self.coeff_or_zero(0)}, order)
-        power = ZSeries.one(order)
-        for j in range(1, order + 1):
-            power = (power * inner_t).truncate(order)
-            cj = self.coeff_or_zero(j)
-            if cj:
-                acc = acc + power.scale(cj)
-        return acc
+        X = [inner.numerator(e) for e in range(order + 1)]
+        acc, den = [self.numerator(order)] + [0] * order, 1
+        for j in range(order - 1, -1, -1):
+            den *= inner.den
+            acc = _convolve(acc, X, order + 1)
+            acc[0] += self.numerator(j) * den
+            acc, den = _lowest_terms(acc, den)
+        return ZSeries._normal(acc, order, 0, self.den * den)
 
     def reversion(self) -> "ZSeries":
         """Compositional inverse h of a series f = z + O(z^2).
 
         Lagrange inversion: [z^m] h = [z^(m-1)] g^m / m with g = z/f,
         so one reciprocal and a running product of g give every
-        coefficient.
+        coefficient.  Each power is kept in lowest terms, for the reason
+        given in `compose`.
         """
-        if self.lowest < 0 or self.coeff_or_zero(0) != 0 or self.coeff_or_zero(1) != 1:
+        if self.lowest < 0 or self.numerator(0) != 0 or self.numerator(1) != self.den:
             raise ValueError("reversion needs a series of the form z + O(z^2)")
         n = self.order
         g = self.shift(-1).strip_lowest().recip()  # z/f, trusted to order n - 1
-        b = [Fraction(0)] * (n + 1)
         power = ZSeries.one(g.order)
+        b = [(0, 1)]
         for m in range(1, n + 1):
             power = power * g
-            b[m] = power.coeff(m - 1) / m
-        return ZSeries(b, n)
+            b.append((power.numerator(m - 1), m * power.den))
+        den = math.lcm(*[d for _, d in b])
+        return ZSeries._normal([c * (den // d) for c, d in b], n, 0, den)
 
     # -- transcendental -----------------------------------------------------
 
     def log1p(self) -> "ZSeries":
         """log(1 + a) for a with zero constant term."""
-        if self.lowest < 0 or self.coeff_or_zero(0) != 0:
+        if self.lowest < 0 or self.numerator(0) != 0:
             raise ValueError("log1p needs a series with zero constant term")
         one_plus = self + ZSeries.one(self.order)
         # d/dz log(1+a) = a' / (1+a); integrate back (constant term 0).
@@ -419,67 +523,62 @@ class ZSeries:
         return (da * one_plus.recip()).truncate(self.order - 1).antiderivative().truncate(self.order)
 
     def expm(self) -> "ZSeries":
-        """exp(a) for a with zero constant term."""
-        if self.lowest < 0 or self.coeff_or_zero(0) != 0:
+        """exp(a) for a with zero constant term.
+
+        With a = A/d on the integers, E = exp(a) has E_0 = 1 and
+        E_m = sum_{j<=m} j·A_j·E_(m-j) / (m·d) (see `_recurrence`).
+        """
+        if self.lowest < 0 or self.numerator(0) != 0:
             raise ValueError("expm needs a series with zero constant term")
         n = self.order
-        a = [self.coeff_or_zero(e) for e in range(0, n + 1)]
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
-        for m in range(1, n + 1):
-            s = Fraction(0)
-            for j in range(1, m + 1):
-                if a[j]:
-                    s += j * a[j] * out[m - j]
-            out[m] = s / m
-        return ZSeries(out, n)
+        w = [j * self.numerator(j) for j in range(n + 1)]
+        b, d = _recurrence(w, [m * self.den for m in range(n + 1)])
+        return ZSeries._normal(b, n, 0, d)
 
     def unit_pow(self, e) -> "ZSeries":
         """u**e for a unit u with u(0) == 1 and any rational exponent e."""
-        if self.coeff_or_zero(0) != 1 or self.lowest < 0:
+        if self.numerator(0) != self.den or self.lowest < 0:
             raise ValueError("unit_pow needs constant term 1")
         u = self - ZSeries.one(self.order)
-        return u.log1p().scale(rat(e)).expm()
+        return u.log1p().scale(e).expm()
 
     def sqrt_normalized(self) -> "ZSeries":
         """For input z^2*(1 + O(z)) return the branch z + O(z^2) of the square root."""
-        if self.lowest < 0 or self.coeff_or_zero(0) != 0 or self.coeff_or_zero(1) != 0:
+        if self.lowest < 0 or self.numerator(0) != 0 or self.numerator(1) != 0:
             raise ValueError("input must be of the form z^2*(1 + O(z))")
-        if self.order < 2 or self.coeff_or_zero(2) != 1:
+        if self.order < 2 or self.numerator(2) != self.den:
             raise ValueError("input must be of the form z^2*(1 + O(z))")
         u = self.shift(-2).strip_lowest()  # 1 + O(z), order reduced by 2
-        return u.unit_pow(Fraction(1, 2)).shift(1)
+        return u.unit_pow(_HALF).shift(1)
 
     # -- calculus -----------------------------------------------------------
 
     def derivative(self) -> "ZSeries":
         if self.order < 1:
             raise ValueError("derivative needs a series trusted at least to order 1")
-        terms = {
-            e - 1: e * self.coeff_or_zero(e)
-            for e in range(self.lowest, self.order + 1)
-            if e != 0 and self.coeff_or_zero(e)
-        }
-        return ZSeries.from_terms(terms, self.order - 1)
+        lo = self.lowest
+        out = [(lo + i) * c for i, c in enumerate(self.num)]
+        return ZSeries._from_exponents(out, self.order - 1, lo - 1, self.den)
 
     def antiderivative(self) -> "ZSeries":
-        """Termwise integral z^k -> z^(k+1)/(k+1), integration constant 0."""
+        """Termwise integral z^k -> z^(k+1)/(k+1), integration constant 0,
+        over one LCM of the divisors."""
         if self.lowest < 0:
             raise ValueError("antiderivative needs lowest exponent >= 0")
-        terms = {
-            e + 1: self.coeff_or_zero(e) / (e + 1)
-            for e in range(self.lowest, self.order + 1)
-            if self.coeff_or_zero(e)
-        }
-        return ZSeries.from_terms(terms, self.order + 1)
+        lo = self.lowest + 1
+        L = math.lcm(*range(lo, self.order + 2))
+        out = [c * (L // (lo + i)) for i, c in enumerate(self.num)]
+        return ZSeries._from_exponents(out, self.order + 1, lo, self.den * L)
 
     def subs_neg(self) -> "ZSeries":
         """Substitute z -> -z."""
-        return ZSeries(
-            [c if (self.lowest + i) % 2 == 0 else -c for i, c in enumerate(self.coeffs)],
-            self.order,
-            self.lowest,
+        lo = self.lowest
+        return ZSeries._normal(
+            [-c if (lo + i) % 2 else c for i, c in enumerate(self.num)], self.order, lo, self.den
         )
+
+
+_HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +613,14 @@ def mono_mul(m1: Mono, m2: Mono) -> Mono:
     for v, e in m2:
         d[v] = d.get(v, 0) + e
     return tuple(sorted(d.items()))
+
+
+def mono_lower(mono: Mono, i: int) -> Mono:
+    """The monomial with the exponent at position i lowered by one."""
+    v, e = mono[i]
+    if e > 1:
+        return mono[:i] + ((v, e - 1),) + mono[i + 1 :]
+    return mono[:i] + mono[i + 1 :]
 
 
 def mono_str(kind: str, mono: Mono) -> str:
@@ -785,8 +892,7 @@ class TPoly:
         for mono, slot in self.num.items():
             for i, (v, e) in enumerate(mono):
                 if v == var:
-                    lower = mono[:i] + ((v, e - 1),) + mono[i + 1 :] if e > 1 else mono[:i] + mono[i + 1 :]
-                    out[lower] = {h: c * e for h, c in slot.items()}
+                    out[mono_lower(mono, i)] = {h: c * e for h, c in slot.items()}
                     break
         return TPoly._normal(self.kind, self.max_weight, out, self.den)
 

@@ -271,9 +271,11 @@ def gaussian_moments(G: ZSeries, order: int | None = None) -> ZSeries:
         order = avail
     if order > avail:
         raise ValueError("insufficient input order for the requested output order")
-    return ZSeries(
-        [G.coeff_or_zero(2 * k) * double_factorial(2 * k - 1) for k in range(order + 1)],
+    return ZSeries._normal(
+        [G.numerator(2 * k) * double_factorial(2 * k - 1) for k in range(order + 1)],
         order,
+        0,
+        G.den,
     )
 
 
@@ -319,16 +321,22 @@ def grunsky_matrix(h: ZSeries, size: int) -> GrunskyMatrix:
     low = h.truncate(size)
     h_pow = ZSeries.one(size)
     inv_pow = ZSeries.one(2 * size)
-    entries = [[Fraction(0)] * size for _ in range(size)]
+    powers = []
     for n in range(1, size + 1):
         h_pow = (h_pow * low).truncate(size)
         inv_pow = (inv_pow * inv).truncate(2 * size)
+        powers.append((n, h_pow, inv_pow))
+    # the sum on the numerators, over one denominator
+    den = math.lcm(*[n * hp.den * ip.den for n, hp, ip in powers])
+    entries = [[0] * size for _ in range(size)]
+    for n, hp, ip in powers:
+        scale = den // (n * hp.den * ip.den)
         for m in range(n, size + 1):
-            c = h_pow.coeff_or_zero(m)
+            c = hp.numerator(m) * scale
             if c:
                 for k in range(1, size + 1):
-                    entries[k - 1][m - 1] -= c * inv_pow.coeff_or_zero(k + n) / n
-    return GrunskyMatrix(size, entries)
+                    entries[k - 1][m - 1] -= c * ip.numerator(k + n)
+    return GrunskyMatrix(size, [[Fraction(x, den) for x in row] for row in entries])
 
 
 @dataclass
@@ -354,16 +362,18 @@ def givental_v_matrix(R: ZSeries, size: int, *, require_symplectic: bool = True)
     if R.order < 2 * size:
         raise ValueError("insufficient order: need R to order 2*size")
     top = 2 * size - 1
-    rb = [R.subs_neg().coeff_or_zero(e) for e in range(top + 1)]
+    # everything below is a numerator over d^2, d the denominator of R
+    rb = [R.subs_neg().numerator(e) for e in range(top + 1)]
+    d2 = R.den * R.den
 
-    def num(i: int, j: int) -> Fraction:
-        base = Fraction(1) if i == 0 and j == 0 else Fraction(0)
+    def num(i: int, j: int) -> int:
+        base = d2 if i == 0 and j == 0 else 0
         return base - rb[i] * rb[j]
 
     if require_symplectic and num(0, 0) != 0:
         raise ValueError("R violates symplectic condition")
     # (w+z) * Q = numerator: n_{i,j} = Q_{i-1,j} + Q_{i,j-1}
-    Q = [[Fraction(0)] * top for _ in range(top)]
+    Q = [[0] * top for _ in range(top)]
     for d in range(top):
         Q[d][0] = num(d + 1, 0)
         for j in range(1, d + 1):
@@ -371,7 +381,7 @@ def givental_v_matrix(R: ZSeries, size: int, *, require_symplectic: bool = True)
             Q[i][j] = num(i + 1, j) - Q[i + 1][j - 1]
         if require_symplectic and num(0, d + 1) != Q[0][d]:
             raise ValueError("R violates symplectic condition")
-    entries = [[Q[k][l] for l in range(size)] for k in range(size)]
+    entries = [[Fraction(Q[k][l], d2) for l in range(size)] for k in range(size)]
     return GiventalMatrix(size, entries)
 
 
@@ -384,10 +394,10 @@ def witt_flow(a, K: int) -> ZSeries:
     """Apply exp(-sum_k a_k z^(k+1) d/dz) to z, truncated at order K."""
     if K < 2:
         return ZSeries.z(K)
-    coeffs = [Fraction(0)] * (K - 1)
+    coeffs = [0] * (K - 1)
     for k, c in enumerate(a, start=1):
         if 2 <= k + 1 <= K:
-            coeffs[k - 1] = rat(c)
+            coeffs[k - 1] = c
     # stored with its true valuation so repeated products keep full order
     v = ZSeries(coeffs, K, 2)
     term = ZSeries.z(K)

@@ -29,6 +29,7 @@ from .algebra import (
     Mono,
     TPoly,
     T_SIDE,
+    mono_lower,
     mono_mul,
     mono_str,
     mono_weight,
@@ -97,8 +98,7 @@ def _diff_terms(terms: list, v: int) -> list:
     for w, mono, coeffs in terms:
         for i, (u, e) in enumerate(mono):
             if u == v:
-                lower = mono[:i] + ((v, e - 1),) + mono[i + 1 :] if e > 1 else mono[:i] + mono[i + 1 :]
-                out.append((w - v, lower, tuple((h, c * e) for h, c in coeffs)))
+                out.append((w - v, mono_lower(mono, i), tuple((h, c * e) for h, c in coeffs)))
                 break
     return out
 

@@ -24,6 +24,7 @@ from .algebra import (
     ZSeries,
     double_factorial,
     exp_weights,
+    mono_lower,
     mono_str,
     mono_weight,
     var_weight,
@@ -224,7 +225,7 @@ def _apply_plan(plan: "_ApplyPlan", kind: str, cap: int, items: Iterable[tuple])
             if entry is None:
                 continue
             d_pairs, md, dd_same, dd_other = entry
-            dmono = _mono_lower(mono, i)
+            dmono = mono_lower(mono, i)
             if d_pairs is not None:
                 emit(dmono, citems, _scaled(d_pairs, e))
             if md:
@@ -233,14 +234,14 @@ def _apply_plan(plan: "_ApplyPlan", kind: str, cap: int, items: Iterable[tuple])
                     if dw + wa <= cap:
                         emit(_mono_times(dmono, a), citems, _scaled(pairs, e))
             if dd_same is not None and e > 1:
-                emit(_mono_lower(dmono, i), citems, _scaled(dd_same, e * (e - 1)))
+                emit(mono_lower(dmono, i), citems, _scaled(dd_same, e * (e - 1)))
             if dd_other:
                 for j in range(i + 1, len(mono)):
                     vb, eb = mono[j]
                     pairs = dd_other.get(vb)
                     if pairs is not None:
                         # in dmono vb sits at j, or at j - 1 if v's entry (at i < j) vanished
-                        ddmono = _mono_lower(dmono, j if e > 1 else j - 1)
+                        ddmono = mono_lower(dmono, j if e > 1 else j - 1)
                         emit(ddmono, citems, _scaled(pairs, e * eb))
     return out
 
@@ -253,14 +254,6 @@ def _mono_times(mono: Mono, a: int) -> Mono:
         if v > a:
             return mono[:i] + ((a, 1),) + mono[i:]
     return mono + ((a, 1),)
-
-
-def _mono_lower(mono: Mono, i: int) -> Mono:
-    """The monomial with the exponent at position i lowered by one."""
-    v, e = mono[i]
-    if e > 1:
-        return mono[:i] + ((v, e - 1),) + mono[i + 1 :]
-    return mono[:i] + mono[i + 1 :]
 
 
 def _scaled(pairs: dict, n: int) -> tuple:
@@ -762,26 +755,30 @@ def weight_monomials(kind: str, W: int, *, odd_only: bool = False) -> list[Mono]
     else:
         vars_ = list(range(0, (W - 1) // 2 + 1)) if W >= 1 else []
     out: list[Mono] = []
-
-    def rec(pos: int, current: list, weight: int):
-        out.append(tuple(current))
-        for i in range(pos, len(vars_)):
-            v = vars_[i]
-            wv = var_weight(kind, v)
-            if weight + wv > W:
-                continue
-            if current and current[-1][0] == v:
-                current[-1] = (v, current[-1][1] + 1)
-                rec(i, current, weight + wv)
-                current[-1] = (v, current[-1][1] - 1)
-            else:
-                current.append((v, 1))
-                rec(i, current, weight + wv)
-                current.pop()
-
-    rec(0, [], 0)
+    _extend_monomials(kind, W, vars_, 0, [], 0, out)
     uniq = sorted(set(out), key=lambda m: (mono_weight(kind, m), m))
     return uniq
+
+
+def _extend_monomials(kind: str, W: int, vars_: list, pos: int, current: list, weight: int, out: list):
+    """Append to `out` the monomial `current` and each extension of it by
+    vars_[pos:] of weight <= W.  A module-level recursion: a nested one
+    would reference itself through its closure and form a reference
+    cycle."""
+    out.append(tuple(current))
+    for i in range(pos, len(vars_)):
+        v = vars_[i]
+        wv = var_weight(kind, v)
+        if weight + wv > W:
+            continue
+        if current and current[-1][0] == v:
+            current[-1] = (v, current[-1][1] + 1)
+            _extend_monomials(kind, W, vars_, i, current, weight + wv, out)
+            current[-1] = (v, current[-1][1] - 1)
+        else:
+            current.append((v, 1))
+            _extend_monomials(kind, W, vars_, i, current, weight + wv, out)
+            current.pop()
 
 
 @dataclass

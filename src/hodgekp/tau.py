@@ -84,21 +84,21 @@ def _sub_multisets(items: tuple):
             continue
         seen.append(v)
         groups.append((v, items.count(v)))
+    yield from _choose_from_groups(items, groups, 0, [], 1)
 
-    def rec(i, chosen, ways):
-        if i == len(groups):
-            comp = list(items)
-            for v in chosen:
-                comp.remove(v)
-            yield tuple(sorted(chosen, reverse=True)), ways, tuple(
-                sorted(comp, reverse=True)
-            )
-            return
-        v, c = groups[i]
-        for take in range(c + 1):
-            yield from rec(i + 1, chosen + [v] * take, ways * math.comb(c, take))
 
-    yield from rec(0, [], 1)
+def _choose_from_groups(items: tuple, groups: list, i: int, chosen: list, ways: int):
+    """The `_sub_multisets` choices that extend `chosen` by groups[i:]
+    (module-level for the reason given at `_partitions_into`)."""
+    if i == len(groups):
+        comp = list(items)
+        for v in chosen:
+            comp.remove(v)
+        yield tuple(sorted(chosen, reverse=True)), ways, tuple(sorted(comp, reverse=True))
+        return
+    v, c = groups[i]
+    for take in range(c + 1):
+        yield from _choose_from_groups(items, groups, i + 1, chosen + [v] * take, ways * math.comb(c, take))
 
 
 def _constraint_sums(correlator, g: int, args: tuple, k: int) -> Fraction:
@@ -238,21 +238,19 @@ def tp_exp(F: TPoly) -> TPoly:
     return TPoly._normal(kind, W, acc, math.factorial(N) * F.den**N)
 
 
-def _partitions_into(total: int, parts: int):
-    """Nonincreasing tuples of `parts` nonnegative integers with the given sum."""
-
-    def rec(total, parts, cap):
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(min(total, cap), -1, -1):
-            if first * parts < total:
-                break
-            for rest in rec(total - first, parts - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, parts, total)
+def _partitions_into(total: int, parts: int, cap: int):
+    """Nonincreasing tuples of `parts` nonnegative integers at most `cap`
+    with the given sum.  A module-level recursion: a nested one would
+    reference itself through its closure and form a reference cycle."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, cap), -1, -1):
+        if first * parts < total:
+            break
+        for rest in _partitions_into(total - first, parts - 1, first):
+            yield (first,) + rest
 
 
 def _assemble_tau(W: int, correlator, dimension, self_check=None) -> TPoly:
@@ -270,7 +268,7 @@ def _assemble_tau(W: int, correlator, dimension, self_check=None) -> TPoly:
             if weight > W:
                 continue
             emitted_for_g = True
-            for alpha in _partitions_into(D, n):
+            for alpha in _partitions_into(D, n, D):
                 c = correlator(g, alpha)
                 if not c:
                     continue

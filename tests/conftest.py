@@ -76,6 +76,88 @@ def fraction_product(P, Q, cap=None):
     return TPoly(P.kind, cap, {m: HbarPoly(slot) for m, slot in out.items()})
 
 
+def _fraction_convolve(a, b, n):
+    """The first n coefficients of the product of two `Fraction` lists."""
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _fraction_coeffs(A, lo, hi):
+    return [A.coeff_or_zero(e) for e in range(lo, hi + 1)]
+
+
+# The `Fraction` implementations of the series ops that `ZSeries` now runs
+# on integers, kept as oracles: each builds its result from a list of
+# `Fraction` coefficients and shares no arithmetic with the integer path.
+
+
+def fraction_mul(A, B):
+    """A·B with the lowest exponent and order that `ZSeries.__mul__` gives."""
+    lo = A.lowest + B.lowest
+    order = min(A.order + B.lowest, B.order + A.lowest)
+    a, b = _fraction_coeffs(A, A.lowest, A.order), _fraction_coeffs(B, B.lowest, B.order)
+    return ZSeries(_fraction_convolve(a, b, order - lo + 1), order, lo)
+
+
+def fraction_recip(A):
+    """1/A for a unit A, by the recurrence a_0 b_k = -sum_j a_j b_(k-j)."""
+    n = A.order
+    a = _fraction_coeffs(A, 0, n)
+    inv0 = 1 / a[0]
+    out = [inv0] + [Fraction(0)] * n
+    for k in range(1, n + 1):
+        out[k] = -inv0 * sum(a[j] * out[k - j] for j in range(1, k + 1))
+    return ZSeries(out, n)
+
+
+def fraction_expm(A):
+    """exp(A) for A(0) = 0, by m E_m = sum_j j A_j E_(m-j)."""
+    n = A.order
+    a = _fraction_coeffs(A, 0, n)
+    out = [Fraction(1)] + [Fraction(0)] * n
+    for m in range(1, n + 1):
+        out[m] = sum(j * a[j] * out[m - j] for j in range(1, m + 1)) / m
+    return ZSeries(out, n)
+
+
+def fraction_log1p(A):
+    """log(1 + A) for A(0) = 0, as the integral of A'/(1 + A)."""
+    n = A.order
+    a = _fraction_coeffs(A, 0, n)
+    da = ZSeries([e * a[e] for e in range(1, n + 1)], n - 1)
+    q = fraction_mul(da, fraction_recip(ZSeries([1 + a[0]] + a[1:], n)))
+    return ZSeries([Fraction(0)] + [q.coeff_or_zero(k) / (k + 1) for k in range(n)], n)
+
+
+def fraction_compose(A, B):
+    """A(B(z)) for B(0) = 0, summing A_j times the running power B^j."""
+    order = min(A.order, B.order)
+    b = _fraction_coeffs(B, 0, order)
+    acc = [A.coeff_or_zero(0)] + [Fraction(0)] * order
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for j in range(1, order + 1):
+        power = _fraction_convolve(power, b, order + 1)
+        acc = [x + A.coeff_or_zero(j) * y for x, y in zip(acc, power)]
+    return ZSeries(acc, order)
+
+
+def fraction_reversion(A):
+    """The inverse of A = z + O(z^2) by Lagrange inversion,
+    [z^m] h = [z^(m-1)] g^m / m with g = z/A."""
+    n = A.order
+    g = _fraction_coeffs(fraction_recip(ZSeries(_fraction_coeffs(A, 1, n), n - 1)), 0, n - 1)
+    out = [Fraction(0)] * (n + 1)
+    power = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for m in range(1, n + 1):
+        power = _fraction_convolve(power, g, n)
+        out[m] = power[m - 1] / m
+    return ZSeries(out, n)
+
+
 def hbar_weight_strip(P, num, den):
     """Remove an hbar-grading of slope num/den (exponent = weight*num/den).
 

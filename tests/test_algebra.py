@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,17 @@ from hypothesis import given, strategies as st
 from hodgekp.algebra import HbarPoly, TPoly, ZSeries, double_factorial, rat, rat_str
 from hodgekp.operators import weight_monomials
 
-from conftest import fraction_product, random_series, random_tpoly
+from conftest import (
+    fraction_compose,
+    fraction_expm,
+    fraction_log1p,
+    fraction_mul,
+    fraction_product,
+    fraction_recip,
+    fraction_reversion,
+    random_series,
+    random_tpoly,
+)
 
 
 def z(order):
@@ -201,6 +212,108 @@ class TestSqrtAndCalculus:
         rng = random.Random(9)
         a = random_series(rng, 9)
         assert a.antiderivative().derivative() == a
+
+
+coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def series(draw, lowest=st.integers(-3, 2), terms=st.integers(1, 9), zeros_below=None):
+    """A drawn series with fractional coefficients; the coefficients of
+    exponents below `zeros_below` (if given) are zero."""
+    lo, n = draw(lowest), draw(terms)
+    coeffs = draw(st.lists(coefficient, min_size=n, max_size=n))
+    if zeros_below is not None:
+        coeffs = [0 if lo + i < zeros_below else c for i, c in enumerate(coeffs)]
+    return ZSeries(coeffs, lo + n - 1, lo)
+
+
+@st.composite
+def units(draw):
+    """A unit for 1/A: a Laurent tail of known zeros and a constant term
+    other than +-1, so that every power of that constant shows in 1/A."""
+    lo, n = draw(st.integers(-3, 0)), draw(st.integers(0, 8))
+    c0 = draw(coefficient.filter(lambda c: c not in (0, 1, -1)))
+    tail = draw(st.lists(coefficient, min_size=n, max_size=n))
+    return ZSeries([0] * -lo + [c0, *tail], n, lo)
+
+
+nilpotent = series(lowest=st.integers(0, 2), terms=st.integers(2, 9), zeros_below=1)
+monic = nilpotent.map(lambda s: s + (ZSeries.z(s.order) - ZSeries.from_terms({1: s.coeff_or_zero(1)}, s.order)))
+
+
+def in_normal_form(A):
+    """A.num / A.den is in the normal form of `ZSeries`: one int per
+    exponent lowest..order, den > 0 and no factor common to den and every
+    numerator."""
+    return (
+        len(A.num) == A.order - A.lowest + 1
+        and all(isinstance(c, int) for c in A.num)
+        and A.den > 0
+        and math.gcd(A.den, *A.num) == 1
+    )
+
+
+class TestZSeriesNormalForm:
+    """Every series operation returns num / den in normal form, and the
+    integer operations agree with their `Fraction` oracles."""
+
+    @given(series(), series(), coefficient, st.integers(-2, 2))
+    def test_every_operation_returns_normal_form(self, a, b, c, k):
+        results = [a + b, a - b, -a, a.scale(c), a * b, a.subs_neg(), a.shift(k), a.strip_lowest()]
+        results.append(a.truncate(max(a.lowest, a.order - 1)))
+        if a.order >= 1:
+            results.append(a.derivative())
+        if a.lowest >= 0:
+            results.append(a.antiderivative())
+        for R in results:
+            assert in_normal_form(R)
+
+    @given(series(), series())
+    def test_ring_operations_match_fractions(self, a, b):
+        lo = min(a.lowest, b.lowest)
+        order = min(a.order, b.order)
+        expect = [a.coeff_or_zero(e) + b.coeff_or_zero(e) for e in range(lo, order + 1)]
+        assert (a + b) == ZSeries(expect, order, lo)
+        assert a * b == fraction_mul(a, b)
+        assert (a * b).lowest == a.lowest + b.lowest
+
+    @given(units())
+    def test_recip_matches_fractions(self, a):
+        got = a.recip()
+        assert in_normal_form(got)
+        assert got == fraction_recip(a)
+
+    @given(nilpotent, coefficient)
+    def test_exp_and_log_match_fractions(self, a, e):
+        for got, expect in ((a.expm(), fraction_expm(a)), (a.log1p(), fraction_log1p(a))):
+            assert in_normal_form(got)
+            assert got == expect
+        u = a + 1
+        assert in_normal_form(u.unit_pow(e))
+        assert u.unit_pow(e) == fraction_expm(fraction_log1p(a).scale(e))
+
+    @given(series(lowest=st.integers(0, 2)), nilpotent)
+    def test_compose_matches_fractions(self, a, b):
+        got = a.compose(b)
+        assert in_normal_form(got)
+        assert got == fraction_compose(a, b)
+
+    @given(monic)
+    def test_reversion_matches_fractions(self, f):
+        got = f.reversion()
+        assert in_normal_form(got)
+        assert got == fraction_reversion(f)
+        if f.order >= 3:
+            root = (f * f).truncate(f.order).sqrt_normalized()
+            assert in_normal_form(root)
+            assert root == f.truncate(f.order - 1)
+
+    @given(series(), st.integers(1, 3))
+    def test_equality_ignores_known_zeros_below_lowest(self, a, k):
+        padded = ZSeries([0] * k + [a.coeff_or_zero(e) for e in range(a.lowest, a.order + 1)], a.order, a.lowest - k)
+        assert padded == a and a == padded
+        assert a != a + ZSeries.from_terms({a.order: 1}, a.order)
 
 
 class TestTPoly:

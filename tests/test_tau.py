@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from fractions import Fraction as F
@@ -6,8 +7,10 @@ import pytest
 
 from hodgekp.algebra import HbarPoly, TPoly, mono_weight
 from hodgekp.curve import CurveParams, build_curve
-from hodgekp.operators import odd_t_to_big_t, rl_transform_virasoro
+from hodgekp.operators import odd_t_to_big_t, rl_transform_virasoro, weight_monomials
 from hodgekp.tau import (
+    _partitions_into,
+    _sub_multisets,
     bgw_tau,
     hodge_partition,
     kw_tau,
@@ -18,6 +21,27 @@ from hodgekp.tau import (
     tp_exp,
     trust_band,
 )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: weight_monomials("t", 8),
+        lambda: list(_partitions_into(6, 3, 6)),
+        lambda: list(_sub_multisets((3, 1, 1, 0))),
+    ],
+    ids=["weight_monomials", "_partitions_into", "_sub_multisets"],
+)
+def test_recursive_enumerations_leave_no_reference_cycles(call):
+    # what they build is freed by reference counting alone, not left for
+    # the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestPsiCorrelators:
