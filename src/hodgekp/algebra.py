@@ -698,6 +698,24 @@ def exp_weights(N: int, D: int) -> list[int]:
     return weights
 
 
+def same_value(a: Mapping, da: int, b: Mapping, db: int) -> bool:
+    """Whether a / da == b / db, for integer terms {monomial: {hbar
+    exponent: int}} (zeros allowed) over nonzero denominators, in lowest
+    terms or not: each numerator of one side times the other side's
+    denominator, over the union of the two supports."""
+    for mono, slot in a.items():
+        other = b.get(mono, {})
+        for e, c in slot.items():
+            if c * db != other.get(e, 0) * da:
+                return False
+    for mono, slot in b.items():
+        other = a.get(mono, {})
+        for e, c in slot.items():
+            if c and e not in other:
+                return False
+    return True
+
+
 def _reduce(acc: Mapping[Mono, Mapping[int, int]], den: int) -> tuple[dict, int]:
     """(num, den) of acc / den in the normal form of `TPoly`."""
     num = {}

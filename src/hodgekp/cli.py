@@ -36,11 +36,10 @@ from .operators import (
     givental_routes,
     linear_change_generator,
     rl_identity_check,
-    tqp_forms,
     tqp_forms_symbolic,
+    unit_monomials,
     virasoro_conjugation_check,
     virasoro_factorization_check,
-    weight_monomials,
 )
 from .tau import (
     PointArtifacts,
@@ -158,8 +157,7 @@ def _chk_lemma_factorization(run: _PointRun, point: CurveParams) -> dict:
     direct, factorized = givental_routes(point, W)
     failures = []
     count = 0
-    for mono in weight_monomials("T", W):
-        P = TPoly("T", W, {mono: 1})
+    for P in unit_monomials("T", W):
         d = direct(P)
         f = factorized(P)
         count += 1
@@ -172,7 +170,7 @@ def _chk_lemma_changevars(run: _PointRun, point: CurveParams) -> dict:
     W = run.config.weight
     curve = run.curve(W + 1)
     kmax = min(3, (W - 1) // 2)
-    forms = tqp_forms(point, kmax, W)
+    forms = run.forms(W)
     symbolic = tqp_forms_symbolic(point, kmax, W)
     v0 = linear_change_generator(curve.witt(W), W)
     rb = curve.R.subs_neg()
@@ -196,7 +194,7 @@ def _chk_lemma_changevars(run: _PointRun, point: CurveParams) -> dict:
 def _chk_theorem_rl(run: _PointRun, point: CurveParams) -> dict:
     W = run.config.weight
     extra = [run.base("standard", W).body] if W >= 3 else []
-    rep = rl_identity_check(run.curve(W + 1), W, extra=extra)
+    rep = rl_identity_check(run.curve(W + 1), run.forms(W), extra=extra)
     return {"passed": rep.passed, "report": rep.to_json_obj(), "includesBaseTau": bool(extra)}
 
 

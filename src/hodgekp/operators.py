@@ -27,6 +27,7 @@ from .algebra import (
     mono_lower,
     mono_str,
     mono_weight,
+    same_value,
     var_weight,
 )
 from .curve import (
@@ -56,6 +57,7 @@ __all__ = [
     "odd_t_to_big_t",
     "big_t_to_odd_t",
     "weight_monomials",
+    "unit_monomials",
     "EqualityReport",
     "operator_equality_check",
     "virasoro_factorization_check",
@@ -368,15 +370,27 @@ class _ApplyPlan:
 
 def exp_apply(op: LinearOp, P: TPoly, *, inverse: bool = False) -> TPoly:
     """exp(op) . P, or exp(-op) . P with `inverse`, as a finite sum; op
-    must drop weight by at least 1.
+    must drop weight by at least 1.  The sum runs on integers, in
+    `_exp_numerators`; this builds the polynomial from its result."""
+    if op.is_zero():
+        return P
+    op._check_side(P)
+    acc, den = _exp_numerators(op, P.num, P.max_weight, inverse)
+    return TPoly._normal(op.kind, P.max_weight, acc, den * P.den)
 
-    The sum runs on integers.  With D the LCM of op's coefficient
-    denominators and d = P.den, the iterates u_0 = d·P and
-    u_n = (D·op) u_{n-1} = d·D^n·op^n P have integer coefficients, and
-    the sum up to the last nonzero iterate u_N is
 
-        exp(±op) . P = sum_n (±1)^n op^n P / n!
-                     = sum_n u_n · (±1)^n (N!/n!) · D^(N-n) / (N!·D^N·d),
+def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False) -> tuple[dict, int]:
+    """exp(op) . num, or exp(-op) . num with `inverse`, as the pair
+    (acc, den) of value acc / den, not brought to lowest terms: num and
+    acc map monomials of weight <= cap to {hbar exponent: int}, and
+    den > 0.  op must be zero or drop weight by at least 1.
+
+    With D the LCM of op's coefficient denominators, the iterates
+    u_0 = num and u_n = (D·op) u_{n-1} = D^n·op^n num have integer
+    coefficients, and the sum up to the last nonzero iterate u_N is
+
+        exp(±op) . num = sum_n (±1)^n op^n num / n!
+                       = sum_n u_n · (±1)^n (N!/n!) · D^(N-n) / (N!·D^N),
 
     every weight (±1)^n N!/n! · D^(N-n) an integer: exp(-op) reads the
     same iterates, and so the same rows, as exp(op), with the weights of
@@ -385,25 +399,24 @@ def exp_apply(op: LinearOp, P: TPoly, *, inverse: bool = False) -> TPoly:
     op's integer plan D·op (see `_ApplyPlan`); a row is built the first
     time its monomial is reached and kept on the op, so later iterates
     and later calls on the same op only look it up.  The numerators are
-    summed exactly on ids and mapped back to monomials once, over the one
-    denominator.  Each hbar exponent keeps its own coefficient, so
-    hbar-Laurent coefficients pass through unchanged.
+    summed exactly on ids and mapped back to monomials once, the zeros of
+    cancellations dropped.  Each hbar exponent keeps its own coefficient,
+    so hbar-Laurent coefficients pass through unchanged.
     """
     if op.is_zero():
-        return P
+        return num, 1
     if op.min_weight_drop < 1:
         raise ValueError("exponential does not terminate on truncated space")
-    op._check_side(P)
     plan = op._compiled()
-    D, rows, kind, cap = plan.D, plan.rows, op.kind, P.max_weight
-    u = {(plan.number(mono), e): c for mono, slot in P.num.items() for e, c in slot.items()}
+    D, rows = plan.D, plan.rows
+    u = {(plan.number(mono), e): c for mono, slot in num.items() for e, c in slot.items()}
     iterates = [u]
     bound = cap // op.min_weight_drop + 1
     while True:
         nxt: dict[tuple, int] = {}
         unseen = [i for i in dict.fromkeys(i for i, _ in u) if rows[i] is None]
         if unseen:
-            plan.compile_rows(unseen, kind, cap)
+            plan.compile_rows(unseen, op.kind, cap)
         for (i, e1), c1 in u.items():
             for j, e2, c2 in rows[i]:
                 key = (j, e1 + e2)
@@ -426,8 +439,9 @@ def exp_apply(op: LinearOp, P: TPoly, *, inverse: bool = False) -> TPoly:
             total[key] = c * weight if s is None else s + c * weight
     acc: dict[Mono, dict[int, int]] = {}
     for (i, e), c in total.items():
-        acc.setdefault(plan.monos[i], {})[e] = c
-    return TPoly._normal(kind, cap, acc, math.factorial(N) * D**N * P.den)
+        if c:
+            acc.setdefault(plan.monos[i], {})[e] = c
+    return acc, math.factorial(N) * D**N
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +774,13 @@ def weight_monomials(kind: str, W: int, *, odd_only: bool = False) -> list[Mono]
     return uniq
 
 
+def unit_monomials(kind: str, W: int, *, odd_only: bool = False) -> list[TPoly]:
+    """The monomials of `weight_monomials`, in its order, each as the
+    polynomial 1·m of weight cap W, built in normal form ({m: {0: 1}}
+    over 1)."""
+    return [TPoly._normal(kind, W, {m: {0: 1}}, 1) for m in weight_monomials(kind, W, odd_only=odd_only)]
+
+
 def _extend_monomials(kind: str, W: int, vars_: list, pos: int, current: list, weight: int, out: list):
     """Append to `out` the monomial `current` and each extension of it by
     vars_[pos:] of weight <= W.  A module-level recursion: a nested one
@@ -856,11 +877,10 @@ def virasoro_factorization_check(curve: CurveSeries, W: int) -> EqualityReport:
                 continue
             items.append(("dd", k, m, c if k != m else c / 2))
     quad = LinearOp.from_terms(T_SIDE, items)
-    basis = [TPoly(T_SIDE, W, {m: 1}) for m in weight_monomials(T_SIDE, W)]
     return operator_equality_check(
         partial(exp_apply, big),
         lambda P: exp_apply(v0, exp_apply(quad, P)),
-        basis,
+        unit_monomials(T_SIDE, W),
         label=f"virasoro-factorization W={W}",
     )
 
@@ -942,27 +962,27 @@ def virasoro_conjugation_check(
     # A's rows.  The inverse only drops weight, so its action on a
     # weight-<=W monomial does not depend on the ambient cap.
     big = virasoro_sum_op(curve.witt(max_cap), max_cap)
-    inv_images = {
-        mono: exp_apply(big, TPoly(T_SIDE, W, {mono: 1}), inverse=not flip_sign)
-        for mono in basis_monos
-    }
+    inv_images = [exp_apply(big, P, inverse=not flip_sign) for P in unit_monomials(T_SIDE, W)]
     flow, mult = _current_transform_series(curve, max_cap, max_lift)
+    # Both sides stay integer numerators over a denominator; a polynomial
+    # is built only for a failing witness.
     for k in modes:
-        lift = max(0, -k)
-        cap = W + lift
-        rhs_op = _current_transform_coeffs(k, cap, flow, mult)
-        jk = heisenberg_op(k, cap)
-        for mono in basis_monos:
-            P = TPoly(T_SIDE, cap, {mono: 1})
-            left = exp_apply(big, jk.apply(inv_images[mono].with_max_weight(cap)), inverse=flip_sign)
-            right = rhs_op.apply(P)
+        cap = W + max(0, -k)
+        jk = heisenberg_op(k, cap)._compiled()
+        # X_k raises weight by at most the lift, so the cap cuts no image
+        rhs = _current_transform_coeffs(k, cap, flow, mult)._compiled()
+        for mono, inv in zip(basis_monos, inv_images):
+            left, dl = _exp_numerators(big, _apply_plan(jk, T_SIDE, cap, inv.num.items()), cap, flip_sign)
+            dl *= jk.D * inv.den
+            right = _apply_plan(rhs, T_SIDE, cap, ((mono, {0: 1}),))
             report.checked += 1
-            if left != right:
+            if not same_value(left, dl, right, rhs.D):
+                difference = TPoly._normal(T_SIDE, cap, left, dl) - TPoly._normal(T_SIDE, cap, right, rhs.D)
                 report.failures.append(
                     {
                         "mode": k,
                         "input": mono_str(T_SIDE, mono),
-                        "difference": repr(left - right),
+                        "difference": repr(difference),
                     }
                 )
                 if flip_sign:
@@ -975,27 +995,30 @@ def virasoro_conjugation_check(
 # ---------------------------------------------------------------------------
 
 
-def tqp_substitute(params, W: int) -> PolyMap:
-    """The map pushing a T-side polynomial of weight cap W through the
-    t-side forms of `tqp_forms`, built once; a polynomial without
-    variables becomes its constant term."""
-    forms = dict(enumerate(tqp_forms(params, (W - 1) // 2, W)))
+def tqp_substitute(forms: Sequence[TPoly]) -> PolyMap:
+    """The map pushing a T-side polynomial through `forms`, the t-side
+    forms of T_0..T_M that `tqp_forms` gives at weight cap W with
+    M = (W - 1) // 2; the map acts on polynomials of cap W, and one
+    without variables becomes its constant term."""
+    W = forms[0].max_weight
+    images = dict(enumerate(forms))
 
     def substitute(P: TPoly) -> TPoly:
         if not P.variables():
             return TPoly._normal(T_SIDE, W, P.num, P.den)
-        return P.substitute(forms)
+        return P.substitute(images)
 
     return _map_on(BIG_T_SIDE, W, substitute)
 
 
-def rl_transform_quantized(curve: CurveSeries, W: int) -> PolyMap:
-    """Quantized route, as a map on odd-time polynomials of weight cap W:
-    the input read in T-variables, acted on by the factorized group
-    element, then pushed through the t-side change of variables.  Both
-    maps are built once."""
+def rl_transform_quantized(curve: CurveSeries, forms: Sequence[TPoly]) -> PolyMap:
+    """Quantized route, as a map on odd-time polynomials of the weight cap
+    W of `forms` (as in `tqp_substitute`): the input read in
+    T-variables, acted on by the factorized group element, then pushed
+    through the t-side change of variables.  Both maps are built once."""
+    W = forms[0].max_weight
     act = givental_factorized(curve.R, W, mode="standard")
-    substitute = tqp_substitute(curve.params, W)
+    substitute = tqp_substitute(forms)
     return _map_on(T_SIDE, W, lambda P: substitute(act(odd_t_to_big_t(P))))
 
 
@@ -1015,14 +1038,17 @@ def rl_transform_virasoro(curve: CurveSeries, W: int, mode: str = "standard") ->
     return _map_on(T_SIDE, W, lambda P: exp_apply(trans, exp_apply(big, P)))
 
 
-def rl_identity_check(curve: CurveSeries, W: int, extra: Iterable[TPoly] = ()) -> EqualityReport:
+def rl_identity_check(
+    curve: CurveSeries, forms: Sequence[TPoly], extra: Iterable[TPoly] = ()
+) -> EqualityReport:
     """Equality of the two transforms on every odd-time monomial of
-    weight <= W (plus optional extra inputs such as a truncated
-    tau-function)."""
-    basis = [TPoly(T_SIDE, W, {m: 1}) for m in weight_monomials(T_SIDE, W, odd_only=True)]
+    weight <= W, the weight cap of `forms` (as in `tqp_substitute`),
+    plus optional extra inputs such as a truncated tau-function."""
+    W = forms[0].max_weight
+    basis = unit_monomials(T_SIDE, W, odd_only=True)
     basis.extend(extra)
     return operator_equality_check(
-        rl_transform_quantized(curve, W),
+        rl_transform_quantized(curve, forms),
         rl_transform_virasoro(curve, W),
         basis,
         label=f"group-identification W={W}",

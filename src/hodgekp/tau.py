@@ -30,6 +30,7 @@ from .operators import (
     givental_routes,
     odd_t_to_big_t,
     rl_transform_virasoro,
+    tqp_forms,
     tqp_substitute,
 )
 
@@ -380,12 +381,13 @@ class TauIdentityReport:
 
 
 def _tau_identity(
-    params: CurveParams, W: int, mode: str, curve: CurveSeries, base: TauSeries
+    params: CurveParams, W: int, mode: str, curve: CurveSeries, base: TauSeries, forms: list
 ) -> TauIdentityReport:
-    """Build one side's tau-function by the substitution route and by the
-    symmetry-group route from the side's base tau-function; `mode` picks
-    the side as in `hodge_partition`."""
-    lhs = tqp_substitute(params, W)(_quantized_action(params, W, mode, base).body)
+    """Build one side's tau-function by the substitution route, through
+    the point's `tqp_forms` at W, and by the symmetry-group route from the
+    side's base tau-function; `mode` picks the side as in
+    `hodge_partition`."""
+    lhs = tqp_substitute(forms)(_quantized_action(params, W, mode, base).body)
     rhs = rl_transform_virasoro(curve, W, mode)(base.body)
     equal = lhs == rhs
     kind = "tau_qp" if mode == "standard" else "tau_theta_qp"
@@ -401,14 +403,15 @@ def _once(table: dict, key, build):
 
 class PointArtifacts:
     """The objects that the checks at one parameter point read, each built
-    once: one curve, the tau identity of each (side, W), and the base
-    tau-function of each (side, W), which does not depend on the point,
-    so the memos of one run share one `bases` dict."""
+    once: one curve, the t-side forms of each W, the tau identity of each
+    (side, W), and the base tau-function of each (side, W), which does not
+    depend on the point, so the memos of one run share one `bases` dict."""
 
     def __init__(self, params: CurveParams, bases: dict | None = None):
         self.params = params
         self.bases = {} if bases is None else bases
         self.identities: dict = {}
+        self.tqp: dict = {}
         self._curve: CurveSeries | None = None
 
     def curve(self, order: int) -> CurveSeries:
@@ -420,6 +423,12 @@ class PointArtifacts:
         if self._curve is None or self._curve.K < K:
             self._curve = build_curve(self.params, K)
         return self._curve
+
+    def forms(self, W: int) -> list[TPoly]:
+        """The point's t-side forms of T_0..T_M at weight cap W, with
+        M = (W - 1) // 2 (`tqp_forms`); a reader of fewer forms reads a
+        prefix."""
+        return _once(self.tqp, W, lambda: tqp_forms(self.params, (W - 1) // 2, W))
 
     def base(self, mode: str, W: int) -> TauSeries:
         """The base tau-function of a side: KW for "standard", BGW for "theta"."""
@@ -434,7 +443,7 @@ class PointArtifacts:
         return _once(
             self.identities,
             (mode, W),
-            lambda: _tau_identity(self.params, W, mode, self.curve(W + 1), self.base(mode, W)),
+            lambda: _tau_identity(self.params, W, mode, self.curve(W + 1), self.base(mode, W), self.forms(W)),
         )
 
 

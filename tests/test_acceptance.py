@@ -134,7 +134,7 @@ def test_criterion_05_operator_identity_on_basis_and_base_tau():
     with _Budget("5 full operator identity, weight-<=9 odd basis + base tau", 300):
         for point in (P132, PM121):
             curve = build_curve(point, 20)
-            rep = rl_identity_check(curve, 9, extra=[kw_tau(9).body])
+            rep = rl_identity_check(curve, tqp_forms(point, 4, 9), extra=[kw_tau(9).body])
             assert rep.passed, (point.label(), rep.failures[:2])
 
 

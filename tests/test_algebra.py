@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from hodgekp.algebra import HbarPoly, TPoly, ZSeries, double_factorial, rat, rat_str
-from hodgekp.operators import weight_monomials
+from hodgekp.algebra import HbarPoly, TPoly, ZSeries, double_factorial, rat, rat_str, same_value
+from hodgekp.operators import unit_monomials, weight_monomials
 
 from conftest import (
     fraction_compose,
@@ -400,6 +400,36 @@ class TestIntegerProduct:
         assert got == fraction_product(t1 + t2 * h, t1 - t2 * h)
         assert ((1, 1), (2, 1)) not in got.terms
         assert (t1 * TPoly.zero("t", 4)).terms == {}
+
+
+class TestSameValue:
+    """`same_value` compares two quotients of integer terms, in lowest
+    terms or not, zeros allowed; its oracle is `TPoly` equality."""
+
+    @given(st.data(), st.sampled_from(["t", "T"]), st.booleans(), st.integers(-5, 5), st.integers(1, 5))
+    def test_is_equality_of_the_quotients(self, data, kind, same, f, g):
+        P = _drawn_tpoly(data.draw, kind, 7, 7)
+        Q = P if same else _drawn_tpoly(data.draw, kind, 7, 7)
+        f = f or 1
+        a = {m: {e: c * f for e, c in slot.items()} for m, slot in P.num.items()}
+        b = {m: {e: c * g for e, c in slot.items()} for m, slot in Q.num.items()}
+        # zero numerators, as a kernel's cancellations leave them
+        for m in data.draw(st.lists(st.sampled_from(weight_monomials(kind, 7)), max_size=3)):
+            a.setdefault(m, {}).setdefault(data.draw(st.integers(-2, 2)), 0)
+        assert same_value(a, P.den * f, b, Q.den * g) == (P == Q)
+        assert same_value(b, Q.den * g, a, P.den * f) == (P == Q)
+
+
+class TestUnitMonomials:
+    @pytest.mark.parametrize("kind, odd_only", [("t", False), ("t", True), ("T", False)])
+    def test_equal_the_general_constructor(self, kind, odd_only):
+        for W in range(0, 10):
+            monos = weight_monomials(kind, W, odd_only=odd_only)
+            got = unit_monomials(kind, W, odd_only=odd_only)
+            assert len(got) == len(monos)
+            for P, m in zip(got, monos):
+                Q = TPoly(kind, W, {m: 1})
+                assert (P.kind, P.max_weight, P.num, P.den) == (Q.kind, Q.max_weight, Q.num, Q.den)
 
 
 class TestSubstitution:

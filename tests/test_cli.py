@@ -19,6 +19,7 @@ from hodgekp.algebra import rat_str
 from hodgekp.curve import CurveParams, build_curve, identification_residual
 from hodgekp.operators import (
     rl_identity_check,
+    tqp_forms,
     virasoro_conjugation_check,
     virasoro_factorization_check,
 )
@@ -250,7 +251,7 @@ def test_default_orders_give_the_reports_of_the_former_default():
     # the size-4 identification residual needs order 18 > 2W + 2
     residual = identification_residual(build_curve(point, 18), 4)
     assert details["identification"]["residual"] == [[rat_str(x) for x in row] for row in residual]
-    rl = rl_identity_check(former, W, extra=[kw_tau(W).body])
+    rl = rl_identity_check(former, tqp_forms(point, (W - 1) // 2, W), extra=[kw_tau(W).body])
     assert details["theorem-rl"]["report"] == rl.to_json_obj()
     assert details["conjugation"]["report"] == virasoro_conjugation_check(former, W).to_json_obj()
 

@@ -6,11 +6,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from hodgekp.algebra import HbarPoly, TPoly, ZSeries, double_factorial
+from hodgekp import operators
+from hodgekp.algebra import HbarPoly, TPoly, ZSeries, double_factorial, mono_str, same_value
 from hodgekp.curve import CATALOG, CurveParams, CurveSeries, build_curve, witt_coefficients
 from hodgekp.operators import (
+    EqualityReport,
     LinearOp,
     _current_transform_series,
+    _exp_numerators,
     big_t_to_odd_t,
     couplings_from_log_r,
     exp_apply,
@@ -481,19 +484,32 @@ class TestIntegerExponential:
             assert in_normal_form(got)
         assert exp_apply(op, kernel) == kernel
 
+    @given(apply_cases().filter(lambda case: case[0].min_weight_drop >= 1), st.booleans(), st.integers(1, 6))
+    def test_core_numerators_over_their_denominator(self, case, inverse, f):
+        # the integer core on numerators not in lowest terms, f·P.num, as
+        # the conjugation check feeds it, against the Fraction series
+        op, P = case
+        num = {m: {e: c * f for e, c in slot.items()} for m, slot in P.num.items()}
+        acc, den = _exp_numerators(op, num, P.max_weight, inverse)
+        assert den > 0 and all(c for slot in acc.values() for c in slot.values())
+        expect = series_exp_apply(op.scale(-1) if inverse else op, P)
+        assert same_value(acc, den * f * P.den, expect.num, expect.den)
+        assert exp_apply(op, P, inverse=inverse) == expect
+        assert _exp_numerators(LinearOp(op.kind), num, P.max_weight, inverse) == (num, 1)
+
     def test_each_row_is_built_once_per_op(self, curve132, monkeypatch):
         # the conjugation check applies one group element, as V and as V^{-1},
-        # to many inputs; each monomial it reaches enters the apply kernel once
-        from hodgekp import operators
-
-        real_exp, real_kernel = operators.exp_apply, operators._apply_plan
+        # to many inputs; each monomial it reaches enters the apply kernel once.
+        # Every application, through `exp_apply` or not, runs the integer
+        # core `_exp_numerators`, so the core is what is watched.
+        real_exp, real_kernel = operators._exp_numerators, operators._apply_plan
         inside, exp_calls, kernel_calls = [0], [], []
 
-        def counting_exp(op, P, **kwargs):
+        def counting_exp(op, *args):
             exp_calls.append(op)
             inside[0] += 1
             try:
-                return real_exp(op, P, **kwargs)
+                return real_exp(op, *args)
             finally:
                 inside[0] -= 1
 
@@ -503,7 +519,7 @@ class TestIntegerExponential:
                 kernel_calls.append((plan, [mono for mono, _ in items]))
             return real_kernel(plan, kind, cap, items)
 
-        monkeypatch.setattr(operators, "exp_apply", counting_exp)
+        monkeypatch.setattr(operators, "_exp_numerators", counting_exp)
         monkeypatch.setattr(operators, "_apply_plan", counting_kernel)
         for flip_sign in (False, True):
             exp_calls.clear()
@@ -724,6 +740,30 @@ def _trivial_flow_curve(K):
                        ZSeries.zero(K), ZSeries.one(K // 2))
 
 
+def polynomial_conjugation_report(curve, W, flip_sign=False):
+    """The reference for `virasoro_conjugation_check` over all modes: the
+    same products as whole polynomials, V^{-1}m and V through `exp_apply`,
+    J_k and X_k through `LinearOp.apply`, compared as `TPoly` values."""
+    max_cap = 2 * W
+    big = virasoro_sum_op(curve.witt(max_cap), max_cap)
+    flow, mult = _current_transform_series(curve, max_cap, W)
+    report = EqualityReport(label=f"current-conjugation W={W}")
+    for k in [k for k in range(-W, W + 1) if k]:
+        cap = W + max(0, -k)
+        rhs = operators._current_transform_coeffs(k, cap, flow, mult)
+        jk = heisenberg_op(k, cap)
+        for mono in weight_monomials("t", W):
+            inv = exp_apply(big, TPoly("t", W, {mono: 1}), inverse=not flip_sign)
+            left = exp_apply(big, jk.apply(inv.with_max_weight(cap)), inverse=flip_sign)
+            right = rhs.apply(TPoly("t", cap, {mono: 1}))
+            report.checked += 1
+            if left != right:
+                report.failures.append({"mode": k, "input": mono_str("t", mono), "difference": repr(left - right)})
+                if flip_sign:
+                    return report
+    return report
+
+
 class TestConjugation:
     def test_trivial_curve_all_modes(self):
         rep = virasoro_conjugation_check(_trivial_flow_curve(14), 4)
@@ -732,10 +772,56 @@ class TestConjugation:
     def test_catalog_point(self, curve132):
         rep = virasoro_conjugation_check(curve132, 5)
         assert rep.passed
+        assert rep.to_json_obj() == polynomial_conjugation_report(curve132, 5).to_json_obj()
 
     def test_flipped_sign_fails_first_order(self, curve132):
         rep = virasoro_conjugation_check(curve132, 5, modes=[1], flip_sign=True)
         assert not rep.passed
+
+    def test_flipped_sign_report(self, curve132):
+        # the control stops at its first witness, the lowest mode on 1
+        rep = virasoro_conjugation_check(curve132, 5, flip_sign=True)
+        assert rep.checked == 1
+        assert rep.failures == [
+            {
+                "mode": -5,
+                "input": "1",
+                "difference": "(24605/2592)*t1 + (-3845/144)*t2 + (65/8)*t3 + (-100/3)*t4",
+            }
+        ]
+        assert rep.to_json_obj() == polynomial_conjugation_report(curve132, 5, flip_sign=True).to_json_obj()
+
+    @pytest.mark.parametrize(
+        "mode, mutation",
+        [(-2, "coefficient"), (3, "coefficient"), (3, "extra"), (-2, "dropped"), (3, "dropped")],
+    )
+    def test_mutated_modes_fail_as_in_the_polynomial_comparison(self, curve132, monkeypatch, mode, mutation):
+        # X_k changed by 1/7 in one coefficient (of t_2 for k = -2), by one
+        # extra term (1/7) d/dt_1, or without one term that acts on the basis
+        real = operators._current_transform_coeffs
+
+        def mutated(k, cap, flow, mult):
+            op = real(k, cap, flow, mult)
+            if k != mode:
+                return op
+            terms = dict(op.terms)
+            key = ("m", 2) if k < 0 else ("d", k)
+            if mutation == "coefficient":
+                terms[key] = terms[key] + F(1, 7)
+            elif mutation == "extra":
+                assert ("d", 1) not in terms
+                terms[("d", 1)] = HbarPoly.const(F(1, 7))
+            else:
+                del terms[key]
+            return LinearOp(op.kind, terms)
+
+        monkeypatch.setattr(operators, "_current_transform_coeffs", mutated)
+        rep = virasoro_conjugation_check(curve132, 5)
+        expect = polynomial_conjugation_report(curve132, 5)
+        assert not rep.passed
+        assert {f["mode"] for f in rep.failures} == {mode}
+        assert rep.failures[0] == expect.failures[0]
+        assert (rep.checked, rep.failures) == (expect.checked, expect.failures)
 
     def test_no_modes_does_not_pass(self, curve132):
         rep = virasoro_conjugation_check(curve132, 3, modes=[])
@@ -790,7 +876,7 @@ class TestShiftTransport:
 
 class TestOperatorIdentification:
     def test_basis_identity_small(self, curve132):
-        rep = rl_identity_check(curve132, 7)
+        rep = rl_identity_check(curve132, tqp_forms(curve132.params, 3, 7))
         assert rep.passed and rep.checked == len(weight_monomials("t", 7, odd_only=True))
 
     def test_mismatched_translation_detected(self, curve132):
@@ -800,7 +886,7 @@ class TestOperatorIdentification:
         W = 7
         basis = [TPoly("t", W, {((5, 1),): 1})]
         rep = operator_equality_check(
-            rl_transform_quantized(curve132, W),
+            rl_transform_quantized(curve132, tqp_forms(curve132.params, 3, W)),
             lambda P: P,
             basis,
             "broken",
@@ -818,8 +904,8 @@ class TestRouteMaps:
         cases = [
             (direct, T, t),
             (factorized, T, t),
-            (tqp_substitute(p132, 9), T, t),
-            (rl_transform_quantized(curve132, 9), t, T),
+            (tqp_substitute(tqp_forms(p132, 4, 9)), T, t),
+            (rl_transform_quantized(curve132, tqp_forms(p132, 4, 9)), t, T),
             (rl_transform_virasoro(curve132, 9), t, T),
         ]
         for route, own, other in cases:
