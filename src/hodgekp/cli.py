@@ -154,7 +154,7 @@ def _chk_identification(run: _PointRun, point: CurveParams) -> dict:
 
 def _chk_lemma_factorization(run: _PointRun, point: CurveParams) -> dict:
     W = run.config.weight
-    direct, factorized = givental_routes(point, W)
+    direct, factorized = givental_routes(run.curve(W + 1), W)
     failures = []
     count = 0
     for P in unit_monomials("T", W):
@@ -278,8 +278,15 @@ CHECKS = {
 HIROTA_Y_WEIGHT = 3
 
 # The smallest weight at which a check is meaningful; 1 when absent.
-# The standard-side tau-functions (kw_tau, tau_qp) start at W = 3.
+# The standard-side tau-functions (kw_tau, tau_qp) start at W = 3.  At W = 1
+# no term of a_1 L_1 or quantized generator acts; lemma-changevars needs W = 3
+# to compare more than the seed t_1.
 MIN_WEIGHT = {
+    "lemma-grunsky": 2,
+    "lemma-factorization": 2,
+    "lemma-changevars": 3,
+    "theorem-rl": 2,
+    "theorem-theta": 2,
     "theorem-hodge": 3,
     "kp-kw": HIROTA_Y_WEIGHT + 1,
     "kp-bgw": HIROTA_Y_WEIGHT + 1,

@@ -146,6 +146,8 @@ class CurveSeries:
     I: ZSeries
     _witt: list = field(default_factory=list, init=False, repr=False, compare=False)
     _shifts: ShiftData | None = field(default=None, init=False, repr=False, compare=False)
+    # operators built from this curve (`operators.group_element`, `givental_routes`)
+    _ops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def witt(self, n: int) -> list[Fraction]:
         """The flow coefficients a_1..a_n of f (see `witt_coefficients`).

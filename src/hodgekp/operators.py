@@ -30,12 +30,7 @@ from .algebra import (
     same_value,
     var_weight,
 )
-from .curve import (
-    CurveSeries,
-    givental_v_matrix,
-    log_r_series,
-    r_series,
-)
+from .curve import CurveSeries, givental_v_matrix
 
 __all__ = [
     "LinearOp",
@@ -45,6 +40,7 @@ __all__ = [
     "translation_op",
     "linear_change_generator",
     "virasoro_sum_op",
+    "group_element",
     "exp_apply",
     "couplings_from_log_r",
     "givental_direct",
@@ -553,6 +549,17 @@ def virasoro_sum_op(a: Sequence[Fraction], W: int) -> LinearOp:
     return acc
 
 
+def group_element(curve: CurveSeries, cap: int) -> LinearOp:
+    """sum_k a_k L_k of the curve, at a weight cap of at least `cap`: kept
+    on the curve, and rebuilt only for a larger cap.  Every reader of any
+    smaller cap gets the same rows: a term past a polynomial's cap
+    differentiates a variable the polynomial lacks, so it acts as zero."""
+    built = curve._ops.get("group")
+    if built is None or built[0] < cap:
+        built = curve._ops["group"] = (cap, virasoro_sum_op(curve.witt(cap), cap))
+    return built[1]
+
+
 # ---------------------------------------------------------------------------
 # Group elements: direct and factorized quantized action
 # ---------------------------------------------------------------------------
@@ -661,18 +668,19 @@ def givental_factorized(R: ZSeries, W: int, mode: str = "standard") -> PolyMap:
     return _map_on(BIG_T_SIDE, W, lambda P: exp_apply(ddop, P).substitute(images))
 
 
-def givental_routes(params, W: int, mode: str = "standard") -> tuple[PolyMap, PolyMap]:
+def givental_routes(curve: CurveSeries, W: int, mode: str = "standard") -> tuple[PolyMap, PolyMap]:
     """The direct and the factorized map of the quantized action at weight
     cap W, with the dilaton shift of `mode` ("kw" for "standard", "bgw"
-    for "theta"), both built from R and log R to the order the
-    factorized form reads."""
-    shift = {"standard": "kw", "theta": "bgw"}[mode]
-    order = max(2 * ((W - 1) // 2 + 1), 4)
-    couplings = couplings_from_log_r(log_r_series(params, order), W)
-    return (
-        givental_direct(couplings, W, shift),
-        givental_factorized(r_series(params, order), W, mode),
-    )
+    for "theta"), built once per (mode, W) from the curve's log R and R,
+    which the factorized form reads to order 2((W - 1)//2 + 1), and kept
+    on the curve."""
+    key = (mode, W)
+    if key not in curve._ops:
+        curve._ops[key] = (
+            givental_direct(couplings_from_log_r(curve.logR, W), W, {"standard": "kw", "theta": "bgw"}[mode]),
+            givental_factorized(curve.R, W, mode),
+        )
+    return curve._ops[key]
 
 
 # ---------------------------------------------------------------------------
@@ -862,9 +870,8 @@ def virasoro_factorization_check(curve: CurveSeries, W: int) -> EqualityReport:
     """
     from .curve import grunsky_matrix
 
-    a = curve.witt(W)
-    big = virasoro_sum_op(a, W)
-    v0 = linear_change_generator(a, W)
+    big = group_element(curve, W)
+    v0 = linear_change_generator(curve.witt(W), W)
     size = max(W - 1, 1)
     G = grunsky_matrix(curve.h, size)
     items = []
@@ -956,12 +963,10 @@ def virasoro_conjugation_check(
     # extend to the lifted cap, not just to W.
     report = EqualityReport(label=f"current-conjugation W={W}")
     basis_monos = weight_monomials(T_SIDE, W)
-    # One operator for every cap and for both V and V^{-1}: a term of
-    # a_k L_k that reads past a polynomial's cap differentiates a variable
-    # the polynomial lacks, so it acts on it as zero, and exp(-A) reads
-    # A's rows.  The inverse only drops weight, so its action on a
+    # One operator for every cap and for both V and V^{-1} (exp(-A) reads
+    # A's rows).  The inverse only drops weight, so its action on a
     # weight-<=W monomial does not depend on the ambient cap.
-    big = virasoro_sum_op(curve.witt(max_cap), max_cap)
+    big = group_element(curve, max_cap)
     inv_images = [exp_apply(big, P, inverse=not flip_sign) for P in unit_monomials(T_SIDE, W)]
     flow, mult = _current_transform_series(curve, max_cap, max_lift)
     # Both sides stay integer numerators over a denominator; a polynomial
@@ -1015,9 +1020,10 @@ def rl_transform_quantized(curve: CurveSeries, forms: Sequence[TPoly]) -> PolyMa
     """Quantized route, as a map on odd-time polynomials of the weight cap
     W of `forms` (as in `tqp_substitute`): the input read in
     T-variables, acted on by the factorized group element, then pushed
-    through the t-side change of variables.  Both maps are built once."""
+    through the t-side change of variables.  The factorized map is the
+    curve's (`givental_routes`)."""
     W = forms[0].max_weight
-    act = givental_factorized(curve.R, W, mode="standard")
+    act = givental_routes(curve, W)[1]
     substitute = tqp_substitute(forms)
     return _map_on(T_SIDE, W, lambda P: substitute(act(odd_t_to_big_t(P))))
 
@@ -1026,11 +1032,10 @@ def rl_transform_virasoro(curve: CurveSeries, W: int, mode: str = "standard") ->
     """Symmetry-group route, as a map on t-side polynomials of weight cap
     W: exp(sum a_k L_k), then the hbar^{-1}-weighted translation in the
     t-variables, by the dilaton-shifted vector v in standard mode and by
-    the order-zero vector v0 in theta mode.  Both operators are built
-    once."""
-    a = curve.witt(W)
+    the order-zero vector v0 in theta mode.  The group element is the
+    curve's (`group_element`); the translation is built once per map."""
     sd = curve.shifts()
-    big = virasoro_sum_op(a, W)
+    big = group_element(curve, W)
     vector = {"standard": sd.v, "theta": sd.v0}[mode]
     trans = translation_op(
         {k: HbarPoly.hbar(-1, c) for k, c in vector.items()}, W, T_SIDE

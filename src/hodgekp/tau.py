@@ -347,18 +347,19 @@ def hodge_partition(params: CurveParams, W: int, mode: str = "standard") -> TauS
     Computed by BOTH the termwise exponential and the factorized form;
     the two must agree exactly (any difference aborts).
     """
-    return _quantized_action(params, W, mode, PointArtifacts(params).base(mode, W))
+    point = PointArtifacts(params)
+    return _quantized_action(point.curve(W + 1), W, mode, point.base(mode, W))
 
 
-def _quantized_action(params: CurveParams, W: int, mode: str, base: TauSeries) -> TauSeries:
+def _quantized_action(curve: CurveSeries, W: int, mode: str, base: TauSeries) -> TauSeries:
     big = odd_t_to_big_t(base.body)
-    direct, fact = (route(big) for route in givental_routes(params, W, mode))
+    direct, fact = (route(big) for route in givental_routes(curve, W, mode))
     if direct != fact:
         raise InvariantViolation(
             f"pipeline disagreement in the quantized action ({mode}); diff = {(direct - fact)!r}"
         )
     kind = "HodgeZ" if mode == "standard" else "ThetaZ"
-    return _derived(direct, kind, params, W, "direct+factorized")
+    return _derived(direct, kind, curve.params, W, "direct+factorized")
 
 
 @dataclass
@@ -387,7 +388,7 @@ def _tau_identity(
     the point's `tqp_forms` at W, and by the symmetry-group route from the
     side's base tau-function; `mode` picks the side as in
     `hodge_partition`."""
-    lhs = tqp_substitute(forms)(_quantized_action(params, W, mode, base).body)
+    lhs = tqp_substitute(forms)(_quantized_action(curve, W, mode, base).body)
     rhs = rl_transform_virasoro(curve, W, mode)(base.body)
     equal = lhs == rhs
     kind = "tau_qp" if mode == "standard" else "tau_theta_qp"

@@ -268,7 +268,7 @@ def test_default_orders_give_the_reports_of_the_former_default():
     "check,expected",
     [
         ("theorem-rl", {"build_curve": 1, "witt_coefficients": 1, "tqp_forms": 1, "givental_v_matrix": 1}),
-        ("lemma-factorization", {"build_curve": 0, "givental_v_matrix": 1}),
+        ("lemma-factorization", {"build_curve": 1, "givental_v_matrix": 1}),
     ],
 )
 def test_group_elements_are_built_once_per_job(check, expected, monkeypatch):
@@ -339,6 +339,120 @@ def test_each_curve_base_and_identity_is_built_once_per_run(monkeypatch):
     )
     assert set(calls) == expected
     assert all(n == 1 for n in calls.values()), calls
+
+
+# the checks that read a point's group element exp(sum a_k L_k) or its
+# quantized pair
+GROUP_READERS = ["lemma-grunsky", "lemma-factorization", "theorem-rl", "theorem-hodge", "theorem-theta", "kp-hodge", "conjugation"]
+TWO_POINTS = [CurveParams(F(1), F(3), F(2)), CurveParams(F(-1), F(2), F(1))]
+
+
+def test_one_group_element_and_one_quantized_pair_per_point(monkeypatch):
+    import hodgekp.operators as operators
+
+    caps, directs, factorizeds, rows = [], Counter(), Counter(), Counter()
+    plans = []  # held, so that no plan's id is reused within the run
+    real_sum, real_direct, real_factorized = operators.virasoro_sum_op, operators.givental_direct, operators.givental_factorized
+    real_rows = operators._ApplyPlan.compile_rows
+
+    def virasoro_sum_op(a, W):
+        caps.append(W)
+        return real_sum(a, W)
+
+    def givental_direct(couplings, W, shift="kw"):
+        directs[tuple(sorted(couplings.items())), W, shift] += 1
+        return real_direct(couplings, W, shift)
+
+    def givental_factorized(R, W, mode="standard"):
+        factorizeds[repr(R), W, mode] += 1
+        return real_factorized(R, W, mode)
+
+    def compile_rows(plan, ids, kind, cap):
+        plans.append(plan)
+        rows.update((id(plan), plan.monos[i]) for i in ids)
+        return real_rows(plan, ids, kind, cap)
+
+    monkeypatch.setattr(operators, "virasoro_sum_op", virasoro_sum_op)
+    monkeypatch.setattr(operators, "givental_direct", givental_direct)
+    monkeypatch.setattr(operators, "givental_factorized", givental_factorized)
+    monkeypatch.setattr(operators._ApplyPlan, "compile_rows", compile_rows)
+    W = 5
+    code, _ = run_verification(RunConfig(checks=GROUP_READERS, points=TWO_POINTS, weight=W))
+    assert code == 0
+    # point by point: the element at cap W, rebuilt once at 2W for conjugation
+    assert caps == [W, 2 * W] * len(TWO_POINTS)
+    # one pair per (point, side, W): standard and Theta at W, and the Theta
+    # identity at W - 1 that kp-hodge reads
+    for built in (directs, factorizeds):
+        assert len(built) == 3 * len(TWO_POINTS) and set(built.values()) == {1}, built
+    assert {key[1:] for key in factorizeds} == {(W, "standard"), (W, "theta"), (W - 1, "theta")}
+    assert rows and max(rows.values()) == 1
+
+
+def _statuses(checks, W, points=TWO_POINTS):
+    # run_verification builds fresh curves, so a corrupted operator kept on
+    # them dies with the run
+    _, summary = run_verification(RunConfig(checks=checks, points=points, weight=W))
+    return {(r["check"], r["point"]): r["status"] for r in summary["results"]}
+
+
+def _scale_group_element(monkeypatch):
+    import hodgekp.operators as operators
+
+    real = operators.virasoro_sum_op
+    monkeypatch.setattr(operators, "virasoro_sum_op", lambda a, W: real(a, W).scale(F(8, 7)))
+
+
+def _scale_direct_route(monkeypatch):
+    import hodgekp.operators as operators
+
+    real = operators.givental_direct
+    scaled = lambda couplings, W, shift="kw": real({k: c * F(8, 7) for k, c in couplings.items()}, W, shift)
+    monkeypatch.setattr(operators, "givental_direct", scaled)
+
+
+def _scale_linear_change(monkeypatch):
+    import hodgekp.cli as cli
+
+    real = cli.linear_change_generator
+    monkeypatch.setattr(cli, "linear_change_generator", lambda a, W: real(a, W).scale(F(8, 7)))
+
+
+def test_a_scaled_group_element_fails_every_check_that_reads_it(monkeypatch):
+    # the other route of each pair (the Grunsky factorization, the
+    # quantized action, the h-transformed modes) never reads the element
+    _scale_group_element(monkeypatch)
+    statuses = _statuses(GROUP_READERS, 4)
+    assert len(statuses) == len(GROUP_READERS) * len(TWO_POINTS)
+    for (check, point), status in statuses.items():
+        assert status == ("pass" if check == "lemma-factorization" else "fail"), (check, point)
+
+
+def test_a_scaled_direct_quantized_route_fails_its_readers(monkeypatch):
+    from hodgekp.algebra import InvariantViolation
+
+    _scale_direct_route(monkeypatch)
+    assert set(_statuses(["lemma-factorization"], 4).values()) == {"fail"}
+    with pytest.raises(InvariantViolation, match="pipeline disagreement"):
+        _statuses(["theorem-hodge"], 4)
+
+
+@pytest.mark.parametrize(
+    "check, corrupt",
+    [
+        ("lemma-grunsky", _scale_group_element),
+        ("theorem-rl", _scale_group_element),
+        ("theorem-theta", _scale_group_element),
+        ("lemma-factorization", _scale_direct_route),
+        ("lemma-changevars", _scale_linear_change),
+    ],
+)
+def test_each_check_catches_a_scaled_operator_at_its_minimum_weight(check, corrupt, monkeypatch):
+    # one weight lower, each of these checks passed with the operator
+    # scaled: no term of it acted on the basis, or only the seed t_1 was
+    # compared
+    corrupt(monkeypatch)
+    assert set(_statuses([check], MIN_WEIGHT[check], default_points()).values()) == {"fail"}
 
 
 @pytest.mark.parametrize("W", [4, 5])

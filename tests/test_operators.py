@@ -498,10 +498,14 @@ class TestIntegerExponential:
         assert _exp_numerators(LinearOp(op.kind), num, P.max_weight, inverse) == (num, 1)
 
     def test_each_row_is_built_once_per_op(self, curve132, monkeypatch):
-        # the conjugation check applies one group element, as V and as V^{-1},
-        # to many inputs; each monomial it reaches enters the apply kernel once.
-        # Every application, through `exp_apply` or not, runs the integer
-        # core `_exp_numerators`, so the core is what is watched.
+        # the conjugation check applies the curve's one group element, as V
+        # and as V^{-1}, to many inputs; each monomial it reaches enters the
+        # apply kernel once, over the check and its flip-sign control on the
+        # same curve together.  Every application, through `exp_apply` or
+        # not, runs the integer core `_exp_numerators`, so the core is what
+        # is watched.  A fresh curve: the session's curve132 may carry the
+        # rows of earlier tests.
+        curve = build_curve(curve132.params, curve132.K)
         real_exp, real_kernel = operators._exp_numerators, operators._apply_plan
         inside, exp_calls, kernel_calls = [0], [], []
 
@@ -522,18 +526,17 @@ class TestIntegerExponential:
         monkeypatch.setattr(operators, "_exp_numerators", counting_exp)
         monkeypatch.setattr(operators, "_apply_plan", counting_kernel)
         for flip_sign in (False, True):
-            exp_calls.clear()
-            kernel_calls.clear()
-            rep = virasoro_conjugation_check(curve132, 4, flip_sign=flip_sign)
+            rep = virasoro_conjugation_check(curve, 4, flip_sign=flip_sign)
             assert rep.passed != flip_sign and rep.checked > 0
-            reached = Counter((id(plan), mono) for plan, monos in kernel_calls for mono in monos)
-            assert reached and max(reached.values()) == 1
-            assert len(kernel_calls) <= len(reached)
-            # one group element: V^{-1} reads V's plan, in the control as well
-            assert len({id(plan) for plan, _ in kernel_calls}) == 1, flip_sign
-            assert len({id(op) for op in exp_calls}) == 1, flip_sign
-            # the reuse is real: many more applications than ops
-            assert len(exp_calls) > 10
+        reached = Counter((id(plan), mono) for plan, monos in kernel_calls for mono in monos)
+        assert reached and max(reached.values()) == 1
+        assert len(kernel_calls) <= len(reached)
+        # one group element: V^{-1} reads V's plan, and the control reads
+        # the same element as the check
+        assert len({id(plan) for plan, _ in kernel_calls}) == 1
+        assert len({id(op) for op in exp_calls}) == 1
+        # the reuse is real: many more applications than ops
+        assert len(exp_calls) > 10
 
 
 integer_laurent = st.dictionaries(st.integers(-2, 2), st.integers(-6, 6), min_size=1, max_size=3).map(HbarPoly)
@@ -900,7 +903,7 @@ class TestRouteMaps:
 
     @pytest.mark.parametrize("cap", [7, 11])
     def test_maps_reject_wrong_side_and_cap(self, p132, curve132, cap):
-        direct, factorized = givental_routes(p132, 9)
+        direct, factorized = givental_routes(curve132, 9)
         cases = [
             (direct, T, t),
             (factorized, T, t),

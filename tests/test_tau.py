@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -318,21 +319,27 @@ class TestFaberPandharipande:
 
 
 class TestLambdaG:
-    """Two-point linear Hodge integrals against the lambda_g formula
-    <tau_a tau_b lambda_g>_g = C(2g-1; a, b) b_g (Getzler-Pandharipande,
-    Faber-Pandharipande), with 1 + sum_g b_g t^(2g) = (t/2)/sin(t/2), the
-    k = 0 part of the Faber-Pandharipande oracle above.
+    """Two- and three-point linear Hodge integrals against the lambda_g
+    formula <tau_a1 ... tau_an lambda_g>_g = C(2g-3+n; a) b_g
+    (Getzler-Pandharipande, Faber-Pandharipande), with
+    1 + sum_g b_g t^(2g) = (t/2)/sin(t/2), the k = 0 part of the
+    Faber-Pandharipande oracle above.
 
     At q = 0 or p = 0 the class is Lambda^v(4) = sum_j (-4)^j lambda_j, and
-    for a + b = 2g - 1 dimension leaves only lambda_g.  So the connected
-    coefficient, [T_a T_b hbar^(2g)] Z minus the products of Z's one-point
-    coefficients, is (-4)^g C(2g-1; a, b) b_g."""
+    for sum a = 2g - 3 + n dimension leaves only lambda_g.  So the
+    connected coefficient [T_a1 ... T_an hbar^(2g-2+n)] log Z is
+    (-4)^g C(2g-3+n; a) b_g / |Aut|."""
 
     W = 27
 
-    @pytest.mark.parametrize("q,p", [(0, 4), (4, 0)])
-    def test_in_band_two_point_coefficients(self, q, p):
-        Z = hodge_partition(CurveParams(F(q), F(p), F(2)), self.W)
+    @pytest.fixture(scope="class", params=[(0, 4), (4, 0)], ids=["0-4", "4-0"])
+    def Z(self, request):
+        q, p = request.param
+        return hodge_partition(CurveParams(F(q), F(p), F(2)), self.W)
+
+    def test_in_band_two_point_coefficients(self, Z):
+        # the connected coefficient is Z's minus the products of its
+        # one-point coefficients
         a_band, b_band = trust_band(Z.kind)
         G = 3
         fp = _faber_pandharipande(G)
@@ -346,6 +353,40 @@ class TestLambdaG:
                 got[a, b, g] = Z.body.coeff(((a, 1), (b, 1))).coeff(2 * g) - one_point.coeff(2 * g)
                 assert got[a, b, g] == (-4) ** g * math.comb(2 * g - 1, a) * fp[g, 0], (a, b, g)
         assert got == {(0, 1, 1): F(-1, 6), (0, 3, 2): F(7, 360), (1, 2, 2): F(7, 120)}
+
+    def test_in_band_three_point_coefficients(self, Z):
+        # [m] log Z read from Z restricted to the divisors of m: with u that
+        # restriction less its constant term, log(1 + u) = u - u^2/2 + u^3/3
+        # at a monomial of three factors.  The constant term is 1 at every
+        # in-band hbar exponent, 12e <= W; above that it is a partial sum.
+        a_band, b_band = trust_band(Z.kind)
+        assert [Z.body.coeff(()).coeff(e) for e in range(self.W // a_band + 1)] == [1, 0, 0]
+        G = 3
+        fp = _faber_pandharipande(G)
+        got = {}
+        for g in range(1, G + 1):
+            e = 2 * g + 1
+            for a, b, c in _partitions_into(2 * g, 3, 2 * g):
+                if a_band * e > self.W + b_band * (4 * g + 3):
+                    continue
+                mult = Counter((a, b, c))
+                mono = tuple(sorted(mult.items()))
+                powers = itertools.product(*(range(k + 1) for k in mult.values()))
+                divisors = [tuple((v, k) for v, k in zip(mult, ks) if k) for ks in powers]
+                u = TPoly("T", self.W, {d: Z.body.coeff(d) for d in divisors if d})
+                log = u - (u * u).scale(F(1, 2)) + (u * u * u).scale(F(1, 3))
+                aut = math.prod(math.factorial(k) for k in mult.values())
+                multinomial = math.factorial(2 * g) // (math.factorial(a) * math.factorial(b) * math.factorial(c))
+                got[c, b, a] = log.coeff(mono).coeff(e)
+                assert got[c, b, a] == (-4) ** g * multinomial * fp[g, 0] / aut, (a, b, c, g)
+        assert got == {
+            (0, 0, 2): F(-1, 12),
+            (0, 1, 1): F(-1, 6),
+            (0, 0, 4): F(7, 720),
+            (0, 1, 3): F(7, 90),
+            (0, 2, 2): F(7, 120),
+            (1, 1, 2): F(7, 60),
+        }
 
 
 class TestTauQpIdentity:
