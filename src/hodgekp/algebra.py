@@ -964,11 +964,6 @@ class TPoly:
         den = self.den * math.prod(images[v].den ** E for v, E in top.items())
         return TPoly._normal(kind, W, acc, den)
 
-    def with_max_weight(self, W: int) -> "TPoly":
-        """Same polynomial viewed with a different weight cap (truncating)."""
-        out = {m: s for m, s in self.num.items() if mono_weight(self.kind, m) <= W}
-        return TPoly._normal(self.kind, W, out, self.den)
-
     # -- serialization ------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Mono, HbarPoly]]:

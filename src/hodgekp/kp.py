@@ -19,10 +19,13 @@ vanishes exactly.  Nothing asymptotic is ever claimed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
 from .algebra import (
     HbarPoly,
@@ -162,13 +165,16 @@ def _poly_sub_scale(poly: dict[Mono, Fraction], factor) -> dict[Mono, Fraction]:
     return out
 
 
-def hirota_equation_table(y_weight: int) -> list[tuple[Mono, dict[Mono, Fraction]]]:
+@functools.cache
+def hirota_equation_table(y_weight: int) -> tuple[tuple[Mono, Mapping[Mono, Fraction]], ...]:
     """Bilinear equations indexed by y-monomials of weight <= y_weight.
 
     Coefficient extraction of
         sum_j p_j(-2y) p_{j+1}(Dtilde) exp(sum_r y_r D_r)
     with Dtilde_r = D_r / r.  Each equation is homogeneous of D-weight
-    (weight of its y-monomial) + 1.
+    (weight of its y-monomial) + 1.  Built once per y-weight; every
+    caller shares the one table, so it is read-only: a tuple of
+    (y-monomial, read-only equation) pairs.
     """
     from .operators import weight_monomials
 
@@ -194,7 +200,8 @@ def hirota_equation_table(y_weight: int) -> list[tuple[Mono, dict[Mono, Fraction
                         eq[key] = val
                     else:
                         eq.pop(key, None)
-    return sorted(table.items(), key=lambda kv: (mono_weight(T_SIDE, kv[0]), kv[0]))
+    ordered = sorted(table.items(), key=lambda kv: (mono_weight(T_SIDE, kv[0]), kv[0]))
+    return tuple((alpha, MappingProxyType(eq)) for alpha, eq in ordered)
 
 
 @dataclass

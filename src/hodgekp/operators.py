@@ -44,6 +44,7 @@ __all__ = [
     "exp_apply",
     "couplings_from_log_r",
     "givental_direct",
+    "givental_kernel",
     "givental_factorized",
     "givental_routes",
     "transformed_variable_images",
@@ -391,33 +392,50 @@ def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False)
     every weight (±1)^n N!/n! · D^(N-n) an integer: exp(-op) reads the
     same iterates, and so the same rows, as exp(op), with the weights of
     the odd n negated.  Each step is a sparse integer matrix-vector
-    product on {(monomial id, hbar exponent): int}, read from the rows of
-    op's integer plan D·op (see `_ApplyPlan`); a row is built the first
-    time its monomial is reached and kept on the op, so later iterates
-    and later calls on the same op only look it up.  The numerators are
-    summed exactly on ids and mapped back to monomials once, the zeros of
-    cancellations dropped.  Each hbar exponent keeps its own coefficient,
-    so hbar-Laurent coefficients pass through unchanged.
+    product read from the rows of op's integer plan D·op (see
+    `_ApplyPlan`); a row is built the first time its monomial is reached
+    and kept on the op, so later iterates and later calls on the same op
+    only look it up.  The numerators are summed exactly on ids and mapped
+    back to monomials once, the zeros of cancellations dropped.
+
+    The iterates take one of two forms, picked from the op and the input:
+    when every coefficient of op is a multiple of hbar^0 (its plan's
+    hbar exponents span only 0) and so is every coefficient of num, every
+    iterate stays at hbar^0 and is kept as {monomial id: int}; otherwise
+    it is kept as {(monomial id, hbar exponent): int}, each hbar exponent
+    with its own coefficient, so hbar-Laurent coefficients pass through
+    unchanged.  Both read the same rows and give the same result.
     """
     if op.is_zero():
         return num, 1
     if op.min_weight_drop < 1:
         raise ValueError("exponential does not terminate on truncated space")
     plan = op._compiled()
-    D, rows = plan.D, plan.rows
-    u = {(plan.number(mono), e): c for mono, slot in num.items() for e, c in slot.items()}
+    D, rows, number = plan.D, plan.rows, plan.number
+    flat = plan.low == 0 and plan.span == 1 and all(len(slot) == 1 and 0 in slot for slot in num.values())
+    if flat:
+        u = {number(mono): slot[0] for mono, slot in num.items()}
+    else:
+        u = {(number(mono), e): c for mono, slot in num.items() for e, c in slot.items()}
     iterates = [u]
     bound = cap // op.min_weight_drop + 1
     while True:
-        nxt: dict[tuple, int] = {}
-        unseen = [i for i in dict.fromkeys(i for i, _ in u) if rows[i] is None]
+        nxt: dict = {}
+        ids = u if flat else dict.fromkeys(i for i, _ in u)
+        unseen = [i for i in ids if rows[i] is None]
         if unseen:
             plan.compile_rows(unseen, op.kind, cap)
-        for (i, e1), c1 in u.items():
-            for j, e2, c2 in rows[i]:
-                key = (j, e1 + e2)
-                s = nxt.get(key)
-                nxt[key] = c1 * c2 if s is None else s + c1 * c2
+        if flat:
+            for i, c1 in u.items():
+                for j, _, c2 in rows[i]:
+                    s = nxt.get(j)
+                    nxt[j] = c1 * c2 if s is None else s + c1 * c2
+        else:
+            for (i, e1), c1 in u.items():
+                for j, e2, c2 in rows[i]:
+                    key = (j, e1 + e2)
+                    s = nxt.get(key)
+                    nxt[key] = c1 * c2 if s is None else s + c1 * c2
         u = {key: c for key, c in nxt.items() if c}
         if not u:
             break
@@ -428,15 +446,18 @@ def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False)
     weights = exp_weights(N, D)
     if inverse:
         weights[1::2] = [-w for w in weights[1::2]]
-    total: dict[tuple, int] = {}
+    total: dict = {}
     for u, weight in zip(iterates, weights):
         for key, c in u.items():
             s = total.get(key)
             total[key] = c * weight if s is None else s + c * weight
+    monos = plan.monos
+    if flat:
+        return {monos[i]: {0: c} for i, c in total.items() if c}, math.factorial(N) * D**N
     acc: dict[Mono, dict[int, int]] = {}
     for (i, e), c in total.items():
         if c:
-            acc.setdefault(plan.monos[i], {})[e] = c
+            acc.setdefault(monos[i], {})[e] = c
     return acc, math.factorial(N) * D**N
 
 
@@ -636,17 +657,10 @@ def transformed_variable_images(
     return images
 
 
-def givental_factorized(R: ZSeries, W: int, mode: str = "standard") -> PolyMap:
-    """Factorized form of the quantized action, as a map on T-side
-    polynomials of weight cap W.
-
-    Applies exp((1/2) sum V_ij d^2/dT_i dT_j) to P in its own variables
-    and then performs the affine substitution of the transformed
-    variables (which carries the translation constants).  Must agree
-    exactly with givental_direct; the pair of routes is the standing
-    cross-check.  The operator and the images are built once; the
-    returned map applies them.
-    """
+def givental_kernel(R: ZSeries, W: int) -> LinearOp:
+    """(1/2) sum V_ij d^2/dT_i dT_j on T-side polynomials of weight cap W,
+    the exponent of the factorized form's quadratic factor; it reads R
+    alone (to order 2((W - 1)//2 + 1)), not the mode."""
     if R.coeff_or_zero(0) != 1:
         raise ValueError("R must have constant term 1")
     M = (W - 1) // 2
@@ -663,9 +677,25 @@ def givental_factorized(R: ZSeries, W: int, mode: str = "standard") -> PolyMap:
             if not c:
                 continue
             items.append(("dd", i, j, c if i != j else c / 2))
-    ddop = LinearOp.from_terms(BIG_T_SIDE, items)
+    return LinearOp.from_terms(BIG_T_SIDE, items)
+
+
+def givental_factorized(R: ZSeries, W: int, mode: str = "standard", kernel: LinearOp | None = None) -> PolyMap:
+    """Factorized form of the quantized action, as a map on T-side
+    polynomials of weight cap W.
+
+    Applies exp((1/2) sum V_ij d^2/dT_i dT_j) to P in its own variables
+    and then performs the affine substitution of the transformed
+    variables (which carries the translation constants).  Must agree
+    exactly with givental_direct; the pair of routes is the standing
+    cross-check.  The exponent is `kernel`, built here from R when not
+    given (`givental_kernel`); the images are built once; the returned
+    map applies them.
+    """
+    if kernel is None:
+        kernel = givental_kernel(R, W)
     images = transformed_variable_images(R, W, mode)
-    return _map_on(BIG_T_SIDE, W, lambda P: exp_apply(ddop, P).substitute(images))
+    return _map_on(BIG_T_SIDE, W, lambda P: exp_apply(kernel, P).substitute(images))
 
 
 def givental_routes(curve: CurveSeries, W: int, mode: str = "standard") -> tuple[PolyMap, PolyMap]:
@@ -673,12 +703,17 @@ def givental_routes(curve: CurveSeries, W: int, mode: str = "standard") -> tuple
     cap W, with the dilaton shift of `mode` ("kw" for "standard", "bgw"
     for "theta"), built once per (mode, W) from the curve's log R and R,
     which the factorized form reads to order 2((W - 1)//2 + 1), and kept
-    on the curve."""
+    on the curve.  The factorized maps of both modes at one W share one
+    kernel (`givental_kernel`), kept on the curve too; the direct map
+    never reads it."""
     key = (mode, W)
     if key not in curve._ops:
+        kernel = curve._ops.get(("kernel", W))
+        if kernel is None:
+            kernel = curve._ops["kernel", W] = givental_kernel(curve.R, W)
         curve._ops[key] = (
             givental_direct(couplings_from_log_r(curve.logR, W), W, {"standard": "kw", "theta": "bgw"}[mode]),
-            givental_factorized(curve.R, W, mode),
+            givental_factorized(curve.R, W, mode, kernel),
         )
     return curve._ops[key]
 

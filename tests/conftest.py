@@ -55,6 +55,13 @@ def random_tpoly(rng, kind, max_weight, terms=6, cap=None):
     return TPoly(kind, cap if cap is not None else max_weight, chosen)
 
 
+def with_max_weight(P, W):
+    """P viewed with weight cap W, its heavier monomials dropped, in the
+    normal form of `TPoly`."""
+    out = {m: s for m, s in P.num.items() if mono_weight(P.kind, m) <= W}
+    return TPoly._normal(P.kind, W, out, P.den)
+
+
 def fraction_product(P, Q, cap=None):
     """P·Q cut at weight `cap` (default: P's cap), term by term in
     `Fraction`s: an oracle for `TPoly.__mul__` that shares no code with

@@ -350,9 +350,10 @@ TWO_POINTS = [CurveParams(F(1), F(3), F(2)), CurveParams(F(-1), F(2), F(1))]
 def test_one_group_element_and_one_quantized_pair_per_point(monkeypatch):
     import hodgekp.operators as operators
 
-    caps, directs, factorizeds, rows = [], Counter(), Counter(), Counter()
+    caps, directs, factorizeds, kernels, rows = [], Counter(), Counter(), Counter(), Counter()
     plans = []  # held, so that no plan's id is reused within the run
     real_sum, real_direct, real_factorized = operators.virasoro_sum_op, operators.givental_direct, operators.givental_factorized
+    real_kernel = operators.givental_kernel
     real_rows = operators._ApplyPlan.compile_rows
 
     def virasoro_sum_op(a, W):
@@ -363,9 +364,13 @@ def test_one_group_element_and_one_quantized_pair_per_point(monkeypatch):
         directs[tuple(sorted(couplings.items())), W, shift] += 1
         return real_direct(couplings, W, shift)
 
-    def givental_factorized(R, W, mode="standard"):
+    def givental_factorized(R, W, mode="standard", kernel=None):
         factorizeds[repr(R), W, mode] += 1
-        return real_factorized(R, W, mode)
+        return real_factorized(R, W, mode, kernel)
+
+    def givental_kernel(R, W):
+        kernels[repr(R), W] += 1
+        return real_kernel(R, W)
 
     def compile_rows(plan, ids, kind, cap):
         plans.append(plan)
@@ -375,6 +380,7 @@ def test_one_group_element_and_one_quantized_pair_per_point(monkeypatch):
     monkeypatch.setattr(operators, "virasoro_sum_op", virasoro_sum_op)
     monkeypatch.setattr(operators, "givental_direct", givental_direct)
     monkeypatch.setattr(operators, "givental_factorized", givental_factorized)
+    monkeypatch.setattr(operators, "givental_kernel", givental_kernel)
     monkeypatch.setattr(operators._ApplyPlan, "compile_rows", compile_rows)
     W = 5
     code, _ = run_verification(RunConfig(checks=GROUP_READERS, points=TWO_POINTS, weight=W))
@@ -386,6 +392,10 @@ def test_one_group_element_and_one_quantized_pair_per_point(monkeypatch):
     for built in (directs, factorizeds):
         assert len(built) == 3 * len(TWO_POINTS) and set(built.values()) == {1}, built
     assert {key[1:] for key in factorizeds} == {(W, "standard"), (W, "theta"), (W - 1, "theta")}
+    # one factorized kernel per (point, W), which the standard and the
+    # Theta pair at W share
+    assert len(kernels) == 2 * len(TWO_POINTS) and set(kernels.values()) == {1}, kernels
+    assert {key[1] for key in kernels} == {W, W - 1}
     assert rows and max(rows.values()) == 1
 
 

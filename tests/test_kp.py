@@ -126,6 +126,18 @@ class TestEquationTable:
             ((1, 1), (3, 1)): F(1, 3),
         }
 
+    def test_one_read_only_table_per_y_weight(self):
+        # every check at one y-weight reads the same table, so no caller
+        # may change it
+        table = hirota_equation_table(3)
+        assert hirota_equation_table(3) is table
+        assert hirota_equation_table(4) is not table
+        label, eq = table[0]
+        with pytest.raises(TypeError):
+            eq[((1, 1),)] = F(1)
+        with pytest.raises((TypeError, AttributeError)):
+            table.append((label, {}))
+
     def test_empty_y_equation_is_odd(self):
         table = dict(hirota_equation_table(2))
         eq = table[()]

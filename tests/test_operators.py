@@ -41,7 +41,7 @@ from hodgekp.operators import (
 )
 from hodgekp.curve import log_r_series, r_series
 
-from conftest import random_tpoly
+from conftest import random_tpoly, with_max_weight
 
 
 def t(k, w=9):
@@ -119,22 +119,23 @@ _TAG_ARITY = {"id": 0, "m": 1, "mm": 2, "d": 1, "dd": 2, "md": 2}
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
 hbar_laurent = st.dictionaries(st.integers(-2, 2), rationals, min_size=1, max_size=3).map(HbarPoly)
 nonzero_laurent = hbar_laurent.filter(lambda h: not h.is_zero())
+hbar_free = rationals.map(HbarPoly.const)
 
 
 @st.composite
-def apply_cases(draw, kinds=("t", "T"), tags=tuple(_TAG_ARITY), cap_monos=False):
+def apply_cases(draw, kinds=("t", "T"), tags=tuple(_TAG_ARITY), cap_monos=False, op_coeffs=hbar_laurent, coeffs=hbar_laurent):
     kind = draw(st.sampled_from(kinds))
     cap = draw(st.integers(1, 9) if kind == "t" else st.integers(1, 11))
     variables = _variables(kind, cap)
     items = []
     for tag in draw(st.lists(st.sampled_from(tags), max_size=7)):
         idx = [draw(st.sampled_from(variables)) for _ in range(_TAG_ARITY[tag])]
-        items.append((tag, *idx, draw(hbar_laurent)))
+        items.append((tag, *idx, draw(op_coeffs)))
     op = LinearOp.from_terms(kind, items)
     monos = weight_monomials(kind, cap)
     if cap_monos:
         monos = [m for m in monos if sum(_weight(kind, v) * e for v, e in m) == cap]
-    terms = draw(st.dictionaries(st.sampled_from(monos), hbar_laurent, max_size=6))
+    terms = draw(st.dictionaries(st.sampled_from(monos), coeffs, max_size=6))
     return op, TPoly(kind, cap, terms)
 
 
@@ -387,6 +388,18 @@ def series_exp_apply(op, P):
         acc = acc + term
 
 
+def _check_core_numerators(op, P, inverse, f):
+    """`_exp_numerators` on f·P.num, numerators not in lowest terms,
+    against the `Fraction` series of op (of -op with `inverse`)."""
+    num = {m: {e: c * f for e, c in slot.items()} for m, slot in P.num.items()}
+    acc, den = _exp_numerators(op, num, P.max_weight, inverse)
+    assert den > 0 and all(c for slot in acc.values() for c in slot.values())
+    expect = series_exp_apply(op.scale(-1) if inverse else op, P)
+    assert same_value(acc, den * f * P.den, expect.num, expect.den)
+    assert exp_apply(op, P, inverse=inverse) == expect
+    assert _exp_numerators(LinearOp(op.kind), num, P.max_weight, inverse) == (num, 1)
+
+
 def in_normal_form(P):
     """P.num / P.den is in the normal form of `TPoly`: den > 0, no zero
     numerator, no empty slot, and no factor common to den and every
@@ -488,14 +501,28 @@ class TestIntegerExponential:
     def test_core_numerators_over_their_denominator(self, case, inverse, f):
         # the integer core on numerators not in lowest terms, f·P.num, as
         # the conjugation check feeds it, against the Fraction series
-        op, P = case
-        num = {m: {e: c * f for e, c in slot.items()} for m, slot in P.num.items()}
-        acc, den = _exp_numerators(op, num, P.max_weight, inverse)
-        assert den > 0 and all(c for slot in acc.values() for c in slot.values())
-        expect = series_exp_apply(op.scale(-1) if inverse else op, P)
-        assert same_value(acc, den * f * P.den, expect.num, expect.den)
-        assert exp_apply(op, P, inverse=inverse) == expect
-        assert _exp_numerators(LinearOp(op.kind), num, P.max_weight, inverse) == (num, 1)
+        _check_core_numerators(*case, inverse, f)
+
+    @pytest.mark.parametrize("inputs", ["hbar0", "laurent"])
+    def test_hbar_free_ops_in_both_iterate_forms(self, inputs):
+        # an op with hbar^0 coefficients only iterates on monomial ids when
+        # its input is at hbar^0 too (as in the conjugation check), and on
+        # (id, hbar exponent) keys when the input carries other exponents
+        coeffs = hbar_free if inputs == "hbar0" else hbar_laurent
+        cases = apply_cases(tags=("d", "dd", "md"), op_coeffs=hbar_free, coeffs=coeffs)
+
+        @given(cases.filter(lambda case: case[0].min_weight_drop >= 1), st.booleans(), st.integers(1, 6))
+        def check(case, inverse, f):
+            op, P = case
+            exps = {e for slot in P.num.values() for e in slot}
+            assert all(set(c.terms) == {0} for c in op.terms.values())
+            if inputs == "hbar0":
+                assert exps <= {0}
+            else:
+                assume(exps - {0})
+            _check_core_numerators(op, P, inverse, f)
+
+        check()
 
     def test_each_row_is_built_once_per_op(self, curve132, monkeypatch):
         # the conjugation check applies the curve's one group element, as V
@@ -563,7 +590,7 @@ class TestNormalForm:
             P.scale(data.draw(nonzero_laurent)),
             P * Q,
             P.substitute(images),
-            P.with_max_weight(data.draw(st.integers(0, cap))),
+            with_max_weight(P, data.draw(st.integers(0, cap))),
             op.apply(P),
         ]
         if op.min_weight_drop >= 1:
@@ -757,7 +784,7 @@ def polynomial_conjugation_report(curve, W, flip_sign=False):
         jk = heisenberg_op(k, cap)
         for mono in weight_monomials("t", W):
             inv = exp_apply(big, TPoly("t", W, {mono: 1}), inverse=not flip_sign)
-            left = exp_apply(big, jk.apply(inv.with_max_weight(cap)), inverse=flip_sign)
+            left = exp_apply(big, jk.apply(with_max_weight(inv, cap)), inverse=flip_sign)
             right = rhs.apply(TPoly("t", cap, {mono: 1}))
             report.checked += 1
             if left != right:
