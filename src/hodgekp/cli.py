@@ -549,7 +549,3 @@ def main(argv=None) -> int:
         # only a weight far beyond what a run can hold asks for that much
         sys.stderr.write(f"error: --weight {args.weight} too large: its series do not fit in memory\n")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

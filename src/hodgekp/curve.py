@@ -11,6 +11,7 @@ integrals are replaced throughout by the formal Gaussian-moment rule.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -208,8 +209,8 @@ def build_curve(params: CurveParams, K: int) -> CurveSeries:
         raise ValueError(f"curve construction needs K >= {MIN_SERIES_ORDER}")
     N_poly = _denominator_series(params, K + 2)
     x, f, h, y, N = _curve_from_denominator(N_poly, K)
-    R = r_series(params, K)
     logR = log_r_series(params, K)
+    R = logR.expm()
 
     # mutual-consistency checks (pure recomputation, exact)
     if (f * f).truncate(K).scale(Fraction(1, 2)) != x.truncate(K):
@@ -417,18 +418,37 @@ def witt_flow(a, K: int) -> ZSeries:
 
 
 def witt_coefficients(f: ZSeries) -> list[Fraction]:
-    """Order-by-order peeling of the flow coefficients of f = z + O(z^2):
-    the list a with a[k-1] = a_k for 1 <= k <= f.order - 1.
+    """The flow coefficients of f = z + O(z^2): the list a with a[k-1] = a_k
+    for 1 <= k <= f.order - 1, such that witt_flow(a, f.order) == f.
 
-    Reconstructing f via witt_flow(a, K) reproduces the input exactly.
+    One pass over the orders on the integers: f = sum_n T_n with
+    T_n = (-1)^n (v d/dz)^n z / n!, v = sum a_k z^(k+1), T_1 = -v, and
+    [z^j] T_n for n >= 2 reads only a_1..a_(j-2), so a_(j-1) is
+    sum_(n>=2) [z^j] T_n - f_j.  With a_k = A_k / d, [z^j] T_n is an integer
+    t_n[j] = -sum_k A_k (j-k) t_(n-1)[j-k] over n!·d^n, rescaled when d grows.
     """
     if f.coeff_or_zero(0) != 0 or f.coeff_or_zero(1) != 1:
         raise ValueError("flow coefficients need f = z + O(z^2)")
     K = f.order
-    a = [Fraction(0)] * (K - 1)
-    for k in range(1, K):
-        current = witt_flow(a, k + 1)
-        a[k - 1] += current.coeff_or_zero(k + 1) - f.coeff_or_zero(k + 1)
+    A, d = [0] * K, 1
+    D = [[0] * (K + 1) for _ in range(K)]  # D[n][i] = i·t_n[i], the numerators of T_n'
+    for j in range(2, K + 1):
+        s = 0  # sum_(n>=2) t_n[j] over (j-1)!·d^(j-1), by Horner's rule
+        for n in range(2, j):
+            c = -sum(map(operator.mul, A[1 : j - n + 1], reversed(D[n - 1][n:j])))
+            D[n][j] = j * c
+            s = s * n * d + c
+        scale = math.factorial(j - 1) * d ** (j - 1)
+        num, den = s * f.den - f.numerator(j) * scale, scale * f.den  # a_(j-1)
+        q = den // math.gcd(num, den)
+        if d % q:
+            r = q // math.gcd(d, q)
+            d *= r
+            A = [x * r for x in A]
+            D[1:j] = [[x * r**n for x in D[n]] for n in range(1, j)]
+        A[j - 1] = num * d // den
+        D[1][j] = -j * A[j - 1]
+    a = [Fraction(x, d) for x in A[1:K]]
     if witt_flow(a, K) != f:
         raise InvariantViolation("flow reconstruction failed")
     return a

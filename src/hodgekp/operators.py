@@ -474,26 +474,19 @@ def virasoro_op(m: int, W: int) -> LinearOp:
     all indices strictly positive, so only one of the quadratic sums
     appears for each sign of m.
     """
-    items = []
-    for k in range(max(1, 1 - m), W + 1):
-        if 1 <= k + m <= W:
-            items.append(("md", k, k + m, Fraction(k)))
-    if m > 0:
-        for a in range(1, m // 2 + 1):
-            b = m - a
-            if b > W or a > W:
-                continue
-            coeff = Fraction(1, 2) if a == b else Fraction(1)
-            items.append(("dd", a, b, coeff))
-    elif m < 0:
-        mm = -m
-        for a in range(1, mm // 2 + 1):
-            b = mm - a
-            if a + b > W:
-                continue
-            coeff = Fraction(a * b, 2) if a == b else Fraction(a * b)
-            items.append(("mm", a, b, coeff))
-    return LinearOp.from_terms(T_SIDE, items)
+    return LinearOp.from_terms(T_SIDE, _virasoro_items(m, W, 1))
+
+
+def _virasoro_items(m: int, W: int, c):
+    """The terms of c·L_m at weight cap W (see `virasoro_op`)."""
+    for k in range(max(1, 1 - m), min(W, W - m) + 1):
+        yield ("md", k, k + m, k * c)
+    for a in range(1, abs(m) // 2 + 1):
+        b = abs(m) - a
+        if m > 0 and b <= W:
+            yield ("dd", a, b, Fraction(1, 2 if a == b else 1) * c)
+        elif m < 0 and a + b <= W:
+            yield ("mm", a, b, Fraction(a * b, 2 if a == b else 1) * c)
 
 
 def heisenberg_op(k: int, W: int) -> LinearOp:
@@ -562,12 +555,9 @@ def linear_change_generator(a: Sequence[Fraction], W: int) -> LinearOp:
 
 
 def virasoro_sum_op(a: Sequence[Fraction], W: int) -> LinearOp:
-    """sum_{k>=1} a_k L_k as one operator."""
-    acc = LinearOp(T_SIDE)
-    for k, ak in enumerate(a, start=1):
-        if ak and k <= W:
-            acc = acc + virasoro_op(k, W).scale(ak)
-    return acc
+    """sum_{k>=1} a_k L_k as one operator (the terms of different k differ)."""
+    items = (item for k, ak in enumerate(a[:W], start=1) if ak for item in _virasoro_items(k, W, ak))
+    return LinearOp.from_terms(T_SIDE, items)
 
 
 def group_element(curve: CurveSeries, cap: int) -> LinearOp:
@@ -938,11 +928,10 @@ def _current_transform_series(curve: CurveSeries, max_j: int, max_n: int) -> tup
     h = curve.h.truncate(max_j + 1)
     hp = h.derivative()
     inv = h.shift(-1).strip_lowest().recip()  # z/h
-    power = inv
+    term = hp * inv
     flow = {}
     for j in range(1, max_j + 1):
-        power = power * inv
-        flow[j] = (hp * power).truncate(min(hp.order, power.order))
+        term = flow[j] = term * inv
     mult = {}
     hpow = ZSeries.one(h.order)
     for n in range(1, max_n + 1):

@@ -9,7 +9,9 @@ a term with genus g and n insertions carries hbar^(2g-2+n).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -77,58 +79,44 @@ def trust_band(kind: str) -> tuple[int, int]:
 
 
 def _sub_multisets(items: tuple):
-    """Yield (submultiset, count-of-labelled-choices, complement)."""
-    groups = []
-    seen = []
-    for v in items:
-        if v in seen:
-            continue
-        seen.append(v)
-        groups.append((v, items.count(v)))
-    yield from _choose_from_groups(items, groups, 0, [], 1)
-
-
-def _choose_from_groups(items: tuple, groups: list, i: int, chosen: list, ways: int):
-    """The `_sub_multisets` choices that extend `chosen` by groups[i:]
-    (module-level for the reason given at `_partitions_into`)."""
-    if i == len(groups):
-        comp = list(items)
-        for v in chosen:
-            comp.remove(v)
-        yield tuple(sorted(chosen, reverse=True)), ways, tuple(sorted(comp, reverse=True))
-        return
-    v, c = groups[i]
-    for take in range(c + 1):
-        yield from _choose_from_groups(items, groups, i + 1, chosen + [v] * take, ways * math.comb(c, take))
+    """Yield (submultiset, count-of-labelled-choices, complement), each in decreasing order."""
+    groups = sorted(Counter(items).items(), reverse=True)
+    for takes in itertools.product(*(range(c + 1) for _, c in groups)):
+        sub, comp, ways = [], [], 1
+        for (v, c), take in zip(groups, takes):
+            sub += [v] * take
+            comp += [v] * (c - take)
+            ways *= math.comb(c, take)
+        yield tuple(sub), ways, tuple(comp)
 
 
 def _constraint_sums(correlator, g: int, args: tuple, k: int) -> Fraction:
-    """Linear plus half the quadratic sum of the constraint that removes
-    the largest insertion a_0 = args[0]; the shift k moves each other
-    insertion to a_j + k and splits k - 1 into two new insertions."""
+    """The correlator (linear + half the quadratic sum) / (2 a_0 + 1)!! of the
+    constraint that removes the largest insertion a_0 = args[0]; the shift k
+    moves each other insertion to a_j + k and splits k - 1 into two new ones.
+    The terms are summed as integers over one LCM, doubled to halve exactly."""
     rest = args[1:]
-    total = Fraction(0)
+    terms = []  # (numerator, denominator) of each nonzero term
     for j, aj in enumerate(rest):
-        moved = tuple(sorted(rest[:j] + (aj + k,) + rest[j + 1 :], reverse=True))
-        total += (
-            Fraction(double_factorial(2 * aj + 2 * k + 1), double_factorial(2 * aj - 1))
-            * correlator(g, moved)
-        )
-    quad = Fraction(0)
+        c = correlator(g, tuple(sorted(rest[:j] + (aj + k,) + rest[j + 1 :], reverse=True)))
+        if c:
+            ratio = double_factorial(2 * aj + 2 * k + 1) // double_factorial(2 * aj - 1)
+            terms.append((2 * ratio * c.numerator, c.denominator))
+    splits = list(_sub_multisets(rest))
     for i in range(0, k):
         j = k - 1 - i
         fac = double_factorial(2 * i + 1) * double_factorial(2 * j + 1)
-        quad += fac * correlator(g - 1, tuple(sorted(rest + (i, j), reverse=True)))
+        c = correlator(g - 1, tuple(sorted(rest + (i, j), reverse=True)))
+        if c:
+            terms.append((fac * c.numerator, c.denominator))
         for g1 in range(0, g + 1):
-            g2 = g - g1
-            for s1, ways, s2 in _sub_multisets(rest):
-                quad += (
-                    fac
-                    * ways
-                    * correlator(g1, tuple(sorted(s1 + (i,), reverse=True)))
-                    * correlator(g2, tuple(sorted(s2 + (j,), reverse=True)))
-                )
-    return total + quad / 2
+            for s1, ways, s2 in splits:
+                c1 = correlator(g1, tuple(sorted(s1 + (i,), reverse=True)))
+                c2 = c1 and correlator(g - g1, tuple(sorted(s2 + (j,), reverse=True)))
+                if c2:
+                    terms.append((fac * ways * c1.numerator * c2.numerator, c1.denominator * c2.denominator))
+    L = math.lcm(*{d for _, d in terms})
+    return Fraction(sum(n * (L // d) for n, d in terms), 2 * L * double_factorial(2 * args[0] + 1))
 
 
 @lru_cache(maxsize=None)
@@ -150,8 +138,7 @@ def psi_correlator(g: int, args: tuple) -> Fraction:
         return Fraction(1)
     if g == 1 and args == (1,):
         return Fraction(1, 24)
-    a0 = args[0]
-    return _constraint_sums(psi_correlator, g, args, a0 - 1) / double_factorial(2 * a0 + 1)
+    return _constraint_sums(psi_correlator, g, args, args[0] - 1)
 
 
 @lru_cache(maxsize=None)
@@ -159,8 +146,8 @@ def theta_correlator(g: int, args: tuple) -> Fraction:
     """<Theta tau_{a_1} ... tau_{a_n}>_g, the Theta-class intersection numbers.
 
     Dimension forces sum(a_i) = g - 1.  The recursion removes the
-    largest insertion through the corresponding constraint; the only
-    inhomogeneity is the one-point genus-one value 1/8.
+    largest insertion through the corresponding constraint, seeded by
+    the one-point genus-one value <Theta tau_0>_1 = 1/8.
     """
     args = tuple(sorted(args, reverse=True))
     n = len(args)
@@ -170,9 +157,9 @@ def theta_correlator(g: int, args: tuple) -> Fraction:
         return Fraction(0)
     if sum(args) != g - 1:
         return Fraction(0)
-    a0 = args[0]
-    extra = Fraction(1, 8) if (g, args) == (1, (0,)) else Fraction(0)
-    return (_constraint_sums(theta_correlator, g, args, a0) + extra) / double_factorial(2 * a0 + 1)
+    if g == 1 and args == (0,):
+        return Fraction(1, 8)
+    return _constraint_sums(theta_correlator, g, args, args[0])
 
 
 def _kw_self_check(g: int, args: tuple):

@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import settings
 
-from hodgekp.algebra import HbarPoly, TPoly, ZSeries, mono_str, mono_weight
-from hodgekp.curve import CurveParams, build_curve
-from hodgekp.operators import weight_monomials
+from hodgekp.algebra import T_SIDE, HbarPoly, TPoly, ZSeries, double_factorial, mono_str, mono_weight
+from hodgekp.curve import CurveParams, build_curve, witt_flow
+from hodgekp.operators import LinearOp, virasoro_op, weight_monomials
 
 # Exact arithmetic on this code's inputs varies widely in time per
 # example, and host speed drifts too, so a per-example deadline would
@@ -182,3 +184,99 @@ def hbar_weight_strip(P, num, den):
             raise ValueError(f"monomial {mono_str(P.kind, mono)} is not hbar-graded")
         out[mono] = c.coeff(e)
     return TPoly(P.kind, P.max_weight, out)
+
+
+# The earlier forms of the exact set-up, kept as references: the Witt peel
+# by one `witt_flow` per order, sum a_k L_k by chained operator sums, and
+# the correlator recursions on `Fraction`s over a recursive enumeration.
+
+
+def reference_witt_coefficients(f):
+    """a_1..a_(K-1) of f = z + O(z^2): a_k is corrected at order k + 1 by
+    the flow of the a's found so far."""
+    K = f.order
+    a = [Fraction(0)] * (K - 1)
+    for k in range(1, K):
+        current = witt_flow(a, k + 1)
+        a[k - 1] += current.coeff_or_zero(k + 1) - f.coeff_or_zero(k + 1)
+    return a
+
+
+def reference_virasoro_sum_op(a, W):
+    """sum_k a_k L_k as a chain of scaled `virasoro_op`s."""
+    acc = LinearOp(T_SIDE)
+    for k, ak in enumerate(a, start=1):
+        if ak and k <= W:
+            acc = acc + virasoro_op(k, W).scale(ak)
+    return acc
+
+
+def reference_sub_multisets(items):
+    """(submultiset, count of labelled choices, complement) by recursion
+    over the distinct values in order of first appearance."""
+    groups = []
+    for v in items:
+        if v not in [u for u, _ in groups]:
+            groups.append((v, items.count(v)))
+
+    def choose(i, chosen, ways):
+        if i == len(groups):
+            comp = list(items)
+            for v in chosen:
+                comp.remove(v)
+            yield tuple(sorted(chosen, reverse=True)), ways, tuple(sorted(comp, reverse=True))
+            return
+        v, c = groups[i]
+        for take in range(c + 1):
+            yield from choose(i + 1, chosen + [v] * take, ways * math.comb(c, take))
+
+    return list(choose(0, [], 1))
+
+
+def _reference_constraint_sums(correlator, g, args, k):
+    rest = args[1:]
+    total = Fraction(0)
+    for j, aj in enumerate(rest):
+        moved = tuple(sorted(rest[:j] + (aj + k,) + rest[j + 1 :], reverse=True))
+        total += Fraction(double_factorial(2 * aj + 2 * k + 1), double_factorial(2 * aj - 1)) * correlator(g, moved)
+    quad = Fraction(0)
+    for i in range(0, k):
+        j = k - 1 - i
+        fac = double_factorial(2 * i + 1) * double_factorial(2 * j + 1)
+        quad += fac * correlator(g - 1, tuple(sorted(rest + (i, j), reverse=True)))
+        for g1 in range(0, g + 1):
+            for s1, ways, s2 in reference_sub_multisets(rest):
+                quad += (
+                    fac
+                    * ways
+                    * correlator(g1, tuple(sorted(s1 + (i,), reverse=True)))
+                    * correlator(g - g1, tuple(sorted(s2 + (j,), reverse=True)))
+                )
+    return total + quad / 2
+
+
+@lru_cache(maxsize=None)
+def reference_psi_correlator(g, args):
+    """The psi-class intersection numbers by the `Fraction` recursion."""
+    args = tuple(sorted(args, reverse=True))
+    n = len(args)
+    if g < 0 or any(a < 0 for a in args) or 2 * g - 2 + n <= 0 or sum(args) != 3 * g - 3 + n:
+        return Fraction(0)
+    if g == 0 and args == (0, 0, 0):
+        return Fraction(1)
+    if g == 1 and args == (1,):
+        return Fraction(1, 24)
+    a0 = args[0]
+    return _reference_constraint_sums(reference_psi_correlator, g, args, a0 - 1) / double_factorial(2 * a0 + 1)
+
+
+@lru_cache(maxsize=None)
+def reference_theta_correlator(g, args):
+    """The Theta-class intersection numbers by the `Fraction` recursion."""
+    args = tuple(sorted(args, reverse=True))
+    n = len(args)
+    if g < 1 or any(a < 0 for a in args) or 2 * g - 2 + n <= 0 or sum(args) != g - 1:
+        return Fraction(0)
+    a0 = args[0]
+    extra = Fraction(1, 8) if (g, args) == (1, (0,)) else Fraction(0)
+    return (_reference_constraint_sums(reference_theta_correlator, g, args, a0) + extra) / double_factorial(2 * a0 + 1)

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hodgekp
 from hodgekp.cli import (
     CHECKS,
     MIN_WEIGHT,
@@ -44,6 +48,17 @@ class TestMainEntry:
         out = capsys.readouterr().out
         for name in CHECKS:
             assert name in out
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hodgekp.__file__)))
+        run = lambda *args: subprocess.run(
+            [sys.executable, "-m", "hodgekp", *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        listed = run("list-checks")
+        assert listed.returncode == 0
+        for name in CHECKS:
+            assert name in listed.stdout
+        assert run("verify", "bogus", "--weight", "6").returncode == 2
 
     def test_unknown_check_exit_code(self, capsys):
         code = main(["verify", "bogus", "--weight", "6"])

@@ -24,6 +24,8 @@ from hodgekp.curve import (
     x_closed_form,
 )
 
+from conftest import reference_witt_coefficients
+
 
 class TestBernoulli:
     def test_first_values(self):
@@ -277,6 +279,18 @@ class TestWittCoefficients:
     def test_normalization_required(self):
         with pytest.raises(ValueError):
             witt_coefficients(ZSeries.one(6))
+
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    def test_one_pass_matches_per_order_peel_on_catalog(self, point):
+        f = build_curve(point, 19).f
+        for K in range(2, 20):
+            assert witt_coefficients(f.truncate(K)) == reference_witt_coefficients(f.truncate(K)), K
+
+    @given(st.lists(st.just(F(0)) | st.fractions(min_value=-4, max_value=4, max_denominator=7), max_size=11))
+    def test_one_pass_matches_per_order_peel_on_random_f(self, tail):
+        # the denominators of the a's grow at unforeseen orders
+        f = ZSeries([F(0), F(1), *tail], len(tail) + 1)
+        assert witt_coefficients(f) == reference_witt_coefficients(f)
 
     def test_curve_lists_them_once_and_reads_prefixes(self):
         c = build_curve(CATALOG[0], 10)

@@ -41,7 +41,7 @@ from hodgekp.operators import (
 )
 from hodgekp.curve import log_r_series, r_series
 
-from conftest import random_tpoly, with_max_weight
+from conftest import random_rational, random_tpoly, reference_virasoro_sum_op, with_max_weight
 
 
 def t(k, w=9):
@@ -343,6 +343,13 @@ class TestExponentials:
         assert exp_apply(op, exp_apply(op, P), inverse=True) == P
         assert exp_apply(op, exp_apply(op, P, inverse=True)) == P
         assert exp_apply(op, P, inverse=True) == exp_apply(op.scale(-1), P)
+
+    @pytest.mark.parametrize("W", range(1, 13))
+    def test_virasoro_sum_op_matches_chained_sum(self, W):
+        rng = random.Random(W)
+        for _ in range(6):
+            a = [random_rational(rng) if rng.random() < 0.6 else F(0) for _ in range(rng.randrange(W + 4))]
+            assert virasoro_sum_op(a, W).terms == reference_virasoro_sum_op(a, W).terms
 
     def test_group_element_at_a_larger_cap_acts_as_at_the_polynomials_cap(self, curve132):
         # the conjugation check builds exp(sum a_k L_k) once, at its largest cap
@@ -858,6 +865,22 @@ class TestConjugation:
         assert rep.checked == 0
         assert not rep.passed
         assert rep.to_json_obj()["status"] == "fail"
+
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    def test_flow_series_match_two_products_per_j(self, point):
+        # one running product per j against (z/h)^(j+1) times h'
+        curve = build_curve(point, 15)
+        for max_j in range(1, 15):
+            h = curve.h.truncate(max_j + 1)
+            hp = h.derivative()
+            inv = h.shift(-1).strip_lowest().recip()
+            flow, _ = _current_transform_series(curve, max_j, 0)
+            power = inv
+            for j in range(1, max_j + 1):
+                power = power * inv
+                expect = (hp * power).truncate(min(hp.order, power.order))
+                got = flow[j]
+                assert (got.num, got.den, got.lowest, got.order) == (expect.num, expect.den, expect.lowest, expect.order)
 
     @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
     def test_flow_series_match_unit_pow(self, point):

@@ -23,6 +23,8 @@ from hodgekp.tau import (
     trust_band,
 )
 
+from conftest import reference_psi_correlator, reference_sub_multisets, reference_theta_correlator
+
 
 @pytest.mark.parametrize(
     "call",
@@ -43,6 +45,36 @@ def test_recursive_enumerations_leave_no_reference_cycles(call):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("items", [(), (0,), (3, 1, 1, 0), (2, 2, 2), (5, 3, 3, 1, 1, 1, 0), (1, 3, 1, 0, 3)])
+def test_sub_multisets_match_recursive_enumeration(items):
+    assert Counter(_sub_multisets(items)) == Counter(reference_sub_multisets(items))
+
+
+@pytest.mark.parametrize(
+    "correlator, reference, dimension",
+    [
+        (psi_correlator, reference_psi_correlator, lambda g, n: 3 * g - 3 + n),
+        (theta_correlator, reference_theta_correlator, lambda g, n: g - 1),
+    ],
+    ids=["psi", "theta"],
+)
+def test_integer_recursion_matches_fraction_recursion(correlator, reference, dimension):
+    # every (g, alpha) of t-weight 2D + n <= 13, which holds every
+    # correlator that kw_tau(13) and bgw_tau(13) reach
+    W = 13
+    checked = 0
+    for g in range(W + 1):
+        for n in range(1, W + 1):
+            D = dimension(g, n)
+            if D < 0 or 2 * D + n > W:
+                continue
+            for alpha in _partitions_into(D, n, D):
+                value = correlator(g, alpha)
+                assert isinstance(value, F) and value == reference(g, alpha), (g, alpha)
+                checked += 1
+    assert checked >= 20
 
 
 class TestPsiCorrelators:
