@@ -10,11 +10,17 @@ the two-copy polynomial shift in binomial form,
 
 on integers: tau is its integer numerators over one denominator d, the
 derivatives of d·tau carry no 1/beta!, every weight C(gamma, beta) is an
-integer, and each product goes through the integer kernel
-`algebra.mul_into` that `TPoly.__mul__` uses too.  A residual
-coefficient becomes a `Fraction` only where it is nonzero.  A "pass"
-always means: every residual coefficient inside the stated weight budget
-vanishes exactly.  Nothing asymptotic is ever claimed.
+integer, and each product goes through an integer kernel.  The
+fixed-hbar check uses `algebra.mul_into`, the kernel of `TPoly.__mul__`.
+The graded check uses `_mul_in_band`, which forms only the products
+that land inside its hbar band a*e <= W + b*(v + d): a coefficient
+product at (weight w1, exponent e1) times (w2, e2) lands at v = w1 + w2,
+e = e1 + e2, so it is kept iff the excesses x = a*e - b*w of its two
+factors sum to at most W + b*d.  Out-of-band products are never formed,
+and every in-band coefficient is the same integer sum as in the full
+product.  A residual coefficient becomes a `Fraction` only where it is
+nonzero.  A "pass" always means: every residual coefficient inside the
+stated budget vanishes exactly.  Nothing asymptotic is ever claimed.
 """
 
 from __future__ import annotations
@@ -78,10 +84,13 @@ def _require_specialized(tau: TPoly):
         raise ValueError("hbar must be specialized before a bilinear check")
 
 
-def _derivatives(tau: TPoly, dmax: int) -> tuple[int, dict[Mono, list]]:
+def _derivatives(tau: TPoly, dmax: int, band: tuple[int, int] | None = None) -> tuple[int, dict[Mono, list]]:
     """(d, {gamma: d^gamma (d·tau)}) for the D-multi-indices gamma of weight
     <= dmax, d the denominator of tau: integer polynomials, as the
-    weight-sorted term lists of `mul_into`, with no 1/gamma!."""
+    weight-sorted term lists of `mul_into`, with no 1/gamma!.  With a band
+    (a, b) each term's coefficients are instead the triples (excess, hbar
+    exponent, int) that `_mul_in_band` reads, sorted by the excess
+    a*e - b*w of the term's weight w."""
     from .operators import weight_monomials
 
     out: dict[Mono, list] = {(): weight_sorted(tau.kind, tau.num)}
@@ -92,6 +101,12 @@ def _derivatives(tau: TPoly, dmax: int) -> tuple[int, dict[Mono, list]]:
         v, e = gamma[-1]
         prev = gamma[:-1] + ((v, e - 1),) if e > 1 else gamma[:-1]
         out[gamma] = _diff_terms(out[prev], v)
+    if band is not None:
+        a, b = band
+        out = {
+            gamma: [(w, mono, tuple(sorted((a * e - b * w, e, c) for e, c in cs))) for w, mono, cs in terms]
+            for gamma, terms in out.items()
+        }
     return tau.den, out
 
 
@@ -106,7 +121,7 @@ def _diff_terms(terms: list, v: int) -> list:
     return out
 
 
-def _bilinear_pair(derivs: dict[Mono, list], gamma: Mono, cap: int) -> dict:
+def _bilinear_pair(derivs: dict[Mono, list], gamma: Mono, cap: int, bound: int | None = None) -> dict:
     """d²·(D^gamma tau . tau) up to weight `cap`, on integers, by the exact
     two-copy expansion in binomial form
 
@@ -119,11 +134,17 @@ def _bilinear_pair(derivs: dict[Mono, list], gamma: Mono, cap: int) -> dict:
     (-1)^|gamma - beta| and (-1)^|beta|: for odd |gamma| they cancel
     (D^gamma tau . tau is antisymmetric, so zero), and for even |gamma|
     each unordered split is taken once, doubled when beta != gamma - beta.
-    So each split goes through `mul_into` with the integer weight
+    So each split goes through the product kernel with the integer weight
     sign · twice · C(gamma, beta).  The kernel cuts at `cap`, which leaves
     every coefficient of weight <= cap exact, since no monomial has
     negative weight.  The result maps monomials to {hbar exponent: int}
     and may hold zeros.
+
+    With a `bound` the derivatives carry excesses (`_derivatives` with a
+    band) and only the products of excess sum <= bound are formed, by
+    `_mul_in_band`: the result is then the coefficients with
+    a*e - b*v <= bound, each the same integer as without the bound, and
+    holds no other hbar exponent.
     """
     out: dict[Mono, dict[int, int]] = {}
     if sum(e for _, e in gamma) % 2:
@@ -137,8 +158,58 @@ def _bilinear_pair(derivs: dict[Mono, list], gamma: Mono, cap: int) -> dict:
         sign = -1 if sum(rest) % 2 else 1
         twice = 1 if exps == rest else 2
         binom = math.prod(math.comb(e, b) for (_, e), b in zip(gamma, exps))
-        mul_into(derivs[beta], derivs[comp], cap, sign * twice * binom, out)
+        if bound is None:
+            mul_into(derivs[beta], derivs[comp], cap, sign * twice * binom, out)
+        else:
+            _mul_in_band(derivs[beta], derivs[comp], cap, bound, sign * twice * binom, out)
     return out
+
+
+def _mul_in_band(a: list, b: list, cap: int, bound: int, k: int, out: dict) -> None:
+    """`mul_into` restricted to a band: add k·(a·b), cut at weight `cap`,
+    to `out`, forming only the coefficient products whose excesses sum to
+    at most `bound`.
+
+    `a` and `b` are weight-sorted lists of (weight, monomial, ((excess,
+    hbar exponent, int), ...)) with each term's triples sorted by excess,
+    as `_derivatives` gives them for a band (a, b).  A product of (w1, e1)
+    with (w2, e2) lands at weight v = w1 + w2 and exponent e = e1 + e2 with
+    excess a*e - b*v = x1 + x2, so it is kept iff x1 + x2 <= bound.  Both
+    inner loops break at the first triple past the bound, and a monomial
+    pair whose smallest excesses already pass it is skipped whole.
+    """
+    if not b:
+        return
+    wb0 = b[0][0]
+    least = min(xb[0][0] for _, _, xb in b)
+    for wa, ma, xa in a:
+        if wa + wb0 > cap:
+            break
+        room = bound - xa[0][0]
+        if room < least:
+            continue
+        if k != 1:
+            xa = tuple((x, e, c * k) for x, e, c in xa)
+        for wb, mb, xb in b:
+            if wa + wb > cap:
+                break
+            xb0 = xb[0][0]
+            if xb0 > room:
+                continue
+            mono = mono_mul(ma, mb) if ma and mb else ma or mb
+            slot = out.get(mono)
+            if slot is None:
+                slot = out[mono] = {}
+            for x1, e1, c1 in xa:
+                lim = bound - x1
+                if xb0 > lim:
+                    break
+                for x2, e2, c2 in xb:
+                    if x2 > lim:
+                        break
+                    e = e1 + e2
+                    s = slot.get(e)
+                    slot[e] = c1 * c2 if s is None else s + c1 * c2
 
 
 def _schur_polys(top: int) -> list[dict[Mono, Fraction]]:
@@ -258,7 +329,10 @@ def _run_equations(
 
     Without a band tau must be hbar-specialized and every coefficient
     there counts.  With a band (a, b) only the hbar exponents e with
-    a*e <= W + b*(v + d) count, each recorded separately.
+    a*e <= W + b*(v + d) count, each recorded separately: the pairs are
+    built by `_mul_in_band` to the excess bound W + b*d, so they hold no
+    other exponent.  The bound is fixed by d = W - covered, so the pair
+    cache stays keyed by (gamma, covered).
 
     The residual sum_gamma c_gamma D^gamma tau.tau is summed on integers,
     as sum_gamma (L·c_gamma)·pair_gamma over L·s², with s = tau.den,
@@ -271,19 +345,20 @@ def _run_equations(
     dmax = max(
         (mono_weight(T_SIDE, g) for _, eq in equations for g in eq), default=0
     )
-    s, derivs = _derivatives(tau, dmax)
+    s, derivs = _derivatives(tau, dmax, band)
     pair_cache: dict[tuple[Mono, int], dict] = {}
     report = HirotaReport(check=check_name, hbar_value=hbar_label, y_weight=y_weight)
     for label_mono, eq in equations:
         d = max((mono_weight(T_SIDE, g) for g in eq), default=0)
         covered = W - d
+        bound = None if band is None else W + band[1] * d
         label = "y[" + mono_str(T_SIDE, label_mono).replace("t", "y") + "]" if isinstance(label_mono, tuple) else str(label_mono)
         L = math.lcm(*(c.denominator for c in eq.values()))
         acc: dict[Mono, dict[int, int]] = {}
         for gamma, c in sorted(eq.items()):
             key = (gamma, covered)
             if key not in pair_cache:
-                pair_cache[key] = _bilinear_pair(derivs, gamma, covered)
+                pair_cache[key] = _bilinear_pair(derivs, gamma, covered, bound)
             k = c.numerator * (L // c.denominator)
             for mono, pair in pair_cache[key].items():
                 slot = acc.get(mono)
@@ -301,9 +376,8 @@ def _run_equations(
                 residual = HbarPoly({e: Fraction(x, den) for e, x in slot.items() if x})
                 failures.append({**where, "residual": repr(residual)})
                 continue
-            a, b = band
             for e in sorted(slot):
-                if slot[e] and a * e <= W + b * (v + d):
+                if slot[e]:
                     failures.append({**where, "hbarExponent": e, "residual": rat_str(Fraction(slot[e], den))})
         status = "skipped" if covered < 0 else "fail" if failures else "pass"
         report.equations.append(EquationStatus(label, covered, status))
@@ -328,8 +402,9 @@ def hirota_graded_check(tau: TPoly, y_weight: int, band: tuple[int, int]) -> Hir
     hbar coefficients of the exact object are divergent series).  For the
     residual of an equation of derivative-weight d the sound region is
     a*e <= W + b*(v + d) together with v <= W - d; this check asserts
-    exact vanishing there and ignores the rest.  It subsumes the fixed-
-    hbar statement for every scalar hbar, coefficientwise.
+    exact vanishing there and never forms the rest: no product whose
+    coefficient lands outside the band is computed.  It subsumes the
+    fixed-hbar statement for every scalar hbar, coefficientwise.
     """
     a, b = band
     table = hirota_equation_table(y_weight)

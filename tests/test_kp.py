@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hodgekp.algebra import HbarPoly, TPoly, mono_str, mono_weight
 from hodgekp.curve import CurveParams
@@ -354,6 +355,65 @@ class TestBilinearPair:
         assert nonzero >= 2
 
 
+@st.composite
+def laurent_tpolys(draw):
+    """hbar-Laurent t-side polynomials, hbar exponents -2..6, at a weight
+    cap 4 <= W <= 9, so that every equation of the y-weight-3 table covers
+    some residual weight."""
+    W = draw(st.integers(4, 9))
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+    terms = {}
+    for mono in draw(st.lists(st.sampled_from(weight_monomials("t", W)), min_size=2, max_size=10, unique=True)):
+        exps = draw(st.lists(st.integers(-2, 6), min_size=1, max_size=3, unique=True))
+        terms[mono] = HbarPoly({e: draw(coeff) for e in exps})
+    return TPoly("t", W, terms)
+
+
+bands = st.sampled_from([(0, 0), (2, 1), (12, 3)]) | st.tuples(st.integers(0, 4), st.integers(0, 3))
+
+
+class TestBandedPair:
+    """The graded check's pair kernel forms only in-band products: its pair
+    is the unbanded pair cut to the band a*e <= W + b*(v + d), on every
+    equation of the y-weight-3 table."""
+
+    @staticmethod
+    def compare(tau, band):
+        """Assert the banded pair of every (equation, gamma) equals the cut
+        unbanded one and holds no entry outside the band; return how many
+        nonzero coefficients lie on the boundary a*e = W + b*(v + d)."""
+        a, b = band
+        W = tau.max_weight
+        table = hirota_equation_table(3)
+        dmax = max(mono_weight("t", g) for _, eq in table for g in eq)
+        _, full = _derivatives(tau, dmax)
+        _, banded = _derivatives(tau, dmax, band)
+        on_boundary = 0
+        for _, eq in table:
+            d = max(mono_weight("t", g) for g in eq)
+
+            def past_band(mono, e):
+                return a * e - b * (mono_weight("t", mono) + d) - W
+
+            for gamma in eq:
+                got = _bilinear_pair(banded, gamma, W - d, W + b * d)
+                assert all(past_band(m, e) <= 0 for m, slot in got.items() for e in slot), gamma
+                unbanded = _bilinear_pair(full, gamma, W - d)
+                want = {(m, e): x for m, slot in unbanded.items() for e, x in slot.items() if x and past_band(m, e) <= 0}
+                assert {(m, e): x for m, slot in got.items() for e, x in slot.items() if x} == want, gamma
+                on_boundary += sum(past_band(m, e) == 0 for m, e in want)
+        return on_boundary
+
+    @given(laurent_tpolys(), bands)
+    def test_is_the_unbanded_pair_cut_to_the_band(self, tau, band):
+        self.compare(tau, band)
+
+    @pytest.mark.parametrize("check, W, kind", [(tau_qp_check, 9, "tau_qp"), (tau_qp_theta_check, 7, "tau_theta_qp")])
+    def test_keeps_the_boundary_on_the_derived_taus(self, check, W, kind):
+        body = check(CurveParams(F(1), F(3), F(2)), W).tau.body
+        assert self.compare(body, trust_band(kind)) > 0
+
+
 class TestPinnedFailures:
     """The failure lists of broken taus, entry by entry, against residuals
     computed in `Fraction`s."""
@@ -370,3 +430,19 @@ class TestPinnedFailures:
         body = body + TPoly("t", 8, {((3, 1),): HbarPoly({1: F(1, 7), -1: F(2, 3)}), ((1, 2),): HbarPoly.hbar(2, F(-1, 6))})
         failures = hirota_graded_check(body, 3, band).failures
         assert failures and failures == oracle_failures(body, 3, band)
+
+    def test_mutated_theta_graded_check(self):
+        # (1/7) hbar^3 t1^2 leaves residual coefficients exactly on the band
+        # boundary a*e = W + b*(v + d), and (2/3) hbar^-1 t2 leaves some at a
+        # negative hbar exponent
+        band, W = trust_band("tau_theta_qp"), 7
+        a, b = band
+        body = tau_qp_theta_check(CurveParams(F(1), F(3), F(2)), W).tau.body
+        body = body + TPoly("t", W, {((1, 2),): HbarPoly.hbar(3, F(1, 7)), ((2, 1),): HbarPoly.hbar(-1, F(2, 3))})
+        failures = hirota_graded_check(body, 3, band).failures
+        assert failures and failures == oracle_failures(body, 3, band)
+        table = hirota_equation_table(3)
+        depth = {"y[" + mono_str("t", m).replace("t", "y") + "]": max(mono_weight("t", g) for g in eq) for m, eq in table}
+        weight = {mono_str("t", m): mono_weight("t", m) for m in weight_monomials("t", W)}
+        assert any(a * f["hbarExponent"] == W + b * (weight[f["monomial"]] + depth[f["equation"]]) for f in failures)
+        assert any(f["hbarExponent"] < 0 for f in failures)
