@@ -10,15 +10,16 @@ the two-copy polynomial shift in binomial form,
 
 on integers: tau is its integer numerators over one denominator d, the
 derivatives of d·tau carry no 1/beta!, every weight C(gamma, beta) is an
-integer, and each product goes through an integer kernel.  The
-fixed-hbar check uses `algebra.mul_into`, the kernel of `TPoly.__mul__`.
-The graded check uses `_mul_in_band`, which forms only the products
-that land inside its hbar band a*e <= W + b*(v + d): a coefficient
-product at (weight w1, exponent e1) times (w2, e2) lands at v = w1 + w2,
-e = e1 + e2, so it is kept iff the excesses x = a*e - b*w of its two
-factors sum to at most W + b*d.  Out-of-band products are never formed,
-and every in-band coefficient is the same integer sum as in the full
-product.  A residual coefficient becomes a `Fraction` only where it is
+integer, and each product goes through one integer kernel,
+`_mul_in_band`.  Every check is coefficientwise in hbar inside a band
+a*e <= W + b*(v + d): a coefficient product at (weight w1, exponent e1)
+times (w2, e2) lands at v = w1 + w2, e = e1 + e2, so it is kept iff the
+excesses x = a*e - b*w of its two factors sum to at most W + b*d.
+Out-of-band products are never formed, and every in-band coefficient
+is the same integer sum as in the full product.  The band (0, 0) keeps
+every product: it is the band of the base tau-functions, which carry
+one hbar power per monomial, and of the check on an hbar-specialized
+series.  A residual coefficient becomes a `Fraction` only where it is
 nonzero.  A "pass" always means: every residual coefficient inside the
 stated budget vanishes exactly.  Nothing asymptotic is ever claimed.
 """
@@ -34,7 +35,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import (
-    HbarPoly,
     Mono,
     TPoly,
     T_SIDE,
@@ -42,7 +42,6 @@ from .algebra import (
     mono_mul,
     mono_str,
     mono_weight,
-    mul_into,
     rat_str,
     weight_sorted,
 )
@@ -79,51 +78,44 @@ def specialize_hbar(P: TPoly, value) -> TPoly:
 # ---------------------------------------------------------------------------
 
 
-def _require_specialized(tau: TPoly):
-    if any(e for slot in tau.num.values() for e in slot):
-        raise ValueError("hbar must be specialized before a bilinear check")
-
-
-def _derivatives(tau: TPoly, dmax: int, band: tuple[int, int] | None = None) -> tuple[int, dict[Mono, list]]:
+def _derivatives(tau: TPoly, dmax: int, band: tuple[int, int]) -> tuple[int, dict[Mono, list]]:
     """(d, {gamma: d^gamma (d·tau)}) for the D-multi-indices gamma of weight
-    <= dmax, d the denominator of tau: integer polynomials, as the
-    weight-sorted term lists of `mul_into`, with no 1/gamma!.  With a band
-    (a, b) each term's coefficients are instead the triples (excess, hbar
-    exponent, int) that `_mul_in_band` reads, sorted by the excess
-    a*e - b*w of the term's weight w."""
+    <= dmax, d the denominator of tau: integer polynomials with no
+    1/gamma!, as the weight-sorted lists of (weight, monomial, ((excess,
+    hbar exponent, int), ...)) that `_mul_in_band` reads, each term's
+    triples sorted by the excess a*e - b*w of its weight w for the band
+    (a, b)."""
     from .operators import weight_monomials
 
-    out: dict[Mono, list] = {(): weight_sorted(tau.kind, tau.num)}
+    a, b = band
+    root = [(w, mono, tuple(sorted((a * e - b * w, e, c) for e, c in cs))) for w, mono, cs in weight_sorted(tau.kind, tau.num)]
+    out: dict[Mono, list] = {(): root}
     for gamma in weight_monomials(T_SIDE, dmax):
         if gamma == ():
             continue
         # peel one derivative off the last variable entry
         v, e = gamma[-1]
         prev = gamma[:-1] + ((v, e - 1),) if e > 1 else gamma[:-1]
-        out[gamma] = _diff_terms(out[prev], v)
-    if band is not None:
-        a, b = band
-        out = {
-            gamma: [(w, mono, tuple(sorted((a * e - b * w, e, c) for e, c in cs))) for w, mono, cs in terms]
-            for gamma, terms in out.items()
-        }
+        out[gamma] = _diff_terms(out[prev], v, b * v)
     return tau.den, out
 
 
-def _diff_terms(terms: list, v: int) -> list:
-    """d/dt_v of a weight-sorted term list; the result stays weight-sorted."""
+def _diff_terms(terms: list, v: int, shift: int) -> list:
+    """d/dt_v of a weight-sorted term list; the result stays weight-sorted.
+    Each excess a*e - b*w grows by `shift` = b*v as the weight drops by v,
+    which keeps every term's triples sorted."""
     out = []
     for w, mono, coeffs in terms:
         for i, (u, e) in enumerate(mono):
             if u == v:
-                out.append((w - v, mono_lower(mono, i), tuple((h, c * e) for h, c in coeffs)))
+                out.append((w - v, mono_lower(mono, i), tuple((x + shift, h, c * e) for x, h, c in coeffs)))
                 break
     return out
 
 
-def _bilinear_pair(derivs: dict[Mono, list], gamma: Mono, cap: int, bound: int | None = None) -> dict:
-    """d²·(D^gamma tau . tau) up to weight `cap`, on integers, by the exact
-    two-copy expansion in binomial form
+def _bilinear_pair(derivs: dict[Mono, list], gamma: Mono, cap: int, bound: int) -> dict:
+    """d²·(D^gamma tau . tau) up to weight `cap` and excess `bound`, on
+    integers, by the exact two-copy expansion in binomial form
 
         D^gamma tau . tau = sum_{beta <= gamma} (-1)^|gamma - beta|
                             C(gamma, beta) d^beta tau . d^(gamma-beta) tau,
@@ -134,17 +126,13 @@ def _bilinear_pair(derivs: dict[Mono, list], gamma: Mono, cap: int, bound: int |
     (-1)^|gamma - beta| and (-1)^|beta|: for odd |gamma| they cancel
     (D^gamma tau . tau is antisymmetric, so zero), and for even |gamma|
     each unordered split is taken once, doubled when beta != gamma - beta.
-    So each split goes through the product kernel with the integer weight
+    So each split goes through `_mul_in_band` with the integer weight
     sign · twice · C(gamma, beta).  The kernel cuts at `cap`, which leaves
     every coefficient of weight <= cap exact, since no monomial has
-    negative weight.  The result maps monomials to {hbar exponent: int}
-    and may hold zeros.
-
-    With a `bound` the derivatives carry excesses (`_derivatives` with a
-    band) and only the products of excess sum <= bound are formed, by
-    `_mul_in_band`: the result is then the coefficients with
-    a*e - b*v <= bound, each the same integer as without the bound, and
-    holds no other hbar exponent.
+    negative weight, and forms only the products of excess sum <= bound.
+    The result maps monomials to {hbar exponent: int}: the coefficients
+    with a*e - b*v <= bound, each the same integer as in the full
+    product, and no other exponent.  It may hold zeros.
     """
     out: dict[Mono, dict[int, int]] = {}
     if sum(e for _, e in gamma) % 2:
@@ -158,21 +146,19 @@ def _bilinear_pair(derivs: dict[Mono, list], gamma: Mono, cap: int, bound: int |
         sign = -1 if sum(rest) % 2 else 1
         twice = 1 if exps == rest else 2
         binom = math.prod(math.comb(e, b) for (_, e), b in zip(gamma, exps))
-        if bound is None:
-            mul_into(derivs[beta], derivs[comp], cap, sign * twice * binom, out)
-        else:
-            _mul_in_band(derivs[beta], derivs[comp], cap, bound, sign * twice * binom, out)
+        _mul_in_band(derivs[beta], derivs[comp], cap, bound, sign * twice * binom, out)
     return out
 
 
 def _mul_in_band(a: list, b: list, cap: int, bound: int, k: int, out: dict) -> None:
-    """`mul_into` restricted to a band: add k·(a·b), cut at weight `cap`,
-    to `out`, forming only the coefficient products whose excesses sum to
-    at most `bound`.
+    """The pair kernel: add k·(a·b), cut at weight `cap`, to `out`,
+    forming only the coefficient products whose excesses sum to at most
+    `bound`.
 
     `a` and `b` are weight-sorted lists of (weight, monomial, ((excess,
     hbar exponent, int), ...)) with each term's triples sorted by excess,
-    as `_derivatives` gives them for a band (a, b).  A product of (w1, e1)
+    as `_derivatives` gives them for a band (a, b); `out` maps each
+    monomial to {hbar exponent: int}.  A product of (w1, e1)
     with (w2, e2) lands at weight v = w1 + w2 and exponent e = e1 + e2 with
     excess a*e - b*v = x1 + x2, so it is kept iff x1 + x2 <= bound.  Both
     inner loops break at the first triple past the bound, and a monomial
@@ -291,7 +277,8 @@ class EquationStatus:
 
 @dataclass
 class HirotaReport:
-    """Result of an exact bilinear check at one fixed hbar value."""
+    """Result of an exact bilinear check; `hbar_value` labels the hbar
+    value or band it ran at."""
 
     check: str
     hbar_value: str | None = None
@@ -321,26 +308,21 @@ def _run_equations(
     check_name: str,
     y_weight: int | None,
     hbar_label: str | None,
-    band: tuple[int, int] | None = None,
+    band: tuple[int, int],
 ) -> HirotaReport:
     """Evaluate each bilinear equation and record its nonzero residual
     coefficients on the covered range v <= W - d, the weight each pair
-    product is built to.
-
-    Without a band tau must be hbar-specialized and every coefficient
-    there counts.  With a band (a, b) only the hbar exponents e with
-    a*e <= W + b*(v + d) count, each recorded separately: the pairs are
-    built by `_mul_in_band` to the excess bound W + b*d, so they hold no
-    other exponent.  The bound is fixed by d = W - covered, so the pair
-    cache stays keyed by (gamma, covered).
+    product is built to, and in the band (a, b): only the hbar exponents
+    e with a*e <= W + b*(v + d) count, each recorded separately.  The
+    pairs are built by `_mul_in_band` to the excess bound W + b*d, so
+    they hold no other exponent.  The bound is fixed by d = W - covered,
+    so the pair cache stays keyed by (gamma, covered).
 
     The residual sum_gamma c_gamma D^gamma tau.tau is summed on integers,
     as sum_gamma (L·c_gamma)·pair_gamma over L·s², with s = tau.den,
     pair_gamma = s²·D^gamma tau.tau from `_bilinear_pair` and L the LCM
     of the equation's c_gamma denominators.
     """
-    if band is None:
-        _require_specialized(tau)
     W = tau.max_weight
     dmax = max(
         (mono_weight(T_SIDE, g) for _, eq in equations for g in eq), default=0
@@ -351,7 +333,7 @@ def _run_equations(
     for label_mono, eq in equations:
         d = max((mono_weight(T_SIDE, g) for g in eq), default=0)
         covered = W - d
-        bound = None if band is None else W + band[1] * d
+        bound = W + band[1] * d
         label = "y[" + mono_str(T_SIDE, label_mono).replace("t", "y") + "]" if isinstance(label_mono, tuple) else str(label_mono)
         L = math.lcm(*(c.denominator for c in eq.values()))
         acc: dict[Mono, dict[int, int]] = {}
@@ -372,10 +354,6 @@ def _run_equations(
         nonzero = [(mono_weight(tau.kind, m), m, slot) for m, slot in acc.items() if any(slot.values())]
         for v, mono, slot in sorted(nonzero):
             where = {"equation": label, "monomial": mono_str(tau.kind, mono)}
-            if band is None:
-                residual = HbarPoly({e: Fraction(x, den) for e, x in slot.items() if x})
-                failures.append({**where, "residual": repr(residual)})
-                continue
             for e in sorted(slot):
                 if slot[e]:
                     failures.append({**where, "hbarExponent": e, "residual": rat_str(Fraction(slot[e], den))})
@@ -387,9 +365,12 @@ def _run_equations(
 
 def hirota_full_check(tau: TPoly, y_weight: int, hbar_label: str | None = None) -> HirotaReport:
     """All bilinear equations from the generating identity, to the stated
-    y-weight, each verified on its covered residual range."""
+    y-weight, each verified on its covered residual range, for a tau
+    whose hbar is specialized: the band (0, 0) of the same loop."""
+    if any(e for slot in tau.num.values() for e in slot):
+        raise ValueError("hbar must be specialized before a bilinear check")
     table = hirota_equation_table(y_weight)
-    return _run_equations(tau, table, "hirota-full", y_weight, hbar_label)
+    return _run_equations(tau, table, "hirota-full", y_weight, hbar_label, (0, 0))
 
 
 def hirota_graded_check(tau: TPoly, y_weight: int, band: tuple[int, int]) -> HirotaReport:
@@ -404,7 +385,8 @@ def hirota_graded_check(tau: TPoly, y_weight: int, band: tuple[int, int]) -> Hir
     a*e <= W + b*(v + d) together with v <= W - d; this check asserts
     exact vanishing there and never forms the rest: no product whose
     coefficient lands outside the band is computed.  It subsumes the
-    fixed-hbar statement for every scalar hbar, coefficientwise.
+    fixed-hbar statement for every scalar hbar, coefficientwise; at the
+    band (0, 0) every coefficient counts.
     """
     a, b = band
     table = hirota_equation_table(y_weight)

@@ -19,8 +19,9 @@ from hodgekp.cli import (
     main,
     run_verification,
 )
-from hodgekp.algebra import rat_str
+from hodgekp.algebra import HbarPoly, TPoly, rat_str
 from hodgekp.curve import CurveParams, build_curve, identification_residual
+from hodgekp.kp import specialize_hbar
 from hodgekp.operators import (
     rl_identity_check,
     tqp_forms,
@@ -211,6 +212,11 @@ class TestReportsAndDeterminism:
         ["tau", "kw", "--weight", "99999999999999999999999"],
         ["verify", "lemma-grunsky", "--q", "1", "--p", "3", "--s", "2", "--weight", "4611686018427387902"],
         ["verify", "lemma-grunsky", "--q", "1", "--p", "3", "--s", "2", "--weight", "4611686018427387901"],
+        # the argument parser's own errors, the subcommands' included
+        ["verify", "lemma-laplace", "--weight", "abc"],
+        ["verify", "lemma-laplace", "--no-such-flag"],
+        ["tau", "kw"],
+        ["verify", "lemma-laplace", "--format", "xml"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv, capsys):
@@ -218,6 +224,22 @@ def test_bad_input_exits_2_with_one_line(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("check, build, W", [("kp-kw", "kw_tau", 11), ("kp-bgw", "bgw_tau", 8)])
+def test_kp_base_check_sees_a_bump_that_vanishes_at_hbar_1_and_one_half(check, build, W, monkeypatch):
+    # (1/7)(2 hbar^2 - 3 hbar + 1) t1 t3 specializes to zero at hbar = 1
+    # and at hbar = 1/2, so a check at those two values alone passes it
+    import hodgekp.tau as tau_mod
+
+    base = getattr(tau_mod, build)(W)
+    bump = TPoly("t", W, {((1, 1), (3, 1)): HbarPoly({2: F(2, 7), 1: F(-3, 7), 0: F(1, 7)})})
+    bumped = tau_mod.TauSeries(base.body + bump, base.kind, base.provenance)
+    for hb in (F(1), F(1, 2)):
+        assert specialize_hbar(bumped.body, hb) == specialize_hbar(base.body, hb)
+    monkeypatch.setattr(tau_mod, build, lambda W: bumped)
+    code, summary = run_verification(RunConfig(checks=[check], points=default_points(), weight=W))
+    assert code == 1 and [r["status"] for r in summary["results"]] == ["fail"]
 
 
 def _hirota_reports(obj):
@@ -568,14 +590,16 @@ def test_verify_all_traffic_builds_one_curve_per_point(monkeypatch):
 
 
 # sha256 of the per-check reports over the shipped catalog, each serialized
-# as `verify --out` writes it: the same reports as the seed-0 digests of the
-# conj-w6, kp-w11 and sweep-w8 workloads in perfbench/README.md
+# as `verify --out` writes it: the same reports as the conj-w6, kp-w11 and
+# sweep-w8 workloads of perfbench.  The seed-0 digests in
+# perfbench/README.md predate the one-report kp-kw/kp-bgw form; only
+# conj-w6's still matches there.
 REPORT_DIGESTS = [
     (("conjugation",), 6, "bc9d822402a42fe406317a4a54c11fd2b7c2d52d24c7332b97fcf8ba15a1b731"),
     (
         ("kp-kw", "kp-bgw", "kp-hodge", "theorem-hodge", "theorem-theta", "kdv-reduction"),
         11,
-        "b19873717c27d6e68d763fce13ce24544372cc13c3a61d0cf1ffee85d8d7aae8",
+        "effe9914214d7ece0a3c45e568ead99e31055e3839345693585bec1ed9fbdb94",
     ),
     (
         (
@@ -593,7 +617,7 @@ REPORT_DIGESTS = [
             "kdv-reduction",
         ),
         8,
-        "7b790c5a3f9585a1c57623744f635ae1ac0f4c4f5ad9cf25ddf7cc7b7b0bbf63",
+        "17f6939a751ea8a614a9b6a7b0705796d28d53a38ab5e22ff59087ea7b27d819",
     ),
 ]
 

@@ -240,17 +240,18 @@ class TestReductionCheck:
 
 
 class TestMergedEquationLoop:
-    """The fixed-hbar and the graded check share one equation loop; the
-    band only changes which coefficients count and how failures read."""
+    """The full check is the graded check's loop at the band (0, 0); the
+    band only changes which coefficients count."""
 
     BUMP = ((1, 1), (3, 1))
 
-    def test_full_failure_record_has_no_hbar_exponent(self):
+    def test_full_failure_record_has_hbar_exponent(self):
         tau = specialize_hbar(kw_tau(9).body, F(1))
         r = hirota_full_check(tau + TPoly("t", 9, {self.BUMP: F(1, 7)}), 3)
         assert not r.passed
         for failure in r.failures:
-            assert set(failure) == {"equation", "monomial", "residual"}
+            assert set(failure) == {"equation", "monomial", "hbarExponent", "residual"}
+            assert failure["hbarExponent"] == 0
 
     def test_graded_failure_record_has_hbar_exponent(self):
         body = kw_tau(9).body + TPoly("t", 9, {self.BUMP: HbarPoly.hbar(1, F(1, 7))})
@@ -259,10 +260,11 @@ class TestMergedEquationLoop:
         for failure in r.failures:
             assert set(failure) == {"equation", "monomial", "hbarExponent", "residual"}
 
-    def test_graded_matches_full_on_the_base_tau(self):
-        body = kw_tau(9).body
-        graded = hirota_graded_check(body, 3, trust_band("KW"))
-        full = hirota_full_check(specialize_hbar(body, F(1)), 3)
+    @pytest.mark.parametrize("build, W", [(kw_tau, 9), (bgw_tau, 8)], ids=["KW", "BGW"])
+    def test_graded_matches_full_on_the_base_tau(self, build, W):
+        tau = build(W)
+        graded = hirota_graded_check(tau.body, 3, trust_band(tau.kind))
+        full = hirota_full_check(specialize_hbar(tau.body, F(1)), 3)
         assert graded.passed and full.passed
         assert graded.to_json_obj()["hbar"] == "graded band 0e<=W+0(v+d)"
         assert [e.to_json_obj() for e in graded.equations] == [
@@ -298,9 +300,10 @@ def all_splits_pair(derivs, gamma, cap):
     return acc
 
 
-def oracle_failures(tau, y_weight, band=None):
-    """The failure list of a Hirota check, from residuals summed in
-    `Fraction`s over `all_splits_pair`, in the order the check reports."""
+def oracle_failures(tau, y_weight, band):
+    """The failure list of a Hirota check in the band (a, b), from
+    residuals summed in `Fraction`s over `all_splits_pair`, in the order
+    the check reports."""
     W = tau.max_weight
     table = hirota_equation_table(y_weight)
     derivs = scaled_derivatives(tau, max(mono_weight("t", g) for _, eq in table for g in eq))
@@ -313,9 +316,6 @@ def oracle_failures(tau, y_weight, band=None):
         label = "y[" + mono_str("t", label_mono).replace("t", "y") + "]"
         for mono, h in residual.sorted_terms():
             where = {"equation": label, "monomial": mono_str("t", mono)}
-            if band is None:
-                failures.append({**where, "residual": repr(h)})
-                continue
             a, b = band
             v = mono_weight("t", mono)
             failures.extend(
@@ -340,13 +340,13 @@ class TestBilinearPair:
         W = tau.max_weight
         gammas = {g for _, eq in hirota_equation_table(3) for g in eq}
         dmax = max(mono_weight("t", g) for g in gammas)
-        d, derivs = _derivatives(tau, dmax)
+        d, derivs = _derivatives(tau, dmax, (0, 0))
         assert d == math.lcm(*(x.denominator for h in tau.terms.values() for x in h.terms.values()))
         oracle = scaled_derivatives(tau, dmax)
         nonzero = 0
         for gamma in sorted(gammas):
             cap = W - mono_weight("t", gamma)
-            pair = _bilinear_pair(derivs, gamma, cap)
+            pair = _bilinear_pair(derivs, gamma, cap, W)
             assert all(isinstance(x, int) for slot in pair.values() for x in slot.values())
             got = TPoly("t", cap, {m: HbarPoly({e: F(x, d * d) for e, x in slot.items()}) for m, slot in pair.items()})
             expect = all_splits_pair(oracle, gamma, cap)
@@ -373,21 +373,21 @@ bands = st.sampled_from([(0, 0), (2, 1), (12, 3)]) | st.tuples(st.integers(0, 4)
 
 
 class TestBandedPair:
-    """The graded check's pair kernel forms only in-band products: its pair
-    is the unbanded pair cut to the band a*e <= W + b*(v + d), on every
-    equation of the y-weight-3 table."""
+    """The pair kernel forms only in-band products: its pair is the
+    all-splits `Fraction` pair cut to the band a*e <= W + b*(v + d), on
+    every equation of the y-weight-3 table."""
 
     @staticmethod
     def compare(tau, band):
         """Assert the banded pair of every (equation, gamma) equals the cut
-        unbanded one and holds no entry outside the band; return how many
-        nonzero coefficients lie on the boundary a*e = W + b*(v + d)."""
+        `all_splits_pair` and holds no entry outside the band; return how
+        many nonzero coefficients lie on the boundary a*e = W + b*(v + d)."""
         a, b = band
         W = tau.max_weight
         table = hirota_equation_table(3)
         dmax = max(mono_weight("t", g) for _, eq in table for g in eq)
-        _, full = _derivatives(tau, dmax)
-        _, banded = _derivatives(tau, dmax, band)
+        s, banded = _derivatives(tau, dmax, band)
+        oracle = scaled_derivatives(tau, dmax)
         on_boundary = 0
         for _, eq in table:
             d = max(mono_weight("t", g) for g in eq)
@@ -398,9 +398,9 @@ class TestBandedPair:
             for gamma in eq:
                 got = _bilinear_pair(banded, gamma, W - d, W + b * d)
                 assert all(past_band(m, e) <= 0 for m, slot in got.items() for e in slot), gamma
-                unbanded = _bilinear_pair(full, gamma, W - d)
-                want = {(m, e): x for m, slot in unbanded.items() for e, x in slot.items() if x and past_band(m, e) <= 0}
-                assert {(m, e): x for m, slot in got.items() for e, x in slot.items() if x} == want, gamma
+                unbanded = all_splits_pair(oracle, gamma, W - d).sorted_terms()
+                want = {(m, e): x for m, h in unbanded for e, x in h.terms.items() if past_band(m, e) <= 0}
+                assert {(m, e): F(x, s * s) for m, slot in got.items() for e, x in slot.items() if x} == want, gamma
                 on_boundary += sum(past_band(m, e) == 0 for m, e in want)
         return on_boundary
 
@@ -422,7 +422,7 @@ class TestPinnedFailures:
         tau = specialize_hbar(kw_tau(9).body, 1)
         tau = tau + TPoly("t", 9, {((1, 1), (3, 1)): F(1, 7), ((2, 2),): F(-3, 5)})
         failures = hirota_full_check(tau, 3).failures
-        assert failures and failures == oracle_failures(tau, 3)
+        assert failures and failures == oracle_failures(tau, 3, (0, 0))
 
     def test_mutated_graded_check(self):
         band = trust_band("tau_qp")
