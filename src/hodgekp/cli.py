@@ -210,7 +210,7 @@ def _chk_kp_hodge(run: _PointRun, point: CurveParams) -> dict:
     W = run.config.weight
     rep = run.identity("standard", W)
     r1 = hirota_graded_check(rep.tau.body, HIROTA_Y_WEIGHT, trust_band(rep.tau.kind))
-    rep_t = run.identity("theta", max(W - 1, 4))
+    rep_t = run.identity("theta", W)
     r2 = hirota_graded_check(rep_t.tau.body, HIROTA_Y_WEIGHT, trust_band(rep_t.tau.kind))
     ok = rep.equal and rep_t.equal and r1.passed and r2.passed
     return {
@@ -223,7 +223,7 @@ def _chk_kp_hodge(run: _PointRun, point: CurveParams) -> dict:
 def _chk_kdv_reduction(run: _PointRun, point: CurveParams) -> dict:
     W = run.config.weight
     rep = run.identity("standard", W)
-    rep_t = run.identity("theta", max(W - 1, 4))
+    rep_t = run.identity("theta", max(W, 4))
     r1 = kdv_reduction_check(rep.tau.body)
     r2 = kdv_reduction_check(rep_t.tau.body)
     reduced_point = point.p == -2 * point.q

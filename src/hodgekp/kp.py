@@ -15,7 +15,8 @@ integer, and each product goes through one integer kernel,
 a*e <= W + b*(v + d): a coefficient product at (weight w1, exponent e1)
 times (w2, e2) lands at v = w1 + w2, e = e1 + e2, so it is kept iff the
 excesses x = a*e - b*w of its two factors sum to at most W + b*d.
-Out-of-band products are never formed, and every in-band coefficient
+Out-of-band products are never formed, nor the derivatives of a
+coefficient that enters none but them, and every in-band coefficient
 is the same integer sum as in the full product.  The band (0, 0) keeps
 every product: it is the band of the base tau-functions, which carry
 one hbar power per monomial, and of the check on an hbar-specialized
@@ -84,12 +85,17 @@ def _derivatives(tau: TPoly, dmax: int, band: tuple[int, int]) -> tuple[int, dic
     1/gamma!, as the weight-sorted lists of (weight, monomial, ((excess,
     hbar exponent, int), ...)) that `_mul_in_band` reads, each term's
     triples sorted by the excess a*e - b*w of its weight w for the band
-    (a, b)."""
+    (a, b).  They hold only the coefficients that can enter a product of
+    d^beta and d^(gamma - beta) with excess at most W + b*|gamma|, the
+    bound of `_run_equations`: the root coefficients of excess at most
+    `_root_excess_limit`, and nothing is built from the others."""
     from .operators import weight_monomials
 
     a, b = band
     root = [(w, mono, tuple(sorted((a * e - b * w, e, c) for e, c in cs))) for w, mono, cs in weight_sorted(tau.kind, tau.num)]
-    out: dict[Mono, list] = {(): root}
+    limit = _root_excess_limit(root, tau.max_weight)
+    kept = ((w, mono, tuple(t for t in xs if t[0] <= limit)) for w, mono, xs in root)
+    out: dict[Mono, list] = {(): [term for term in kept if term[2]]}
     for gamma in weight_monomials(T_SIDE, dmax):
         if gamma == ():
             continue
@@ -98,6 +104,15 @@ def _derivatives(tau: TPoly, dmax: int, band: tuple[int, int]) -> tuple[int, dic
         prev = gamma[:-1] + ((v, e - 1),) if e > 1 else gamma[:-1]
         out[gamma] = _diff_terms(out[prev], v, b * v)
     return tau.den, out
+
+
+def _root_excess_limit(root: list, W: int) -> int:
+    """The largest root excess that can enter an in-band product.  The
+    derivatives of both factors of a product for gamma raise its excess
+    by b*|gamma| in all, which is what the bound W + b*|gamma| allows
+    beyond W; so a root coefficient of excess x enters some in-band
+    product only if x + x_min <= W, x_min the smallest root excess."""
+    return W - min((xs[0][0] for _, _, xs in root), default=0)
 
 
 def _diff_terms(terms: list, v: int, shift: int) -> list:

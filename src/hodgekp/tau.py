@@ -90,10 +90,15 @@ def _sub_multisets(items: tuple):
         yield tuple(sub), ways, tuple(comp)
 
 
-def _constraint_sums(correlator, g: int, args: tuple, k: int) -> Fraction:
+def _constraint_sums(correlator, genus, g: int, args: tuple, k: int) -> Fraction:
     """The correlator (linear + half the quadratic sum) / (2 a_0 + 1)!! of the
     constraint that removes the largest insertion a_0 = args[0]; the shift k
     moves each other insertion to a_j + k and splits k - 1 into two new ones.
+    No correlator that vanishes by its genus or dimension is asked for, so
+    none reaches the cache: the genus g - 1 term only when g >= 1, and
+    each split of the quadratic sum at the one genus g_1 that
+    `genus(sum, n)` gives its n insertions of that sum (None if none
+    does); the complement then has the dimension of genus g - g_1.
     The terms are summed as integers over one LCM, doubled to halve exactly."""
     rest = args[1:]
     terms = []  # (numerator, denominator) of each nonzero term
@@ -106,17 +111,30 @@ def _constraint_sums(correlator, g: int, args: tuple, k: int) -> Fraction:
     for i in range(0, k):
         j = k - 1 - i
         fac = double_factorial(2 * i + 1) * double_factorial(2 * j + 1)
-        c = correlator(g - 1, tuple(sorted(rest + (i, j), reverse=True)))
+        c = g and correlator(g - 1, tuple(sorted(rest + (i, j), reverse=True)))
         if c:
             terms.append((fac * c.numerator, c.denominator))
-        for g1 in range(0, g + 1):
-            for s1, ways, s2 in splits:
-                c1 = correlator(g1, tuple(sorted(s1 + (i,), reverse=True)))
-                c2 = c1 and correlator(g - g1, tuple(sorted(s2 + (j,), reverse=True)))
-                if c2:
-                    terms.append((fac * ways * c1.numerator * c2.numerator, c1.denominator * c2.denominator))
+        for s1, ways, s2 in splits:
+            g1 = genus(sum(s1) + i, len(s1) + 1)
+            if g1 is None or not 0 <= g1 <= g:
+                continue
+            c1 = correlator(g1, tuple(sorted(s1 + (i,), reverse=True)))
+            c2 = c1 and correlator(g - g1, tuple(sorted(s2 + (j,), reverse=True)))
+            if c2:
+                terms.append((fac * ways * c1.numerator * c2.numerator, c1.denominator * c2.denominator))
     L = math.lcm(*{d for _, d in terms})
     return Fraction(sum(n * (L // d) for n, d in terms), 2 * L * double_factorial(2 * args[0] + 1))
+
+
+def _psi_genus(total: int, n: int) -> int | None:
+    """The genus g with total = 3g - 3 + n, the psi-class dimension."""
+    g, r = divmod(total + 3 - n, 3)
+    return None if r else g
+
+
+def _theta_genus(total: int, n: int) -> int:
+    """The genus g with total = g - 1, the Theta-class dimension."""
+    return total + 1
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +156,7 @@ def psi_correlator(g: int, args: tuple) -> Fraction:
         return Fraction(1)
     if g == 1 and args == (1,):
         return Fraction(1, 24)
-    return _constraint_sums(psi_correlator, g, args, args[0] - 1)
+    return _constraint_sums(psi_correlator, _psi_genus, g, args, args[0] - 1)
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +177,7 @@ def theta_correlator(g: int, args: tuple) -> Fraction:
         return Fraction(0)
     if g == 1 and args == (0,):
         return Fraction(1, 8)
-    return _constraint_sums(theta_correlator, g, args, args[0])
+    return _constraint_sums(theta_correlator, _theta_genus, g, args, args[0])
 
 
 def _kw_self_check(g: int, args: tuple):

@@ -242,6 +242,35 @@ def test_kp_base_check_sees_a_bump_that_vanishes_at_hbar_1_and_one_half(check, b
     assert code == 1 and [r["status"] for r in summary["results"]] == ["fail"]
 
 
+def test_kp_hodge_sees_a_bump_on_the_theta_tau_at_weight_w(monkeypatch):
+    # (1/7) hbar^3 t1^6, added to the Theta tau after its identity check,
+    # sits at monomial weight W = 6 inside the band 2e <= W + v; the
+    # equation D1^4 + 3 D2^2 - 4 D1 D3 leaves a residual of it at weight
+    # 2.  A Theta tau built to W - 1 holds no monomial of weight W.
+    import dataclasses
+
+    import hodgekp.tau as tau_mod
+
+    W = 6
+    real = tau_mod._tau_identity
+
+    def bumped(params, w, mode, *inputs):
+        rep = real(params, w, mode, *inputs)
+        if mode == "theta" and w == W:
+            body = rep.tau.body + TPoly("t", w, {((1, 6),): HbarPoly.hbar(3, F(1, 7))})
+            rep = dataclasses.replace(rep, tau=dataclasses.replace(rep.tau, body=body))
+        return rep
+
+    monkeypatch.setattr(tau_mod, "_tau_identity", bumped)
+    code, summary = run_verification(RunConfig(checks=["kp-hodge"], points=default_points(), weight=W))
+    assert code == 1
+    for r in summary["results"]:
+        details = r["details"]
+        assert r["status"] == "fail" and details["construction"] == {"standard": True, "theta": True}
+        assert [rep["status"] for rep in details["hirota"]] == ["pass", "fail"]
+        assert all(rep["coveredWeight"] == W - 4 for rep in details["hirota"])
+
+
 def _hirota_reports(obj):
     """Every Hirota report nested anywhere in a JSON payload."""
     if isinstance(obj, dict):
@@ -364,15 +393,15 @@ def test_each_curve_base_and_identity_is_built_once_per_run(monkeypatch):
     checks = ["theorem-rl", "lemma-changevars", "theorem-hodge", "theorem-theta", "kp-hodge", "kdv-reduction"]
     code, _ = run_verification(RunConfig(checks=checks, points=points, weight=W))
     assert code == 0
-    # one curve per point, to W + 1, whose flow coefficients a_1..a_W
-    # and shift data also serve the Theta identity at W - 1 that kp-hodge
-    # and kdv-reduction read
+    # one curve per point, to W + 1, and one tau identity per (point,
+    # side) at W, which theorem-hodge, theorem-theta, kp-hodge and
+    # kdv-reduction all read
     expected = (
         {("build_curve", (p, W + 1)) for p in points}
         | {("shift_data", (p, W + 1)) for p in points}
         | {("witt_coefficients", repr(build_curve(p, W + 1).f)) for p in points}
-        | {("kw_tau", W), ("bgw_tau", W), ("bgw_tau", W - 1)}
-        | {("_tau_identity", (p, mode, w)) for p in points for mode, w in [("standard", W), ("theta", W), ("theta", W - 1)]}
+        | {("kw_tau", W), ("bgw_tau", W)}
+        | {("_tau_identity", (p, mode, W)) for p in points for mode in ("standard", "theta")}
     )
     assert set(calls) == expected
     assert all(n == 1 for n in calls.values()), calls
@@ -424,15 +453,14 @@ def test_one_group_element_and_one_quantized_pair_per_point(monkeypatch):
     assert code == 0
     # point by point: the element at cap W, rebuilt once at 2W for conjugation
     assert caps == [W, 2 * W] * len(TWO_POINTS)
-    # one pair per (point, side, W): standard and Theta at W, and the Theta
-    # identity at W - 1 that kp-hodge reads
+    # one pair per (point, side), both at W
     for built in (directs, factorizeds):
-        assert len(built) == 3 * len(TWO_POINTS) and set(built.values()) == {1}, built
-    assert {key[1:] for key in factorizeds} == {(W, "standard"), (W, "theta"), (W - 1, "theta")}
-    # one factorized kernel per (point, W), which the standard and the
-    # Theta pair at W share
-    assert len(kernels) == 2 * len(TWO_POINTS) and set(kernels.values()) == {1}, kernels
-    assert {key[1] for key in kernels} == {W, W - 1}
+        assert len(built) == 2 * len(TWO_POINTS) and set(built.values()) == {1}, built
+    assert {key[1:] for key in factorizeds} == {(W, "standard"), (W, "theta")}
+    # one factorized kernel per point, at W, which the standard and the
+    # Theta pair share
+    assert len(kernels) == len(TWO_POINTS) and set(kernels.values()) == {1}, kernels
+    assert {key[1] for key in kernels} == {W}
     assert rows and max(rows.values()) == 1
 
 
@@ -592,14 +620,15 @@ def test_verify_all_traffic_builds_one_curve_per_point(monkeypatch):
 # sha256 of the per-check reports over the shipped catalog, each serialized
 # as `verify --out` writes it: the same reports as the conj-w6, kp-w11 and
 # sweep-w8 workloads of perfbench.  The seed-0 digests in
-# perfbench/README.md predate the one-report kp-kw/kp-bgw form; only
-# conj-w6's still matches there.
+# perfbench/README.md predate the one-report kp-kw/kp-bgw form and the
+# Theta identity at W in kp-hodge and kdv-reduction; only conj-w6's still
+# matches there.
 REPORT_DIGESTS = [
     (("conjugation",), 6, "bc9d822402a42fe406317a4a54c11fd2b7c2d52d24c7332b97fcf8ba15a1b731"),
     (
         ("kp-kw", "kp-bgw", "kp-hodge", "theorem-hodge", "theorem-theta", "kdv-reduction"),
         11,
-        "effe9914214d7ece0a3c45e568ead99e31055e3839345693585bec1ed9fbdb94",
+        "050c9b40914ff627e6a63128cc2e0386f7e72ff170a7530707423c886005a5a6",
     ),
     (
         (
@@ -617,7 +646,7 @@ REPORT_DIGESTS = [
             "kdv-reduction",
         ),
         8,
-        "17f6939a751ea8a614a9b6a7b0705796d28d53a38ab5e22ff59087ea7b27d819",
+        "b261332392be3d1663b3d9db6b81ac79391eec77f42de85172666a0c9a251a09",
     ),
 ]
 

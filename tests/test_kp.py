@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from hodgekp import kp
 from hodgekp.algebra import HbarPoly, TPoly, mono_str, mono_weight
 from hodgekp.curve import CurveParams
 from hodgekp.kp import (
@@ -412,6 +413,38 @@ class TestBandedPair:
     def test_keeps_the_boundary_on_the_derived_taus(self, check, W, kind):
         body = check(CurveParams(F(1), F(3), F(2)), W).tau.body
         assert self.compare(body, trust_band(kind)) > 0
+
+
+def _report_with_limit(tau, band, limit):
+    """The graded check's report, with the root excess limit of
+    `_derivatives` replaced by limit(root, W)."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(kp, "_root_excess_limit", limit)
+        return hirota_graded_check(tau, 3, band).to_json_obj()
+
+
+class TestPrunedDerivatives:
+    """`_derivatives` drops the root coefficients that no in-band product
+    reads, before differentiating: the check reports alike with and
+    without the pruning, and the limit is tight."""
+
+    @given(laurent_tpolys(), bands)
+    def test_pruned_and_unpruned_checks_report_alike(self, tau, band):
+        unpruned = _report_with_limit(tau, band, lambda root, W: math.inf)
+        assert hirota_graded_check(tau, 3, band).to_json_obj() == unpruned
+
+    @pytest.mark.parametrize("check, W, kind", [(tau_qp_check, 9, "tau_qp"), (tau_qp_theta_check, 7, "tau_theta_qp")])
+    def test_a_limit_one_smaller_fails_the_derived_taus(self, check, W, kind):
+        # the derived taus pass, and a root coefficient exactly at the
+        # limit enters an in-band residual coefficient, which then fails
+        body = check(CurveParams(F(1), F(3), F(2)), W).tau.body
+        band = trust_band(kind)
+        real = kp._root_excess_limit
+        unpruned = _report_with_limit(body, band, lambda root, W: math.inf)
+        assert unpruned["status"] == "pass"
+        assert hirota_graded_check(body, 3, band).to_json_obj() == unpruned
+        smaller = _report_with_limit(body, band, lambda root, W: real(root, W) - 1)
+        assert smaller["status"] == "fail"
 
 
 class TestPinnedFailures:

@@ -77,6 +77,35 @@ def test_integer_recursion_matches_fraction_recursion(correlator, reference, dim
     assert checked >= 20
 
 
+@pytest.mark.parametrize(
+    "name, build, least_genus, dimension",
+    [
+        ("psi_correlator", kw_tau, 0, lambda g, n: 3 * g - 3 + n),
+        ("theta_correlator", bgw_tau, 1, lambda g, n: g - 1),
+    ],
+    ids=["psi", "theta"],
+)
+def test_a_cold_build_caches_only_correlators_of_their_dimension(name, build, least_genus, dimension, monkeypatch):
+    # each split of the recursion asks for the one genus its dimension
+    # allows, so the cache holds no correlator that is zero by dimension
+    import hodgekp.tau as tau_mod
+
+    real = getattr(tau_mod, name)
+    real.cache_clear()
+    asked = set()
+
+    def recording(g, args):
+        asked.add((g, args))
+        return real(g, args)
+
+    monkeypatch.setattr(tau_mod, name, recording)
+    build(16)
+    assert len(asked) == real.cache_info().currsize > 0
+    for g, args in asked:
+        n = len(args)
+        assert g >= least_genus and 2 * g - 2 + n > 0 and sum(args) == dimension(g, n), (g, args)
+
+
 class TestPsiCorrelators:
     def test_seeds(self):
         assert psi_correlator(0, (0, 0, 0)) == 1
