@@ -48,7 +48,7 @@ from .tau import (
 
 ENGINE_VERSION = "0.1.0"
 
-__all__ = ["main", "run_verification", "RunConfig", "CHECKS", "MIN_WEIGHT"]
+__all__ = ["main", "run_verification", "RunConfig", "CHECKS", "MIN_WEIGHT", "identification_size"]
 
 
 @dataclass
@@ -123,7 +123,7 @@ def _chk_lemma_laplace(run: _PointRun, point: CurveParams) -> dict:
 
 
 def _chk_identification(run: _PointRun, point: CurveParams) -> dict:
-    size = 4
+    size = identification_size(run.config.weight)
     order = 2 * (2 * size + 1)
     if run.config.perturbed:
         control = perturbed_control_curve(order)
@@ -135,6 +135,7 @@ def _chk_identification(run: _PointRun, point: CurveParams) -> dict:
         return {
             "passed": ok,
             "control": "out-of-family (degree-4 denominator term)",
+            "size": size,
             "nonzeroEntries": nonzero,
         }
     res = identification_residual(run.curve(order), size)
@@ -284,6 +285,16 @@ MIN_WEIGHT = {
     "kp-hodge": HIROTA_Y_WEIGHT + 1,
     "kdv-reduction": 3,
 }
+
+
+def identification_size(W: int) -> int:
+    """The size of the identification residual at weight W, never below
+    the 4 x 4 block: the entries (k, m) with k, m < W // 2 hold every
+    T_k T_m of weight (2k + 1) + (2m + 1) <= W.  The curve it reads, of
+    order 2(2 size + 1), is then at most lemma-laplace's 2W + 2 (equal at
+    W = 8), so the two share one curve."""
+    return max(4, W // 2)
+
 
 # Checks whose outcome does not depend on a parameter point.
 POINT_FREE = {"kp-kw", "kp-bgw"}

@@ -1,10 +1,16 @@
 """Base tau-functions and the derived partition functions.
 
-The psi-class and Theta-class intersection numbers are generated by the
-standard Virasoro-constraint recursions (seeded by the classical base
-values) and are validated downstream by the independent bilinear-identity
-checker rather than trusted.  The expansion convention is topological:
-a term with genus g and n insertions carries hbar^(2g-2+n).
+The psi-class (Kontsevich-Witten) and Theta-class (Brezin-Gross-Witten)
+tau-functions are built by cut-and-join: their Virasoro constraints,
+summed against the Euler operator, give one linear equation that fixes
+tau weight by weight from tau_0 = 1 (Alexandrov 2011 and 2018).  They
+are validated downstream by the independent bilinear-identity checker
+rather than trusted.  The expansion convention is topological: a term
+with genus g and n insertions carries hbar^(2g-2+n).
+
+The psi-class and Theta-class intersection numbers themselves come from
+the standard constraint recursions, seeded by the classical base values.
+They are an API of their own; no tau-function is built from them.
 """
 
 from __future__ import annotations
@@ -16,19 +22,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (
-    HbarPoly,
-    InvariantViolation,
-    TPoly,
-    T_SIDE,
-    double_factorial,
-    exp_weights,
-    mul_sorted,
-    rat_str,
-    weight_sorted,
-)
+from .algebra import HbarPoly, InvariantViolation, TPoly, T_SIDE, double_factorial, rat_str
 from .curve import MIN_SERIES_ORDER, CurveParams, CurveSeries, build_curve
 from .operators import (
+    LinearOp,
     givental_routes,
     odd_t_to_big_t,
     rl_transform_virasoro,
@@ -42,7 +39,6 @@ __all__ = [
     "theta_correlator",
     "kw_tau",
     "bgw_tau",
-    "tp_exp",
     "hodge_partition",
     "TauIdentityReport",
     "PointArtifacts",
@@ -180,28 +176,8 @@ def theta_correlator(g: int, args: tuple) -> Fraction:
     return _constraint_sums(theta_correlator, _theta_genus, g, args, args[0])
 
 
-def _kw_self_check(g: int, args: tuple):
-    """String and dilaton consistency of the generated numbers."""
-    if 0 in args and 2 * g - 2 + len(args) - 1 > 0:
-        rest = list(args)
-        rest.remove(0)
-        expect = sum(
-            psi_correlator(g, tuple(sorted(rest[:j] + [aj - 1] + rest[j + 1 :], reverse=True)))
-            for j, aj in enumerate(rest)
-            if aj >= 1
-        )
-        if psi_correlator(g, args) != expect:
-            raise InvariantViolation(f"string equation failed at g={g}, {args}")
-    if 1 in args and args != (1,) and 2 * g - 2 + len(args) - 1 > 0:
-        rest = list(args)
-        rest.remove(1)
-        expect = (2 * g - 2 + len(rest)) * psi_correlator(g, tuple(rest))
-        if psi_correlator(g, args) != expect:
-            raise InvariantViolation(f"dilaton equation failed at g={g}, {args}")
-
-
 # ---------------------------------------------------------------------------
-# Tau-function assembly
+# Base tau-functions by cut-and-join
 # ---------------------------------------------------------------------------
 
 
@@ -217,84 +193,42 @@ class TauSeries:
         return {"provenance": {"kind": self.kind, **self.provenance}, "terms": self.body.to_json_obj()}
 
 
-def tp_exp(F: TPoly) -> TPoly:
-    """exp of a polynomial without constant term (finite by weight truncation).
+def _constraint_mode(n: int, W: int) -> LinearOp:
+    """R_n on hbar-stripped series in the odd times up to t_W,
+    (1/2) sum_(k odd) k t_k d_(k+2n) + (1/4) sum_(a+b=2n, a, b odd) d_a d_b,
+    plus t_1^2/4 at n = -1 and 1/16 at n = 0: the constraint mode L_n of
+    dilaton index s without its dilaton term -(1/2) d_(2n+s).  Built from
+    its own items, not from the Virasoro operators of the group route
+    whose base it is."""
+    items = [("md", k, k + 2 * n, Fraction(k, 2)) for k in range(1, W + 1, 2) if 1 <= k + 2 * n <= W]
+    items += [("dd", a, 2 * n - a, Fraction(1, 4) if a == n else Fraction(1, 2)) for a in range(1, n + 1, 2)]
+    if n == -1:
+        items.append(("mm", 1, 1, Fraction(1, 4)))
+    if n == 0:
+        items.append(("id", Fraction(1, 16)))
+    return LinearOp.from_terms(T_SIDE, items)
 
-    On integers: with F = N/d, the powers u_n = N^n are weight-sorted
-    lists that `mul_into` extends by one factor N each, and
-    exp(F) = sum_n u_n / (n!·d^n) is summed over one denominator.
+
+def _cut_and_join(W: int, s: int) -> TPoly:
+    """The base tau-function of dilaton index s (3: psi side, 1: Theta side).
+
+    Its constraints L_n tau = 0, one for each odd time t_k with
+    k = 2n + s, summed as sum_k 2k t_k L_n, give E tau = W_hat tau with
+    E = sum_k k t_k d_k the Euler operator and
+    W_hat = sum_k 2k t_k R_n, the cut-and-join operator.  Every term of
+    W_hat raises the weight by s, so from tau_0 = 1 the homogeneous parts
+    follow as w tau_w = W_hat tau_(w-s); tau_w carries hbar^(w/s).
     """
-    if () in F.num:
-        raise ValueError("exp needs a polynomial with zero constant term")
-    kind, W = F.kind, F.max_weight
-    f = weight_sorted(kind, F.num)
-    iterates = [[(0, (), ((0, 1),))]]
-    while True:
-        u = mul_sorted(kind, iterates[-1], f, W)
-        if not u:
-            break
-        iterates.append(u)
-    N = len(iterates) - 1
-    acc: dict = {}
-    for u, weight in zip(iterates, exp_weights(N, F.den)):
-        for _, mono, cs in u:
-            slot = acc.setdefault(mono, {})
-            for e, c in cs:
-                slot[e] = slot.get(e, 0) + c * weight
-    return TPoly._normal(kind, W, acc, math.factorial(N) * F.den**N)
-
-
-def _partitions_into(total: int, parts: int, cap: int):
-    """Nonincreasing tuples of `parts` nonnegative integers at most `cap`
-    with the given sum.  A module-level recursion: a nested one would
-    reference itself through its closure and form a reference cycle."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, cap), -1, -1):
-        if first * parts < total:
-            break
-        for rest in _partitions_into(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
-def _assemble_tau(W: int, correlator, dimension, self_check=None) -> TPoly:
-    """Sum hbar^(2g-2+n) <...> prod t / automorphisms over all strata
-    with t-weight at most W, then exponentiate."""
-    terms = {}
-    g = 0
-    while True:
-        emitted_for_g = False
-        for n in range(1, W + 1):
-            D = dimension(g, n)
-            if D is None or D < 0:
-                continue
-            weight = 2 * D + n  # t-weight of any such monomial
-            if weight > W:
-                continue
-            emitted_for_g = True
-            for alpha in _partitions_into(D, n, D):
-                c = correlator(g, alpha)
-                if not c:
-                    continue
-                if self_check is not None:
-                    self_check(g, alpha)
-                mult: dict[int, int] = {}
-                for a in alpha:
-                    mult[a] = mult.get(a, 0) + 1
-                coeff = c
-                for a, e in mult.items():
-                    coeff *= Fraction(double_factorial(2 * a + 1)) ** e
-                    coeff /= math.factorial(e)
-                mono = tuple(sorted((2 * a + 1, e) for a, e in mult.items()))
-                terms[mono] = HbarPoly.hbar(2 * g - 2 + n, coeff)
-        if not emitted_for_g and dimension(g, 1) is not None and 2 * dimension(g, 1) + 1 > W:
-            break
-        if g > W:
-            break
-        g += 1
-    return tp_exp(TPoly(T_SIDE, W, terms))
+    modes = [(k, _constraint_mode((k - s) // 2, W)) for k in range(1, W + 1, 2)]
+    piece = body = TPoly.one(T_SIDE, W)
+    for w in range(s, W + 1, s):
+        step = TPoly.zero(T_SIDE, W)
+        for k, R in modes:
+            if k <= w:  # else R_n lowers the weight by k - s > w - s, to nothing
+                step = step + R.apply(piece).mul_var(k, 2 * k)
+        piece = step.scale(Fraction(1, w))
+        body = body + piece.scale(HbarPoly.hbar(w // s))
+    return body
 
 
 def kw_tau(W: int) -> TauSeries:
@@ -305,13 +239,7 @@ def kw_tau(W: int) -> TauSeries:
     """
     if W < 3:
         raise ValueError("the psi-class tau-function needs W >= 3")
-    body = _assemble_tau(
-        W,
-        psi_correlator,
-        lambda g, n: 3 * g - 3 + n if 3 * g - 3 + n >= 0 and 2 * g - 2 + n > 0 else None,
-        self_check=_kw_self_check,
-    )
-    return TauSeries(body, "KW", {"W": W, "variables": "odd t"})
+    return TauSeries(_cut_and_join(W, 3), "KW", {"W": W, "variables": "odd t"})
 
 
 def bgw_tau(W: int) -> TauSeries:
@@ -322,12 +250,7 @@ def bgw_tau(W: int) -> TauSeries:
     """
     if W < 1:
         raise ValueError("the Theta-class tau-function needs W >= 1")
-    body = _assemble_tau(
-        W,
-        theta_correlator,
-        lambda g, n: g - 1 if g >= 1 and 2 * g - 2 + n > 0 else None,
-    )
-    return TauSeries(body, "BGW", {"W": W, "variables": "odd t"})
+    return TauSeries(_cut_and_join(W, 1), "BGW", {"W": W, "variables": "odd t"})
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,23 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import settings
 
-from hodgekp.algebra import T_SIDE, HbarPoly, TPoly, ZSeries, double_factorial, mono_str, mono_weight
+from hodgekp.algebra import (
+    T_SIDE,
+    HbarPoly,
+    TPoly,
+    ZSeries,
+    double_factorial,
+    exp_weights,
+    mono_str,
+    mono_weight,
+    mul_sorted,
+    weight_sorted,
+)
 from hodgekp.curve import CurveParams, build_curve, witt_flow
 from hodgekp.operators import LinearOp, virasoro_op, weight_monomials
 
@@ -187,8 +199,9 @@ def hbar_weight_strip(P, num, den):
 
 
 # The earlier forms of the exact set-up, kept as references: the Witt peel
-# by one `witt_flow` per order, sum a_k L_k by chained operator sums, and
-# the correlator recursions on `Fraction`s over a recursive enumeration.
+# by one `witt_flow` per order, sum a_k L_k by chained operator sums, the
+# correlator recursions on `Fraction`s over a recursive enumeration, and
+# the base tau-functions as the exponential of their correlator sums.
 
 
 def reference_witt_coefficients(f):
@@ -280,3 +293,78 @@ def reference_theta_correlator(g, args):
     a0 = args[0]
     extra = Fraction(1, 8) if (g, args) == (1, (0,)) else Fraction(0)
     return (_reference_constraint_sums(reference_theta_correlator, g, args, a0) + extra) / double_factorial(2 * a0 + 1)
+
+
+def psi_dimension(g, n):
+    """3g - 3 + n, the psi-class dimension of a stable (g, n), or None."""
+    D = 3 * g - 3 + n
+    return D if D >= 0 and 2 * g - 2 + n > 0 else None
+
+
+def theta_dimension(g, n):
+    """g - 1, the Theta-class dimension of a stable (g, n), or None."""
+    return g - 1 if g >= 1 and 2 * g - 2 + n > 0 else None
+
+
+def partitions_into(total, parts, cap):
+    """Nonincreasing tuples of `parts` nonnegative integers at most `cap`
+    with the given sum.  A module-level recursion: a nested one would
+    reference itself through its closure and form a reference cycle."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, cap), -1, -1):
+        if first * parts < total:
+            break
+        for rest in partitions_into(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def tp_exp(F):
+    """exp of a polynomial without constant term (finite by weight truncation).
+
+    On integers: with F = N/d, the powers u_n = N^n are weight-sorted
+    lists that `mul_sorted` extends by one factor N each, and
+    exp(F) = sum_n u_n / (n!·d^n) is summed over one denominator.
+    """
+    if () in F.num:
+        raise ValueError("exp needs a polynomial with zero constant term")
+    kind, W = F.kind, F.max_weight
+    f = weight_sorted(kind, F.num)
+    iterates = [[(0, (), ((0, 1),))]]
+    while True:
+        u = mul_sorted(kind, iterates[-1], f, W)
+        if not u:
+            break
+        iterates.append(u)
+    N = len(iterates) - 1
+    acc = {}
+    for u, weight in zip(iterates, exp_weights(N, F.den)):
+        for _, mono, cs in u:
+            slot = acc.setdefault(mono, {})
+            for e, c in cs:
+                slot[e] = slot.get(e, 0) + c * weight
+    return TPoly._normal(kind, W, acc, math.factorial(N) * F.den**N)
+
+
+def assemble_tau(W, correlator, dimension):
+    """The base tau-function as exp of its correlator sum: hbar^(2g-2+n)
+    <tau_(a_1) ... tau_(a_n)>_g prod_i (2a_i + 1)!! t_(2a_i+1) / |Aut|
+    over every stratum of t-weight at most W."""
+    terms = {}
+    for g in range(W + 2):
+        for n in range(1, W + 1):
+            D = dimension(g, n)
+            if D is None or 2 * D + n > W:
+                continue
+            for alpha in partitions_into(D, n, D):
+                c = correlator(g, alpha)
+                if not c:
+                    continue
+                mult = Counter(alpha)
+                for a, e in mult.items():
+                    c *= Fraction(double_factorial(2 * a + 1) ** e, math.factorial(e))
+                mono = tuple(sorted((2 * a + 1, e) for a, e in mult.items()))
+                terms[mono] = HbarPoly.hbar(2 * g - 2 + n, c)
+    return tp_exp(TPoly(T_SIDE, W, terms))

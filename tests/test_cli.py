@@ -16,6 +16,7 @@ from hodgekp.cli import (
     ConfigError,
     RunConfig,
     default_points,
+    identification_size,
     main,
     run_verification,
 )
@@ -176,6 +177,8 @@ class TestReportsAndDeterminism:
         assert artifact.exists() and "diff" in artifact.read_text()
 
     def test_cold_and_warm_runs_agree(self):
+        # the base tau-functions come from their constraints alone: a run
+        # of the checks that read them asks for no correlator
         from hodgekp.tau import psi_correlator, theta_correlator
 
         point = CurveParams(F(1), F(3), F(2))
@@ -183,9 +186,10 @@ class TestReportsAndDeterminism:
         psi_correlator.cache_clear()
         theta_correlator.cache_clear()
         _, cold = run_verification(config)
-        assert psi_correlator.cache_info().currsize and theta_correlator.cache_info().currsize
         _, warm = run_verification(config)
-        assert psi_correlator.cache_info().hits and theta_correlator.cache_info().hits
+        for correlator in (psi_correlator, theta_correlator):
+            info = correlator.cache_info()
+            assert info.currsize == info.hits == info.misses == 0
         cold.pop("timings_ms"), warm.pop("timings_ms")
         assert cold["status"] == "pass"
         assert cold == warm
@@ -528,6 +532,26 @@ def test_each_check_catches_a_scaled_operator_at_its_minimum_weight(check, corru
     # compared
     corrupt(monkeypatch)
     assert set(_statuses([check], MIN_WEIGHT[check], default_points()).values()) == {"fail"}
+
+
+def test_identification_size_grows_with_the_weight():
+    # at W = 12 every T_k T_m of weight <= 12 is compared: the 6 x 6
+    # residual vanishes on the catalog, and the out-of-family control
+    # still shows nonzero entries of low degree
+    W = 12
+    assert [identification_size(w) for w in (1, 8, 9, 12, 13)] == [4, 4, 4, 6, 6]
+    _, summary = run_verification(RunConfig(checks=["identification"], points=default_points(), weight=W))
+    assert summary["status"] == "pass" and len(summary["results"]) == 5
+    for result in summary["results"]:
+        details = result["details"]
+        assert details["size"] == 6
+        assert [len(row) for row in details["residual"]] == [6] * 6
+        assert all(x == "0" for row in details["residual"] for x in row)
+    config = RunConfig(checks=["identification"], points=default_points(), weight=W, perturbed=True)
+    _, control = run_verification(config)
+    (result,) = control["results"]
+    assert result["status"] == "pass" and result["details"]["size"] == 6
+    assert any(k + m <= 4 for k, m in result["details"]["nonzeroEntries"])
 
 
 @pytest.mark.parametrize("W", [4, 5])

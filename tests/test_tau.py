@@ -10,7 +10,6 @@ from hodgekp.algebra import HbarPoly, TPoly, mono_weight
 from hodgekp.curve import CurveParams, build_curve
 from hodgekp.operators import odd_t_to_big_t, rl_transform_virasoro, weight_monomials
 from hodgekp.tau import (
-    _partitions_into,
     _sub_multisets,
     bgw_tau,
     hodge_partition,
@@ -19,18 +18,26 @@ from hodgekp.tau import (
     tau_qp_check,
     tau_qp_theta_check,
     theta_correlator,
-    tp_exp,
     trust_band,
 )
 
-from conftest import reference_psi_correlator, reference_sub_multisets, reference_theta_correlator
+from conftest import (
+    assemble_tau,
+    partitions_into,
+    psi_dimension,
+    reference_psi_correlator,
+    reference_sub_multisets,
+    reference_theta_correlator,
+    theta_dimension,
+    tp_exp,
+)
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: weight_monomials("t", 8),
-        lambda: list(_partitions_into(6, 3, 6)),
+        lambda: list(partitions_into(6, 3, 6)),
         lambda: list(_sub_multisets((3, 1, 1, 0))),
     ],
     ids=["weight_monomials", "_partitions_into", "_sub_multisets"],
@@ -62,7 +69,7 @@ def test_sub_multisets_match_recursive_enumeration(items):
 )
 def test_integer_recursion_matches_fraction_recursion(correlator, reference, dimension):
     # every (g, alpha) of t-weight 2D + n <= 13, which holds every
-    # correlator that kw_tau(13) and bgw_tau(13) reach
+    # correlator of the tau-functions' terms up to weight 13
     W = 13
     checked = 0
     for g in range(W + 1):
@@ -70,7 +77,7 @@ def test_integer_recursion_matches_fraction_recursion(correlator, reference, dim
             D = dimension(g, n)
             if D < 0 or 2 * D + n > W:
                 continue
-            for alpha in _partitions_into(D, n, D):
+            for alpha in partitions_into(D, n, D):
                 value = correlator(g, alpha)
                 assert isinstance(value, F) and value == reference(g, alpha), (g, alpha)
                 checked += 1
@@ -78,14 +85,26 @@ def test_integer_recursion_matches_fraction_recursion(correlator, reference, dim
 
 
 @pytest.mark.parametrize(
-    "name, build, least_genus, dimension",
+    "build, correlator, dimension, weights",
     [
-        ("psi_correlator", kw_tau, 0, lambda g, n: 3 * g - 3 + n),
-        ("theta_correlator", bgw_tau, 1, lambda g, n: g - 1),
+        (kw_tau, reference_psi_correlator, psi_dimension, range(3, 19)),
+        (bgw_tau, reference_theta_correlator, theta_dimension, range(1, 17)),
     ],
+    ids=["kw", "bgw"],
+)
+def test_cut_and_join_equals_the_correlator_assembly(build, correlator, dimension, weights):
+    # the constraints' cut-and-join operator against exp of the sum of the
+    # `Fraction` reference correlators, two routes that share no code
+    for W in weights:
+        assert build(W).body == assemble_tau(W, correlator, dimension), W
+
+
+@pytest.mark.parametrize(
+    "name, least_genus, dimension",
+    [("psi_correlator", 0, psi_dimension), ("theta_correlator", 1, theta_dimension)],
     ids=["psi", "theta"],
 )
-def test_a_cold_build_caches_only_correlators_of_their_dimension(name, build, least_genus, dimension, monkeypatch):
+def test_a_cold_build_caches_only_correlators_of_their_dimension(name, least_genus, dimension, monkeypatch):
     # each split of the recursion asks for the one genus its dimension
     # allows, so the cache holds no correlator that is zero by dimension
     import hodgekp.tau as tau_mod
@@ -99,7 +118,7 @@ def test_a_cold_build_caches_only_correlators_of_their_dimension(name, build, le
         return real(g, args)
 
     monkeypatch.setattr(tau_mod, name, recording)
-    build(16)
+    assemble_tau(16, recording, dimension)
     assert len(asked) == real.cache_info().currsize > 0
     for g, args in asked:
         n = len(args)
@@ -161,6 +180,27 @@ class TestLiteratureOracles:
         # <tau_{3g-2}>_g = 1 / (24^g g!)
         for g in range(1, 6):
             assert psi_correlator(g, (3 * g - 2,)) == F(1, 24**g * math.factorial(g)), g
+
+    def test_string_and_dilaton_equations(self):
+        # <tau_0 prod tau_(a_i)>_g = sum_j <... tau_(a_j - 1) ...>_g and
+        # <tau_1 prod tau_(a_i)>_g = (2g - 2 + n) <prod tau_(a_i)>_g for a
+        # stable (g, n), up to t-weight 16 on the left
+        nonzero = 0
+        for g in range(4):
+            for n in range(1, 17):
+                D = psi_dimension(g, n)
+                if D is None or 2 * D + n + 3 > 16:
+                    continue
+                for args in partitions_into(D + 1, n, D + 1):
+                    lowered = [args[:j] + (a - 1,) + args[j + 1 :] for j, a in enumerate(args) if a]
+                    string = psi_correlator(g, args + (0,))
+                    assert string == sum(psi_correlator(g, b) for b in lowered), (g, args)
+                    nonzero += string != 0
+                for args in partitions_into(D, n, D):
+                    dilaton = psi_correlator(g, args + (1,))
+                    assert dilaton == (2 * g - 2 + n) * psi_correlator(g, args), (g, args)
+                    nonzero += dilaton != 0
+        assert nonzero >= 40
 
     def test_norbury_tau0_insertion(self):
         # <Theta tau_0 prod tau_{a_i}>_g = (2g - 2 + n) <Theta prod tau_{a_i}>_g
@@ -226,11 +266,11 @@ class TestBaseTaus:
             bgw_tau(0)
 
     def test_tp_exp_inverts_constant_free(self):
-        body = kw_tau(6).body
-        # exp of a log: reconstruct via multiplication
-        F_part = body - TPoly.one("t", 6)
-        # crude check: exp(log-truncation) of the quadratic-free part matches
+        # the reference exponential: exp(0) = 1, exp(t_1) to weight 6 is
+        # sum_n t_1^n / n!, and a constant term is refused
         assert tp_exp(TPoly.zero("t", 6)) == TPoly.one("t", 6)
+        t1 = TPoly.variable("t", 1, 6)
+        assert tp_exp(t1) == TPoly("t", 6, {((1, n),): F(1, math.factorial(n)) for n in range(7)})
         with pytest.raises(ValueError):
             tp_exp(TPoly.one("t", 6))
 
@@ -427,7 +467,7 @@ class TestLambdaG:
         got = {}
         for g in range(1, G + 1):
             e = 2 * g + 1
-            for a, b, c in _partitions_into(2 * g, 3, 2 * g):
+            for a, b, c in partitions_into(2 * g, 3, 2 * g):
                 if a_band * e > self.W + b_band * (4 * g + 3):
                     continue
                 mult = Counter((a, b, c))
