@@ -738,6 +738,36 @@ def _reduce(acc: Mapping[Mono, Mapping[int, int]], den: int) -> tuple[dict, int]
     return num, den
 
 
+def _substitute_numerators(num: Mapping, den: int, images: Mapping, kind: str, W: int) -> tuple[dict, int]:
+    """The body of `TPoly.substitute` on integers: num / den with each
+    variable v replaced by its `kind`-side image N_v / d_v (the `num` and
+    `den` of images[v]), cut at weight W, as (acc, den') of value
+    acc / den' in no lowest terms (num maps monomials to {hbar exponent:
+    int}, zeros allowed).  With E_v the top exponent of v in num, each
+    monomial's product of image powers is taken by `mul_into` from one
+    table of the powers N_v^e, and lands, times prod_v d_v^(E_v - e_v),
+    in one sum over den·prod_v d_v^E_v."""
+    top: dict[int, int] = {}
+    for mono in num:
+        for v, e in mono:
+            top[v] = max(top.get(v, 0), e)
+    powers: dict[tuple[int, int], list] = {}
+    for v, E in top.items():
+        p = powers[v, 1] = weight_sorted(kind, images[v].num)
+        for e in range(2, E + 1):
+            p = powers[v, e] = mul_sorted(kind, p, powers[v, 1], W)
+    acc: dict[Mono, dict[int, int]] = {}
+    for mono, slot in num.items():
+        exps = dict(mono)
+        k = math.prod(images[v].den ** (E - exps.get(v, 0)) for v, E in top.items())
+        factors = [powers[v, e] for v, e in mono] or [[(0, (), ((0, 1),))]]
+        term = [(0, (), tuple(slot.items()))]
+        for f in factors[:-1]:
+            term = mul_sorted(kind, term, f, W)
+        mul_into(term, factors[-1], W, k, acc)
+    return acc, den * math.prod(images[v].den ** E for v, E in top.items())
+
+
 class TPoly:
     """Weight-truncated sparse polynomial with coefficients Laurent in hbar.
 
@@ -923,46 +953,15 @@ class TPoly:
 
         Every variable occurring in the polynomial must have an image; all
         images must share one kind and weight cap.  Truncation applies.
-
-        The sum runs on integers.  With N_v / d_v the image of v and E_v
-        the top exponent of v in the polynomial, each monomial's product
-        of image powers is taken by `mul_into` from one table of the powers
-        N_v^e, and lands, times prod_v d_v^(E_v - e_v), in one sum over
-        den·prod_v d_v^E_v.
-        """
+        The sum runs on integers, in `_substitute_numerators`."""
         occurring = self.variables()
-        missing = occurring - set(images)
-        if missing:
+        if missing := occurring - set(images):
             raise ValueError(f"missing substitution image for variables {sorted(missing)}")
-        if occurring:
-            some = images[next(iter(occurring))]
-            kind, W = some.kind, some.max_weight
-            for v in occurring:
-                if images[v].kind != kind or images[v].max_weight != W:
-                    raise ValueError("substitution images must agree in kind and weight cap")
-        else:
-            kind, W = self.kind, self.max_weight
-        top: dict[int, int] = {}
-        for mono in self.num:
-            for v, e in mono:
-                top[v] = max(top.get(v, 0), e)
-        powers: dict[tuple[int, int], list] = {}
-        for v, E in top.items():
-            p = powers[v, 1] = weight_sorted(kind, images[v].num)
-            for e in range(2, E + 1):
-                p = powers[v, e] = mul_sorted(kind, p, powers[v, 1], W)
-        one = [(0, (), ((0, 1),))]
-        acc: dict[Mono, dict[int, int]] = {}
-        for mono, slot in self.num.items():
-            exps = dict(mono)
-            k = math.prod(images[v].den ** (E - exps.get(v, 0)) for v, E in top.items())
-            factors = [powers[v, e] for v, e in mono] or [one]
-            term = [(0, (), tuple(slot.items()))]
-            for f in factors[:-1]:
-                term = mul_sorted(kind, term, f, W)
-            mul_into(term, factors[-1], W, k, acc)
-        den = self.den * math.prod(images[v].den ** E for v, E in top.items())
-        return TPoly._normal(kind, W, acc, den)
+        shapes = {(images[v].kind, images[v].max_weight) for v in occurring}
+        if len(shapes) > 1:
+            raise ValueError("substitution images must agree in kind and weight cap")
+        kind, W = shapes.pop() if shapes else (self.kind, self.max_weight)
+        return TPoly._normal(kind, W, *_substitute_numerators(self.num, self.den, images, kind, W))
 
     # -- serialization ------------------------------------------------------
 

@@ -30,6 +30,7 @@ from .operators import (
     exp_apply,
     givental_routes,
     linear_change_generator,
+    operator_equality_check,
     rl_identity_check,
     tqp_forms_symbolic,
     unit_monomials,
@@ -150,15 +151,9 @@ def _chk_identification(run: _PointRun, point: CurveParams) -> dict:
 def _chk_lemma_factorization(run: _PointRun, point: CurveParams) -> dict:
     W = run.config.weight
     direct, factorized = givental_routes(run.curve(W + 1), W)
-    failures = []
-    count = 0
-    for P in unit_monomials("T", W):
-        d = direct(P)
-        f = factorized(P)
-        count += 1
-        if d != f:
-            failures.append({"monomial": repr(P), "difference": repr(d - f)})
-    return {"passed": not failures, "checked": count, "failures": failures[:5]}
+    rep = operator_equality_check(direct.core, factorized.core, unit_monomials("T", W))
+    failures = [{"monomial": f["input"], "difference": f["difference"]} for f in rep.failures]
+    return {"passed": not failures, "checked": rep.checked, "failures": failures[:5]}
 
 
 def _chk_lemma_changevars(run: _PointRun, point: CurveParams) -> dict:

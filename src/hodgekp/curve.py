@@ -551,25 +551,23 @@ def identification_residual(curve: CurveSeries, size: int, *, require_symplectic
     return out
 
 
-def perturbed_control_curve(K: int, *, quartic: bool = True) -> CurveSeries:
+def perturbed_control_curve(K: int, denominator: tuple = (1, Fraction(5, 2), 1, 1, 1)) -> CurveSeries:
     """Out-of-family control curve built from a perturbed denominator.
 
-    f and h are rebuilt from the perturbed x, and R is *defined* through
-    the Gaussian-moment transform, so every downstream quantity is well
-    defined while the identification is expected to fail.
+    f and h are rebuilt from the denominator, whose coefficients of
+    z^0, z^1, ... are `denominator` (constant term 1), and R is *defined*
+    through the Gaussian-moment transform, so every downstream quantity
+    is well defined while the identification is expected to fail as
+    soon as the denominator has a term of degree 4.
 
     The default denominator 1 + (5/2)z + z^2 + z^3 + z^4 carries a
     degree-4 coefficient, which is exactly what the identification
-    forbids.  With quartic=False the degree-4 term is dropped; a cubic
-    denominator is still covered by the gauge orbit of the two-parameter
-    family, so its residual vanishes identically (exact fact, kept here
-    as a regression control for the checker itself).
+    forbids.  A cubic denominator is still covered by the gauge orbit of
+    the two-parameter family, so its residual vanishes identically (exact
+    fact, kept as a regression control for the checker itself).
     """
     work = 2 * K
-    terms = {0: 1, 1: Fraction(5, 2), 2: 1, 3: 1}
-    if quartic:
-        terms[4] = 1
-    N_poly = ZSeries.from_terms(terms, work + 2)
+    N_poly = ZSeries.from_terms(dict(enumerate(denominator)), work + 2)
     x, f, h, y, N = _curve_from_denominator(N_poly, work)
     curve = CurveSeries(None, work, x, f, h, y, N, ZSeries.one(0), ZSeries.one(0), ZSeries.one(0))
     I = i_series(curve)  # listed to order (work - 1) // 2 = K - 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import (
@@ -22,6 +21,8 @@ from .algebra import (
     TPoly,
     T_SIDE,
     ZSeries,
+    _reduce,
+    _substitute_numerators,
     double_factorial,
     exp_weights,
     mono_lower,
@@ -52,7 +53,6 @@ __all__ = [
     "tqp_forms_symbolic",
     "tqp_substitute",
     "odd_t_to_big_t",
-    "big_t_to_odd_t",
     "weight_monomials",
     "unit_monomials",
     "EqualityReport",
@@ -94,20 +94,13 @@ class LinearOp:
         self.terms = clean
         self._plan = None
 
-    @staticmethod
-    def _norm_key(tag: str, *idx: int) -> tuple:
-        if tag in ("dd", "mm"):
-            idx = tuple(sorted(idx))
-        return (tag, *idx)
-
     @classmethod
     def from_terms(cls, kind: str, items: Iterable[tuple]) -> "LinearOp":
         """items: iterables of (tag, indices..., coeff)."""
         acc: dict[tuple, HbarPoly] = {}
         for item in items:
-            tag, *rest = item
-            *idx, c = rest
-            key = cls._norm_key(tag, *idx)
+            tag, *idx, c = item
+            key = (tag, *(sorted(idx) if tag in ("dd", "mm") else idx))
             c = HbarPoly.promote(c)
             prev = acc.get(key)
             c = c if prev is None else prev + c
@@ -145,15 +138,7 @@ class LinearOp:
     def __add__(self, other: "LinearOp") -> "LinearOp":
         if self.kind != other.kind:
             raise ValueError("cannot add operators on different variable kinds")
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = acc.get(key)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-        return LinearOp(self.kind, acc)
+        return LinearOp.from_terms(self.kind, ((*key, c) for op in (self, other) for key, c in op.terms.items()))
 
     def scale(self, c) -> "LinearOp":
         c = HbarPoly.promote(c)
@@ -372,15 +357,15 @@ def exp_apply(op: LinearOp, P: TPoly, *, inverse: bool = False) -> TPoly:
     if op.is_zero():
         return P
     op._check_side(P)
-    acc, den = _exp_numerators(op, P.num, P.max_weight, inverse)
-    return TPoly._normal(op.kind, P.max_weight, acc, den * P.den)
+    return TPoly._normal(op.kind, P.max_weight, *_exp_numerators(op, P.num, P.max_weight, inverse, P.den))
 
 
-def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False) -> tuple[dict, int]:
-    """exp(op) . num, or exp(-op) . num with `inverse`, as the pair
-    (acc, den) of value acc / den, not brought to lowest terms: num and
-    acc map monomials of weight <= cap to {hbar exponent: int}, and
-    den > 0.  op must be zero or drop weight by at least 1.
+def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False, den: int = 1) -> tuple[dict, int]:
+    """exp(op) . (num / den), or exp(-op) . (num / den) with `inverse`, as
+    the pair (acc, d) of value acc / d, not brought to lowest terms: num
+    and acc map monomials of weight <= cap to {hbar exponent: int}, and d
+    is den times a positive integer.  op must be zero or drop weight by
+    at least 1.
 
     With D the LCM of op's coefficient denominators, the iterates
     u_0 = num and u_n = (D·op) u_{n-1} = D^n·op^n num have integer
@@ -407,7 +392,7 @@ def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False)
     unchanged.  Both read the same rows and give the same result.
     """
     if op.is_zero():
-        return num, 1
+        return num, den
     if op.min_weight_drop < 1:
         raise ValueError("exponential does not terminate on truncated space")
     plan = op._compiled()
@@ -452,13 +437,14 @@ def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False)
             s = total.get(key)
             total[key] = c * weight if s is None else s + c * weight
     monos = plan.monos
+    den *= math.factorial(N) * D**N
     if flat:
-        return {monos[i]: {0: c} for i, c in total.items() if c}, math.factorial(N) * D**N
+        return {monos[i]: {0: c} for i, c in total.items() if c}, den
     acc: dict[Mono, dict[int, int]] = {}
     for (i, e), c in total.items():
         if c:
             acc.setdefault(monos[i], {})[e] = c
-    return acc, math.factorial(N) * D**N
+    return acc, den
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +579,16 @@ def couplings_from_log_r(logR: ZSeries, W: int) -> dict[int, Fraction]:
 
 
 PolyMap = Callable[[TPoly], TPoly]
+Core = Callable[[Mapping, int], tuple]
 
 
-def _map_on(kind: str, W: int, fn: PolyMap) -> PolyMap:
-    """`fn` restricted to the polynomials its operators were built for:
-    `kind`-side, weight cap W.  A larger cap would silently miss terms."""
+def _map_on(kind: str, W: int, core: Core, out: str | None = None) -> PolyMap:
+    """The map of an integer core on the polynomials its operators were
+    built for: `kind`-side, weight cap W (a larger cap would silently miss
+    terms), with `out`-side images (default `kind`).  The core, kept as
+    `.core`, sends (num, den) of a value num / den, num mapping monomials
+    to {hbar exponent: int}, to (num, den) of its image, in no lowest
+    terms."""
 
     def apply(P: TPoly) -> TPoly:
         if P.kind != kind or P.max_weight != W:
@@ -605,9 +596,36 @@ def _map_on(kind: str, W: int, fn: PolyMap) -> PolyMap:
                 f"map built for {kind}-side polynomials of weight cap {W}, "
                 f"got {P.kind}-side at cap {P.max_weight}"
             )
-        return fn(P)
+        return TPoly._normal(out or kind, W, *core(P.num, P.den))
 
+    apply.core = core
     return apply
+
+
+def _exp_core(op: LinearOp, W: int) -> Core:
+    """exp(op) at weight cap W as a core (`_exp_numerators`)."""
+    return lambda num, den: _exp_numerators(op, num, W, False, den)
+
+
+def _substitute_core(images: Mapping[int, TPoly], kind: str, W: int) -> Core:
+    """The substitution of `images` (`_substitute_numerators`) as a core."""
+    return lambda num, den: _substitute_numerators(num, den, images, kind, W)
+
+
+def _chain(*cores: Core) -> Core:
+    """The cores in turn.  An intermediate feeds the next core alone, so it
+    is brought to lowest terms only once its denominator passes 512 bits,
+    as a tau-function's does at the frontier; below that the gcd pass
+    costs more than the smaller integers save."""
+
+    def core(num: Mapping, den: int) -> tuple:
+        for i, step in enumerate(cores):
+            if i and den.bit_length() > 512:
+                num, den = _reduce(num, den)
+            num, den = step(num, den)
+        return num, den
+
+    return core
 
 
 def givental_direct(couplings: Mapping[int, Fraction], W: int, shift: str = "kw") -> PolyMap:
@@ -618,7 +636,7 @@ def givental_direct(couplings: Mapping[int, Fraction], W: int, shift: str = "kw"
     for k, c in sorted(couplings.items()):
         if c and 4 * k - 2 <= W:
             op = op + w_op(k, W, shift).scale(c)
-    return _map_on(BIG_T_SIDE, W, partial(exp_apply, op))
+    return _map_on(BIG_T_SIDE, W, _exp_core(op, W))
 
 
 def transformed_variable_images(
@@ -685,7 +703,7 @@ def givental_factorized(R: ZSeries, W: int, mode: str = "standard", kernel: Line
     if kernel is None:
         kernel = givental_kernel(R, W)
     images = transformed_variable_images(R, W, mode)
-    return _map_on(BIG_T_SIDE, W, lambda P: exp_apply(kernel, P).substitute(images))
+    return _map_on(BIG_T_SIDE, W, _chain(_exp_core(kernel, W), _substitute_core(images, BIG_T_SIDE, W)))
 
 
 def givental_routes(curve: CurveSeries, W: int, mode: str = "standard") -> tuple[PolyMap, PolyMap]:
@@ -717,28 +735,22 @@ def odd_t_to_big_t(P: TPoly) -> TPoly:
     """Relabel odd t-variables into T-variables: t_{2m+1} = T_m / (2m+1)!!."""
     if P.kind != T_SIDE:
         raise ValueError("expected a t-side polynomial")
+    return TPoly._normal(BIG_T_SIDE, P.max_weight, *_odd_t_to_big_t(P.num, P.den))
+
+
+def _odd_t_to_big_t(num: Mapping, den: int) -> tuple[dict, int]:
+    """The core of `odd_t_to_big_t`."""
     factors = {}
-    for mono in P.num:
+    for mono in num:
         if any(v % 2 == 0 for v, _ in mono):
             raise ValueError("polynomial involves even time variables")
         factors[mono] = math.prod(double_factorial(v) ** e for v, e in mono)
     L = math.lcm(*factors.values())
     out = {
         tuple((v // 2, e) for v, e in mono): {h: c * (L // factors[mono]) for h, c in slot.items()}
-        for mono, slot in P.num.items()
+        for mono, slot in num.items()
     }
-    return TPoly._normal(BIG_T_SIDE, P.max_weight, out, P.den * L)
-
-
-def big_t_to_odd_t(P: TPoly) -> TPoly:
-    """Relabel T-variables into odd t-variables: T_m = (2m+1)!! t_{2m+1}."""
-    if P.kind != BIG_T_SIDE:
-        raise ValueError("expected a T-side polynomial")
-    out = {}
-    for mono, slot in P.num.items():
-        f = math.prod(double_factorial(2 * m + 1) ** e for m, e in mono)
-        out[tuple((2 * m + 1, e) for m, e in mono)] = {h: c * f for h, c in slot.items()}
-    return TPoly._normal(T_SIDE, P.max_weight, out, P.den)
+    return out, den * L
 
 
 def tqp_forms(params, max_index: int, W: int) -> list[TPoly]:
@@ -803,8 +815,7 @@ def weight_monomials(kind: str, W: int, *, odd_only: bool = False) -> list[Mono]
         vars_ = list(range(0, (W - 1) // 2 + 1)) if W >= 1 else []
     out: list[Mono] = []
     _extend_monomials(kind, W, vars_, 0, [], 0, out)
-    uniq = sorted(set(out), key=lambda m: (mono_weight(kind, m), m))
-    return uniq
+    return sorted(set(out), key=lambda m: (mono_weight(kind, m), m))
 
 
 def unit_monomials(kind: str, W: int, *, odd_only: bool = False) -> list[TPoly]:
@@ -858,27 +869,25 @@ class EqualityReport:
         }
 
 
-def operator_equality_check(
-    lhs: Callable[[TPoly], TPoly],
-    rhs: Callable[[TPoly], TPoly],
-    basis: Iterable[TPoly],
-    label: str = "",
-) -> EqualityReport:
-    """Apply both maps to every basis element and collect discrepancies."""
+def operator_equality_check(lhs: Core, rhs: Core, basis: Iterable[TPoly], label: str = "") -> EqualityReport:
+    """Apply both maps, as the integer cores of maps that keep the side and
+    weight cap of their input, to every basis element and collect the
+    discrepancies: images are compared by `same_value`, and a polynomial
+    is built only for a failing witness."""
     report = EqualityReport(label=label)
     for P in basis:
-        left = lhs(P)
-        right = rhs(P)
+        left, right = lhs(P.num, P.den), rhs(P.num, P.den)
         report.checked += 1
-        if left != right:
-            diff = left - right
-            report.failures.append(
-                {
-                    "input": repr(P),
-                    "difference": repr(diff),
-                }
-            )
+        if not same_value(*left, *right):
+            witness = _difference(P.kind, P.max_weight, left, right)
+            report.failures.append({"input": repr(P), "difference": repr(witness)})
     return report
+
+
+def _difference(kind: str, W: int, left: tuple, right: tuple) -> TPoly:
+    """left - right, two (num, den) values, as a `kind`-side polynomial of
+    weight cap W: the witness of a failed comparison."""
+    return TPoly._normal(kind, W, *left) - TPoly._normal(kind, W, *right)
 
 
 # ---------------------------------------------------------------------------
@@ -899,19 +908,12 @@ def virasoro_factorization_check(curve: CurveSeries, W: int) -> EqualityReport:
     v0 = linear_change_generator(curve.witt(W), W)
     size = max(W - 1, 1)
     G = grunsky_matrix(curve.h, size)
-    items = []
-    for k in range(1, size + 1):
-        for m in range(k, size + 1):
-            if k + m > W:
-                continue
-            c = G.v(k, m)
-            if not c:
-                continue
-            items.append(("dd", k, m, c if k != m else c / 2))
-    quad = LinearOp.from_terms(T_SIDE, items)
+    # the entries v_km with k <= m and k + m <= W; `from_terms` drops zeros
+    pairs = ((k, m) for k in range(1, size + 1) for m in range(k, W - k + 1))
+    quad = LinearOp.from_terms(T_SIDE, (("dd", k, m, G.v(k, m) / (2 if k == m else 1)) for k, m in pairs))
     return operator_equality_check(
-        partial(exp_apply, big),
-        lambda P: exp_apply(v0, exp_apply(quad, P)),
+        _exp_core(big, W),
+        _chain(_exp_core(quad, W), _exp_core(v0, W)),
         unit_monomials(T_SIDE, W),
         label=f"virasoro-factorization W={W}",
     )
@@ -948,23 +950,15 @@ def _current_transform_coeffs(k: int, W: int, flow: dict, mult: dict) -> LinearO
     `flow` and `mult` come from `_current_transform_series`.
     """
     items = []
-    if k > 0:
-        for j in range(k, W + 1):
-            if j - k <= flow[j].order:
-                c = flow[j].coeff_or_zero(j - k)
-                if c:
-                    items.append(("d", j, c))
-    else:
-        kappa = -k
-        for j in range(1, W + 1):
-            if kappa + j <= flow[j].order:
-                c = flow[j].coeff_or_zero(kappa + j)
-                if c:
-                    items.append(("d", j, c))
-        for n in range(1, kappa + 1):
-            c = mult[n].coeff_or_zero(kappa - 1)
+    for j in range(max(k, 1), W + 1):
+        if j - k <= flow[j].order:
+            c = flow[j].coeff_or_zero(j - k)
             if c:
-                items.append(("m", n, c * n))
+                items.append(("d", j, c))
+    for n in range(1, -k + 1):
+        c = mult[n].coeff_or_zero(-k - 1)
+        if c:
+            items.append(("m", n, c * n))
     return LinearOp.from_terms(T_SIDE, items)
 
 
@@ -1001,19 +995,13 @@ def virasoro_conjugation_check(
         # X_k raises weight by at most the lift, so the cap cuts no image
         rhs = _current_transform_coeffs(k, cap, flow, mult)._compiled()
         for mono, inv in zip(basis_monos, inv_images):
-            left, dl = _exp_numerators(big, _apply_plan(jk, T_SIDE, cap, inv.num.items()), cap, flip_sign)
-            dl *= jk.D * inv.den
+            image = _apply_plan(jk, T_SIDE, cap, inv.num.items())
+            left, dl = _exp_numerators(big, image, cap, flip_sign, jk.D * inv.den)
             right = _apply_plan(rhs, T_SIDE, cap, ((mono, {0: 1}),))
             report.checked += 1
             if not same_value(left, dl, right, rhs.D):
-                difference = TPoly._normal(T_SIDE, cap, left, dl) - TPoly._normal(T_SIDE, cap, right, rhs.D)
-                report.failures.append(
-                    {
-                        "mode": k,
-                        "input": mono_str(T_SIDE, mono),
-                        "difference": repr(difference),
-                    }
-                )
+                witness = _difference(T_SIDE, cap, (left, dl), (right, rhs.D))
+                report.failures.append({"mode": k, "input": mono_str(T_SIDE, mono), "difference": repr(witness)})
                 if flip_sign:
                     return report  # one witness is enough for the negative control
     return report
@@ -1030,14 +1018,7 @@ def tqp_substitute(forms: Sequence[TPoly]) -> PolyMap:
     M = (W - 1) // 2; the map acts on polynomials of cap W, and one
     without variables becomes its constant term."""
     W = forms[0].max_weight
-    images = dict(enumerate(forms))
-
-    def substitute(P: TPoly) -> TPoly:
-        if not P.variables():
-            return TPoly._normal(T_SIDE, W, P.num, P.den)
-        return P.substitute(images)
-
-    return _map_on(BIG_T_SIDE, W, substitute)
+    return _map_on(BIG_T_SIDE, W, _substitute_core(dict(enumerate(forms)), T_SIDE, W), T_SIDE)
 
 
 def rl_transform_quantized(curve: CurveSeries, forms: Sequence[TPoly]) -> PolyMap:
@@ -1047,9 +1028,8 @@ def rl_transform_quantized(curve: CurveSeries, forms: Sequence[TPoly]) -> PolyMa
     through the t-side change of variables.  The factorized map is the
     curve's (`givental_routes`)."""
     W = forms[0].max_weight
-    act = givental_routes(curve, W)[1]
-    substitute = tqp_substitute(forms)
-    return _map_on(T_SIDE, W, lambda P: substitute(act(odd_t_to_big_t(P))))
+    act = givental_routes(curve, W)[1].core
+    return _map_on(T_SIDE, W, _chain(_odd_t_to_big_t, act, tqp_substitute(forms).core))
 
 
 def rl_transform_virasoro(curve: CurveSeries, W: int, mode: str = "standard") -> PolyMap:
@@ -1064,7 +1044,7 @@ def rl_transform_virasoro(curve: CurveSeries, W: int, mode: str = "standard") ->
     trans = translation_op(
         {k: HbarPoly.hbar(-1, c) for k, c in vector.items()}, W, T_SIDE
     )
-    return _map_on(T_SIDE, W, lambda P: exp_apply(trans, exp_apply(big, P)))
+    return _map_on(T_SIDE, W, _chain(_exp_core(big, W), _exp_core(trans, W)))
 
 
 def rl_identity_check(
@@ -1077,8 +1057,8 @@ def rl_identity_check(
     basis = unit_monomials(T_SIDE, W, odd_only=True)
     basis.extend(extra)
     return operator_equality_check(
-        rl_transform_quantized(curve, forms),
-        rl_transform_virasoro(curve, W),
+        rl_transform_quantized(curve, forms).core,
+        rl_transform_virasoro(curve, W).core,
         basis,
         label=f"group-identification W={W}",
     )

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import HbarPoly, InvariantViolation, TPoly, T_SIDE, double_factorial, rat_str
+from .algebra import BIG_T_SIDE, HbarPoly, InvariantViolation, TPoly, T_SIDE, double_factorial, rat_str, same_value
 from .curve import MIN_SERIES_ORDER, CurveParams, CurveSeries, build_curve
 from .operators import (
     LinearOp,
+    _difference,
     givental_routes,
     odd_t_to_big_t,
     rl_transform_virasoro,
@@ -281,11 +282,11 @@ def hodge_partition(params: CurveParams, W: int, mode: str = "standard") -> TauS
 
 def _quantized_action(curve: CurveSeries, W: int, mode: str, base: TauSeries) -> TauSeries:
     big = odd_t_to_big_t(base.body)
-    direct, fact = (route(big) for route in givental_routes(curve, W, mode))
-    if direct != fact:
-        raise InvariantViolation(
-            f"pipeline disagreement in the quantized action ({mode}); diff = {(direct - fact)!r}"
-        )
+    route, factorized = givental_routes(curve, W, mode)
+    direct, fact = route(big), factorized.core(big.num, big.den)
+    if not same_value(direct.num, direct.den, *fact):
+        diff = _difference(BIG_T_SIDE, W, (direct.num, direct.den), fact)
+        raise InvariantViolation(f"pipeline disagreement in the quantized action ({mode}); diff = {diff!r}")
     kind = "HodgeZ" if mode == "standard" else "ThetaZ"
     return _derived(direct, kind, curve.params, W, "direct+factorized")
 
@@ -317,11 +318,11 @@ def _tau_identity(
     side's base tau-function; `mode` picks the side as in
     `hodge_partition`."""
     lhs = tqp_substitute(forms)(_quantized_action(curve, W, mode, base).body)
-    rhs = rl_transform_virasoro(curve, W, mode)(base.body)
-    equal = lhs == rhs
+    rhs = rl_transform_virasoro(curve, W, mode).core(base.body.num, base.body.den)
+    equal = same_value(lhs.num, lhs.den, *rhs)
     kind = "tau_qp" if mode == "standard" else "tau_theta_qp"
     tau = _derived(lhs, kind, params, W, "substitution+group")
-    return TauIdentityReport(params, W, equal, tau, None if equal else lhs - rhs)
+    return TauIdentityReport(params, W, equal, tau, None if equal else _difference(T_SIDE, W, (lhs.num, lhs.den), rhs))
 
 
 def _once(table: dict, key, build):

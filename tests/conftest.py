@@ -6,9 +6,12 @@ from functools import lru_cache
 import pytest
 from hypothesis import settings
 
+from hodgekp import curve as curve_module, operators
 from hodgekp.algebra import (
+    BIG_T_SIDE,
     T_SIDE,
     HbarPoly,
+    InvariantViolation,
     TPoly,
     ZSeries,
     double_factorial,
@@ -19,7 +22,16 @@ from hodgekp.algebra import (
     weight_sorted,
 )
 from hodgekp.curve import CurveParams, build_curve, witt_flow
-from hodgekp.operators import LinearOp, virasoro_op, weight_monomials
+from hodgekp.operators import (
+    EqualityReport,
+    LinearOp,
+    exp_apply,
+    linear_change_generator,
+    odd_t_to_big_t,
+    unit_monomials,
+    virasoro_op,
+    weight_monomials,
+)
 
 # Exact arithmetic on this code's inputs varies widely in time per
 # example, and host speed drifts too, so a per-example deadline would
@@ -368,3 +380,120 @@ def assemble_tau(W, correlator, dimension):
                 mono = tuple(sorted((2 * a + 1, e) for a, e in mult.items()))
                 terms[mono] = HbarPoly.hbar(2 * g - 2 + n, c)
     return tp_exp(TPoly(T_SIDE, W, terms))
+
+
+def big_t_to_odd_t(P):
+    """Relabel T-variables into odd t-variables: T_m = (2m+1)!! t_{2m+1},
+    the inverse of `odd_t_to_big_t`."""
+    if P.kind != BIG_T_SIDE:
+        raise ValueError("expected a T-side polynomial")
+    out = {}
+    for mono, slot in P.num.items():
+        f = math.prod(double_factorial(2 * m + 1) ** e for m, e in mono)
+        out[tuple((2 * m + 1, e) for m, e in mono)] = {h: c * f for h, c in slot.items()}
+    return TPoly._normal(T_SIDE, P.max_weight, out, P.den)
+
+
+# The former whole-polynomial comparisons of the route pairs, kept as
+# references for the integer harness: both sides built as `TPoly` values
+# through their former polynomial-level bodies (`exp_apply` chains and
+# `TPoly.substitute`), compared with `==`, the witness their difference.
+# The operators they read (the group element, the Grunsky matrix, the
+# translation, the direct route) are read through their modules, so a
+# test's mutation of one reaches the reference and the product alike.
+
+
+def reference_equality_check(lhs, rhs, basis, label=""):
+    """Both polynomial maps on every basis element, compared as `TPoly`s."""
+    report = EqualityReport(label=label)
+    for P in basis:
+        left, right = lhs(P), rhs(P)
+        report.checked += 1
+        if left != right:
+            report.failures.append({"input": repr(P), "difference": repr(left - right)})
+    return report
+
+
+def reference_virasoro_factorization_check(curve, W):
+    """The former `virasoro_factorization_check`."""
+    big = operators.group_element(curve, W)
+    v0 = linear_change_generator(curve.witt(W), W)
+    size = max(W - 1, 1)
+    G = curve_module.grunsky_matrix(curve.h, size)
+    items = []
+    for k in range(1, size + 1):
+        for m in range(k, size + 1):
+            if k + m <= W and G.v(k, m):
+                items.append(("dd", k, m, G.v(k, m) if k != m else G.v(k, m) / 2))
+    quad = LinearOp.from_terms(T_SIDE, items)
+    return reference_equality_check(
+        lambda P: exp_apply(big, P),
+        lambda P: exp_apply(v0, exp_apply(quad, P)),
+        unit_monomials(T_SIDE, W),
+        label=f"virasoro-factorization W={W}",
+    )
+
+
+def reference_factorized(curve, W, mode="standard"):
+    """The former body of the factorized quantized action."""
+    kernel = operators.givental_kernel(curve.R, W)
+    images = operators.transformed_variable_images(curve.R, W, mode)
+    return lambda P: exp_apply(kernel, P).substitute(images)
+
+
+def reference_tqp_substitute(forms):
+    """The former body of `tqp_substitute`."""
+    W = forms[0].max_weight
+    images = dict(enumerate(forms))
+    return lambda P: P.substitute(images) if P.variables() else TPoly._normal(T_SIDE, W, P.num, P.den)
+
+
+def reference_rl_transform_virasoro(curve, W, mode="standard"):
+    """The former body of the symmetry-group route."""
+    sd = curve.shifts()
+    big = operators.group_element(curve, W)
+    vector = {"standard": sd.v, "theta": sd.v0}[mode]
+    trans = operators.translation_op({k: HbarPoly.hbar(-1, c) for k, c in vector.items()}, W, T_SIDE)
+    return lambda P: exp_apply(trans, exp_apply(big, P))
+
+
+def reference_rl_identity_check(curve, forms, extra=()):
+    """The former `rl_identity_check`."""
+    W = forms[0].max_weight
+    act, substitute = reference_factorized(curve, W), reference_tqp_substitute(forms)
+    return reference_equality_check(
+        lambda P: substitute(act(odd_t_to_big_t(P))),
+        reference_rl_transform_virasoro(curve, W),
+        unit_monomials(T_SIDE, W, odd_only=True) + list(extra),
+        label=f"group-identification W={W}",
+    )
+
+
+def reference_lemma_factorization(curve, W):
+    """The former body of the lemma-factorization check, on the curve's
+    direct map and the former factorized body."""
+    direct, factorized = operators.givental_routes(curve, W)[0], reference_factorized(curve, W)
+    failures = []
+    count = 0
+    for P in unit_monomials(BIG_T_SIDE, W):
+        d = direct(P)
+        f = factorized(P)
+        count += 1
+        if d != f:
+            failures.append({"monomial": repr(P), "difference": repr(d - f)})
+    return {"passed": not failures, "checked": count, "failures": failures[:5]}
+
+
+def reference_tau_identity(curve, W, mode, base, forms):
+    """The former comparisons of `tau._quantized_action` and
+    `tau._tau_identity`: (equal, difference or None, derived tau body);
+    a disagreement of the quantized action raises as it did."""
+    big = odd_t_to_big_t(base.body)
+    direct, fact = operators.givental_routes(curve, W, mode)[0](big), reference_factorized(curve, W, mode)(big)
+    if direct != fact:
+        raise InvariantViolation(
+            f"pipeline disagreement in the quantized action ({mode}); diff = {(direct - fact)!r}"
+        )
+    lhs = reference_tqp_substitute(forms)(direct)
+    rhs = reference_rl_transform_virasoro(curve, W, mode)(base.body)
+    return lhs == rhs, None if lhs == rhs else lhs - rhs, lhs

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from hodgekp.algebra import HbarPoly, TPoly, ZSeries, double_factorial, rat, rat_str, same_value
+from hodgekp.algebra import HbarPoly, TPoly, ZSeries, _substitute_numerators, double_factorial, rat, rat_str, same_value
 from hodgekp.operators import unit_monomials, weight_monomials
 
 from conftest import (
@@ -418,6 +418,37 @@ class TestSameValue:
             a.setdefault(m, {}).setdefault(data.draw(st.integers(-2, 2)), 0)
         assert same_value(a, P.den * f, b, Q.den * g) == (P == Q)
         assert same_value(b, Q.den * g, a, P.den * f) == (P == Q)
+
+
+class TestSubstituteNumerators:
+    """`_substitute_numerators`, the body of `TPoly.substitute`, on
+    unreduced numerators that hold zeros, over arbitrary denominators,
+    with images of either side; the oracle sums the products of the
+    images in `TPoly` arithmetic."""
+
+    @given(st.data(), st.sampled_from(["t", "T"]), st.sampled_from(["t", "T"]), st.booleans(), st.integers(1, 6))
+    def test_equals_substitute_by_value(self, data, kind, image_kind, constant, f):
+        cap = data.draw(st.integers(1, 7))
+        # without variables: the constant case, as `tqp_substitute` meets it
+        support = 0 if constant else cap
+        P = _drawn_tpoly(data.draw, kind, cap, support)
+        monos = weight_monomials(kind, support)
+        images = {v: _drawn_tpoly(data.draw, image_kind, cap, cap) for v in {v for m in monos for v, _ in m}}
+        f *= data.draw(st.sampled_from([1, -1]))
+        num = {m: {e: c * f for e, c in slot.items()} for m, slot in P.num.items()}
+        for m in data.draw(st.lists(st.sampled_from(monos), max_size=3)):
+            num.setdefault(m, {}).setdefault(data.draw(st.integers(-2, 2)), 0)
+        acc, den = _substitute_numerators(num, P.den * f, images, image_kind, cap)
+        expect = TPoly.zero(image_kind, cap)
+        for mono, c in P.terms.items():
+            term = TPoly.constant(c, image_kind, cap)
+            for v, e in mono:
+                for _ in range(e):
+                    term = term * images[v]
+            expect = expect + term
+        assert same_value(acc, den, expect.num, expect.den)
+        if P.variables():
+            assert P.substitute(images) == expect
 
 
 class TestUnitMonomials:

@@ -352,9 +352,24 @@ class TestIdentification:
         # family by the one-parameter reparametrization z -> z/(1+a z),
         # so its residual vanishes identically; only degree >= 4 terms
         # are detected.  Kept as a regression fact about the checker.
-        control = perturbed_control_curve(18, quartic=False)
+        control = perturbed_control_curve(18, (1, F(5, 2), 1, 1))
         assert (control.R * control.R.subs_neg()).truncate(16) == ZSeries.one(16)
         res = identification_residual(control, 4)
+        assert all(x == 0 for row in res for x in row)
+
+    # The paper's uniqueness claim as a property of random denominators
+    # 1 + c_1 z + c_2 z^2 + c_3 z^3 (+ c_4 z^4).
+    _coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+    @given(st.lists(_coeff, min_size=3, max_size=3), _coeff.filter(bool))
+    def test_any_degree_four_term_is_detected(self, low, c4):
+        control = perturbed_control_curve(18, (1, *low, c4))
+        res = identification_residual(control, 4, require_symplectic=False)
+        assert any(res[k][m] != 0 for k in range(4) for m in range(4) if k + m <= 4)
+
+    @given(st.lists(_coeff, min_size=3, max_size=3))
+    def test_any_cubic_denominator_is_inside_gauge_orbit(self, low):
+        res = identification_residual(perturbed_control_curve(18, (1, *low)), 4)
         assert all(x == 0 for row in res for x in row)
 
     def test_order_requirement(self, curve132):

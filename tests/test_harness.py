@@ -1,0 +1,177 @@
+"""The integer harness against the former whole-polynomial comparisons.
+
+Every route pair is compared on integer numerators by `same_value`, and a
+`TPoly` is built only for a failing witness.  The references in
+`conftest.py` build both sides as polynomials through their former
+bodies and compare them with `==`.  Under each mutation below the two
+must report the same failures, entry by entry, and raise the same
+`InvariantViolation` text; unmutated, both pass.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from hodgekp import cli, curve as curve_module, operators, tau
+from hodgekp.algebra import BIG_T_SIDE, HbarPoly, InvariantViolation, TPoly
+from hodgekp.curve import CurveParams, build_curve
+from hodgekp.operators import rl_identity_check, tqp_forms, virasoro_factorization_check
+from hodgekp.tau import bgw_tau, kw_tau
+
+from conftest import (
+    reference_lemma_factorization,
+    reference_rl_identity_check,
+    reference_tau_identity,
+    reference_virasoro_factorization_check,
+)
+
+W = 7
+POINT = CurveParams(F(1), F(3), F(2))
+
+
+def _scaled_group_element(monkeypatch):
+    real = operators.group_element
+    monkeypatch.setattr(operators, "group_element", lambda curve, cap: real(curve, cap).scale(F(8, 7)))
+
+
+class _BumpedGrunsky:
+    """A Grunsky matrix with 1/7 added to its (1, 2) entry."""
+
+    def __init__(self, G):
+        self.G = G
+
+    def v(self, k, m):
+        return self.G.v(k, m) + (F(1, 7) if (k, m) == (1, 2) else 0)
+
+
+def _bumped_grunsky(monkeypatch):
+    real = curve_module.grunsky_matrix
+    monkeypatch.setattr(curve_module, "grunsky_matrix", lambda h, size: _BumpedGrunsky(real(h, size)))
+
+
+def _scaled_direct(monkeypatch):
+    # the direct route's images times 8/7
+    real = operators.givental_direct
+
+    def scaled(couplings, W, shift="kw"):
+        core = real(couplings, W, shift).core
+
+        def mutated(num, den):
+            acc, d = core(num, den)
+            return {m: {e: 8 * c for e, c in slot.items()} for m, slot in acc.items()}, 7 * d
+
+        return operators._map_on(BIG_T_SIDE, W, mutated)
+
+    monkeypatch.setattr(operators, "givental_direct", scaled)
+
+
+def _perturbed_translation(monkeypatch):
+    # hbar^-1/7 added to the translation coefficient of t_5
+    real = operators.translation_op
+
+    def perturbed(coeffs, W, kind):
+        coeffs = dict(coeffs)
+        coeffs[5] = coeffs.get(5, 0) + HbarPoly.hbar(-1, F(1, 7))
+        return real(coeffs, W, kind)
+
+    monkeypatch.setattr(operators, "translation_op", perturbed)
+
+
+MUTATIONS = {
+    "none": lambda monkeypatch: None,
+    "group-element-8/7": _scaled_group_element,
+    "grunsky-entry+1/7": _bumped_grunsky,
+    "direct-route-8/7": _scaled_direct,
+    "translation+1/7": _perturbed_translation,
+    "forms": lambda monkeypatch: None,  # a perturbed tqp_forms entry, see `_forms`
+}
+
+
+def _forms(mutation):
+    forms = tqp_forms(POINT, (W - 1) // 2, W)
+    if mutation == "forms":
+        forms = list(forms)
+        forms[2] = forms[2] + TPoly.variable("t", 4, W, F(1, 7))
+    return forms
+
+
+@pytest.fixture
+def curve():
+    # a fresh curve per test: the routes and group element kept on a curve
+    # must be built under the test's mutation
+    return build_curve(POINT, 2 * W + 2)
+
+
+@pytest.mark.parametrize("mutation", ["none", "group-element-8/7", "grunsky-entry+1/7"])
+def test_lemma_grunsky(monkeypatch, curve, mutation):
+    MUTATIONS[mutation](monkeypatch)
+    rep = virasoro_factorization_check(curve, W)
+    expect = reference_virasoro_factorization_check(curve, W)
+    assert rep.passed == (mutation == "none")
+    assert (rep.label, rep.checked, rep.failures) == (expect.label, expect.checked, expect.failures)
+
+
+@pytest.mark.parametrize("mutation", ["none", "group-element-8/7", "forms", "translation+1/7"])
+def test_theorem_rl(monkeypatch, curve, mutation):
+    MUTATIONS[mutation](monkeypatch)
+    forms = _forms(mutation)
+    extra = [kw_tau(W).body]
+    rep = rl_identity_check(curve, forms, extra=extra)
+    expect = reference_rl_identity_check(curve, forms, extra=extra)
+    assert rep.passed == (mutation == "none")
+    assert (rep.label, rep.checked, rep.failures) == (expect.label, expect.checked, expect.failures)
+
+
+@pytest.mark.parametrize("mutation", ["none", "direct-route-8/7"])
+def test_lemma_factorization(monkeypatch, curve, mutation):
+    MUTATIONS[mutation](monkeypatch)
+
+    class OnCurve(cli._PointRun):
+        def curve(self, order):
+            return curve
+
+    config = cli.RunConfig(checks=["lemma-factorization"], points=[POINT], weight=W)
+    got = cli._chk_lemma_factorization(OnCurve(config, POINT, {}), POINT)
+    assert got["passed"] == (mutation == "none")
+    assert got == reference_lemma_factorization(curve, W)
+
+
+@pytest.mark.parametrize("mode", ["standard", "theta"])
+@pytest.mark.parametrize("mutation", ["none", "group-element-8/7", "forms", "translation+1/7"])
+def test_tau_identity(monkeypatch, curve, mode, mutation):
+    MUTATIONS[mutation](monkeypatch)
+    forms = _forms(mutation)
+    base = (kw_tau if mode == "standard" else bgw_tau)(W)
+    rep = tau._tau_identity(POINT, W, mode, curve, base, forms)
+    equal, difference, body = reference_tau_identity(curve, W, mode, base, forms)
+    assert rep.equal == equal == (mutation == "none")
+    assert repr(rep.difference) == repr(difference)
+    assert rep.tau.body == body
+
+
+@pytest.mark.parametrize("mode", ["standard", "theta"])
+def test_quantized_action_disagreement(monkeypatch, curve, mode):
+    _scaled_direct(monkeypatch)
+    base = (kw_tau if mode == "standard" else bgw_tau)(W)
+    with pytest.raises(InvariantViolation) as got:
+        tau._tau_identity(POINT, W, mode, curve, base, _forms("none"))
+    with pytest.raises(InvariantViolation) as expect:
+        reference_tau_identity(build_curve(POINT, 2 * W + 2), W, mode, base, _forms("none"))
+    assert str(got.value) == str(expect.value)
+    assert str(got.value).startswith(f"pipeline disagreement in the quantized action ({mode}); diff = ")
+
+
+def test_chain_reduces_an_intermediate_only_past_512_bits():
+    # no route at the weight these tests use makes a denominator that long
+    seen = []
+
+    def record(num, den):
+        seen.append((num, den))
+        return num, den
+
+    for f, reduced in ((3**300, False), (3**330, True)):  # denominators of 478 and 526 bits
+        seen.clear()
+        num, den = operators._chain(record, record)({((1, 1),): {0: 2 * f}}, 4 * f)
+        assert seen[0] == ({((1, 1),): {0: 2 * f}}, 4 * f)
+        assert seen[1] == (({((1, 1),): {0: 1}}, 2) if reduced else seen[0])
+        assert (num, den) == seen[1]

@@ -14,7 +14,6 @@ from hodgekp.operators import (
     LinearOp,
     _current_transform_series,
     _exp_numerators,
-    big_t_to_odd_t,
     couplings_from_log_r,
     exp_apply,
     givental_direct,
@@ -41,7 +40,13 @@ from hodgekp.operators import (
 )
 from hodgekp.curve import log_r_series, r_series
 
-from conftest import random_rational, random_tpoly, reference_virasoro_sum_op, with_max_weight
+from conftest import (
+    big_t_to_odd_t,
+    random_rational,
+    random_tpoly,
+    reference_virasoro_sum_op,
+    with_max_weight,
+)
 
 
 def t(k, w=9):
@@ -746,19 +751,40 @@ class TestVariableRelabeling:
             odd_t_to_big_t(t(2))
 
 
+def _identity(num, den):
+    return num, den
+
+
+def _halved(num, den):
+    return num, 2 * den
+
+
 class TestEqualityHarness:
+    """`operator_equality_check` compares the integer cores of two maps."""
+
     def test_identity_vs_identity(self):
         basis = [TPoly("t", 6, {m: 1}) for m in weight_monomials("t", 6)]
-        rep = operator_equality_check(lambda P: P, lambda P: P, basis, "id")
+        rep = operator_equality_check(_identity, _identity, basis, "id")
         assert rep.passed and rep.checked == len(basis)
 
     def test_detects_difference(self):
         basis = [t(1, 6)]
-        rep = operator_equality_check(lambda P: P, lambda P: P.scale(2), basis, "x2")
+        rep = operator_equality_check(_identity, _halved, basis, "x2")
         assert not rep.passed
+        assert rep.failures == [{"input": "(1)*t1", "difference": "(1/2)*t1"}]
+
+    def test_unreduced_images_compare_by_value(self):
+        # the same value over a multiple of its denominator, with a zero
+        def unreduced(num, den):
+            out = {m: {e: 6 * c for e, c in slot.items()} for m, slot in num.items()}
+            out.setdefault((), {})[5] = 0
+            return out, 6 * den
+
+        basis = [TPoly("t", 6, {m: F(1, 3)}) for m in weight_monomials("t", 6)]
+        assert operator_equality_check(_identity, unreduced, basis).passed
 
     def test_empty_basis_does_not_pass(self):
-        rep = operator_equality_check(lambda P: P, lambda P: P.scale(2), [], "empty")
+        rep = operator_equality_check(_identity, _halved, [], "empty")
         assert rep.checked == 0 and not rep.failures
         assert not rep.passed
         assert rep.to_json_obj()["status"] == "fail"
@@ -939,8 +965,8 @@ class TestOperatorIdentification:
         W = 7
         basis = [TPoly("t", W, {((5, 1),): 1})]
         rep = operator_equality_check(
-            rl_transform_quantized(curve132, tqp_forms(curve132.params, 3, W)),
-            lambda P: P,
+            rl_transform_quantized(curve132, tqp_forms(curve132.params, 3, W)).core,
+            _identity,
             basis,
             "broken",
         )
