@@ -35,6 +35,6 @@ from .operators import (
     virasoro_conjugation_check,
     virasoro_factorization_check,
 )
-from .tau import bgw_tau, hodge_partition, kw_tau, tau_qp_check, tau_qp_theta_check
+from .tau import bgw_tau, hodge_partition, kw_tau, tau_qp_check
 
 __version__ = "0.1.0"

@@ -608,6 +608,38 @@ def mono_weight(kind: str, mono: Mono) -> int:
     return sum(var_weight(kind, v) * e for v, e in mono)
 
 
+def weight_monomials(kind: str, W: int, *, odd_only: bool = False) -> list[Mono]:
+    """All monomials of weight <= W, sorted by (weight, monomial)."""
+    if kind == T_SIDE:
+        vars_ = [v for v in range(1, W + 1) if not (odd_only and v % 2 == 0)]
+    else:
+        vars_ = list(range(0, (W - 1) // 2 + 1)) if W >= 1 else []
+    out: list[Mono] = []
+    _extend_monomials(kind, W, vars_, 0, [], 0, out)
+    return sorted(set(out), key=lambda m: (mono_weight(kind, m), m))
+
+
+def _extend_monomials(kind: str, W: int, vars_: list, pos: int, current: list, weight: int, out: list):
+    """Append to `out` the monomial `current` and each extension of it by
+    vars_[pos:] of weight <= W.  A module-level recursion: a nested one
+    would reference itself through its closure and form a reference
+    cycle."""
+    out.append(tuple(current))
+    for i in range(pos, len(vars_)):
+        v = vars_[i]
+        wv = var_weight(kind, v)
+        if weight + wv > W:
+            continue
+        if current and current[-1][0] == v:
+            current[-1] = (v, current[-1][1] + 1)
+            _extend_monomials(kind, W, vars_, i, current, weight + wv, out)
+            current[-1] = (v, current[-1][1] - 1)
+        else:
+            current.append((v, 1))
+            _extend_monomials(kind, W, vars_, i, current, weight + wv, out)
+            current.pop()
+
+
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
     d = dict(m1)
     for v, e in m2:

@@ -27,6 +27,7 @@ from .curve import (
 )
 from .kp import hirota_graded_check, kdv_reduction_check
 from .operators import (
+    DILATON_TIME,
     exp_apply,
     givental_routes,
     linear_change_generator,
@@ -43,7 +44,6 @@ from .tau import (
     hodge_partition,
     kw_tau,
     tau_qp_check,
-    tau_qp_theta_check,
     trust_band,
 )
 
@@ -204,37 +204,28 @@ def _chk_kp_base(run: _PointRun, mode: str) -> dict:
 
 def _chk_kp_hodge(run: _PointRun, point: CurveParams) -> dict:
     W = run.config.weight
-    rep = run.identity("standard", W)
-    r1 = hirota_graded_check(rep.tau.body, HIROTA_Y_WEIGHT, trust_band(rep.tau.kind))
-    rep_t = run.identity("theta", W)
-    r2 = hirota_graded_check(rep_t.tau.body, HIROTA_Y_WEIGHT, trust_band(rep_t.tau.kind))
-    ok = rep.equal and rep_t.equal and r1.passed and r2.passed
+    construction, hirota = {}, []
+    for mode in DILATON_TIME:
+        rep = run.identity(mode, W)
+        construction[mode] = rep.equal
+        hirota.append(hirota_graded_check(rep.tau.body, HIROTA_Y_WEIGHT, trust_band(rep.tau.kind)))
     return {
-        "passed": ok,
-        "construction": {"standard": rep.equal, "theta": rep_t.equal},
-        "hirota": [r1.to_json_obj(), r2.to_json_obj()],
+        "passed": all(construction.values()) and all(r.passed for r in hirota),
+        "construction": construction,
+        "hirota": [r.to_json_obj() for r in hirota],
     }
 
 
 def _chk_kdv_reduction(run: _PointRun, point: CurveParams) -> dict:
     W = run.config.weight
-    rep = run.identity("standard", W)
-    rep_t = run.identity("theta", max(W, 4))
-    r1 = kdv_reduction_check(rep.tau.body)
-    r2 = kdv_reduction_check(rep_t.tau.body)
-    reduced_point = point.p == -2 * point.q
-    if reduced_point:
-        ok = r1.passed and r2.passed
+    reports = {mode: kdv_reduction_check(run.identity(mode, W).tau.body) for mode in DILATON_TIME}
+    if point.p == -2 * point.q:
+        ok = all(r.passed for r in reports.values())
         expectation = "even-time independence (p = -2q)"
     else:
-        ok = (not r1.passed) and (not r2.passed)
+        ok = not any(r.passed for r in reports.values())
         expectation = "even-time dependence (generic point control)"
-    return {
-        "passed": ok,
-        "expectation": expectation,
-        "standard": r1.to_json_obj(),
-        "theta": r2.to_json_obj(),
-    }
+    return {"passed": ok, "expectation": expectation, **{mode: r.to_json_obj() for mode, r in reports.items()}}
 
 
 def _chk_conjugation(run: _PointRun, point: CurveParams) -> dict:
@@ -491,7 +482,7 @@ _TAU_KINDS = {
     "hodge": (3, True, lambda point, W: hodge_partition(point, W, "standard")),
     "theta-hodge": (1, True, lambda point, W: hodge_partition(point, W, "theta")),
     "tau-qp": (3, True, lambda point, W: tau_qp_check(point, W).tau),
-    "tau-theta-qp": (1, True, lambda point, W: tau_qp_theta_check(point, W).tau),
+    "tau-theta-qp": (1, True, lambda point, W: tau_qp_check(point, W, "theta").tau),
 }
 
 

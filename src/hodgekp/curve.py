@@ -223,9 +223,7 @@ def build_curve(params: CurveParams, K: int) -> CurveSeries:
     if (N * x.derivative()).truncate(K - 1) != ZSeries.z(K - 1):
         raise InvariantViolation("N * x' != z")
 
-    curve = CurveSeries(params, K, x, f, h, y, N, R, logR, ZSeries.one(0))
-    curve.I = i_series(curve)
-    return curve
+    return CurveSeries(params, K, x, f, h, y, N, R, logR, i_series(h))
 
 
 def x_closed_form(params: CurveParams, K: int) -> ZSeries:
@@ -282,9 +280,10 @@ def gaussian_moments(G: ZSeries, order: int | None = None) -> ZSeries:
     )
 
 
-def i_series(curve: CurveSeries, order: int | None = None) -> ZSeries:
-    """Moment transform of zeta/h(zeta); equals R(-z) for in-family curves."""
-    g = curve.h.shift(-1).strip_lowest().recip()  # zeta/h(zeta)
+def i_series(h: ZSeries, order: int | None = None) -> ZSeries:
+    """Moment transform of zeta/h(zeta), for the inverse h of a curve's
+    f; equals R(-z) for in-family curves."""
+    g = h.shift(-1).strip_lowest().recip()  # zeta/h(zeta)
     avail = g.order // 2
     if order is None:
         order = avail
@@ -569,8 +568,7 @@ def perturbed_control_curve(K: int, denominator: tuple = (1, Fraction(5, 2), 1, 
     work = 2 * K
     N_poly = ZSeries.from_terms(dict(enumerate(denominator)), work + 2)
     x, f, h, y, N = _curve_from_denominator(N_poly, work)
-    curve = CurveSeries(None, work, x, f, h, y, N, ZSeries.one(0), ZSeries.one(0), ZSeries.one(0))
-    I = i_series(curve)  # listed to order (work - 1) // 2 = K - 1
+    I = i_series(h)  # listed to order (work - 1) // 2 = K - 1
     R = I.subs_neg()  # R(z) := I(-z)
     logR = (R - ZSeries.one(R.order)).log1p()
     return CurveSeries(

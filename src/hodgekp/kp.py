@@ -44,6 +44,7 @@ from .algebra import (
     mono_str,
     mono_weight,
     rat_str,
+    weight_monomials,
     weight_sorted,
 )
 
@@ -89,8 +90,6 @@ def _derivatives(tau: TPoly, dmax: int, band: tuple[int, int]) -> tuple[int, dic
     d^beta and d^(gamma - beta) with excess at most W + b*|gamma|, the
     bound of `_run_equations`: the root coefficients of excess at most
     `_root_excess_limit`, and nothing is built from the others."""
-    from .operators import weight_monomials
-
     a, b = band
     root = [(w, mono, tuple(sorted((a * e - b * w, e, c) for e, c in cs))) for w, mono, cs in weight_sorted(tau.kind, tau.num)]
     limit = _root_excess_limit(root, tau.max_weight)
@@ -248,8 +247,6 @@ def hirota_equation_table(y_weight: int) -> tuple[tuple[Mono, Mapping[Mono, Frac
     caller shares the one table, so it is read-only: a tuple of
     (y-monomial, read-only equation) pairs.
     """
-    from .operators import weight_monomials
-
     schur = _schur_polys(y_weight + 1)
     table: dict[Mono, dict[Mono, Fraction]] = {}
     y_monos = weight_monomials(T_SIDE, y_weight)
@@ -349,7 +346,7 @@ def _run_equations(
         d = max((mono_weight(T_SIDE, g) for g in eq), default=0)
         covered = W - d
         bound = W + band[1] * d
-        label = "y[" + mono_str(T_SIDE, label_mono).replace("t", "y") + "]" if isinstance(label_mono, tuple) else str(label_mono)
+        label = "y[" + mono_str(T_SIDE, label_mono).replace("t", "y") + "]"
         L = math.lcm(*(c.denominator for c in eq.values()))
         acc: dict[Mono, dict[int, int]] = {}
         for gamma, c in sorted(eq.items()):

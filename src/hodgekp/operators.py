@@ -30,13 +30,16 @@ from .algebra import (
     mono_weight,
     same_value,
     var_weight,
+    weight_monomials,
 )
-from .curve import CurveSeries, givental_v_matrix
+from .curve import CurveSeries, givental_v_matrix, grunsky_matrix
 
 __all__ = [
     "LinearOp",
     "virasoro_op",
     "heisenberg_op",
+    "DILATON_TIME",
+    "dilaton_time",
     "w_op",
     "translation_op",
     "linear_change_generator",
@@ -488,25 +491,39 @@ def heisenberg_op(k: int, W: int) -> LinearOp:
     return LinearOp.from_terms(T_SIDE, [("m", -k, Fraction(-k))])
 
 
-def w_op(k: int, W: int, shift: str = "kw") -> LinearOp:
+# The two sides, by the index sigma of the time T_sigma that carries the
+# dilaton shift T_sigma - hbar^{-1}: T_1 on the triple-Hodge side
+# ("standard"), T_0 on its Theta-version ("theta").  sigma also picks the
+# translation vector of the symmetry-group route (v or v0) and the
+# dilaton index s = 2 sigma + 1 of the base tau-function (KW or BGW).
+DILATON_TIME = {"standard": 1, "theta": 0}
+
+
+def dilaton_time(mode: str) -> int:
+    """sigma of the side `mode` (`DILATON_TIME`)."""
+    try:
+        return DILATON_TIME[mode]
+    except KeyError:
+        raise ValueError(f"unknown mode {mode!r}") from None
+
+
+def w_op(k: int, W: int, mode: str = "standard") -> LinearOp:
     """Quantized odd-power generator on the T-side.
 
     W_k = -sum_m Ttilde_m d/dT_{m+2k-1}
           + (1/2) sum_{m=0}^{2k-2} (-1)^m d^2/dT_m dT_{2k-m-2},
-    with the dilaton shift Ttilde_m = T_m - hbar^{-1} delta_{m,1}
-    ("kw") or T_m - hbar^{-1} delta_{m,0} ("bgw").
+    with the dilaton shift Ttilde_m = T_m - hbar^{-1} delta_{m,sigma}
+    of the side `mode`.
     """
     if k <= 0:
         raise ValueError("only the upper-triangular generators (k >= 1) are implemented")
-    if shift not in ("kw", "bgw"):
-        raise ValueError(f"unknown dilaton shift {shift!r}")
+    sigma = dilaton_time(mode)
     M = (W - 1) // 2  # largest T-variable index at this weight cap
     items = []
     for m in range(0, M + 1):
         if m + 2 * k - 1 <= M:
             items.append(("md", m, m + 2 * k - 1, Fraction(-1)))
-    shift_index = 1 if shift == "kw" else 0
-    dil = shift_index + 2 * k - 1
+    dil = sigma + 2 * k - 1
     if dil <= M:
         items.append(("d", dil, HbarPoly.hbar(-1)))
     for a in range(0, k):
@@ -628,14 +645,16 @@ def _chain(*cores: Core) -> Core:
     return core
 
 
-def givental_direct(couplings: Mapping[int, Fraction], W: int, shift: str = "kw") -> PolyMap:
+def givental_direct(couplings: Mapping[int, Fraction], W: int, mode: str = "standard") -> PolyMap:
     """The map P -> exp(sum_k c_k W_k) . P on T-side polynomials of weight
-    cap W, evaluated termwise (finite by nilpotence).  The operator is
-    built once; the returned map applies it."""
+    cap W, with the generators of the side `mode`, evaluated termwise
+    (finite by nilpotence).  The operator is built once; the returned map
+    applies it."""
+    dilaton_time(mode)  # an unknown mode fails even where no W_k acts
     op = LinearOp(BIG_T_SIDE)
     for k, c in sorted(couplings.items()):
         if c and 4 * k - 2 <= W:
-            op = op + w_op(k, W, shift).scale(c)
+            op = op + w_op(k, W, mode).scale(c)
     return _map_on(BIG_T_SIDE, W, _exp_core(op, W))
 
 
@@ -644,12 +663,11 @@ def transformed_variable_images(
 ) -> dict[int, TPoly]:
     """Affine substitution images of the transformed T-variables.
 
-    T_k maps to sum_m [z^(k-m)]R(-z) T_m plus the hbar^{-1}-weighted
-    constant produced by transporting the dilaton shift (starting at
-    k=2 in standard mode and k=1 in theta mode).
+    T_k maps to sum_m [z^(k-m)]R(-z) T_m plus, for k > sigma, the
+    constant -hbar^{-1} [z^(k-sigma)]R(-z) produced by transporting the
+    dilaton shift of T_sigma, the time of the side `mode`.
     """
-    if mode not in ("standard", "theta"):
-        raise ValueError(f"unknown mode {mode!r}")
+    sigma = dilaton_time(mode)
     M = (W - 1) // 2
     if R.order < M:
         raise ValueError("insufficient order of R for this weight cap")
@@ -657,10 +675,8 @@ def transformed_variable_images(
     images: dict[int, TPoly] = {}
     for k in range(M + 1):
         terms = {((m, 1),): rb[k - m] for m in range(k + 1)}
-        if mode == "standard" and k >= 2:
-            terms[()] = HbarPoly.hbar(-1, -rb[k - 1])
-        elif mode == "theta" and k >= 1:
-            terms[()] = HbarPoly.hbar(-1, -rb[k])
+        if k > sigma:
+            terms[()] = HbarPoly.hbar(-1, -rb[k - sigma])
         images[k] = TPoly(BIG_T_SIDE, W, terms)
     return images
 
@@ -708,19 +724,19 @@ def givental_factorized(R: ZSeries, W: int, mode: str = "standard", kernel: Line
 
 def givental_routes(curve: CurveSeries, W: int, mode: str = "standard") -> tuple[PolyMap, PolyMap]:
     """The direct and the factorized map of the quantized action at weight
-    cap W, with the dilaton shift of `mode` ("kw" for "standard", "bgw"
-    for "theta"), built once per (mode, W) from the curve's log R and R,
-    which the factorized form reads to order 2((W - 1)//2 + 1), and kept
-    on the curve.  The factorized maps of both modes at one W share one
-    kernel (`givental_kernel`), kept on the curve too; the direct map
-    never reads it."""
+    cap W, with the dilaton shift of the side `mode`, built once per
+    (mode, W) from the curve's log R and R, which the factorized form
+    reads to order 2((W - 1)//2 + 1), and kept on the curve.  The
+    factorized maps of both sides at one W share one kernel
+    (`givental_kernel`), kept on the curve too; the direct map never
+    reads it."""
     key = (mode, W)
     if key not in curve._ops:
         kernel = curve._ops.get(("kernel", W))
         if kernel is None:
             kernel = curve._ops["kernel", W] = givental_kernel(curve.R, W)
         curve._ops[key] = (
-            givental_direct(couplings_from_log_r(curve.logR, W), W, {"standard": "kw", "theta": "bgw"}[mode]),
+            givental_direct(couplings_from_log_r(curve.logR, W), W, mode),
             givental_factorized(curve.R, W, mode, kernel),
         )
     return curve._ops[key]
@@ -807,43 +823,11 @@ def tqp_forms_symbolic(params, max_index: int, W: int) -> list[TPoly]:
 # ---------------------------------------------------------------------------
 
 
-def weight_monomials(kind: str, W: int, *, odd_only: bool = False) -> list[Mono]:
-    """All monomials of weight <= W, sorted by (weight, monomial)."""
-    if kind == T_SIDE:
-        vars_ = [v for v in range(1, W + 1) if not (odd_only and v % 2 == 0)]
-    else:
-        vars_ = list(range(0, (W - 1) // 2 + 1)) if W >= 1 else []
-    out: list[Mono] = []
-    _extend_monomials(kind, W, vars_, 0, [], 0, out)
-    return sorted(set(out), key=lambda m: (mono_weight(kind, m), m))
-
-
 def unit_monomials(kind: str, W: int, *, odd_only: bool = False) -> list[TPoly]:
     """The monomials of `weight_monomials`, in its order, each as the
     polynomial 1·m of weight cap W, built in normal form ({m: {0: 1}}
     over 1)."""
     return [TPoly._normal(kind, W, {m: {0: 1}}, 1) for m in weight_monomials(kind, W, odd_only=odd_only)]
-
-
-def _extend_monomials(kind: str, W: int, vars_: list, pos: int, current: list, weight: int, out: list):
-    """Append to `out` the monomial `current` and each extension of it by
-    vars_[pos:] of weight <= W.  A module-level recursion: a nested one
-    would reference itself through its closure and form a reference
-    cycle."""
-    out.append(tuple(current))
-    for i in range(pos, len(vars_)):
-        v = vars_[i]
-        wv = var_weight(kind, v)
-        if weight + wv > W:
-            continue
-        if current and current[-1][0] == v:
-            current[-1] = (v, current[-1][1] + 1)
-            _extend_monomials(kind, W, vars_, i, current, weight + wv, out)
-            current[-1] = (v, current[-1][1] - 1)
-        else:
-            current.append((v, 1))
-            _extend_monomials(kind, W, vars_, i, current, weight + wv, out)
-            current.pop()
 
 
 @dataclass
@@ -902,8 +886,6 @@ def virasoro_factorization_check(curve: CurveSeries, W: int) -> EqualityReport:
     the full weight-<=W basis verifies the factorization of the
     upper-triangular group element.
     """
-    from .curve import grunsky_matrix
-
     big = group_element(curve, W)
     v0 = linear_change_generator(curve.witt(W), W)
     size = max(W - 1, 1)
@@ -1035,12 +1017,14 @@ def rl_transform_quantized(curve: CurveSeries, forms: Sequence[TPoly]) -> PolyMa
 def rl_transform_virasoro(curve: CurveSeries, W: int, mode: str = "standard") -> PolyMap:
     """Symmetry-group route, as a map on t-side polynomials of weight cap
     W: exp(sum a_k L_k), then the hbar^{-1}-weighted translation in the
-    t-variables, by the dilaton-shifted vector v in standard mode and by
-    the order-zero vector v0 in theta mode.  The group element is the
-    curve's (`group_element`); the translation is built once per map."""
+    t-variables, by the dilaton-shifted vector v where sigma = 1 and by
+    the order-zero vector v0 where sigma = 0, sigma of the side `mode`.
+    The group element is the curve's (`group_element`); the translation
+    is built once per map."""
+    sigma = dilaton_time(mode)
     sd = curve.shifts()
     big = group_element(curve, W)
-    vector = {"standard": sd.v, "theta": sd.v0}[mode]
+    vector = sd.v if sigma else sd.v0
     trans = translation_op(
         {k: HbarPoly.hbar(-1, c) for k, c in vector.items()}, W, T_SIDE
     )

@@ -27,6 +27,7 @@ from .curve import MIN_SERIES_ORDER, CurveParams, CurveSeries, build_curve
 from .operators import (
     LinearOp,
     _difference,
+    dilaton_time,
     givental_routes,
     odd_t_to_big_t,
     rl_transform_virasoro,
@@ -44,7 +45,6 @@ __all__ = [
     "TauIdentityReport",
     "PointArtifacts",
     "tau_qp_check",
-    "tau_qp_theta_check",
     "trust_band",
 ]
 
@@ -271,7 +271,8 @@ def _derived(body: TPoly, kind: str, params: CurveParams, W: int, pipeline: str)
 
 
 def hodge_partition(params: CurveParams, W: int, mode: str = "standard") -> TauSeries:
-    """Quantized group action on the base tau-function, in T-variables.
+    """Quantized group action on the base tau-function of the side
+    `mode`, in T-variables.
 
     Computed by BOTH the termwise exponential and the factorized form;
     the two must agree exactly (any difference aborts).
@@ -287,7 +288,7 @@ def _quantized_action(curve: CurveSeries, W: int, mode: str, base: TauSeries) ->
     if not same_value(direct.num, direct.den, *fact):
         diff = _difference(BIG_T_SIDE, W, (direct.num, direct.den), fact)
         raise InvariantViolation(f"pipeline disagreement in the quantized action ({mode}); diff = {diff!r}")
-    kind = "HodgeZ" if mode == "standard" else "ThetaZ"
+    kind = ("ThetaZ", "HodgeZ")[dilaton_time(mode)]
     return _derived(direct, kind, curve.params, W, "direct+factorized")
 
 
@@ -320,7 +321,7 @@ def _tau_identity(
     lhs = tqp_substitute(forms)(_quantized_action(curve, W, mode, base).body)
     rhs = rl_transform_virasoro(curve, W, mode).core(base.body.num, base.body.den)
     equal = same_value(lhs.num, lhs.den, *rhs)
-    kind = "tau_qp" if mode == "standard" else "tau_theta_qp"
+    kind = ("tau_theta_qp", "tau_qp")[dilaton_time(mode)]
     tau = _derived(lhs, kind, params, W, "substitution+group")
     return TauIdentityReport(params, W, equal, tau, None if equal else _difference(T_SIDE, W, (lhs.num, lhs.den), rhs))
 
@@ -361,10 +362,9 @@ class PointArtifacts:
         return _once(self.tqp, W, lambda: tqp_forms(self.params, (W - 1) // 2, W))
 
     def base(self, mode: str, W: int) -> TauSeries:
-        """The base tau-function of a side: KW for "standard", BGW for "theta"."""
-        if mode not in ("standard", "theta"):
-            raise ValueError(f"unknown mode {mode!r}")
-        build = kw_tau if mode == "standard" else bgw_tau
+        """The base tau-function of the side `mode`, of dilaton index
+        2 sigma + 1: KW for "standard", BGW for "theta"."""
+        build = (bgw_tau, kw_tau)[dilaton_time(mode)]
         return _once(self.bases, (mode, W), lambda: build(W))
 
     def identity(self, mode: str, W: int) -> TauIdentityReport:
@@ -377,18 +377,13 @@ class PointArtifacts:
         )
 
 
-def tau_qp_check(params: CurveParams, W: int) -> TauIdentityReport:
-    """Triple Hodge tau-function: substitution route versus symmetry-group route.
+def tau_qp_check(params: CurveParams, W: int, mode: str = "standard") -> TauIdentityReport:
+    """The tau-function of the side `mode`, the triple Hodge one or its
+    Theta-version: substitution route versus symmetry-group route.
 
     Route one pushes the quantized action through the linear change of
     variables; route two applies exp(sum a_k L_k) to the base
     tau-function and translates by the hbar^{-1}-weighted vector.  The
     two must agree exactly; the result is returned for KP testing.
     """
-    return PointArtifacts(params).identity("standard", W)
-
-
-def tau_qp_theta_check(params: CurveParams, W: int) -> TauIdentityReport:
-    """Theta-version of the tau-function identity, with the order-zero
-    dilaton shift and the f-y translation vector."""
-    return PointArtifacts(params).identity("theta", W)
+    return PointArtifacts(params).identity(mode, W)

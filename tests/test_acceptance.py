@@ -43,7 +43,7 @@ from hodgekp.operators import (
     w_op,
     weight_monomials,
 )
-from hodgekp.tau import bgw_tau, kw_tau, tau_qp_check, tau_qp_theta_check, trust_band
+from hodgekp.tau import bgw_tau, kw_tau, tau_qp_check, trust_band
 
 from conftest import random_tpoly
 
@@ -150,7 +150,7 @@ def test_criterion_06_hodge_tau_equality_and_kp_membership():
 def test_criterion_07_theta_tau_equality_and_kp_membership():
     with _Budget("7 Theta-Hodge tau: two routes + graded bilinear identity", 600):
         for point in (P132, PM121, P042):
-            rep = tau_qp_theta_check(point, 8)
+            rep = tau_qp_check(point, 8, "theta")
             assert rep.equal, point.label()
             hirota = hirota_graded_check(rep.tau.body, 3, trust_band("tau_theta_qp"))
             assert hirota.passed, (point.label(), hirota.failures[:2])
@@ -159,11 +159,11 @@ def test_criterion_07_theta_tau_equality_and_kp_membership():
 def test_criterion_08_even_time_reduction():
     with _Budget("8 even-time independence at p=-2q, dependence elsewhere", 60):
         red = tau_qp_check(PM121, 9)
-        red_theta = tau_qp_theta_check(PM121, 9)
+        red_theta = tau_qp_check(PM121, 9, "theta")
         assert kdv_reduction_check(red.tau.body).passed
         assert kdv_reduction_check(red_theta.tau.body).passed
         gen = tau_qp_check(P132, 9)
-        gen_theta = tau_qp_theta_check(P132, 9)
+        gen_theta = tau_qp_check(P132, 9, "theta")
         assert not kdv_reduction_check(gen.tau.body).passed
         assert not kdv_reduction_check(gen_theta.tau.body).passed
 

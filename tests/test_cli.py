@@ -22,14 +22,14 @@ from hodgekp.cli import (
 )
 from hodgekp.algebra import HbarPoly, TPoly, rat_str
 from hodgekp.curve import CurveParams, build_curve, identification_residual
-from hodgekp.kp import specialize_hbar
+from hodgekp.kp import kdv_reduction_check, specialize_hbar
 from hodgekp.operators import (
     rl_identity_check,
     tqp_forms,
     virasoro_conjugation_check,
     virasoro_factorization_check,
 )
-from hodgekp.tau import kw_tau
+from hodgekp.tau import kw_tau, tau_qp_check
 
 
 class TestConfig:
@@ -430,9 +430,9 @@ def test_one_group_element_and_one_quantized_pair_per_point(monkeypatch):
         caps.append(W)
         return real_sum(a, W)
 
-    def givental_direct(couplings, W, shift="kw"):
-        directs[tuple(sorted(couplings.items())), W, shift] += 1
-        return real_direct(couplings, W, shift)
+    def givental_direct(couplings, W, mode="standard"):
+        directs[tuple(sorted(couplings.items())), W, mode] += 1
+        return real_direct(couplings, W, mode)
 
     def givental_factorized(R, W, mode="standard", kernel=None):
         factorizeds[repr(R), W, mode] += 1
@@ -486,7 +486,7 @@ def _scale_direct_route(monkeypatch):
     import hodgekp.operators as operators
 
     real = operators.givental_direct
-    scaled = lambda couplings, W, shift="kw": real({k: c * F(8, 7) for k, c in couplings.items()}, W, shift)
+    scaled = lambda couplings, W, mode="standard": real({k: c * F(8, 7) for k, c in couplings.items()}, W, mode)
     monkeypatch.setattr(operators, "givental_direct", scaled)
 
 
@@ -617,6 +617,25 @@ def test_checks_pass_at_random_points(points):
     code, summary = run_verification(RunConfig(checks=checks, points=points, weight=4))
     failed = [(r["check"], r["point"]) for r in summary["results"] if r["status"] != "pass"]
     assert code == 0, failed
+
+
+def test_kdv_reduction_reads_both_sides_at_w_over_the_catalog(capsys):
+    # at W = 3 the verdicts are those of W = 4, and each side's block is
+    # the even-time check of that side's tau identity at W itself, so the
+    # Theta block lists no monomial of weight above 3
+    def details(W):
+        assert main(["verify", "kdv-reduction", "--weight", str(W), "--format", "json"]) == 0
+        return {r["point"]: r["details"] for r in json.loads(capsys.readouterr().out)["results"]}
+
+    at3, at4 = details(3), details(4)
+    verdicts = lambda d: {point: (x["standard"]["status"], x["theta"]["status"]) for point, x in d.items()}
+    assert verdicts(at3) == verdicts(at4)
+    weight = lambda mono: sum(int(v) * int(e or 1) for v, _, e in (x[1:].partition("^") for x in mono.split()))
+    for point in default_points():
+        for mode in ("standard", "theta"):
+            block = at3[point.label()][mode]
+            assert block == kdv_reduction_check(tau_qp_check(point, 3, mode).tau.body).to_json_obj()
+            assert all(weight(mono) <= 3 for mono in block["evenMonomials"])
 
 
 def test_verify_all_traffic_builds_one_curve_per_point(monkeypatch):

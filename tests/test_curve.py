@@ -149,7 +149,7 @@ def _trivial_curve(K):
 
 class TestISeries:
     def test_trivial_transform(self):
-        assert i_series(_trivial_curve(12)) == ZSeries.one(5)
+        assert i_series(ZSeries.z(12)) == ZSeries.one(5)
 
     def test_first_coefficient_is_minus_r(self, curve132):
         I = curve132.I
@@ -164,7 +164,7 @@ class TestISeries:
 
     def test_insufficient_order_rejected(self, curve132):
         with pytest.raises(ValueError, match="insufficient"):
-            i_series(curve132, curve132.K)
+            i_series(curve132.h, curve132.K)
 
 
 def _bivariate_log_grunsky(h, size):

@@ -45,16 +45,18 @@ class _BumpedGrunsky:
 
 
 def _bumped_grunsky(monkeypatch):
+    # `operators` binds it at import; the reference reads it from `curve`
     real = curve_module.grunsky_matrix
-    monkeypatch.setattr(curve_module, "grunsky_matrix", lambda h, size: _BumpedGrunsky(real(h, size)))
+    for module in (curve_module, operators):
+        monkeypatch.setattr(module, "grunsky_matrix", lambda h, size: _BumpedGrunsky(real(h, size)))
 
 
 def _scaled_direct(monkeypatch):
     # the direct route's images times 8/7
     real = operators.givental_direct
 
-    def scaled(couplings, W, shift="kw"):
-        core = real(couplings, W, shift).core
+    def scaled(couplings, W, mode="standard"):
+        core = real(couplings, W, mode).core
 
         def mutated(num, den):
             acc, d = core(num, den)

@@ -19,13 +19,18 @@ from hodgekp.kp import (
     specialize_hbar,
 )
 from hodgekp.operators import weight_monomials
-from hodgekp.tau import bgw_tau, kw_tau, tau_qp_check, tau_qp_theta_check, trust_band
+from hodgekp.tau import bgw_tau, kw_tau, tau_qp_check, trust_band
 
 from conftest import fraction_product, hbar_weight_strip, random_tpoly
 
 
 def t(k, w=8):
     return TPoly.variable("t", k, w)
+
+
+def theta_side_check(params, W):
+    """`tau_qp_check` on the Theta side, to parametrize beside it."""
+    return tau_qp_check(params, W, "theta")
 
 
 class TestSpecializeHbar:
@@ -186,7 +191,7 @@ class TestGradedMembership:
         assert r.passed
 
     def test_theta_graded_pass(self):
-        rep = tau_qp_theta_check(CurveParams(F(1), F(3), F(2)), 7)
+        rep = tau_qp_check(CurveParams(F(1), F(3), F(2)), 7, "theta")
         r = hirota_graded_check(rep.tau.body, 3, trust_band("tau_theta_qp"))
         assert r.passed
 
@@ -200,8 +205,8 @@ class TestGradedMembership:
         "check, W, band, e, caught",
         [  # (tau_qp_check, 8, "tau_qp", 1, True) is test_in_band_mutation_detected
             (tau_qp_check, 8, "tau_qp", 2, False),
-            (tau_qp_theta_check, 7, "tau_theta_qp", 4, True),
-            (tau_qp_theta_check, 7, "tau_theta_qp", 5, False),
+            (theta_side_check, 7, "tau_theta_qp", 4, True),
+            (theta_side_check, 7, "tau_theta_qp", 5, False),
         ],
     )
     def test_mutations_on_both_sides_of_the_trust_band(self, check, W, band, e, caught):
@@ -409,7 +414,7 @@ class TestBandedPair:
     def test_is_the_unbanded_pair_cut_to_the_band(self, tau, band):
         self.compare(tau, band)
 
-    @pytest.mark.parametrize("check, W, kind", [(tau_qp_check, 9, "tau_qp"), (tau_qp_theta_check, 7, "tau_theta_qp")])
+    @pytest.mark.parametrize("check, W, kind", [(tau_qp_check, 9, "tau_qp"), (theta_side_check, 7, "tau_theta_qp")])
     def test_keeps_the_boundary_on_the_derived_taus(self, check, W, kind):
         body = check(CurveParams(F(1), F(3), F(2)), W).tau.body
         assert self.compare(body, trust_band(kind)) > 0
@@ -433,7 +438,7 @@ class TestPrunedDerivatives:
         unpruned = _report_with_limit(tau, band, lambda root, W: math.inf)
         assert hirota_graded_check(tau, 3, band).to_json_obj() == unpruned
 
-    @pytest.mark.parametrize("check, W, kind", [(tau_qp_check, 9, "tau_qp"), (tau_qp_theta_check, 7, "tau_theta_qp")])
+    @pytest.mark.parametrize("check, W, kind", [(tau_qp_check, 9, "tau_qp"), (theta_side_check, 7, "tau_theta_qp")])
     def test_a_limit_one_smaller_fails_the_derived_taus(self, check, W, kind):
         # the derived taus pass, and a root coefficient exactly at the
         # limit enters an in-band residual coefficient, which then fails
@@ -470,7 +475,7 @@ class TestPinnedFailures:
         # negative hbar exponent
         band, W = trust_band("tau_theta_qp"), 7
         a, b = band
-        body = tau_qp_theta_check(CurveParams(F(1), F(3), F(2)), W).tau.body
+        body = tau_qp_check(CurveParams(F(1), F(3), F(2)), W, "theta").tau.body
         body = body + TPoly("t", W, {((1, 2),): HbarPoly.hbar(3, F(1, 7)), ((2, 1),): HbarPoly.hbar(-1, F(2, 3))})
         failures = hirota_graded_check(body, 3, band).failures
         assert failures and failures == oracle_failures(body, 3, band)

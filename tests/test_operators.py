@@ -190,13 +190,13 @@ class TestFusedApply:
         assert got.is_zero() and got.terms == {}
         assert term_by_term_apply(op, P).is_zero()
 
-    @given(st.integers(1, 3), st.sampled_from(["kw", "bgw"]), st.data())
-    def test_hbar_inverse_operators(self, k, shift, data):
+    @given(st.integers(1, 3), st.sampled_from(["standard", "theta"]), st.data())
+    def test_hbar_inverse_operators(self, k, mode, data):
         W = 4 * k + 1
         trans = translation_op({m: HbarPoly.hbar(-1, F(m + 1, 3)) for m in range(3)}, W, "T")
         terms = data.draw(st.dictionaries(st.sampled_from(weight_monomials("T", W)), hbar_laurent, max_size=6))
         P = TPoly("T", W, terms)
-        for op in (w_op(k, W, shift), trans):
+        for op in (w_op(k, W, mode), trans):
             assert op.apply(P) == term_by_term_apply(op, P)
 
     @given(apply_cases())
@@ -300,7 +300,7 @@ class TestWGenerators:
         W = 9
         M = (W - 1) // 2
         for k in (1, 2):
-            for shift, dil_index in (("kw", 1), ("bgw", 0)):
+            for mode, dil_index in (("standard", 1), ("theta", 0)):
                 P = random_tpoly(rng, "T", W)
                 expect = TPoly.zero("T", W)
                 for m in range(0, M + 1):
@@ -314,7 +314,7 @@ class TestWGenerators:
                     b = 2 * k - 2 - m
                     if m <= M and b <= M:
                         expect = expect + P.diff(m).diff(b).scale(F((-1) ** m, 2))
-                assert w_op(k, W, shift).apply(P) == expect, (k, shift)
+                assert w_op(k, W, mode).apply(P) == expect, (k, mode)
 
     def test_lower_triangular_rejected(self):
         with pytest.raises(ValueError):
@@ -455,13 +455,13 @@ class TestIntegerExponential:
         assert got == series_exp_apply(op, P)
         assert in_normal_form(got)
 
-    @given(st.integers(1, 3), st.sampled_from(["kw", "bgw"]), st.data())
-    def test_hbar_inverse_operators(self, k, shift, data):
+    @given(st.integers(1, 3), st.sampled_from(["standard", "theta"]), st.data())
+    def test_hbar_inverse_operators(self, k, mode, data):
         W = 4 * k + 1
         trans = translation_op({m: HbarPoly.hbar(-1, F(m + 1, 3)) for m in range(3)}, W, "T")
         terms = data.draw(st.dictionaries(st.sampled_from(weight_monomials("T", W)), hbar_laurent, max_size=6))
         P = TPoly("T", W, terms)
-        for op in (w_op(k, W, shift).scale(F(2, 5)), trans, trans + w_op(k, W, shift)):
+        for op in (w_op(k, W, mode).scale(F(2, 5)), trans, trans + w_op(k, W, mode)):
             got = exp_apply(op, P)
             assert got == series_exp_apply(op, P)
             assert in_normal_form(got)
@@ -665,7 +665,7 @@ class TestGiventalAction:
         R = r_series(par, 10)
         P = TPoly.one("T", 9)
         couplings = couplings_from_log_r(log_r_series(par, 10), 9)
-        assert givental_factorized(R, 9, "theta")(P) == givental_direct(couplings, 9, "bgw")(P)
+        assert givental_factorized(R, 9, "theta")(P) == givental_direct(couplings, 9, "theta")(P)
 
     def test_mumford_couplings_match_miwa(self):
         # B_{2k}/(2k)! * s_k with the Miwa weights (-p, -q, pq/(p+q))
@@ -681,16 +681,20 @@ class TestGiventalAction:
                 assert ck == logR.coeff(2 * k - 1), k
 
     def test_affine_images_carry_translation_constants(self):
+        # T_k -> sum_m rb_{k-m} T_m + hbar^{-1} delta_k, rb = R(-z): the
+        # dilaton shift of T_1 ("standard") gives delta_k = -rb_{k-1} from
+        # k = 2 on, that of T_0 ("theta") delta_k = -rb_k from k = 1 on
         par = CurveParams(F(1), F(3), F(2))
         R = r_series(par, 10)
         rb = R.subs_neg()
-        images = transformed_variable_images(R, 9, "standard")
-        assert images[0] == T(0)
-        # k=2 image: sum rb_{2-m} T_m + hbar^{-1} delta_2 with delta_2 = -rb_1
-        expect = T(2) + T(1).scale(rb.coeff(1)) + T(0).scale(rb.coeff(2)) + TPoly.constant(
-            HbarPoly.hbar(-1, -rb.coeff(1)), "T", 9
-        )
-        assert images[2] == expect
+        deltas = {"standard": {2: -rb.coeff(1)}, "theta": {1: -rb.coeff(1), 2: -rb.coeff(2)}}
+        for mode, delta in deltas.items():
+            images = transformed_variable_images(R, 9, mode)
+            for k in range(3):
+                expect = TPoly.constant(HbarPoly.hbar(-1, delta.get(k, 0)), "T", 9)
+                for m in range(k + 1):
+                    expect = expect + T(m).scale(rb.coeff(k - m))
+                assert images[k] == expect, (mode, k)
 
 
 def _factorial(n):
@@ -925,7 +929,7 @@ class TestConjugation:
 class TestShiftTransport:
     """Conjugating the t-side translation vectors by the linear-change
     element reproduces the dilaton-shift translations in the embedded
-    variables, for both shift conventions."""
+    variables, on both sides."""
 
     @pytest.mark.parametrize("mode", ["standard", "theta"])
     def test_translation_conjugation(self, curve132, mode):

@@ -7,16 +7,25 @@ from fractions import Fraction as F
 import pytest
 
 from hodgekp.algebra import HbarPoly, TPoly, mono_weight
-from hodgekp.curve import CurveParams, build_curve
-from hodgekp.operators import odd_t_to_big_t, rl_transform_virasoro, weight_monomials
+from hodgekp.curve import CATALOG, CurveParams, build_curve
+from hodgekp.operators import (
+    givental_direct,
+    givental_factorized,
+    givental_routes,
+    odd_t_to_big_t,
+    rl_transform_virasoro,
+    transformed_variable_images,
+    w_op,
+    weight_monomials,
+)
 from hodgekp.tau import (
+    PointArtifacts,
     _sub_multisets,
     bgw_tau,
     hodge_partition,
     kw_tau,
     psi_correlator,
     tau_qp_check,
-    tau_qp_theta_check,
     theta_correlator,
     trust_band,
 )
@@ -506,7 +515,7 @@ class TestTauQpIdentity:
         ids=["(1,3,2)", "(-1,2,1)", "negative-root"],
     )
     def test_theta_routes_agree(self, q, p, s):
-        rep = tau_qp_theta_check(CurveParams(F(q), F(p), F(s)), 6)
+        rep = tau_qp_check(CurveParams(F(q), F(p), F(s)), 6, "theta")
         assert rep.equal
 
     @pytest.mark.parametrize("W", range(3, 8))
@@ -515,8 +524,8 @@ class TestTauQpIdentity:
         # curve built to 2W + 2 gives
         point = CurveParams(F(-1), F(2), F(1))
         curve = build_curve(point, 2 * W + 2)
-        for check, mode, base in ((tau_qp_check, "standard", kw_tau), (tau_qp_theta_check, "theta", bgw_tau)):
-            rep = check(point, W)
+        for mode, base in (("standard", kw_tau), ("theta", bgw_tau)):
+            rep = tau_qp_check(point, W, mode)
             assert rep.equal
             assert rep.tau.body == rl_transform_virasoro(curve, W, mode)(base(W).body)
 
@@ -551,3 +560,27 @@ class TestTauQpIdentity:
                     checked += 1
                     assert t9.coeff(mono).coeff(e) == c.coeff(e), (mono, e)
         assert checked >= 5
+
+
+# Every public entry that takes a side `mode`, called with the former
+# dilaton-shift name "kw"; R and the curve are the first catalog point's,
+# and `givental_direct` gets no couplings, so that no W_k acts and its
+# own lookup must reject the mode.
+_MODE_ENTRIES = {
+    "w_op": lambda mode: w_op(1, 5, mode),
+    "givental_direct": lambda mode: givental_direct({}, 5, mode),
+    "transformed_variable_images": lambda mode: transformed_variable_images(build_curve(CATALOG[0], 6).R, 5, mode),
+    "givental_factorized": lambda mode: givental_factorized(build_curve(CATALOG[0], 6).R, 5, mode),
+    "givental_routes": lambda mode: givental_routes(build_curve(CATALOG[0], 6), 5, mode),
+    "rl_transform_virasoro": lambda mode: rl_transform_virasoro(build_curve(CATALOG[0], 6), 5, mode),
+    "hodge_partition": lambda mode: hodge_partition(CATALOG[0], 5, mode),
+    "tau_qp_check": lambda mode: tau_qp_check(CATALOG[0], 5, mode),
+    "PointArtifacts.base": lambda mode: PointArtifacts(CATALOG[0]).base(mode, 5),
+    "PointArtifacts.identity": lambda mode: PointArtifacts(CATALOG[0]).identity(mode, 5),
+}
+
+
+@pytest.mark.parametrize("entry", list(_MODE_ENTRIES.values()), ids=list(_MODE_ENTRIES))
+def test_an_unknown_mode_is_a_value_error(entry):
+    with pytest.raises(ValueError, match="^unknown mode 'kw'$"):
+        entry("kw")
