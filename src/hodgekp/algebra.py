@@ -218,15 +218,6 @@ def _lowest_terms(num: list, den: int) -> tuple[list, int]:
     return num, den
 
 
-def _strip_zeros(num: list, lowest: int) -> tuple[list, int]:
-    """The coefficient list with its zeros below exponent 0 dropped from
-    the front (always keeping one entry), and its new lowest exponent."""
-    i = 0
-    while lowest + i < 0 and i < len(num) - 1 and not num[i]:
-        i += 1
-    return num[i:], lowest + i
-
-
 def _convolve(a: list, b: list, n: int) -> list:
     """The first n coefficients of the product of two integer coefficient
     lists (index = exponent)."""
@@ -267,92 +258,89 @@ def _recurrence(w: list, div: list) -> tuple[list, int]:
     return b, d
 
 
+def _valuation(num: list) -> int:
+    """The index of the first nonzero entry of num; len(num) if there is
+    none."""
+    for i, c in enumerate(num):
+        if c:
+            return i
+    return len(num)
+
+
 class ZSeries:
-    """Truncated formal series in z with exact rational coefficients.
+    """Truncated formal power series in z with exact rational coefficients.
 
-    Coefficients are known exactly for exponents lowest..order; the
-    order is tracked explicitly and never inferred.  Most series here
-    are plain power series (lowest == 0); a negative lowest gives a
-    Laurent tail for intermediate work.
+    Coefficients are known exactly for exponents 0..order; the order is
+    tracked explicitly and never inferred.  A stored zero is a known
+    zero, so the valuation (the exponent of the first nonzero
+    coefficient) is read from the coefficients.
 
-    The value is sum_i num[i] z^(lowest+i) / den on integers: `num` lists
-    the numerators of z^lowest..z^order and den > 0 has no common factor
-    with all of them (den == 1 for the zero series), so the form is
-    unique.  Every operation runs on the integers and ends in `_normal`,
-    which restores this form.  A `Fraction` is built only where a
-    coefficient is read: `coeff`, `coeff_or_zero` and `repr`.
+    The value is sum_i num[i] z^i / den on integers: `num` lists the
+    numerators of z^0..z^order and den > 0 has no common factor with all
+    of them (den == 1 for the zero series), so the form is unique.
+    Every operation runs on the integers and ends in `_normal`, which
+    restores this form.  A `Fraction` is built only where a coefficient
+    is read: `coeff`, `coeff_or_zero` and `repr`.
     """
 
-    __slots__ = ("num", "den", "order", "lowest")
+    __slots__ = ("num", "den", "order")
 
-    def __init__(self, coeffs: Sequence, order: int, lowest: int = 0):
-        """`coeffs` are the coefficients of z^lowest..z^order, as ints or
-        exact rationals."""
-        if order < lowest:
-            raise ValueError("order below lowest exponent")
-        if len(coeffs) != order - lowest + 1:
+    def __init__(self, coeffs: Sequence, order: int):
+        """`coeffs` are the coefficients of z^0..z^order, as ints or exact
+        rationals."""
+        if order < 0:
+            raise ValueError("order below z^0")
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient list does not match the claimed order")
         pairs = [_ratio(c) for c in coeffs]
         den = math.lcm(*[d for _, d in pairs])
         self.num, self.den = _lowest_terms([n * (den // d) for n, d in pairs], den)
         self.order = order
-        self.lowest = lowest
 
     @classmethod
-    def _normal(cls, num: list, order: int, lowest: int, den: int) -> "ZSeries":
-        """The series sum_i num[i] z^(lowest+i) / den, for integers num and
-        a nonzero integer den, in normal form."""
+    def _normal(cls, num: list, order: int, den: int) -> "ZSeries":
+        """The series sum_i num[i] z^i / den, for integers num and a
+        nonzero integer den, in normal form."""
         res = cls.__new__(cls)
         res.num, res.den = _lowest_terms(num, den)
         res.order = order
-        res.lowest = lowest
         return res
-
-    @classmethod
-    def _from_exponents(cls, num: list, order: int, lowest: int, den: int) -> "ZSeries":
-        """As `_normal`, with the lowest exponent that `from_terms` gives a
-        result built from its nonzero terms: leading zeros below z^0
-        dropped and a start above z^0 padded down to it."""
-        num, lowest = _strip_zeros(num, lowest)
-        if lowest > 0:
-            num, lowest = [0] * lowest + num, 0
-        return cls._normal(num, order, lowest, den)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "ZSeries":
-        return cls._normal([0] * (order + 1), order, 0, 1)
+        return cls._normal([0] * (order + 1), order, 1)
 
     @classmethod
     def one(cls, order: int) -> "ZSeries":
-        return cls._normal([1] + [0] * order, order, 0, 1)
+        return cls._normal([1] + [0] * order, order, 1)
 
     @classmethod
     def z(cls, order: int) -> "ZSeries":
         num = [0] * (order + 1)
         if order >= 1:
             num[1] = 1
-        return cls._normal(num, order, 0, 1)
+        return cls._normal(num, order, 1)
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, object], order: int) -> "ZSeries":
-        lo = min([0] + [e for e in terms])
-        c = [0] * (order - lo + 1)
+        c = [0] * (order + 1)
         for e, v in terms.items():
-            if e > order:
-                continue
-            c[e - lo] = v
-        return cls(c, order, lo)
+            if e < 0:
+                raise ValueError(f"term z^{e} below z^0 in a power series")
+            if e <= order:
+                c[e] = v
+        return cls(c, order)
 
     # -- queries ------------------------------------------------------------
 
     def numerator(self, exponent: int) -> int:
         """The integer numerator, over `den`, of the coefficient of
-        z^exponent; 0 outside lowest..order."""
-        if exponent < self.lowest or exponent > self.order:
+        z^exponent; 0 outside 0..order."""
+        if exponent < 0 or exponent > self.order:
             return 0
-        return self.num[exponent - self.lowest]
+        return self.num[exponent]
 
     def coeff(self, exponent: int) -> Fraction:
         if exponent > self.order:
@@ -366,19 +354,15 @@ class ZSeries:
         return not any(self.num)
 
     def __eq__(self, other) -> bool:
+        """Equal orders and coefficients; the normal form is unique, so
+        the numerators and denominators agree as they stand."""
         if not isinstance(other, ZSeries):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        lo = min(self.lowest, other.lowest)
-        a, b = self.den, other.den
-        return all(
-            self.numerator(e) * b == other.numerator(e) * a for e in range(lo, self.order + 1)
-        )
+        return self.order == other.order and self.den == other.den and self.num == other.num
 
     def __repr__(self) -> str:
         bits = []
-        for e in range(self.lowest, self.order + 1):
+        for e in range(self.order + 1):
             c = self.coeff(e)
             if c:
                 bits.append(f"{rat_str(c)}*z^{e}" if e else rat_str(c))
@@ -390,18 +374,18 @@ class ZSeries:
     def truncate(self, order: int) -> "ZSeries":
         if order >= self.order:
             return self
-        if order < self.lowest:
-            raise ValueError("truncation below lowest exponent")
-        return ZSeries._normal(self.num[: order - self.lowest + 1], order, self.lowest, self.den)
+        if order < 0:
+            raise ValueError("truncation below z^0")
+        return ZSeries._normal(self.num[: order + 1], order, self.den)
 
     def shift(self, k: int) -> "ZSeries":
-        """Multiply by z**k (k may be negative)."""
-        return ZSeries._normal(self.num, self.order + k, self.lowest + k, self.den)
-
-    def strip_lowest(self) -> "ZSeries":
-        """Drop known-zero leading coefficients below exponent 0."""
-        num, lowest = _strip_zeros(self.num, self.lowest)
-        return ZSeries._normal(num, self.order, lowest, self.den)
+        """Multiply by z**k.  For k < 0 the coefficients of z^0..z^(-k-1)
+        must be zero, and at least one coefficient must remain."""
+        if k >= 0:
+            return ZSeries._normal([0] * k + self.num, self.order + k, self.den)
+        if self.order + k < 0 or any(self.num[:-k]):
+            raise ValueError(f"z^{k} times the series leaves a term below z^0")
+        return ZSeries._normal(self.num[-k:], self.order + k, self.den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -409,21 +393,15 @@ class ZSeries:
         """The sum on integers, over the LCM of the two denominators."""
         if not isinstance(other, ZSeries):
             other = ZSeries.from_terms({0: other}, self.order)
-        order = min(self.order, other.order)
-        lo = min(self.lowest, other.lowest)
         den = math.lcm(self.den, other.den)
-        out = [0] * (order - lo + 1)
-        for s in (self, other):
-            k = den // s.den
-            off = s.lowest - lo
-            for i, c in enumerate(s.num[: max(0, order - s.lowest + 1)]):
-                out[off + i] += c * k
-        return ZSeries._normal(out, order, lo, den)
+        ka, kb = den // self.den, den // other.den
+        out = [x * ka + y * kb for x, y in zip(self.num, other.num)]
+        return ZSeries._normal(out, min(self.order, other.order), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ZSeries":
-        return ZSeries._normal([-c for c in self.num], self.order, self.lowest, self.den)
+        return ZSeries._normal([-c for c in self.num], self.order, self.den)
 
     def __sub__(self, other) -> "ZSeries":
         if not isinstance(other, ZSeries):
@@ -435,17 +413,20 @@ class ZSeries:
 
     def scale(self, c) -> "ZSeries":
         n, d = _ratio(c)
-        return ZSeries._normal([n * x for x in self.num], self.order, self.lowest, self.den * d)
+        return ZSeries._normal([n * x for x in self.num], self.order, self.den * d)
 
     def __mul__(self, other) -> "ZSeries":
         """The product: the integer convolution of the numerators over the
-        product of the denominators."""
+        product of the denominators.
+
+        A factor known to order n with valuation v is z^v (unit) + O(z^(n+1)),
+        so the product is known to order min(n_a + v_b, n_b + v_a).
+        """
         if not isinstance(other, ZSeries):
             return self.scale(other)
-        lo = self.lowest + other.lowest
-        order = min(self.order + other.lowest, other.order + self.lowest)
-        out = _convolve(self.num, other.num, order - lo + 1)
-        return ZSeries._normal(out, order, lo, self.den * other.den)
+        order = min(self.order + _valuation(other.num), other.order + _valuation(self.num))
+        out = _convolve(self.num, other.num, order + 1)
+        return ZSeries._normal(out, order, self.den * other.den)
 
     def __rmul__(self, other) -> "ZSeries":
         return self.scale(other)
@@ -457,14 +438,11 @@ class ZSeries:
         the coefficients b_0 = 1, b_k = -sum_{j<=k} a_j b_(k-j) / a_0
         (see `_recurrence`).
         """
-        if self.lowest > 0 or self.numerator(0) == 0:
+        a = self.num
+        if a[0] == 0:
             raise ValueError("not a unit")
-        if any(self.num[: -self.lowest]):
-            raise ValueError("not a unit")
-        n = self.order
-        a = self.num[-self.lowest :]
-        b, d = _recurrence([-x for x in a], [a[0]] * (n + 1))
-        return ZSeries._normal([x * self.den for x in b], n, 0, d * a[0])
+        b, d = _recurrence([-x for x in a], [a[0]] * (self.order + 1))
+        return ZSeries._normal([x * self.den for x in b], self.order, d * a[0])
 
     # -- composition and reversion ------------------------------------------
 
@@ -477,19 +455,17 @@ class ZSeries:
         product shares a large factor with d^k, and carrying it would
         grow the integers with every step).
         """
-        if self.lowest < 0:
-            raise ValueError("composition needs a power-series outer factor")
-        if inner.lowest < 0 or inner.numerator(0) != 0:
+        if inner.num[0] != 0:
             raise ValueError("inner series must have zero constant term")
         order = min(self.order, inner.order)
-        X = [inner.numerator(e) for e in range(order + 1)]
-        acc, den = [self.numerator(order)] + [0] * order, 1
+        X = inner.num[: order + 1]
+        acc, den = [self.num[order]] + [0] * order, 1
         for j in range(order - 1, -1, -1):
             den *= inner.den
             acc = _convolve(acc, X, order + 1)
-            acc[0] += self.numerator(j) * den
+            acc[0] += self.num[j] * den
             acc, den = _lowest_terms(acc, den)
-        return ZSeries._normal(acc, order, 0, self.den * den)
+        return ZSeries._normal(acc, order, self.den * den)
 
     def reversion(self) -> "ZSeries":
         """Compositional inverse h of a series f = z + O(z^2).
@@ -499,23 +475,23 @@ class ZSeries:
         coefficient.  Each power is kept in lowest terms, for the reason
         given in `compose`.
         """
-        if self.lowest < 0 or self.numerator(0) != 0 or self.numerator(1) != self.den:
+        if self.num[0] != 0 or self.numerator(1) != self.den:
             raise ValueError("reversion needs a series of the form z + O(z^2)")
         n = self.order
-        g = self.shift(-1).strip_lowest().recip()  # z/f, trusted to order n - 1
+        g = self.shift(-1).recip()  # z/f, trusted to order n - 1
         power = ZSeries.one(g.order)
         b = [(0, 1)]
         for m in range(1, n + 1):
             power = power * g
             b.append((power.numerator(m - 1), m * power.den))
         den = math.lcm(*[d for _, d in b])
-        return ZSeries._normal([c * (den // d) for c, d in b], n, 0, den)
+        return ZSeries._normal([c * (den // d) for c, d in b], n, den)
 
     # -- transcendental -----------------------------------------------------
 
     def log1p(self) -> "ZSeries":
         """log(1 + a) for a with zero constant term."""
-        if self.lowest < 0 or self.numerator(0) != 0:
+        if self.num[0] != 0:
             raise ValueError("log1p needs a series with zero constant term")
         one_plus = self + ZSeries.one(self.order)
         # d/dz log(1+a) = a' / (1+a); integrate back (constant term 0).
@@ -528,27 +504,25 @@ class ZSeries:
         With a = A/d on the integers, E = exp(a) has E_0 = 1 and
         E_m = sum_{j<=m} j·A_j·E_(m-j) / (m·d) (see `_recurrence`).
         """
-        if self.lowest < 0 or self.numerator(0) != 0:
+        if self.num[0] != 0:
             raise ValueError("expm needs a series with zero constant term")
         n = self.order
-        w = [j * self.numerator(j) for j in range(n + 1)]
+        w = [j * c for j, c in enumerate(self.num)]
         b, d = _recurrence(w, [m * self.den for m in range(n + 1)])
-        return ZSeries._normal(b, n, 0, d)
+        return ZSeries._normal(b, n, d)
 
     def unit_pow(self, e) -> "ZSeries":
         """u**e for a unit u with u(0) == 1 and any rational exponent e."""
-        if self.numerator(0) != self.den or self.lowest < 0:
+        if self.num[0] != self.den:
             raise ValueError("unit_pow needs constant term 1")
         u = self - ZSeries.one(self.order)
         return u.log1p().scale(e).expm()
 
     def sqrt_normalized(self) -> "ZSeries":
         """For input z^2*(1 + O(z)) return the branch z + O(z^2) of the square root."""
-        if self.lowest < 0 or self.numerator(0) != 0 or self.numerator(1) != 0:
+        if self.order < 2 or self.num[0] != 0 or self.num[1] != 0 or self.num[2] != self.den:
             raise ValueError("input must be of the form z^2*(1 + O(z))")
-        if self.order < 2 or self.numerator(2) != self.den:
-            raise ValueError("input must be of the form z^2*(1 + O(z))")
-        u = self.shift(-2).strip_lowest()  # 1 + O(z), order reduced by 2
+        u = self.shift(-2)  # 1 + O(z), order reduced by 2
         return u.unit_pow(_HALF).shift(1)
 
     # -- calculus -----------------------------------------------------------
@@ -556,26 +530,19 @@ class ZSeries:
     def derivative(self) -> "ZSeries":
         if self.order < 1:
             raise ValueError("derivative needs a series trusted at least to order 1")
-        lo = self.lowest
-        out = [(lo + i) * c for i, c in enumerate(self.num)]
-        return ZSeries._from_exponents(out, self.order - 1, lo - 1, self.den)
+        out = [i * self.num[i] for i in range(1, self.order + 1)]
+        return ZSeries._normal(out, self.order - 1, self.den)
 
     def antiderivative(self) -> "ZSeries":
         """Termwise integral z^k -> z^(k+1)/(k+1), integration constant 0,
         over one LCM of the divisors."""
-        if self.lowest < 0:
-            raise ValueError("antiderivative needs lowest exponent >= 0")
-        lo = self.lowest + 1
-        L = math.lcm(*range(lo, self.order + 2))
-        out = [c * (L // (lo + i)) for i, c in enumerate(self.num)]
-        return ZSeries._from_exponents(out, self.order + 1, lo, self.den * L)
+        L = math.lcm(*range(1, self.order + 2))
+        out = [0] + [c * (L // (i + 1)) for i, c in enumerate(self.num)]
+        return ZSeries._normal(out, self.order + 1, self.den * L)
 
     def subs_neg(self) -> "ZSeries":
         """Substitute z -> -z."""
-        lo = self.lowest
-        return ZSeries._normal(
-            [-c if (lo + i) % 2 else c for i, c in enumerate(self.num)], self.order, lo, self.den
-        )
+        return ZSeries._normal([-c if i % 2 else c for i, c in enumerate(self.num)], self.order, self.den)
 
 
 _HALF = Fraction(1, 2)

@@ -159,7 +159,7 @@ def _chk_lemma_factorization(run: _PointRun, point: CurveParams) -> dict:
 def _chk_lemma_changevars(run: _PointRun, point: CurveParams) -> dict:
     W = run.config.weight
     curve = run.curve(W + 1)
-    kmax = min(3, (W - 1) // 2)
+    kmax = (W - 1) // 2
     forms = run.forms(W)
     symbolic = tqp_forms_symbolic(point, kmax, W)
     v0 = linear_change_generator(curve.witt(W), W)

@@ -265,8 +265,6 @@ def r_series(params: CurveParams, K: int) -> ZSeries:
 
 def gaussian_moments(G: ZSeries, order: int | None = None) -> ZSeries:
     """Formal Gaussian-moment transform: zeta^(2k) -> (2k-1)!! z^k, odd powers -> 0."""
-    if G.lowest < 0:
-        raise ValueError("moment transform needs a power series")
     avail = G.order // 2
     if order is None:
         order = avail
@@ -275,7 +273,6 @@ def gaussian_moments(G: ZSeries, order: int | None = None) -> ZSeries:
     return ZSeries._normal(
         [G.numerator(2 * k) * double_factorial(2 * k - 1) for k in range(order + 1)],
         order,
-        0,
         G.den,
     )
 
@@ -283,7 +280,7 @@ def gaussian_moments(G: ZSeries, order: int | None = None) -> ZSeries:
 def i_series(h: ZSeries, order: int | None = None) -> ZSeries:
     """Moment transform of zeta/h(zeta), for the inverse h of a curve's
     f; equals R(-z) for in-family curves."""
-    g = h.shift(-1).strip_lowest().recip()  # zeta/h(zeta)
+    g = h.shift(-1).recip()  # zeta/h(zeta)
     avail = g.order // 2
     if order is None:
         order = avail
@@ -319,7 +316,7 @@ def grunsky_matrix(h: ZSeries, size: int) -> GrunskyMatrix:
         raise ValueError("Grunsky coefficients need h = z + O(z^2)")
     if h.order < 2 * size + 1:
         raise ValueError("insufficient order: need h to order 2*size + 1")
-    inv = h.truncate(2 * size + 1).shift(-1).strip_lowest().recip()  # z/h
+    inv = h.truncate(2 * size + 1).shift(-1).recip()  # z/h
     low = h.truncate(size)
     h_pow = ZSeries.one(size)
     inv_pow = ZSeries.one(2 * size)
@@ -400,8 +397,7 @@ def witt_flow(a, K: int) -> ZSeries:
     for k, c in enumerate(a, start=1):
         if 2 <= k + 1 <= K:
             coeffs[k - 1] = c
-    # stored with its true valuation so repeated products keep full order
-    v = ZSeries(coeffs, K, 2)
+    v = ZSeries([0, 0] + coeffs, K)
     term = ZSeries.z(K)
     acc = term
     n = 1

@@ -911,7 +911,7 @@ def _current_transform_series(curve: CurveSeries, max_j: int, max_n: int) -> tup
     """
     h = curve.h.truncate(max_j + 1)
     hp = h.derivative()
-    inv = h.shift(-1).strip_lowest().recip()  # z/h
+    inv = h.shift(-1).recip()  # z/h
     term = hp * inv
     flow = {}
     for j in range(1, max_j + 1):

@@ -128,12 +128,18 @@ def _fraction_coeffs(A, lo, hi):
 # `Fraction` coefficients and shares no arithmetic with the integer path.
 
 
+def _fraction_valuation(A):
+    """The exponent of A's first nonzero coefficient; order + 1 for zero."""
+    return next((e for e in range(A.order + 1) if A.coeff_or_zero(e)), A.order + 1)
+
+
 def fraction_mul(A, B):
-    """A·B with the lowest exponent and order that `ZSeries.__mul__` gives."""
-    lo = A.lowest + B.lowest
-    order = min(A.order + B.lowest, B.order + A.lowest)
-    a, b = _fraction_coeffs(A, A.lowest, A.order), _fraction_coeffs(B, B.lowest, B.order)
-    return ZSeries(_fraction_convolve(a, b, order - lo + 1), order, lo)
+    """A·B to the order that `ZSeries.__mul__` gives: a factor known to
+    order n with valuation v is z^v·(unit) + O(z^(n+1)), so the product is
+    known to order min(n_A + v_B, n_B + v_A)."""
+    order = min(A.order + _fraction_valuation(B), B.order + _fraction_valuation(A))
+    a, b = _fraction_coeffs(A, 0, A.order), _fraction_coeffs(B, 0, B.order)
+    return ZSeries(_fraction_convolve(a, b, order + 1), order)
 
 
 def fraction_recip(A):

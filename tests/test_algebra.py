@@ -182,7 +182,7 @@ class TestTranscendental:
 
 class TestSqrtAndCalculus:
     def test_sqrt_z2(self):
-        assert (z(6) * z(6)).sqrt_normalized() == z(5)
+        assert (z(6) * z(6)).sqrt_normalized() == z(6)
 
     def test_sqrt_of_doubled_curve(self):
         # 2x for (q,p,s)=(1,3,2) starts z^2 - (5/3) z^3 + ...
@@ -218,36 +218,37 @@ coefficient = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
 @st.composite
-def series(draw, lowest=st.integers(-3, 2), terms=st.integers(1, 9), zeros_below=None):
-    """A drawn series with fractional coefficients; the coefficients of
-    exponents below `zeros_below` (if given) are zero."""
-    lo, n = draw(lowest), draw(terms)
-    coeffs = draw(st.lists(coefficient, min_size=n, max_size=n))
+def series(draw, zeros=st.integers(0, 3), terms=st.integers(1, 9), zeros_below=None):
+    """A drawn power series with fractional coefficients: `zeros` leading
+    zeros, then `terms` drawn coefficients; the coefficients of exponents
+    below `zeros_below` (if given) are zero."""
+    k, n = draw(zeros), draw(terms)
+    coeffs = [0] * k + draw(st.lists(coefficient, min_size=n, max_size=n))
     if zeros_below is not None:
-        coeffs = [0 if lo + i < zeros_below else c for i, c in enumerate(coeffs)]
-    return ZSeries(coeffs, lo + n - 1, lo)
+        coeffs = [0 if i < zeros_below else c for i, c in enumerate(coeffs)]
+    return ZSeries(coeffs, len(coeffs) - 1)
 
 
 @st.composite
 def units(draw):
-    """A unit for 1/A: a Laurent tail of known zeros and a constant term
-    other than +-1, so that every power of that constant shows in 1/A."""
-    lo, n = draw(st.integers(-3, 0)), draw(st.integers(0, 8))
+    """A unit for 1/A: a constant term other than +-1, so that every power
+    of that constant shows in 1/A."""
+    n = draw(st.integers(0, 8))
     c0 = draw(coefficient.filter(lambda c: c not in (0, 1, -1)))
     tail = draw(st.lists(coefficient, min_size=n, max_size=n))
-    return ZSeries([0] * -lo + [c0, *tail], n, lo)
+    return ZSeries([c0, *tail], n)
 
 
-nilpotent = series(lowest=st.integers(0, 2), terms=st.integers(2, 9), zeros_below=1)
+nilpotent = series(zeros=st.integers(0, 2), terms=st.integers(2, 9), zeros_below=1)
 monic = nilpotent.map(lambda s: s + (ZSeries.z(s.order) - ZSeries.from_terms({1: s.coeff_or_zero(1)}, s.order)))
 
 
 def in_normal_form(A):
     """A.num / A.den is in the normal form of `ZSeries`: one int per
-    exponent lowest..order, den > 0 and no factor common to den and every
+    exponent 0..order, den > 0 and no factor common to den and every
     numerator."""
     return (
-        len(A.num) == A.order - A.lowest + 1
+        len(A.num) == A.order + 1
         and all(isinstance(c, int) for c in A.num)
         and A.den > 0
         and math.gcd(A.den, *A.num) == 1
@@ -258,25 +259,21 @@ class TestZSeriesNormalForm:
     """Every series operation returns num / den in normal form, and the
     integer operations agree with their `Fraction` oracles."""
 
-    @given(series(), series(), coefficient, st.integers(-2, 2))
+    @given(series(), series(), coefficient, st.integers(0, 3))
     def test_every_operation_returns_normal_form(self, a, b, c, k):
-        results = [a + b, a - b, -a, a.scale(c), a * b, a.subs_neg(), a.shift(k), a.strip_lowest()]
-        results.append(a.truncate(max(a.lowest, a.order - 1)))
+        results = [a + b, a - b, -a, a.scale(c), a * b, a.subs_neg(), a.shift(k), a.shift(k).shift(-k)]
+        results += [a.truncate(max(0, a.order - 1)), a.antiderivative()]
         if a.order >= 1:
             results.append(a.derivative())
-        if a.lowest >= 0:
-            results.append(a.antiderivative())
         for R in results:
             assert in_normal_form(R)
 
     @given(series(), series())
     def test_ring_operations_match_fractions(self, a, b):
-        lo = min(a.lowest, b.lowest)
         order = min(a.order, b.order)
-        expect = [a.coeff_or_zero(e) + b.coeff_or_zero(e) for e in range(lo, order + 1)]
-        assert (a + b) == ZSeries(expect, order, lo)
+        expect = [a.coeff_or_zero(e) + b.coeff_or_zero(e) for e in range(order + 1)]
+        assert (a + b) == ZSeries(expect, order)
         assert a * b == fraction_mul(a, b)
-        assert (a * b).lowest == a.lowest + b.lowest
 
     @given(units())
     def test_recip_matches_fractions(self, a):
@@ -293,7 +290,7 @@ class TestZSeriesNormalForm:
         assert in_normal_form(u.unit_pow(e))
         assert u.unit_pow(e) == fraction_expm(fraction_log1p(a).scale(e))
 
-    @given(series(lowest=st.integers(0, 2)), nilpotent)
+    @given(series(), nilpotent)
     def test_compose_matches_fractions(self, a, b):
         got = a.compose(b)
         assert in_normal_form(got)
@@ -309,11 +306,36 @@ class TestZSeriesNormalForm:
             assert in_normal_form(root)
             assert root == f.truncate(f.order - 1)
 
-    @given(series(), st.integers(1, 3))
-    def test_equality_ignores_known_zeros_below_lowest(self, a, k):
-        padded = ZSeries([0] * k + [a.coeff_or_zero(e) for e in range(a.lowest, a.order + 1)], a.order, a.lowest - k)
-        assert padded == a and a == padded
+    def test_equal_series_multiply_alike(self):
+        # z to order 6 is z·(1 + O(z^6)), so its square is known to O(z^8)
+        # however z was built
+        z6 = ZSeries.z(6)
+        for same in (ZSeries.from_terms({1: 1}, 6), ZSeries([0, 1, 0, 0, 0, 0, 0], 6), ZSeries.one(5).shift(1)):
+            assert same == z6
+            assert same * same == z6 * z6
+        assert (z6 * z6).order == 7
+        assert z6 * z6 == ZSeries.from_terms({2: 1}, 7)
+
+    @given(series(), series(), st.integers(1, 3))
+    def test_leading_zeros_are_data(self, a, b, k):
+        # a series written out with k more leading zeros is z^k·a, and
+        # multiplies as z^k·a does, to k more orders
+        padded = ZSeries([0] * k + [a.coeff_or_zero(e) for e in range(a.order + 1)], a.order + k)
+        assert padded == a.shift(k) and padded.shift(-k) == a
+        assert padded * b == (a * b).shift(k)
         assert a != a + ZSeries.from_terms({a.order: 1}, a.order)
+
+    def test_shift_below_z0_needs_known_zeros(self):
+        s = ZSeries.from_terms({2: 1, 3: F(-1, 2)}, 5)
+        assert s.shift(-2) == ZSeries.from_terms({0: 1, 1: F(-1, 2)}, 3)
+        with pytest.raises(ValueError):
+            s.shift(-3)
+        with pytest.raises(ValueError):
+            ZSeries.zero(2).shift(-3)
+
+    def test_from_terms_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            ZSeries.from_terms({-1: 1, 0: 1}, 3)
 
 
 class TestTPoly:

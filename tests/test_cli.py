@@ -334,6 +334,27 @@ def test_default_orders_give_the_reports_of_the_former_default():
     assert changevars == details["lemma-changevars"]
 
 
+def test_lemma_changevars_reads_every_form_the_point_builds():
+    # at W = 12 the point builds the forms of T_0..T_5; a wrong T_5 form
+    # must fail the check
+    from hodgekp import cli
+
+    W = 12
+    point = CurveParams(F(1), F(3), F(2))
+    config = RunConfig(checks=["lemma-changevars"], points=[point], weight=W)
+
+    class WrongTopForm(cli._PointRun):
+        def forms(self, W):
+            forms = list(super().forms(W))
+            forms[5] = forms[5].scale(F(8, 7))
+            return forms
+
+    assert cli._chk_lemma_changevars(cli._PointRun(config, point, {}), point)["passed"]
+    rep = cli._chk_lemma_changevars(WrongTopForm(config, point, {}), point)
+    assert not rep["passed"] and rep["maxIndex"] == 5
+    assert {f["k"] for f in rep["failures"]} == {5}
+
+
 @pytest.mark.parametrize(
     "check,expected",
     [
