@@ -416,6 +416,7 @@ class EvenTimeReport:
     def to_json_obj(self):
         return {
             "status": "pass" if self.passed else "fail",
+            "evenCount": len(self.even_monomials),
             "evenMonomials": self.even_monomials[:20],
         }
 

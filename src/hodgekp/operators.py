@@ -8,7 +8,11 @@ Operators are immutable descriptions; application is pure.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import signal
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -952,6 +956,12 @@ def virasoro_conjugation_check(
     V = exp(sum a_k L_k).  flip_sign negates the flow coefficients, so
     V = exp(-sum a_k L_k); the identity must then fail at first order,
     pinning the sign convention operationally.
+
+    Each (mode, monomial) comparison is independent, so the basis is
+    split in two by position, the even ones checked here and the odd ones
+    in one forked worker (`_split_in_two`); the failures are merged back
+    in (mode, basis) order, so the report is the same either way.  The
+    flip-sign control stays in process: it stops at its first witness.
     """
     if modes is None:
         modes = [k for k in range(-W, W + 1) if k]
@@ -961,7 +971,6 @@ def virasoro_conjugation_check(
     # On a weight-<=cap space every generator with index <= cap still acts
     # (through its second-derivative part), so the flow coefficients must
     # extend to the lifted cap, not just to W.
-    report = EqualityReport(label=f"current-conjugation W={W}")
     basis_monos = weight_monomials(T_SIDE, W)
     # One operator for every cap and for both V and V^{-1} (exp(-A) reads
     # A's rows).  The inverse only drops weight, so its action on a
@@ -969,24 +978,102 @@ def virasoro_conjugation_check(
     big = group_element(curve, max_cap)
     inv_images = [exp_apply(big, P, inverse=not flip_sign) for P in unit_monomials(T_SIDE, W)]
     flow, mult = _current_transform_series(curve, max_cap, max_lift)
-    # Both sides stay integer numerators over a denominator; a polynomial
-    # is built only for a failing witness.
-    for k in modes:
-        cap = W + max(0, -k)
-        jk = heisenberg_op(k, cap)._compiled()
-        # X_k raises weight by at most the lift, so the cap cuts no image
-        rhs = _current_transform_coeffs(k, cap, flow, mult)._compiled()
-        for mono, inv in zip(basis_monos, inv_images):
-            image = _apply_plan(jk, T_SIDE, cap, inv.num.items())
-            left, dl = _exp_numerators(big, image, cap, flip_sign, jk.D * inv.den)
-            right = _apply_plan(rhs, T_SIDE, cap, ((mono, {0: 1}),))
-            report.checked += 1
-            if not same_value(left, dl, right, rhs.D):
-                witness = _difference(T_SIDE, cap, (left, dl), (right, rhs.D))
-                report.failures.append({"mode": k, "input": mono_str(T_SIDE, mono), "difference": repr(witness)})
-                if flip_sign:
-                    return report  # one witness is enough for the negative control
-    return report
+
+    def check(start: int, step: int) -> tuple[int, list]:
+        """Compare at the basis positions start, start + step, ... for
+        every mode: (checked, failures), each failure tagged with its mode
+        and basis positions.  Both sides stay integer numerators over a
+        denominator; a polynomial is built only for a failing witness."""
+        checked, failures = 0, []
+        for a, k in enumerate(modes):
+            cap = W + max(0, -k)
+            jk = heisenberg_op(k, cap)._compiled()
+            # X_k raises weight by at most the lift, so the cap cuts no image
+            rhs = _current_transform_coeffs(k, cap, flow, mult)._compiled()
+            for b in range(start, len(basis_monos), step):
+                mono, inv = basis_monos[b], inv_images[b]
+                image = _apply_plan(jk, T_SIDE, cap, inv.num.items())
+                left, dl = _exp_numerators(big, image, cap, flip_sign, jk.D * inv.den)
+                right = _apply_plan(rhs, T_SIDE, cap, ((mono, {0: 1}),))
+                checked += 1
+                if not same_value(left, dl, right, rhs.D):
+                    witness = _difference(T_SIDE, cap, (left, dl), (right, rhs.D))
+                    failures.append((a, b, {"mode": k, "input": mono_str(T_SIDE, mono), "difference": repr(witness)}))
+                    if flip_sign:
+                        return checked, failures  # one witness is enough for the negative control
+        return checked, failures
+
+    if flip_sign or not modes or len(basis_monos) < 2:
+        checked, failures = check(0, 1)
+    else:
+        checked, failures = _split_in_two(check)
+    return EqualityReport(
+        label=f"current-conjugation W={W}", checked=checked, failures=[f for _, _, f in failures]
+    )
+
+
+def _split_in_two(check: Callable[[int, int], tuple[int, list]]) -> tuple[int, list]:
+    """check(0, 2) and check(1, 2) merged: (checked, failures) with the
+    failures sorted by their leading tags, as check(0, 1) gives them.
+
+    The odd half runs in one forked worker, which inherits everything the
+    caller built and sends its result back over a pipe with `marshal`,
+    when the process can fork, its affinity mask holds at least two CPUs
+    and it runs one thread (forking a threaded process can deadlock).
+    Otherwise, or when the pipe or the fork fails, check(0, 1) runs here.
+    The worker leaves through `os._exit` alone: it never returns into its
+    caller's stack and never flushes buffers it inherited.  A worker that
+    fails, dies or sends nothing has its half recomputed here, so an
+    exception it met is raised here as the in-process check raises it.
+    The worker is reaped before this returns or raises, and killed first
+    if the caller's half raised.
+    """
+    threading = sys.modules.get("threading")
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    if not hasattr(os, "fork") or cpus < 2 or (threading is not None and threading.active_count() != 1):
+        return check(0, 1)
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return check(0, 1)
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return check(0, 1)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            data = memoryview(marshal.dumps(check(1, 2)))
+            while data:
+                data = data[os.write(w, data) :]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        checked, failures = check(0, 2)
+        data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(r)
+        status = os.waitpid(pid, 0)[1]
+    odd = None
+    if os.waitstatus_to_exitcode(status) == 0:
+        try:
+            odd = marshal.loads(data)
+        except (EOFError, ValueError, TypeError):
+            pass
+    if odd is None:
+        odd = check(1, 2)
+    return checked + odd[0], sorted(failures + odd[1], key=lambda f: f[:2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -38,6 +40,16 @@ from hodgekp.operators import (
 # make the suite flaky; derandomized draws make each run the same run.
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=30)
 settings.load_profile("tier1")
+
+
+@contextlib.contextmanager
+def cpus(n):
+    """An affinity mask of n CPUs, whatever the host has.  With one, as
+    under `taskset -c 0`, the conjugation check runs its whole basis in
+    process; with two, it splits the basis with one forked worker."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -692,7 +692,7 @@ REPORT_DIGESTS = [
     (
         ("kp-kw", "kp-bgw", "kp-hodge", "theorem-hodge", "theorem-theta", "kdv-reduction"),
         11,
-        "050c9b40914ff627e6a63128cc2e0386f7e72ff170a7530707423c886005a5a6",
+        "ff0b12418aedc218b179344bea1a89e5cfad074fdea514ad872c9abe021ef025",
     ),
     (
         (
@@ -710,7 +710,7 @@ REPORT_DIGESTS = [
             "kdv-reduction",
         ),
         8,
-        "b261332392be3d1663b3d9db6b81ac79391eec77f42de85172666a0c9a251a09",
+        "92feed7a297764d4363d3b86f97b388dc55ce9c99da44f79daf95e10f2611dd5",
     ),
 ]
 

@@ -244,6 +244,14 @@ class TestReductionCheck:
         assert not result.passed
         assert result.even_monomials
 
+    @pytest.mark.parametrize("mode, W, count", [("theta", 8, 21), ("theta", 11, 73), ("standard", 11, 25)])
+    def test_report_counts_every_even_monomial(self, mode, W, count):
+        # the report lists at most 20 of them, and states how many there are
+        body = tau_qp_check(CurveParams(F(1), F(3), F(2)), W, mode).tau.body
+        obj = kdv_reduction_check(body).to_json_obj()
+        assert obj["evenCount"] == count
+        assert len(obj["evenMonomials"]) == 20
+
 
 class TestMergedEquationLoop:
     """The full check is the graded check's loop at the band (0, 0); the

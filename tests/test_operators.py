@@ -1,5 +1,11 @@
+import marshal
 import math
+import os
 import random
+import signal
+import threading
+import time
+import types
 from collections import Counter
 from fractions import Fraction as F
 
@@ -7,7 +13,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from hodgekp import operators
-from hodgekp.algebra import HbarPoly, TPoly, ZSeries, double_factorial, mono_str, same_value
+from hodgekp.algebra import HbarPoly, InvariantViolation, TPoly, ZSeries, double_factorial, mono_str, same_value
 from hodgekp.curve import CATALOG, CurveParams, CurveSeries, build_curve, witt_coefficients
 from hodgekp.operators import (
     EqualityReport,
@@ -42,6 +48,7 @@ from hodgekp.curve import log_r_series, r_series
 
 from conftest import (
     big_t_to_odd_t,
+    cpus,
     random_rational,
     random_tpoly,
     reference_virasoro_sum_op,
@@ -543,7 +550,9 @@ class TestIntegerExponential:
         # same curve together.  Every application, through `exp_apply` or
         # not, runs the integer core `_exp_numerators`, so the core is what
         # is watched.  A fresh curve: the session's curve132 may carry the
-        # rows of earlier tests.
+        # rows of earlier tests.  Rows first reached after the check forks
+        # its worker are built once in each process; the counters here see
+        # the calling process alone.
         curve = build_curve(curve132.params, curve132.K)
         real_exp, real_kernel = operators._exp_numerators, operators._apply_plan
         inside, exp_calls, kernel_calls = [0], [], []
@@ -831,7 +840,40 @@ def polynomial_conjugation_report(curve, W, flip_sign=False):
     return report
 
 
+def _count_forks(monkeypatch):
+    """The pids of the workers `os.fork` starts from here, as they start."""
+    forks, real = [], os.fork
+
+    def counting():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestConjugation:
+    """Every test runs twice: with the basis split between the check and
+    one forked worker, and with the whole basis in process."""
+
+    @pytest.fixture(autouse=True, params=["split", "in-process"])
+    def path(self, request):
+        with cpus(2 if request.param == "split" else 1):
+            yield request.param
+
+    def test_forks_one_worker_on_the_split_path(self, curve132, path, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        assert virasoro_conjugation_check(curve132, 3).passed
+        assert len(forks) == (1 if path == "split" else 0)
+        _assert_no_child()
+
     def test_trivial_curve_all_modes(self):
         rep = virasoro_conjugation_check(_trivial_flow_curve(14), 4)
         assert rep.passed
@@ -889,6 +931,9 @@ class TestConjugation:
         assert {f["mode"] for f in rep.failures} == {mode}
         assert rep.failures[0] == expect.failures[0]
         assert (rep.checked, rep.failures) == (expect.checked, expect.failures)
+        # the failures fall on both halves of the split basis
+        position = {mono_str("t", m): i for i, m in enumerate(weight_monomials("t", 5))}
+        assert {position[f["input"]] % 2 for f in rep.failures} == {0, 1}
 
     def test_no_modes_does_not_pass(self, curve132):
         rep = virasoro_conjugation_check(curve132, 3, modes=[])
@@ -924,6 +969,183 @@ class TestConjugation:
         for j, series in flow.items():
             power = u.unit_pow(-(j + 1))
             assert series == (hp * power).truncate(min(hp.order, power.order)), j
+
+
+class TestConjugationSplit:
+    """Whatever befalls the pipe, the fork or the worker, the split check
+    gives the in-process report or raises the in-process exception, and
+    leaves no process and no pipe behind."""
+
+    W = 4
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self):
+        with cpus(2):
+            yield
+
+    @pytest.fixture
+    def expect(self, curve132):
+        with cpus(1):
+            return virasoro_conjugation_check(curve132, self.W)
+
+    @staticmethod
+    def _same(rep, expect):
+        assert (rep.checked, rep.failures, rep.passed) == (expect.checked, expect.failures, expect.passed)
+
+    @staticmethod
+    def _open_fds():
+        return sorted(os.listdir("/proc/self/fd"))
+
+    def _worker_only(self, monkeypatch, action):
+        """Run `action` at the worker's first exponential."""
+        parent, real, fired = os.getpid(), operators._exp_numerators, []
+
+        def patched(*args):
+            if os.getpid() != parent and not fired:
+                fired.append(True)
+                action()
+            return real(*args)
+
+        monkeypatch.setattr(operators, "_exp_numerators", patched)
+
+    def _planted(self, monkeypatch, position, message):
+        """An invariant violation at one basis position, for every mode."""
+        mono = weight_monomials("t", self.W)[position]
+        real = operators._apply_plan
+
+        def patched(plan, kind, cap, items):
+            if items == ((mono, {0: 1}),):
+                raise InvariantViolation(message)
+            return real(plan, kind, cap, items)
+
+        monkeypatch.setattr(operators, "_apply_plan", patched)
+
+    def test_pipe_failure_runs_in_process(self, curve132, expect, monkeypatch):
+        def no_pipe():
+            raise OSError(24, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        forks = _count_forks(monkeypatch)
+        self._same(virasoro_conjugation_check(curve132, self.W), expect)
+        assert forks == []
+
+    def test_fork_failure_runs_in_process(self, curve132, expect, monkeypatch):
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        fds = self._open_fds()
+        monkeypatch.setattr(os, "fork", no_fork)
+        self._same(virasoro_conjugation_check(curve132, self.W), expect)
+        assert self._open_fds() == fds
+        _assert_no_child()
+
+    def test_split_closes_its_pipe(self, curve132, expect, monkeypatch):
+        fds = self._open_fds()
+        forks = _count_forks(monkeypatch)
+        self._same(virasoro_conjugation_check(curve132, self.W), expect)
+        assert len(forks) == 1
+        assert self._open_fds() == fds
+        _assert_no_child()
+
+    def test_a_worker_that_dies_is_recomputed(self, curve132, expect, monkeypatch):
+        self._worker_only(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        forks = _count_forks(monkeypatch)
+        self._same(virasoro_conjugation_check(curve132, self.W), expect)
+        assert len(forks) == 1
+        _assert_no_child()
+
+    def test_a_worker_that_sends_nothing_is_recomputed(self, curve132, expect, monkeypatch):
+        monkeypatch.setattr(operators, "marshal", types.SimpleNamespace(dumps=lambda obj: b"", loads=marshal.loads))
+        forks = _count_forks(monkeypatch)
+        self._same(virasoro_conjugation_check(curve132, self.W), expect)
+        assert len(forks) == 1
+        _assert_no_child()
+
+    def test_the_worker_never_unwinds_or_flushes(self, curve132, expect, monkeypatch, tmp_path):
+        # an unflushed buffer and an exception that would end a process
+        # that unwinds: the worker leaves through os._exit all the same
+        def leave():
+            raise SystemExit(0)
+
+        self._worker_only(monkeypatch, leave)
+        path = tmp_path / "buffered.txt"
+        with open(path, "w") as fh:
+            fh.write("written once\n")
+            self._same(virasoro_conjugation_check(curve132, self.W), expect)
+        assert path.read_text() == "written once\n"
+        _assert_no_child()
+
+    def test_an_invariant_violation_in_the_worker_half_is_raised_here(self, curve132, monkeypatch):
+        # basis position 1 belongs to the worker's half
+        self._planted(monkeypatch, 1, "planted at t1")
+        with cpus(1), pytest.raises(InvariantViolation, match="^planted at t1$"):
+            virasoro_conjugation_check(curve132, self.W)
+        forks = _count_forks(monkeypatch)
+        with pytest.raises(InvariantViolation, match="^planted at t1$"):
+            virasoro_conjugation_check(curve132, self.W)
+        assert len(forks) == 1
+        _assert_no_child()
+
+    def test_the_worker_is_killed_when_the_caller_half_raises(self, curve132, monkeypatch):
+        # basis position 0 is the caller's; the worker would sleep a minute
+        self._planted(monkeypatch, 0, "planted at 1")
+        self._worker_only(monkeypatch, lambda: time.sleep(60))
+        forks = _count_forks(monkeypatch)
+        start = time.monotonic()
+        with pytest.raises(InvariantViolation, match="^planted at 1$"):
+            virasoro_conjugation_check(curve132, self.W)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+        _assert_no_child()
+
+    @pytest.mark.parametrize("reason", ["one-cpu", "no-fork", "threaded", "flip-sign", "no-modes", "one-monomial"])
+    def test_stays_in_process(self, curve132, monkeypatch, reason):
+        forks = _count_forks(monkeypatch)
+        W, modes, flip_sign = self.W, None, False
+        with cpus(1):
+            expect = virasoro_conjugation_check(curve132, W)
+        if reason == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif reason == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        elif reason == "flip-sign":
+            flip_sign = True
+            with cpus(1):
+                expect = virasoro_conjugation_check(curve132, W, flip_sign=True)
+        elif reason == "no-modes":
+            modes = []
+            expect = EqualityReport(label=f"current-conjugation W={W}")
+        elif reason == "one-monomial":
+            W, modes = 0, [-1]
+            with cpus(1):
+                expect = virasoro_conjugation_check(curve132, W, modes)
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait)
+        if reason == "threaded":
+            helper.start()
+        try:
+            rep = virasoro_conjugation_check(curve132, W, modes, flip_sign=flip_sign)
+        finally:
+            release.set()
+            if reason == "threaded":
+                helper.join(10)
+        assert not helper.is_alive()
+        self._same(rep, expect)
+        assert forks == []
+
+
+class TestConjugationBeyondTheCatalog:
+    @given(st.sampled_from([1, 2, 3]), st.integers(-4, 4), st.sampled_from([2, 3, 4]))
+    def test_integer_points_pass_alike_on_both_paths(self, s, q, W):
+        # the integer points perfbench's seeds draw from: p = s^2 - q
+        curve = build_curve(CurveParams(F(q), F(s * s - q), F(s)), 2 * W + 1)
+        with cpus(2):
+            rep = virasoro_conjugation_check(curve, W)
+        assert rep.passed, rep.failures[:1]
+        with cpus(1):
+            alone = virasoro_conjugation_check(curve, W)
+        assert (rep.checked, rep.failures) == (alone.checked, alone.failures)
+        assert rep.to_json_obj() == alone.to_json_obj()
 
 
 class TestShiftTransport:

@@ -190,6 +190,26 @@ class TestLiteratureOracles:
         for g in range(1, 6):
             assert psi_correlator(g, (3 * g - 2,)) == F(1, 24**g * math.factorial(g)), g
 
+    @staticmethod
+    def _double_factorial(n):
+        return math.prod(range(n, 0, -2))
+
+    def test_witten_one_point_on_the_cut_and_join_base(self):
+        # [t_(6g-3)] kw_tau = (6g-3)!! <tau_{3g-2}>_g hbar^(2g-1)
+        body = kw_tau(21).body
+        for g in range(1, 5):
+            expect = F(self._double_factorial(6 * g - 3), 24**g * math.factorial(g))
+            assert body.coeff(((6 * g - 3, 1),)) == HbarPoly.hbar(2 * g - 1, expect), g
+
+    def test_norbury_one_point_on_the_cut_and_join_base(self):
+        # [t_(2g-1)] bgw_tau = (2g-1)!! <tau_{g-1}>^Theta_g hbar^(2g-1), with
+        # <tau_{g-1}>^Theta_g = (2g-1)!! (2g-3)!! / (8^g g!) (Norbury)
+        body = bgw_tau(13).body
+        df = self._double_factorial
+        for g in range(1, 8):
+            expect = F(df(2 * g - 1) * df(2 * g - 1) * df(2 * g - 3), 8**g * math.factorial(g))
+            assert body.coeff(((2 * g - 1, 1),)) == HbarPoly.hbar(2 * g - 1, expect), g
+
     def test_string_and_dilaton_equations(self):
         # <tau_0 prod tau_(a_i)>_g = sum_j <... tau_(a_j - 1) ...>_g and
         # <tau_1 prod tau_(a_i)>_g = (2g - 2 + n) <prod tau_(a_i)>_g for a
