@@ -860,13 +860,14 @@ def _assert_no_child():
 
 
 class TestConjugation:
-    """Every test runs twice: with the basis split between the check and
-    one forked worker, and with the whole basis in process."""
+    """The check with its basis split between the caller and one forked
+    worker; `TestConjugationInProcess` runs every test again with the whole
+    basis in process."""
 
-    @pytest.fixture(autouse=True, params=["split", "in-process"])
-    def path(self, request):
-        with cpus(2 if request.param == "split" else 1):
-            yield request.param
+    @pytest.fixture(autouse=True)
+    def path(self):
+        with cpus(2):
+            yield "split"
 
     def test_forks_one_worker_on_the_split_path(self, curve132, path, monkeypatch):
         forks = _count_forks(monkeypatch)
@@ -969,6 +970,15 @@ class TestConjugation:
         for j, series in flow.items():
             power = u.unit_pow(-(j + 1))
             assert series == (hp * power).truncate(min(hp.order, power.order)), j
+
+
+class TestConjugationInProcess(TestConjugation):
+    """`TestConjugation` on one CPU, as under `taskset -c 0`: no worker."""
+
+    @pytest.fixture(autouse=True)
+    def path(self):
+        with cpus(1):
+            yield "in-process"
 
 
 class TestConjugationSplit:
