@@ -372,14 +372,40 @@ def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False,
     the pair (acc, d) of value acc / d, not brought to lowest terms: num
     and acc map monomials of weight <= cap to {hbar exponent: int}, and d
     is den times a positive integer.  op must be zero or drop weight by
-    at least 1.
+    at least 1.  The sum runs on ids of op's plan, in `_exp_ids`: the
+    monomials are numbered on the way in and mapped back on the way out,
+    the zeros of cancellations dropped.  When every coefficient of op and
+    of num is a multiple of hbar^0, the ids are monomial ids; otherwise
+    they are (monomial id, hbar exponent) pairs, so hbar-Laurent
+    coefficients pass through unchanged.
+    """
+    if op.is_zero():
+        return num, den
+    plan = op._compiled()
+    number, monos = plan.number, plan.monos
+    if plan.low == 0 and plan.span == 1 and all(len(slot) == 1 and 0 in slot for slot in num.values()):
+        total, den = _exp_ids(op, {number(mono): slot[0] for mono, slot in num.items()}, cap, inverse, den)
+        return {monos[i]: {0: c} for i, c in total.items() if c}, den
+    u = {(number(mono), e): c for mono, slot in num.items() for e, c in slot.items()}
+    total, den = _exp_ids(op, u, cap, inverse, den, False)
+    acc: dict[Mono, dict[int, int]] = {}
+    for (i, e), c in total.items():
+        if c:
+            acc.setdefault(monos[i], {})[e] = c
+    return acc, den
+
+
+def _exp_ids(op: LinearOp, u: dict, cap: int, inverse: bool, den: int, flat: bool = True) -> tuple[dict, int]:
+    """exp(±op) . (u / den) on the ids of op's plan, as (total, d) of value
+    total / d, the zeros of cancellations kept: u and total map monomial
+    ids (with `flat`) or (id, hbar exponent) pairs to ints.
 
     With D the LCM of op's coefficient denominators, the iterates
-    u_0 = num and u_n = (D·op) u_{n-1} = D^n·op^n num have integer
+    u_0 = u and u_n = (D·op) u_{n-1} = D^n·op^n u have integer
     coefficients, and the sum up to the last nonzero iterate u_N is
 
-        exp(±op) . num = sum_n (±1)^n op^n num / n!
-                       = sum_n u_n · (±1)^n (N!/n!) · D^(N-n) / (N!·D^N),
+        exp(±op) . u = sum_n (±1)^n op^n u / n!
+                     = sum_n u_n · (±1)^n (N!/n!) · D^(N-n) / (N!·D^N),
 
     every weight (±1)^n N!/n! · D^(N-n) an integer: exp(-op) reads the
     same iterates, and so the same rows, as exp(op), with the weights of
@@ -387,28 +413,14 @@ def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False,
     product read from the rows of op's integer plan D·op (see
     `_ApplyPlan`); a row is built the first time its monomial is reached
     and kept on the op, so later iterates and later calls on the same op
-    only look it up.  The numerators are summed exactly on ids and mapped
-    back to monomials once, the zeros of cancellations dropped.
-
-    The iterates take one of two forms, picked from the op and the input:
-    when every coefficient of op is a multiple of hbar^0 (its plan's
-    hbar exponents span only 0) and so is every coefficient of num, every
-    iterate stays at hbar^0 and is kept as {monomial id: int}; otherwise
-    it is kept as {(monomial id, hbar exponent): int}, each hbar exponent
-    with its own coefficient, so hbar-Laurent coefficients pass through
-    unchanged.  Both read the same rows and give the same result.
+    only look it up.
     """
     if op.is_zero():
-        return num, den
+        return u, den
     if op.min_weight_drop < 1:
         raise ValueError("exponential does not terminate on truncated space")
     plan = op._compiled()
-    D, rows, number = plan.D, plan.rows, plan.number
-    flat = plan.low == 0 and plan.span == 1 and all(len(slot) == 1 and 0 in slot for slot in num.values())
-    if flat:
-        u = {number(mono): slot[0] for mono, slot in num.items()}
-    else:
-        u = {(number(mono), e): c for mono, slot in num.items() for e, c in slot.items()}
+    D, rows = plan.D, plan.rows
     iterates = [u]
     bound = cap // op.min_weight_drop + 1
     while True:
@@ -443,15 +455,7 @@ def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False,
         for key, c in u.items():
             s = total.get(key)
             total[key] = c * weight if s is None else s + c * weight
-    monos = plan.monos
-    den *= math.factorial(N) * D**N
-    if flat:
-        return {monos[i]: {0: c} for i, c in total.items() if c}, den
-    acc: dict[Mono, dict[int, int]] = {}
-    for (i, e), c in total.items():
-        if c:
-            acc.setdefault(monos[i], {})[e] = c
-    return acc, den
+    return total, den * math.factorial(N) * D**N
 
 
 # ---------------------------------------------------------------------------
@@ -962,6 +966,12 @@ def virasoro_conjugation_check(
     in one forked worker (`_split_in_two`); the failures are merged back
     in (mode, basis) order, so the report is the same either way.  The
     flip-sign control stays in process: it stops at its first witness.
+
+    Both sides stay integers on the ids of V's plan (V is hbar-free):
+    V^{-1}m in lowest terms, J_k as a memo on ids (`_current_memo`), V
+    through the iterate loop (`_exp_ids`), and X_k m, one kernel call,
+    compared on the plan's ids (`_same_on_ids`); only a failing witness
+    is mapped back to monomials, as a polynomial.
     """
     if modes is None:
         modes = [k for k in range(-W, W + 1) if k]
@@ -976,27 +986,33 @@ def virasoro_conjugation_check(
     # A's rows).  The inverse only drops weight, so its action on a
     # weight-<=W monomial does not depend on the ambient cap.
     big = group_element(curve, max_cap)
+    plan = big._compiled()
     inv_images = [exp_apply(big, P, inverse=not flip_sign) for P in unit_monomials(T_SIDE, W)]
+    inv_images = [({plan.number(mono): slot[0] for mono, slot in P.num.items()}, P.den) for P in inv_images]
     flow, mult = _current_transform_series(curve, max_cap, max_lift)
 
-    def check(start: int, step: int) -> tuple[int, list]:
+    def check(start: int, step: int, poll: Callable[[], object] = lambda: None) -> tuple[int, list]:
         """Compare at the basis positions start, start + step, ... for
-        every mode: (checked, failures), each failure tagged with its mode
-        and basis positions.  Both sides stay integer numerators over a
-        denominator; a polynomial is built only for a failing witness."""
+        every mode, calling `poll` at each: (checked, failures), each
+        failure tagged with its mode and basis positions."""
         checked, failures = 0, []
+        positions = range(start, len(basis_monos), step)
+        support = list(dict.fromkeys(i for b in positions for i in inv_images[b][0]))
         for a, k in enumerate(modes):
             cap = W + max(0, -k)
-            jk = heisenberg_op(k, cap)._compiled()
+            jk = _current_memo(k, cap, plan, support)
             # X_k raises weight by at most the lift, so the cap cuts no image
             rhs = _current_transform_coeffs(k, cap, flow, mult)._compiled()
-            for b in range(start, len(basis_monos), step):
-                mono, inv = basis_monos[b], inv_images[b]
-                image = _apply_plan(jk, T_SIDE, cap, inv.num.items())
-                left, dl = _exp_numerators(big, image, cap, flip_sign, jk.D * inv.den)
+            for b in positions:
+                poll()
+                inv, den = inv_images[b]
+                image = {hit[0]: c * hit[1] for i, c in inv.items() if (hit := jk.get(i))}
+                left, dl = _exp_ids(big, image, cap, flip_sign, den)
+                mono = basis_monos[b]
                 right = _apply_plan(rhs, T_SIDE, cap, ((mono, {0: 1}),))
                 checked += 1
-                if not same_value(left, dl, right, rhs.D):
+                if not _same_on_ids(left, dl, right, rhs.D, plan.ids):
+                    left = {plan.monos[i]: {0: c} for i, c in left.items() if c}
                     witness = _difference(T_SIDE, cap, (left, dl), (right, rhs.D))
                     failures.append((a, b, {"mode": k, "input": mono_str(T_SIDE, mono), "difference": repr(witness)}))
                     if flip_sign:
@@ -1012,7 +1028,43 @@ def virasoro_conjugation_check(
     )
 
 
-def _split_in_two(check: Callable[[int, int], tuple[int, list]]) -> tuple[int, list]:
+def _current_memo(k: int, cap: int, plan: _ApplyPlan, ids: list) -> dict:
+    """J_k = `heisenberg_op(k, cap)`, one term c·d/dt_v or c·t_v with c an
+    integer, on the ids `ids` of `plan`, monomials J_k keeps within cap:
+    memo[i] = (j, f) when J_k sends monomial i to the integer f times
+    monomial j (numbered into the plan), no entry where it gives 0.  J_k
+    is injective on monomials, so it acts on a combination term by term."""
+    ((tag, v), c), = heisenberg_op(k, cap).terms.items()
+    c = int(c.terms[0])
+    monos, number, memo = plan.monos, plan.number, {}
+    for i in ids:
+        mono = monos[i]
+        if tag == "m":
+            memo[i] = (number(_mono_times(mono, v)), c)
+        else:
+            for n, (var, e) in enumerate(mono):
+                if var == v:
+                    memo[i] = (number(mono_lower(mono, n)), c * e)
+    return memo
+
+
+def _same_on_ids(left: dict, dl: int, right: dict, dr: int, ids: dict) -> bool:
+    """`same_value` for left on the ids `ids` of a plan ({id: int}) and
+    right on monomials, zeros allowed: a nonzero right term off hbar^0 or
+    on a monomial without an id fails, and once every nonzero right term
+    matches, left may have no other nonzero term."""
+    matched = 0
+    for mono, slot in right.items():
+        for e, c in slot.items():
+            if c:
+                i = ids.get(mono) if e == 0 else None
+                if i is None or c * dl != left.get(i, 0) * dr:
+                    return False
+                matched += 1
+    return matched == sum(1 for c in left.values() if c)
+
+
+def _split_in_two(check: Callable[..., tuple[int, list]]) -> tuple[int, list]:
     """check(0, 2) and check(1, 2) merged: (checked, failures) with the
     failures sorted by their leading tags, as check(0, 1) gives them.
 
@@ -1022,7 +1074,9 @@ def _split_in_two(check: Callable[[int, int], tuple[int, list]]) -> tuple[int, l
     and it runs one thread (forking a threaded process can deadlock).
     Otherwise, or when the pipe or the fork fails, check(0, 1) runs here.
     The worker leaves through `os._exit` alone: it never returns into its
-    caller's stack and never flushes buffers it inherited.  A worker that
+    caller's stack and never flushes buffers it inherited, and it leaves
+    at the first poll (check's third argument) that finds its parent pid
+    no longer the caller's, so a killed caller leaves no orphan.  A worker that
     fails, dies or sends nothing has its half recomputed here, so an
     exception it met is raised here as the in-process check raises it.
     The worker is reaped before this returns or raises, and killed first
@@ -1039,6 +1093,7 @@ def _split_in_two(check: Callable[[int, int], tuple[int, list]]) -> tuple[int, l
         r, w = os.pipe()
     except OSError:
         return check(0, 1)
+    caller = os.getpid()
     try:
         pid = os.fork()
     except OSError:
@@ -1049,7 +1104,8 @@ def _split_in_two(check: Callable[[int, int], tuple[int, list]]) -> tuple[int, l
         code = 1
         try:
             os.close(r)
-            data = memoryview(marshal.dumps(check(1, 2)))
+            poll = lambda: os.getppid() == caller or os._exit(1)
+            data = memoryview(marshal.dumps(check(1, 2, poll)))
             while data:
                 data = data[os.write(w, data) :]
             code = 0

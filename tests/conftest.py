@@ -21,6 +21,7 @@ from hodgekp.algebra import (
     mono_str,
     mono_weight,
     mul_sorted,
+    same_value,
     weight_sorted,
 )
 from hodgekp.curve import CurveParams, build_curve, witt_flow
@@ -450,6 +451,62 @@ def reference_virasoro_factorization_check(curve, W):
         unit_monomials(T_SIDE, W),
         label=f"virasoro-factorization W={W}",
     )
+
+
+def reference_conjugation_check(curve, W, modes=None, flip_sign=False):
+    """The former `virasoro_conjugation_check`, in process: V^{-1}m through
+    `exp_apply`, J_k through the apply kernel on its monomials, V through
+    `_exp_numerators` (monomials numbered into V's plan and mapped back),
+    and the sides compared on monomials by `same_value`."""
+    if modes is None:
+        modes = [k for k in range(-W, W + 1) if k]
+    max_lift = max((max(0, -k) for k in modes), default=0)
+    max_cap = W + max_lift
+    big = operators.group_element(curve, max_cap)
+    inv_images = [exp_apply(big, P, inverse=not flip_sign) for P in unit_monomials(T_SIDE, W)]
+    flow, mult = operators._current_transform_series(curve, max_cap, max_lift)
+    report = EqualityReport(label=f"current-conjugation W={W}")
+    for k in modes:
+        cap = W + max(0, -k)
+        jk = operators.heisenberg_op(k, cap)._compiled()
+        rhs = operators._current_transform_coeffs(k, cap, flow, mult)._compiled()
+        for mono, inv in zip(weight_monomials(T_SIDE, W), inv_images):
+            image = operators._apply_plan(jk, T_SIDE, cap, inv.num.items())
+            left, dl = operators._exp_numerators(big, image, cap, flip_sign, jk.D * inv.den)
+            right = operators._apply_plan(rhs, T_SIDE, cap, ((mono, {0: 1}),))
+            report.checked += 1
+            if not same_value(left, dl, right, rhs.D):
+                witness = operators._difference(T_SIDE, cap, (left, dl), (right, rhs.D))
+                report.failures.append({"mode": k, "input": mono_str(T_SIDE, mono), "difference": repr(witness)})
+                if flip_sign:
+                    return report
+    return report
+
+
+def mutated_current_mode(monkeypatch, mode, mutation, W):
+    """X_k of one mode k, in a conjugation check at weight W, changed: 1/7
+    added to one coefficient (of t_2 for k < 0, of d/dt_k for k > 0), one
+    extra term, (1/7) d/dt_1 or, for `unnumbered`, (1/7)·t_{W+1}, or that
+    one term dropped."""
+    real = operators._current_transform_coeffs
+
+    def mutated(k, cap, flow, mult):
+        op = real(k, cap, flow, mult)
+        if k != mode:
+            return op
+        terms = dict(op.terms)
+        key = ("m", 2) if k < 0 else ("d", k)
+        extra = ("m", W + 1) if mutation == "unnumbered" else ("d", 1)
+        if mutation == "coefficient":
+            terms[key] = terms[key] + Fraction(1, 7)
+        elif mutation in ("extra", "unnumbered"):
+            assert extra not in terms
+            terms[extra] = HbarPoly.const(Fraction(1, 7))
+        else:
+            del terms[key]
+        return LinearOp(op.kind, terms)
+
+    monkeypatch.setattr(operators, "_current_transform_coeffs", mutated)
 
 
 def reference_factorized(curve, W, mode="standard"):

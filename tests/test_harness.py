@@ -5,7 +5,9 @@ Every route pair is compared on integer numerators by `same_value`, and a
 `conftest.py` build both sides as polynomials through their former
 bodies and compare them with `==`.  Under each mutation below the two
 must report the same failures, entry by entry, and raise the same
-`InvariantViolation` text; unmutated, both pass.
+`InvariantViolation` text; unmutated, both pass.  The conjugation check,
+which runs on the ids of V's plan, is held to its former loop on
+monomials the same way.
 """
 
 from fractions import Fraction as F
@@ -13,12 +15,20 @@ from fractions import Fraction as F
 import pytest
 
 from hodgekp import cli, curve as curve_module, operators, tau
-from hodgekp.algebra import BIG_T_SIDE, HbarPoly, InvariantViolation, TPoly
-from hodgekp.curve import CurveParams, build_curve
-from hodgekp.operators import rl_identity_check, tqp_forms, virasoro_factorization_check
+from hodgekp.algebra import BIG_T_SIDE, HbarPoly, InvariantViolation, TPoly, mono_str
+from hodgekp.curve import CATALOG, CurveParams, build_curve
+from hodgekp.operators import (
+    rl_identity_check,
+    tqp_forms,
+    virasoro_conjugation_check,
+    virasoro_factorization_check,
+)
 from hodgekp.tau import bgw_tau, kw_tau
 
 from conftest import (
+    cpus,
+    mutated_current_mode,
+    reference_conjugation_check,
     reference_lemma_factorization,
     reference_rl_identity_check,
     reference_tau_identity,
@@ -177,3 +187,61 @@ def test_chain_reduces_an_intermediate_only_past_512_bits():
         assert seen[0] == ({((1, 1),): {0: 2 * f}}, 4 * f)
         assert seen[1] == (({((1, 1),): {0: 1}}, 2) if reduced else seen[0])
         assert (num, den) == seen[1]
+
+
+@pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+def test_conjugation_at_every_catalog_point(point):
+    # one curve for the check and one for the reference, so neither reads
+    # monomials the other numbered into V's plan
+    mine, ref = build_curve(point, 14), build_curve(point, 14)
+    for W in range(3, 7):
+        rep = virasoro_conjugation_check(mine, W)
+        expect = reference_conjugation_check(ref, W)
+        assert rep.passed
+        assert (rep.label, rep.checked, rep.failures) == (expect.label, expect.checked, expect.failures)
+
+
+CONJ_W = 5
+
+
+@pytest.mark.parametrize("path, n", [("split", 2), ("in-process", 1)])
+@pytest.mark.parametrize(
+    "mode, mutation",
+    [(-2, "coefficient"), (3, "coefficient"), (3, "extra"), (-2, "dropped"), (3, "dropped"), (-CONJ_W, "unnumbered")],
+)
+def test_conjugation_under_a_mutated_current_mode(monkeypatch, path, n, mode, mutation):
+    mutated_current_mode(monkeypatch, mode, mutation, CONJ_W)
+    with cpus(n):
+        rep = virasoro_conjugation_check(build_curve(POINT, 12), CONJ_W)
+    expect = reference_conjugation_check(build_curve(POINT, 12), CONJ_W)
+    assert not rep.passed and {f["mode"] for f in rep.failures} == {mode}
+    assert (rep.checked, rep.failures) == (expect.checked, expect.failures)
+
+
+def test_conjugation_fails_on_a_monomial_its_plan_never_numbered(monkeypatch):
+    # t_{W+1} lies in no monomial of V's plan: J_k brings in t_{-k} at
+    # most, and V only lowers indices; so (1/7)·t_{W+1} in X_{-W} lands off
+    # the plan on every monomial of weight below W, and each is a failure
+    mutated_current_mode(monkeypatch, -CONJ_W, "unnumbered", CONJ_W)
+    real, off_plan = operators._same_on_ids, []
+
+    def spy(left, dl, right, dr, ids):
+        same = real(left, dl, right, dr, ids)
+        off_plan.extend(mono for mono in right if mono not in ids)
+        return same
+
+    monkeypatch.setattr(operators, "_same_on_ids", spy)
+    with cpus(1):
+        rep = virasoro_conjugation_check(build_curve(POINT, 12), CONJ_W)
+    lighter = operators.weight_monomials("t", CONJ_W - 1)
+    assert sorted(off_plan) == sorted(operators._mono_times(m, CONJ_W + 1) for m in lighter)
+    assert [f["input"] for f in rep.failures] == [mono_str("t", m) for m in lighter]
+
+
+@pytest.mark.parametrize("flip_sign", [False, True])
+def test_conjugation_under_a_scaled_group_element(monkeypatch, flip_sign):
+    _scaled_group_element(monkeypatch)
+    rep = virasoro_conjugation_check(build_curve(POINT, 12), CONJ_W, flip_sign=flip_sign)
+    expect = reference_conjugation_check(build_curve(POINT, 12), CONJ_W, flip_sign=flip_sign)
+    assert not rep.passed
+    assert (rep.checked, rep.failures) == (expect.checked, expect.failures)

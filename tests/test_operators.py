@@ -3,6 +3,8 @@ import math
 import os
 import random
 import signal
+import subprocess
+import sys
 import threading
 import time
 import types
@@ -49,6 +51,7 @@ from hodgekp.curve import log_r_series, r_series
 from conftest import (
     big_t_to_odd_t,
     cpus,
+    mutated_current_mode,
     random_rational,
     random_tpoly,
     reference_virasoro_sum_op,
@@ -548,13 +551,13 @@ class TestIntegerExponential:
         # and as V^{-1}, to many inputs; each monomial it reaches enters the
         # apply kernel once, over the check and its flip-sign control on the
         # same curve together.  Every application, through `exp_apply` or
-        # not, runs the integer core `_exp_numerators`, so the core is what
-        # is watched.  A fresh curve: the session's curve132 may carry the
+        # not, runs the iterate loop `_exp_ids`, so the loop is what is
+        # watched.  A fresh curve: the session's curve132 may carry the
         # rows of earlier tests.  Rows first reached after the check forks
         # its worker are built once in each process; the counters here see
         # the calling process alone.
         curve = build_curve(curve132.params, curve132.K)
-        real_exp, real_kernel = operators._exp_numerators, operators._apply_plan
+        real_exp, real_kernel = operators._exp_ids, operators._apply_plan
         inside, exp_calls, kernel_calls = [0], [], []
 
         def counting_exp(op, *args):
@@ -571,7 +574,7 @@ class TestIntegerExponential:
                 kernel_calls.append((plan, [mono for mono, _ in items]))
             return real_kernel(plan, kind, cap, items)
 
-        monkeypatch.setattr(operators, "_exp_numerators", counting_exp)
+        monkeypatch.setattr(operators, "_exp_ids", counting_exp)
         monkeypatch.setattr(operators, "_apply_plan", counting_kernel)
         for flip_sign in (False, True):
             rep = virasoro_conjugation_check(curve, 4, flip_sign=flip_sign)
@@ -854,6 +857,16 @@ def _count_forks(monkeypatch):
     return forks
 
 
+def _running(pid):
+    """Whether the process pid exists and is not a zombie (an orphan's
+    new parent may not reap it at once)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -903,29 +916,13 @@ class TestConjugation:
 
     @pytest.mark.parametrize(
         "mode, mutation",
-        [(-2, "coefficient"), (3, "coefficient"), (3, "extra"), (-2, "dropped"), (3, "dropped")],
+        [(-2, "coefficient"), (3, "coefficient"), (3, "extra"), (-2, "dropped"), (3, "dropped"), (-5, "unnumbered")],
     )
     def test_mutated_modes_fail_as_in_the_polynomial_comparison(self, curve132, monkeypatch, mode, mutation):
         # X_k changed by 1/7 in one coefficient (of t_2 for k = -2), by one
-        # extra term (1/7) d/dt_1, or without one term that acts on the basis
-        real = operators._current_transform_coeffs
-
-        def mutated(k, cap, flow, mult):
-            op = real(k, cap, flow, mult)
-            if k != mode:
-                return op
-            terms = dict(op.terms)
-            key = ("m", 2) if k < 0 else ("d", k)
-            if mutation == "coefficient":
-                terms[key] = terms[key] + F(1, 7)
-            elif mutation == "extra":
-                assert ("d", 1) not in terms
-                terms[("d", 1)] = HbarPoly.const(F(1, 7))
-            else:
-                del terms[key]
-            return LinearOp(op.kind, terms)
-
-        monkeypatch.setattr(operators, "_current_transform_coeffs", mutated)
+        # extra term, (1/7) d/dt_1 or (1/7) t_6 (whose images lie off V's
+        # plan), or without one term that acts on the basis
+        mutated_current_mode(monkeypatch, mode, mutation, 5)
         rep = virasoro_conjugation_check(curve132, 5)
         expect = polynomial_conjugation_report(curve132, 5)
         assert not rep.passed
@@ -1008,7 +1005,7 @@ class TestConjugationSplit:
 
     def _worker_only(self, monkeypatch, action):
         """Run `action` at the worker's first exponential."""
-        parent, real, fired = os.getpid(), operators._exp_numerators, []
+        parent, real, fired = os.getpid(), operators._exp_ids, []
 
         def patched(*args):
             if os.getpid() != parent and not fired:
@@ -1016,7 +1013,7 @@ class TestConjugationSplit:
                 action()
             return real(*args)
 
-        monkeypatch.setattr(operators, "_exp_numerators", patched)
+        monkeypatch.setattr(operators, "_exp_ids", patched)
 
     def _planted(self, monkeypatch, position, message):
         """An invariant violation at one basis position, for every mode."""
@@ -1108,6 +1105,48 @@ class TestConjugationSplit:
         assert len(forks) == 1
         _assert_no_child()
 
+    def test_a_killed_caller_leaves_no_worker(self):
+        # a split check at W = 10 whose worker would take minutes over its
+        # half; once the worker runs, the caller gets SIGKILL
+        script = (
+            "import os, time\n"
+            "from fractions import Fraction as F\n"
+            "from hodgekp import operators\n"
+            "from hodgekp.curve import CurveParams, build_curve\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "real, caller = operators._exp_ids, os.getpid()\n"
+            "def slowed(*args):\n"
+            "    if os.getpid() != caller:\n"
+            "        time.sleep(0.05)\n"
+            "    return real(*args)\n"
+            "operators._exp_ids = slowed\n"
+            "operators.virasoro_conjugation_check(build_curve(CurveParams(F(4), F(0), F(2)), 22), 10)\n"
+        )
+        src = os.path.dirname(os.path.dirname(operators.__file__))
+        proc = subprocess.Popen([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src})
+        worker = None
+        try:
+            deadline = time.monotonic() + 60
+            while worker is None and proc.poll() is None and time.monotonic() < deadline:
+                with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+                    pids = fh.read().split()
+                if pids:
+                    worker = int(pids[0])
+                else:
+                    time.sleep(0.01)
+            assert worker is not None, "no worker was forked"
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not _running(worker)
+        finally:
+            proc.kill()
+            proc.wait()
+            if worker is not None and _running(worker):
+                os.kill(worker, signal.SIGKILL)
+
     @pytest.mark.parametrize("reason", ["one-cpu", "no-fork", "threaded", "flip-sign", "no-modes", "one-monomial"])
     def test_stays_in_process(self, curve132, monkeypatch, reason):
         forks = _count_forks(monkeypatch)
@@ -1142,6 +1181,31 @@ class TestConjugationSplit:
         assert not helper.is_alive()
         self._same(rep, expect)
         assert forks == []
+
+
+@pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+def test_current_memo_is_the_current_mode_on_plan_ids(point):
+    # the check's J_k memo, read on each V^{-1}m of weight <= W <= 6, is
+    # J_k applied to that polynomial
+    curve = build_curve(point, 14)
+    for W in range(1, 7):
+        big = operators.group_element(curve, 2 * W)
+        plan = big._compiled()
+        invs = [exp_apply(big, P, inverse=True) for P in operators.unit_monomials("t", W)]
+        ids = list(dict.fromkeys(plan.number(mono) for inv in invs for mono in inv.num))
+        for k in [k for k in range(-W, W + 1) if k]:
+            cap = W + max(0, -k)
+            memo = operators._current_memo(k, cap, plan, ids)
+            assert set(memo) <= set(ids)
+            assert len({j for j, _ in memo.values()}) == len(memo)  # distinct images
+            for inv in invs:
+                image = {}
+                for mono, slot in inv.num.items():
+                    hit = memo.get(plan.ids[mono])
+                    if hit:
+                        image[plan.monos[hit[0]]] = {0: slot[0] * hit[1]}
+                got = TPoly._normal("t", cap, image, inv.den)
+                assert got == heisenberg_op(k, cap).apply(with_max_weight(inv, cap)), (W, k)
 
 
 class TestConjugationBeyondTheCatalog:
