@@ -19,7 +19,6 @@ from importlib import resources
 
 from .algebra import InvariantViolation, TPoly, double_factorial, rat, rat_str
 from .curve import (
-    CATALOG,
     CurveParams,
     build_curve,  # unused here; perfbench/tests read it as `cli.build_curve`
     identification_residual,
@@ -326,11 +325,8 @@ def run_verification(config: RunConfig) -> tuple[int, dict]:
         os.makedirs(config.out, exist_ok=True)
     jobs = []
     for name in config.checks:
-        if name in POINT_FREE or (name == "identification" and config.perturbed):
-            jobs.append((name, config.points[0] if config.points else CATALOG[0]))
-        else:
-            for point in config.points:
-                jobs.append((name, point))
+        point_free = name in POINT_FREE or (name == "identification" and config.perturbed)
+        jobs.extend((name, point) for point in (config.points[:1] if point_free else config.points))
     # The jobs run point by point, so that the checks at one point share
     # its curves and tau-functions, which are dropped when the point is
     # done; the base tau-functions are shared by the whole run.  Results
@@ -373,8 +369,8 @@ def _write(path: str, obj):
         fh.write("\n")
 
 
-def _print_summary(summary: dict, fmt: str, stream=None):
-    stream = stream or sys.stdout
+def _print_summary(summary: dict, fmt: str):
+    stream = sys.stdout
     if fmt == "json":
         json.dump(summary, stream, indent=1, sort_keys=True)
         stream.write("\n")
@@ -475,14 +471,24 @@ def _cmd_verify(args) -> int:
     return code
 
 
+def _agreed_tau(point: CurveParams, W: int, mode: str):
+    """The tau-function of the side `mode` at the point, once its two
+    routes agree; a disagreement is an invariant violation, as in the
+    `hodge` dumps (`hodge_partition`)."""
+    rep = tau_qp_check(point, W, mode)
+    if not rep.equal:
+        raise InvariantViolation(f"the two routes to the {mode} tau-function disagree; diff = {rep.difference!r}")
+    return rep.tau
+
+
 # `tau` kinds: (minimum weight, whether a point is needed, builder).
 _TAU_KINDS = {
     "kw": (3, False, lambda point, W: kw_tau(W)),
     "bgw": (1, False, lambda point, W: bgw_tau(W)),
     "hodge": (3, True, lambda point, W: hodge_partition(point, W, "standard")),
     "theta-hodge": (1, True, lambda point, W: hodge_partition(point, W, "theta")),
-    "tau-qp": (3, True, lambda point, W: tau_qp_check(point, W).tau),
-    "tau-theta-qp": (1, True, lambda point, W: tau_qp_check(point, W, "theta").tau),
+    "tau-qp": (3, True, lambda point, W: _agreed_tau(point, W, "standard")),
+    "tau-theta-qp": (1, True, lambda point, W: _agreed_tau(point, W, "theta")),
 }
 
 

@@ -3,8 +3,8 @@
 For a point (q, p) with a chosen exact square root s of p+q this module
 builds the plane curve x(z), its normalized uniformizer f with inverse
 h, the auxiliary y, the Bernoulli-weighted symplectic series R, the
-Grunsky and quadratic-form matrices, the Witt-flow coefficients and all
-dilaton-shift / translation vectors.  Everything is exact; contour
+Grunsky and quadratic-form matrices, the Witt-flow coefficients and the
+translation vectors of the dilaton shifts.  Everything is exact; contour
 integrals are replaced throughout by the formal Gaussian-moment rule.
 """
 
@@ -163,10 +163,10 @@ class CurveSeries:
         return self._witt[:n]
 
     def shifts(self) -> ShiftData:
-        """The dilaton shifts and translation vectors of this curve (see
-        `shift_data`, without its moment checks), computed once per curve."""
+        """The translation vectors of this curve (see `shift_data`),
+        computed once per curve."""
         if self._shifts is None:
-            self._shifts = shift_data(self, check_moments=False)
+            self._shifts = shift_data(self)
         return self._shifts
 
 
@@ -263,13 +263,10 @@ def r_series(params: CurveParams, K: int) -> ZSeries:
     return log_r_series(params, K).expm()
 
 
-def gaussian_moments(G: ZSeries, order: int | None = None) -> ZSeries:
-    """Formal Gaussian-moment transform: zeta^(2k) -> (2k-1)!! z^k, odd powers -> 0."""
-    avail = G.order // 2
-    if order is None:
-        order = avail
-    if order > avail:
-        raise ValueError("insufficient input order for the requested output order")
+def gaussian_moments(G: ZSeries) -> ZSeries:
+    """Formal Gaussian-moment transform: zeta^(2k) -> (2k-1)!! z^k, odd
+    powers -> 0, to the order G.order // 2 that G determines."""
+    order = G.order // 2
     return ZSeries._normal(
         [G.numerator(2 * k) * double_factorial(2 * k - 1) for k in range(order + 1)],
         order,
@@ -277,16 +274,11 @@ def gaussian_moments(G: ZSeries, order: int | None = None) -> ZSeries:
     )
 
 
-def i_series(h: ZSeries, order: int | None = None) -> ZSeries:
+def i_series(h: ZSeries) -> ZSeries:
     """Moment transform of zeta/h(zeta), for the inverse h of a curve's
-    f; equals R(-z) for in-family curves."""
-    g = h.shift(-1).recip()  # zeta/h(zeta)
-    avail = g.order // 2
-    if order is None:
-        order = avail
-    if order > avail:
-        raise ValueError("insufficient input order: need h to order 2*order + 1")
-    return gaussian_moments(g, order)
+    f, to the order (h.order - 1) // 2 that h determines; equals R(-z)
+    for in-family curves."""
+    return gaussian_moments(h.shift(-1).recip())  # zeta/h(zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -456,26 +448,16 @@ def witt_coefficients(f: ZSeries) -> list[Fraction]:
 
 @dataclass
 class ShiftData:
-    """Dilaton-shift changes (delta, delta0) and translation vectors (v, v0).
+    """Translation vectors (v, v0) on the Virasoro side: v[k] (k>=4) and
+    v0[k] (k>=2), the translations matching the dilaton shifts
+    z(1-R(-z)) and 1-R(-z) of the two sides."""
 
-    delta[k] (k>=2) and delta0[k] (k>=1) come from z(1-R(-z)) and
-    1-R(-z); v[k] (k>=4) and v0[k] (k>=2) are the corresponding
-    translation coefficients on the Virasoro side.
-    """
-
-    delta: dict = field(default_factory=dict)
-    delta0: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    v0: dict = field(default_factory=dict)
+    v: dict
+    v0: dict
 
 
-def shift_data(curve: CurveSeries, check_moments: bool = True) -> ShiftData:
+def shift_data(curve: CurveSeries) -> ShiftData:
     K = curve.K
-    r_neg = curve.R.subs_neg()
-    one = ZSeries.one(K)
-    delta_series = (ZSeries.z(K) * (one - r_neg)).truncate(K)
-    delta0_series = one - r_neg
-
     fy = curve.f - curve.y
     if fy.coeff_or_zero(1) != 0:
         raise InvariantViolation("f - y must vanish to first order")
@@ -484,41 +466,10 @@ def shift_data(curve: CurveSeries, check_moments: bool = True) -> ShiftData:
     for k in range(1, 4):
         if v_series.coeff_or_zero(k) != 0:
             raise InvariantViolation(f"translation coefficient v_{k} expected to vanish")
-
-    sd = ShiftData()
-    sd.delta = {
-        k: delta_series.coeff_or_zero(k)
-        for k in range(2, K + 1)
-        if delta_series.coeff_or_zero(k)
-    }
-    sd.delta0 = {
-        k: delta0_series.coeff_or_zero(k)
-        for k in range(1, K + 1)
-        if delta0_series.coeff_or_zero(k)
-    }
-    sd.v = {
-        k: v_series.coeff_or_zero(k)
-        for k in range(4, min(v_series.order, K) + 1)
-        if v_series.coeff_or_zero(k)
-    }
-    sd.v0 = {
-        k: fy.coeff_or_zero(k) for k in range(2, K + 1) if fy.coeff_or_zero(k)
-    }
-
-    if check_moments:
-        # The moment transform of the flow-side integrands must reproduce
-        # the dilaton-shift series exactly.
-        y_h = curve.y.compose(curve.h)
-        zz = ZSeries.z(K)
-        g1 = (zz * zz).truncate(K) - (zz * y_h).truncate(K)
-        lhs1 = gaussian_moments(g1)
-        if lhs1 != delta_series.truncate(lhs1.order):
-            raise InvariantViolation("moment identity for the dilaton shift failed")
-        g2 = one.truncate(K - 1) - y_h.derivative()
-        lhs2 = gaussian_moments(g2)
-        if lhs2 != delta0_series.truncate(lhs2.order):
-            raise InvariantViolation("moment identity for the order-zero shift failed")
-    return sd
+    return ShiftData(
+        {k: c for k in range(4, min(v_series.order, K) + 1) if (c := v_series.coeff_or_zero(k))},
+        {k: c for k in range(2, K + 1) if (c := fy.coeff_or_zero(k))},
+    )
 
 
 # ---------------------------------------------------------------------------

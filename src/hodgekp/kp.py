@@ -375,14 +375,14 @@ def _run_equations(
     return report
 
 
-def hirota_full_check(tau: TPoly, y_weight: int, hbar_label: str | None = None) -> HirotaReport:
+def hirota_full_check(tau: TPoly, y_weight: int) -> HirotaReport:
     """All bilinear equations from the generating identity, to the stated
     y-weight, each verified on its covered residual range, for a tau
     whose hbar is specialized: the band (0, 0) of the same loop."""
     if any(e for slot in tau.num.values() for e in slot):
         raise ValueError("hbar must be specialized before a bilinear check")
     table = hirota_equation_table(y_weight)
-    return _run_equations(tau, table, "hirota-full", y_weight, hbar_label, (0, 0))
+    return _run_equations(tau, table, "hirota-full", y_weight, None, (0, 0))
 
 
 def hirota_graded_check(tau: TPoly, y_weight: int, band: tuple[int, int]) -> HirotaReport:

@@ -712,7 +712,7 @@ def givental_kernel(R: ZSeries, W: int) -> LinearOp:
     return LinearOp.from_terms(BIG_T_SIDE, items)
 
 
-def givental_factorized(R: ZSeries, W: int, mode: str = "standard", kernel: LinearOp | None = None) -> PolyMap:
+def givental_factorized(R: ZSeries, W: int, mode: str = "standard", *, kernel: LinearOp) -> PolyMap:
     """Factorized form of the quantized action, as a map on T-side
     polynomials of weight cap W.
 
@@ -720,12 +720,10 @@ def givental_factorized(R: ZSeries, W: int, mode: str = "standard", kernel: Line
     and then performs the affine substitution of the transformed
     variables (which carries the translation constants).  Must agree
     exactly with givental_direct; the pair of routes is the standing
-    cross-check.  The exponent is `kernel`, built here from R when not
-    given (`givental_kernel`); the images are built once; the returned
-    map applies them.
+    cross-check.  The exponent is `kernel`, `givental_kernel(R, W)`,
+    which both sides share; the images are built once; the returned map
+    applies them.
     """
-    if kernel is None:
-        kernel = givental_kernel(R, W)
     images = transformed_variable_images(R, W, mode)
     return _map_on(BIG_T_SIDE, W, _chain(_exp_core(kernel, W), _substitute_core(images, BIG_T_SIDE, W)))
 
@@ -745,7 +743,7 @@ def givental_routes(curve: CurveSeries, W: int, mode: str = "standard") -> tuple
             kernel = curve._ops["kernel", W] = givental_kernel(curve.R, W)
         curve._ops[key] = (
             givental_direct(couplings_from_log_r(curve.logR, W), W, mode),
-            givental_factorized(curve.R, W, mode, kernel),
+            givental_factorized(curve.R, W, mode, kernel=kernel),
         )
     return curve._ops[key]
 
@@ -952,10 +950,9 @@ def _current_transform_coeffs(k: int, W: int, flow: dict, mult: dict) -> LinearO
     return LinearOp.from_terms(T_SIDE, items)
 
 
-def virasoro_conjugation_check(
-    curve: CurveSeries, W: int, modes: Iterable[int] | None = None, *, flip_sign: bool = False
-) -> EqualityReport:
-    """Check V J_k V^{-1} = (h-transformed current modes) on a monomial basis.
+def virasoro_conjugation_check(curve: CurveSeries, W: int, *, flip_sign: bool = False) -> EqualityReport:
+    """Check V J_k V^{-1} = (h-transformed current modes) on a monomial
+    basis, for every mode k != 0 in [-W, W].
 
     V = exp(sum a_k L_k).  flip_sign negates the flow coefficients, so
     V = exp(-sum a_k L_k); the identity must then fail at first order,
@@ -973,14 +970,12 @@ def virasoro_conjugation_check(
     compared on the plan's ids (`_same_on_ids`); only a failing witness
     is mapped back to monomials, as a polynomial.
     """
-    if modes is None:
-        modes = [k for k in range(-W, W + 1) if k]
-    modes = list(modes)
-    max_lift = max((max(0, -k) for k in modes), default=0)
-    max_cap = W + max_lift
-    # On a weight-<=cap space every generator with index <= cap still acts
+    modes = [k for k in range(-W, W + 1) if k]
+    # A mode k < 0 lifts the weight cap to W - k, so the caps reach 2W.  On
+    # a weight-<=cap space every generator with index <= cap still acts
     # (through its second-derivative part), so the flow coefficients must
     # extend to the lifted cap, not just to W.
+    max_cap = 2 * W
     basis_monos = weight_monomials(T_SIDE, W)
     # One operator for every cap and for both V and V^{-1} (exp(-A) reads
     # A's rows).  The inverse only drops weight, so its action on a
@@ -989,7 +984,7 @@ def virasoro_conjugation_check(
     plan = big._compiled()
     inv_images = [exp_apply(big, P, inverse=not flip_sign) for P in unit_monomials(T_SIDE, W)]
     inv_images = [({plan.number(mono): slot[0] for mono, slot in P.num.items()}, P.den) for P in inv_images]
-    flow, mult = _current_transform_series(curve, max_cap, max_lift)
+    flow, mult = _current_transform_series(curve, max_cap, W)
 
     def check(start: int, step: int, poll: Callable[[], object] = lambda: None) -> tuple[int, list]:
         """Compare at the basis positions start, start + step, ... for
@@ -1019,7 +1014,7 @@ def virasoro_conjugation_check(
                         return checked, failures  # one witness is enough for the negative control
         return checked, failures
 
-    if flip_sign or not modes or len(basis_monos) < 2:
+    if flip_sign or len(basis_monos) < 2:
         checked, failures = check(0, 1)
     else:
         checked, failures = _split_in_two(check)

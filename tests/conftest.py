@@ -453,20 +453,16 @@ def reference_virasoro_factorization_check(curve, W):
     )
 
 
-def reference_conjugation_check(curve, W, modes=None, flip_sign=False):
+def reference_conjugation_check(curve, W, flip_sign=False):
     """The former `virasoro_conjugation_check`, in process: V^{-1}m through
     `exp_apply`, J_k through the apply kernel on its monomials, V through
     `_exp_numerators` (monomials numbered into V's plan and mapped back),
     and the sides compared on monomials by `same_value`."""
-    if modes is None:
-        modes = [k for k in range(-W, W + 1) if k]
-    max_lift = max((max(0, -k) for k in modes), default=0)
-    max_cap = W + max_lift
-    big = operators.group_element(curve, max_cap)
+    big = operators.group_element(curve, 2 * W)
     inv_images = [exp_apply(big, P, inverse=not flip_sign) for P in unit_monomials(T_SIDE, W)]
-    flow, mult = operators._current_transform_series(curve, max_cap, max_lift)
+    flow, mult = operators._current_transform_series(curve, 2 * W, W)
     report = EqualityReport(label=f"current-conjugation W={W}")
-    for k in modes:
+    for k in [k for k in range(-W, W + 1) if k]:
         cap = W + max(0, -k)
         jk = operators.heisenberg_op(k, cap)._compiled()
         rhs = operators._current_transform_coeffs(k, cap, flow, mult)._compiled()
@@ -521,6 +517,17 @@ def reference_tqp_substitute(forms):
     W = forms[0].max_weight
     images = dict(enumerate(forms))
     return lambda P: P.substitute(images) if P.variables() else TPoly._normal(T_SIDE, W, P.num, P.den)
+
+
+def dilaton_shifts(curve):
+    """The dilaton-shift changes of a curve's two sides, read off R(-z),
+    zeros left out: delta[k] = -[z^(k-1)] R(-z) for 2 <= k <= K, the
+    coefficients of z(1 - R(-z)), and delta0[k] = -[z^k] R(-z) for
+    1 <= k <= K, those of 1 - R(-z)."""
+    rb = curve.R.subs_neg()
+    delta = {k: -rb.coeff_or_zero(k - 1) for k in range(2, curve.K + 1)}
+    delta0 = {k: -rb.coeff_or_zero(k) for k in range(1, curve.K + 1)}
+    return {k: c for k, c in delta.items() if c}, {k: c for k, c in delta0.items() if c}
 
 
 def reference_rl_transform_virasoro(curve, W, mode="standard"):

@@ -34,6 +34,7 @@ from hodgekp.operators import (
     exp_apply,
     givental_direct,
     givental_factorized,
+    givental_kernel,
     heisenberg_op,
     linear_change_generator,
     rl_identity_check,
@@ -99,7 +100,7 @@ def test_criterion_03_direct_equals_factorized_weight9():
             R = r_series(point, order)
             couplings = couplings_from_log_r(log_r_series(point, order), W)
             direct = givental_direct(couplings, W)
-            factorized = givental_factorized(R, W)
+            factorized = givental_factorized(R, W, kernel=givental_kernel(R, W))
             for mono in weight_monomials("T", W):
                 P = TPoly("T", W, {mono: 1})
                 assert direct(P) == factorized(P), (
@@ -171,9 +172,9 @@ def test_criterion_08_even_time_reduction():
 def test_criterion_09_base_tau_sanity_and_mutation_testing():
     with _Budget("9 base taus pass; 20 mutations all detected", 600):
         kw = kw_tau(12).body
-        assert hirota_full_check(specialize_hbar(kw, F(1)), 4, "1").passed
+        assert hirota_full_check(specialize_hbar(kw, F(1)), 4).passed
         bgw = bgw_tau(10).body
-        assert hirota_full_check(specialize_hbar(bgw, F(1)), 3, "1").passed
+        assert hirota_full_check(specialize_hbar(bgw, F(1)), 3).passed
         rng = random.Random(2024)
         tau1 = specialize_hbar(kw, F(1))
         weight6 = [
@@ -220,5 +221,5 @@ def test_criterion_10_algebraic_substrate():
         curve = build_curve(P132, 2 * W + 2)
         rep = virasoro_conjugation_check(curve, W)
         assert rep.passed, rep.failures[:2]
-        neg = virasoro_conjugation_check(curve, 4, modes=[1], flip_sign=True)
+        neg = virasoro_conjugation_check(curve, 4, flip_sign=True)
         assert not neg.passed

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +111,31 @@ class TestMainEntry:
 
     def test_tau_point_kinds_need_point(self, capsys):
         assert main(["tau", "tau-qp", "--weight", "6"]) == 2
+
+    @pytest.mark.parametrize("kind, check", [("tau-qp", "theorem-hodge"), ("tau-theta-qp", "theorem-theta")])
+    def test_tau_dump_whose_routes_disagree_exits_3(self, kind, check, monkeypatch, capsys):
+        # the symmetry-group route halved: the dump prints nothing and
+        # exits 3, as the check of the same pair fails with exit 1
+        import hodgekp.tau as tau_module
+
+        real = tau_module.rl_transform_virasoro
+
+        def halved(curve, W, mode="standard"):
+            core = real(curve, W, mode).core
+
+            def half(num, den):
+                num, den = core(num, den)
+                return num, 2 * den
+
+            return SimpleNamespace(core=half)
+
+        monkeypatch.setattr(tau_module, "rl_transform_virasoro", halved)
+        point = ["--q", "1", "--p", "3", "--s", "2"]
+        assert main(["tau", kind, "--weight", "6", *point]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("internal invariant violation: the two routes")
+        assert main(["verify", check, "--weight", "6", *point]) == 1
 
 
 class TestReportsAndDeterminism:
@@ -455,9 +481,9 @@ def test_one_group_element_and_one_quantized_pair_per_point(monkeypatch):
         directs[tuple(sorted(couplings.items())), W, mode] += 1
         return real_direct(couplings, W, mode)
 
-    def givental_factorized(R, W, mode="standard", kernel=None):
+    def givental_factorized(R, W, mode="standard", *, kernel):
         factorizeds[repr(R), W, mode] += 1
-        return real_factorized(R, W, mode, kernel)
+        return real_factorized(R, W, mode, kernel=kernel)
 
     def givental_kernel(R, W):
         kernels[repr(R), W] += 1

@@ -24,7 +24,7 @@ from hodgekp.curve import (
     x_closed_form,
 )
 
-from conftest import reference_witt_coefficients
+from conftest import dilaton_shifts, reference_witt_coefficients
 
 
 class TestBernoulli:
@@ -162,9 +162,6 @@ class TestISeries:
         assert I.order >= 8
         assert I == c.R.subs_neg().truncate(I.order)
 
-    def test_insufficient_order_rejected(self, curve132):
-        with pytest.raises(ValueError, match="insufficient"):
-            i_series(curve132.h, curve132.K)
 
 
 def _bivariate_log_grunsky(h, size):
@@ -301,14 +298,29 @@ class TestWittCoefficients:
             c.witt(10)
 
 
+def _moment_sides(curve):
+    """The two dilaton-shift moment identities of a curve, each as the
+    pair (moment transform of the flow-side integrand, shift series from
+    `dilaton_shifts` to the same order):
+    gaussian_moments(z^2 - z (y o h)) = z(1 - R(-z)) and
+    gaussian_moments(1 - (y o h)') = 1 - R(-z)."""
+    K = curve.K
+    delta, delta0 = dilaton_shifts(curve)
+    y_h = curve.y.compose(curve.h)
+    z = ZSeries.z(K)
+    lhs = gaussian_moments((z * z).truncate(K) - (z * y_h).truncate(K))
+    lhs0 = gaussian_moments(ZSeries.one(K - 1) - y_h.derivative())
+    return (lhs, ZSeries.from_terms(delta, lhs.order)), (lhs0, ZSeries.from_terms(delta0, lhs0.order))
+
+
 class TestShiftData:
     def test_trivial_curve(self):
-        sd = shift_data(_trivial_curve(12))
-        assert sd.delta == {} and sd.delta0 == {} and sd.v == {} and sd.v0 == {}
+        c = _trivial_curve(12)
+        sd = shift_data(c)
+        assert sd.v == {} and sd.v0 == {} and dilaton_shifts(c) == ({}, {})
 
     def test_delta2_132(self, curve132):
-        sd = shift_data(curve132)
-        assert sd.delta[2] == F(-13, 48)
+        assert dilaton_shifts(curve132)[0][2] == F(-13, 48)
 
     @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
     def test_low_translations_vanish(self, point):
@@ -316,15 +328,32 @@ class TestShiftData:
         sd = shift_data(c)  # raises if v_1..v_3 fail to vanish
         assert all(k >= 4 for k in sd.v)
         assert all(k >= 2 for k in sd.v0)
-        # moment identities were verified inside shift_data (check_moments=True)
 
     def test_delta_matches_r(self, curve132):
-        sd = shift_data(curve132)
-        rb = curve132.R.subs_neg()
-        for k, val in sd.delta.items():
-            assert val == -rb.coeff(k - 1)
-        for k, val in sd.delta0.items():
-            assert val == -rb.coeff(k)
+        # the shifts against the two series, formed by series arithmetic
+        K = curve132.K
+        delta0_series = ZSeries.one(K) - curve132.R.subs_neg()
+        delta_series = (ZSeries.z(K) * delta0_series).truncate(K)
+        delta, delta0 = dilaton_shifts(curve132)
+        assert ZSeries.from_terms(delta, K) == delta_series
+        assert ZSeries.from_terms(delta0, K) == delta0_series
+
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    def test_dilaton_moment_identity(self, point):
+        (lhs, rhs), _ = _moment_sides(build_curve(point, 14))
+        assert lhs.order == 7 and lhs == rhs
+
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    def test_order_zero_moment_identity(self, point):
+        _, (lhs, rhs) = _moment_sides(build_curve(point, 14))
+        assert lhs.order == 6 and lhs == rhs
+
+    @given(st.sampled_from([1, 2, 3]), st.integers(-4, 4), st.integers(8, 16))
+    def test_moment_identities_beyond_the_catalog(self, s, q, K):
+        # the integer points perfbench's seeds draw from: p = s^2 - q
+        curve = build_curve(CurveParams(F(q), F(s * s - q), F(s)), K)
+        for lhs, rhs in _moment_sides(curve):
+            assert lhs == rhs
 
 
 class TestIdentification:

@@ -26,6 +26,7 @@ from hodgekp.operators import (
     exp_apply,
     givental_direct,
     givental_factorized,
+    givental_kernel,
     givental_routes,
     heisenberg_op,
     linear_change_generator,
@@ -51,6 +52,7 @@ from hodgekp.curve import log_r_series, r_series
 from conftest import (
     big_t_to_odd_t,
     cpus,
+    dilaton_shifts,
     mutated_current_mode,
     random_rational,
     random_tpoly,
@@ -657,7 +659,8 @@ class TestGiventalAction:
     def test_factorized_identity_for_trivial_r(self):
         rng = random.Random(83)
         P = random_tpoly(rng, "T", 9)
-        assert givental_factorized(ZSeries.one(12), 9)(P) == P
+        R = ZSeries.one(12)
+        assert givental_factorized(R, 9, kernel=givental_kernel(R, 9))(P) == P
 
     @pytest.mark.parametrize("q,p,s", [(1, 3, 2), (-1, 2, 1)], ids=["(1,3,2)", "(-1,2,1)"])
     def test_direct_equals_factorized_on_basis(self, q, p, s):
@@ -667,7 +670,7 @@ class TestGiventalAction:
         R = r_series(par, order)
         couplings = couplings_from_log_r(log_r_series(par, order), W)
         direct = givental_direct(couplings, W)
-        factorized = givental_factorized(R, W)
+        factorized = givental_factorized(R, W, kernel=givental_kernel(R, W))
         for mono in weight_monomials("T", W):
             P = TPoly("T", W, {mono: 1})
             assert direct(P) == factorized(P), mono
@@ -677,7 +680,8 @@ class TestGiventalAction:
         R = r_series(par, 10)
         P = TPoly.one("T", 9)
         couplings = couplings_from_log_r(log_r_series(par, 10), 9)
-        assert givental_factorized(R, 9, "theta")(P) == givental_direct(couplings, 9, "theta")(P)
+        factorized = givental_factorized(R, 9, "theta", kernel=givental_kernel(R, 9))
+        assert factorized(P) == givental_direct(couplings, 9, "theta")(P)
 
     def test_mumford_couplings_match_miwa(self):
         # B_{2k}/(2k)! * s_k with the Miwa weights (-p, -q, pq/(p+q))
@@ -898,7 +902,7 @@ class TestConjugation:
         assert rep.to_json_obj() == polynomial_conjugation_report(curve132, 5).to_json_obj()
 
     def test_flipped_sign_fails_first_order(self, curve132):
-        rep = virasoro_conjugation_check(curve132, 5, modes=[1], flip_sign=True)
+        rep = virasoro_conjugation_check(curve132, 5, flip_sign=True)
         assert not rep.passed
 
     def test_flipped_sign_report(self, curve132):
@@ -934,7 +938,8 @@ class TestConjugation:
         assert {position[f["input"]] % 2 for f in rep.failures} == {0, 1}
 
     def test_no_modes_does_not_pass(self, curve132):
-        rep = virasoro_conjugation_check(curve132, 3, modes=[])
+        # at W = 0 there is no mode k != 0 in [-W, W]
+        rep = virasoro_conjugation_check(curve132, 0)
         assert rep.checked == 0
         assert not rep.passed
         assert rep.to_json_obj()["status"] == "fail"
@@ -1147,10 +1152,10 @@ class TestConjugationSplit:
             if worker is not None and _running(worker):
                 os.kill(worker, signal.SIGKILL)
 
-    @pytest.mark.parametrize("reason", ["one-cpu", "no-fork", "threaded", "flip-sign", "no-modes", "one-monomial"])
+    @pytest.mark.parametrize("reason", ["one-cpu", "no-fork", "threaded", "flip-sign", "one-monomial"])
     def test_stays_in_process(self, curve132, monkeypatch, reason):
         forks = _count_forks(monkeypatch)
-        W, modes, flip_sign = self.W, None, False
+        W, flip_sign = self.W, False
         with cpus(1):
             expect = virasoro_conjugation_check(curve132, W)
         if reason == "one-cpu":
@@ -1161,19 +1166,16 @@ class TestConjugationSplit:
             flip_sign = True
             with cpus(1):
                 expect = virasoro_conjugation_check(curve132, W, flip_sign=True)
-        elif reason == "no-modes":
-            modes = []
-            expect = EqualityReport(label=f"current-conjugation W={W}")
         elif reason == "one-monomial":
-            W, modes = 0, [-1]
-            with cpus(1):
-                expect = virasoro_conjugation_check(curve132, W, modes)
+            # the basis at W = 0 is the monomial 1, and no mode acts on it
+            W = 0
+            expect = EqualityReport(label=f"current-conjugation W={W}")
         release = threading.Event()
         helper = threading.Thread(target=release.wait)
         if reason == "threaded":
             helper.start()
         try:
-            rep = virasoro_conjugation_check(curve132, W, modes, flip_sign=flip_sign)
+            rep = virasoro_conjugation_check(curve132, W, flip_sign=flip_sign)
         finally:
             release.set()
             if reason == "threaded":
@@ -1233,10 +1235,11 @@ class TestShiftTransport:
 
         W = 7
         a = witt_coefficients(curve132.f.truncate(W + 1))
-        sd = shift_data(curve132, check_moments=False)
+        sd = shift_data(curve132)
         gen = linear_change_generator(a, W)
         src = sd.v if mode == "standard" else sd.v0
-        dst = sd.delta if mode == "standard" else sd.delta0
+        delta, delta0 = dilaton_shifts(curve132)
+        dst = delta if mode == "standard" else delta0
         rhs = translation_op(
             {
                 2 * k + 1: F(c, double_factorial(2 * k + 1))

@@ -11,6 +11,7 @@ from hodgekp.curve import CATALOG, CurveParams, build_curve
 from hodgekp.operators import (
     givental_direct,
     givental_factorized,
+    givental_kernel,
     givental_routes,
     odd_t_to_big_t,
     rl_transform_virasoro,
@@ -590,7 +591,9 @@ _MODE_ENTRIES = {
     "w_op": lambda mode: w_op(1, 5, mode),
     "givental_direct": lambda mode: givental_direct({}, 5, mode),
     "transformed_variable_images": lambda mode: transformed_variable_images(build_curve(CATALOG[0], 6).R, 5, mode),
-    "givental_factorized": lambda mode: givental_factorized(build_curve(CATALOG[0], 6).R, 5, mode),
+    "givental_factorized": lambda mode: givental_factorized(
+        build_curve(CATALOG[0], 6).R, 5, mode, kernel=givental_kernel(build_curve(CATALOG[0], 6).R, 5)
+    ),
     "givental_routes": lambda mode: givental_routes(build_curve(CATALOG[0], 6), 5, mode),
     "rl_transform_virasoro": lambda mode: rl_transform_virasoro(build_curve(CATALOG[0], 6), 5, mode),
     "hodge_partition": lambda mode: hodge_partition(CATALOG[0], 5, mode),
