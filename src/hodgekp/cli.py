@@ -465,6 +465,8 @@ def _cmd_verify(args) -> int:
     point = _parse_point(args)
     points = [point] if point is not None else default_points()
     checks = list(CHECKS) if args.check == "all" else [args.check]
+    if args.perturbed and "identification" not in checks:
+        raise ConfigError(f"--perturbed applies to the identification check alone, not {args.check!r}")
     config = RunConfig(checks=checks, points=points, weight=args.weight, out=args.out, perturbed=args.perturbed)
     code, summary = run_verification(config)
     _print_summary(summary, args.format)
@@ -498,6 +500,8 @@ def _cmd_tau(args) -> int:
     point = _parse_point(args)
     if needs_point and point is None:
         raise ConfigError(f"tau kind {args.kind!r} needs --q/--p/--s")
+    if not needs_point and point is not None:
+        raise ConfigError(f"tau kind {args.kind!r} takes no --q/--p/--s")
     series = build(point, args.weight)
     obj = series.to_json_obj()
     obj["provenance"]["engineVersion"] = ENGINE_VERSION

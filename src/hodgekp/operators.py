@@ -78,7 +78,8 @@ __all__ = [
 
 
 class LinearOp:
-    """A finite sum of elementary actions on TPoly values.
+    """A finite sum of elementary actions on TPoly values, held as the
+    integer operator D·op.
 
     Term tags: "id" (scalar), "m" (multiply by one variable),
     "mm" (multiply by a product of two variables), "d" (one partial
@@ -86,20 +87,91 @@ class LinearOp:
     then multiply by a variable).  Every term records enough structure
     to bound its weight drop, making exponentials of weight-dropping
     operators finite sums.
+
+    As `TPoly` does, the op keeps integers: D is the LCM of its
+    coefficient denominators, `pairs` maps each term to the tuple of
+    (hbar exponent, int) pairs of its coefficient in D·op, and a
+    `Fraction` is built only where a coefficient is read (`terms`).  The
+    constructor also indexes the terms for `_apply_plan`: the
+    multiplicative ones ("id" merged into `scalar`, "m" and "mm" in
+    `mults`, ascending in the weight they add) act on every monomial;
+    the derivative ones are indexed by the variable they differentiate
+    (for "dd", the smaller one), so a monomial only meets the terms of
+    the variables it contains.  Derivative coefficients are kept as
+    {integer factor: pairs} memos, factor 1 being the coefficient itself,
+    since a derivative multiplies by the variable's exponent.
+
+    For `exp_apply` the op also numbers monomials lazily (`ids` maps a
+    monomial to its id, `monos` an id back to its monomial; nothing is
+    numbered up front) and keeps one row per monomial once it is reached
+    (`rows[id]`, None until then): the image of that unit monomial under
+    D·op, computed by `_apply_plan` itself, as a tuple of (target id,
+    hbar exponent, integer factor).  Only ops that drop weight by at least
+    1 reach `exp_apply`, so they have no "id", "m" or "mm" terms, and every
+    image lies strictly below its monomial's weight: no cap cuts a row, a
+    row depends on its monomial alone, and it serves every iterate of
+    every later call on the same op, exp(op) and exp(-op) alike.  Rows
+    live and die with the op.  `low` and `span` bound the op's hbar
+    exponents (see `compile_rows`).
     """
 
-    __slots__ = ("kind", "terms", "_plan")
+    __slots__ = (
+        "kind", "pairs", "D", "min_weight_drop", "scalar", "mults", "by_var", "ids", "monos", "rows", "low", "span"
+    )
 
     def __init__(self, kind: str, terms: Mapping[tuple, HbarPoly] | None = None):
         self.kind = kind
         clean: dict[tuple, HbarPoly] = {}
-        if terms:
-            for key, c in terms.items():
-                c = HbarPoly.promote(c)
-                if not c.is_zero():
-                    clean[key] = c
-        self.terms = clean
-        self._plan = None
+        for key, c in (terms or {}).items():
+            c = HbarPoly.promote(c)
+            if not c.is_zero():
+                clean[key] = c
+        self.D = D = math.lcm(*(x.denominator for c in clean.values() for x in c.terms.values()))
+        self.pairs = {
+            key: tuple((e, x.numerator * (D // x.denominator)) for e, x in c.terms.items()) for key, c in clean.items()
+        }
+        self.scalar = ()
+        self.mults = []
+        self.ids: dict[Mono, int] = {}
+        self.monos: list[Mono] = []
+        self.rows: list[tuple | None] = []
+        exps = [e for pairs in self.pairs.values() for e, _ in pairs]
+        self.low = min(exps, default=0)
+        self.span = max(exps, default=0) - self.low + 1
+        w = lambda v: var_weight(kind, v)
+        drops = []
+        d_pairs, md, dd_same, dd_other = {}, {}, {}, {}
+        for key, pairs in self.pairs.items():
+            tag = key[0]
+            if tag == "id":
+                drop = 0
+                self.scalar = pairs
+            elif tag in ("m", "mm"):
+                drop = -sum(map(w, key[1:]))
+                self.mults.append((key[1:], -drop, pairs))
+            elif tag == "d":
+                drop = w(key[1])
+                d_pairs[key[1]] = {1: pairs}
+            elif tag == "md":
+                a, b = key[1], key[2]
+                drop = w(b) - w(a)
+                md.setdefault(b, []).append((a, w(a), {1: pairs}))
+            elif tag == "dd":
+                a, b = key[1], key[2]
+                drop = w(a) + w(b)
+                if a == b:
+                    dd_same[a] = {1: pairs}
+                else:
+                    dd_other.setdefault(a, {})[b] = {1: pairs}
+            else:
+                raise ValueError(f"unknown term tag {tag!r}")
+            drops.append(drop)
+        # the guaranteed weight drop per application (0 for an empty op)
+        self.min_weight_drop = min(drops, default=0)
+        self.mults.sort(key=lambda m: m[1])
+        self.by_var = {
+            v: (d_pairs.get(v), md.get(v, []), dd_same.get(v), dd_other.get(v)) for v in {*d_pairs, *md, *dd_same, *dd_other}
+        }
 
     @classmethod
     def from_terms(cls, kind: str, items: Iterable[tuple]) -> "LinearOp":
@@ -117,30 +189,13 @@ class LinearOp:
                 acc[key] = c
         return cls(kind, acc)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def term_drop(self, key: tuple) -> int:
-        tag = key[0]
-        w = lambda v: var_weight(self.kind, v)
-        if tag == "id":
-            return 0
-        if tag == "m":
-            return -w(key[1])
-        if tag == "mm":
-            return -(w(key[1]) + w(key[2]))
-        if tag == "d":
-            return w(key[1])
-        if tag == "dd":
-            return w(key[1]) + w(key[2])
-        if tag == "md":
-            return w(key[2]) - w(key[1])
-        raise ValueError(f"unknown term tag {tag!r}")
-
     @property
-    def min_weight_drop(self) -> int:
-        """Guaranteed weight drop per application (0 for an empty op)."""
-        return self._compiled().drop
+    def terms(self) -> dict[tuple, HbarPoly]:
+        """The coefficients as a new {term: HbarPoly} map, read-only."""
+        return {key: HbarPoly({e: Fraction(c, self.D) for e, c in pairs}) for key, pairs in self.pairs.items()}
+
+    def is_zero(self) -> bool:
+        return not self.pairs
 
     def __add__(self, other: "LinearOp") -> "LinearOp":
         if self.kind != other.kind:
@@ -153,11 +208,6 @@ class LinearOp:
             return LinearOp(self.kind)
         return LinearOp(self.kind, {k: v * c for k, v in self.terms.items()})
 
-    def _compiled(self) -> "_ApplyPlan":
-        if self._plan is None:
-            self._plan = _ApplyPlan(self)
-        return self._plan
-
     def _check_side(self, P: TPoly):
         if P.kind != self.kind:
             raise ValueError(
@@ -168,25 +218,54 @@ class LinearOp:
         """The image of P, in one pass over its monomials on integers (see
         `_apply_plan`): (D·op)(P.num) over D·P.den."""
         self._check_side(P)
-        plan = self._compiled()
-        out = _apply_plan(plan, self.kind, P.max_weight, P.num.items())
-        return TPoly._normal(self.kind, P.max_weight, out, plan.D * P.den)
+        out = _apply_plan(self, P.max_weight, P.num.items())
+        return TPoly._normal(self.kind, P.max_weight, out, self.D * P.den)
+
+    def number(self, mono: Mono) -> int:
+        """The id of the monomial, numbering it (with no row yet) if new."""
+        i = self.ids.get(mono)
+        if i is None:
+            i = self.ids[mono] = len(self.monos)
+            self.monos.append(mono)
+            self.rows.append(None)
+        return i
+
+    def compile_rows(self, ids: list, cap: int) -> None:
+        """Build and keep the rows of the monomial ids `ids` in one kernel pass.
+
+        The k-th monomial enters `_apply_plan` on its own band of hbar
+        exponents, as the unit coefficient at k·span − low, so an image term
+        of exponent k·span + (e − low), e in [low, low + span) an exponent
+        of the op, came from that monomial with the op's exponent e.  Any
+        cap at or above the monomials' weights gives the same rows.
+        """
+        monos, span, low = self.monos, self.span, self.low
+        image = _apply_plan(self, cap, [(monos[i], {k * span - low: 1}) for k, i in enumerate(ids)])
+        entries = [[] for _ in ids]
+        number = self.number
+        for target, slot in image.items():
+            for e, c in slot.items():
+                if c:
+                    k, r = divmod(e, span)
+                    entries[k].append((number(target), r + low, c))
+        for i, row in zip(ids, entries):
+            self.rows[i] = tuple(row)
 
     def __repr__(self) -> str:
-        return f"LinearOp({self.kind}, {len(self.terms)} terms, drop>={self.min_weight_drop})"
+        return f"LinearOp({self.kind}, {len(self.pairs)} terms, drop>={self.min_weight_drop})"
 
 
-def _apply_plan(plan: "_ApplyPlan", kind: str, cap: int, items: Iterable[tuple]) -> dict:
+def _apply_plan(op: LinearOp, cap: int, items: Iterable[tuple]) -> dict:
     """The fused apply kernel: the image of the integer polynomial whose
-    terms are `items`, pairs (monomial, {hbar exponent: int}), under D·op,
-    the integer operator compiled into `plan`, truncated at weight `cap`.
+    terms are `items`, pairs (monomial, {hbar exponent: int}), under the
+    integer operator D·op, truncated at weight `cap`.
 
     Each monomial visits only the derivative terms of the variables it
     contains, and every product lands in one flat map from monomial to
     {hbar exponent: int}, returned with the zeros of cancellations.
     """
-    odd = kind == BIG_T_SIDE  # weight(T_m) = 2m + 1, weight(t_k) = k
-    scalar, mults, by_var = plan.scalar, plan.mults, plan.by_var
+    odd = op.kind == BIG_T_SIDE  # weight(T_m) = 2m + 1, weight(t_k) = k
+    scalar, mults, by_var = op.scalar, op.mults, op.by_var
     out: dict[Mono, dict] = {}
 
     def emit(mono, citems, pairs):
@@ -255,108 +334,6 @@ def _scaled(pairs: dict, n: int) -> tuple:
     return got
 
 
-class _ApplyPlan:
-    """A LinearOp compiled for `_apply_plan`: the integer operator D·op.
-
-    D is the LCM of the op's coefficient denominators, cleared once here;
-    coefficients are tuples of (hbar exponent, int) pairs of D·op.  The
-    multiplicative terms ("id" merged into `scalar`, "m" and "mm" in
-    `mults`, ascending in the weight they add) act on every monomial;
-    the derivative terms are indexed by the variable they differentiate
-    (for "dd", the smaller one), so a monomial only meets the terms of
-    the variables it contains.  Derivative coefficients are kept as
-    {integer factor: pairs} memos, factor 1 being the coefficient itself,
-    since a derivative multiplies by the variable's exponent.
-
-    For `exp_apply` the plan also numbers monomials lazily (`ids` maps a
-    monomial to its id, `monos` an id back to its monomial; nothing is
-    numbered up front) and keeps one row per monomial once it is reached
-    (`rows[id]`, None until then): the image of that unit monomial under
-    D·op, computed by `_apply_plan` itself, as a tuple of (target id,
-    hbar exponent, integer factor).  Only ops that drop weight by at least
-    1 reach `exp_apply`, so they have no "id", "m" or "mm" terms, and every
-    image lies strictly below its monomial's weight: no cap cuts a row, a
-    row depends on its monomial alone, and it serves every iterate of
-    every later call on the same op, exp(op) and exp(-op) alike.  Rows
-    live and die with the op.  `low` and `span` bound the op's hbar
-    exponents (see `compile_rows`).
-    """
-
-    __slots__ = ("D", "drop", "scalar", "mults", "by_var", "ids", "monos", "rows", "low", "span")
-
-    def __init__(self, op: LinearOp):
-        self.D = D = math.lcm(*(c.denominator for h in op.terms.values() for c in h.terms.values()))
-        self.drop = min((op.term_drop(k) for k in op.terms), default=0)
-        self.scalar = ()
-        self.mults = []
-        self.by_var: dict[int, tuple] = {}
-        self.ids: dict[Mono, int] = {}
-        self.monos: list[Mono] = []
-        self.rows: list[tuple | None] = []
-        exps = [e for c in op.terms.values() for e in c.terms]
-        self.low = min(exps, default=0)
-        self.span = max(exps, default=0) - self.low + 1
-        d_pairs, md, dd_same, dd_other = {}, {}, {}, {}
-        for key, c in op.terms.items():
-            tag = key[0]
-            pairs = tuple((e, x.numerator * (D // x.denominator)) for e, x in c.terms.items())
-            if tag == "id":
-                self.scalar = pairs
-            elif tag in ("m", "mm"):
-                self.mults.append((key[1:], -op.term_drop(key), pairs))
-            elif tag == "d":
-                d_pairs[key[1]] = {1: pairs}
-            elif tag == "md":
-                a, b = key[1], key[2]
-                md.setdefault(b, []).append((a, var_weight(op.kind, a), {1: pairs}))
-            elif tag == "dd":
-                a, b = key[1], key[2]
-                if a == b:
-                    dd_same[a] = {1: pairs}
-                else:
-                    dd_other.setdefault(a, {})[b] = {1: pairs}
-            else:
-                raise ValueError(f"unknown term tag {tag!r}")
-        self.mults.sort(key=lambda m: m[1])
-        for v in {*d_pairs, *md, *dd_same, *dd_other}:
-            self.by_var[v] = (
-                d_pairs.get(v),
-                md.get(v, []),
-                dd_same.get(v),
-                dd_other.get(v),
-            )
-
-    def number(self, mono: Mono) -> int:
-        """The id of the monomial, numbering it (with no row yet) if new."""
-        i = self.ids.get(mono)
-        if i is None:
-            i = self.ids[mono] = len(self.monos)
-            self.monos.append(mono)
-            self.rows.append(None)
-        return i
-
-    def compile_rows(self, ids: list, kind: str, cap: int) -> None:
-        """Build and keep the rows of the monomial ids `ids` in one kernel pass.
-
-        The k-th monomial enters `_apply_plan` on its own band of hbar
-        exponents, as the unit coefficient at k·span − low, so an image term
-        of exponent k·span + (e − low), e in [low, low + span) an exponent
-        of the op, came from that monomial with the op's exponent e.  Any
-        cap at or above the monomials' weights gives the same rows.
-        """
-        monos, span, low = self.monos, self.span, self.low
-        image = _apply_plan(self, kind, cap, [(monos[i], {k * span - low: 1}) for k, i in enumerate(ids)])
-        entries = [[] for _ in ids]
-        number = self.number
-        for target, slot in image.items():
-            for e, c in slot.items():
-                if c:
-                    k, r = divmod(e, span)
-                    entries[k].append((number(target), r + low, c))
-        for i, row in zip(ids, entries):
-            self.rows[i] = tuple(row)
-
-
 def exp_apply(op: LinearOp, P: TPoly, *, inverse: bool = False) -> TPoly:
     """exp(op) . P, or exp(-op) . P with `inverse`, as a finite sum; op
     must drop weight by at least 1.  The sum runs on integers, in
@@ -372,7 +349,7 @@ def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False,
     the pair (acc, d) of value acc / d, not brought to lowest terms: num
     and acc map monomials of weight <= cap to {hbar exponent: int}, and d
     is den times a positive integer.  op must be zero or drop weight by
-    at least 1.  The sum runs on ids of op's plan, in `_exp_ids`: the
+    at least 1.  The sum runs on op's monomial ids, in `_exp_ids`: the
     monomials are numbered on the way in and mapped back on the way out,
     the zeros of cancellations dropped.  When every coefficient of op and
     of num is a multiple of hbar^0, the ids are monomial ids; otherwise
@@ -381,9 +358,8 @@ def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False,
     """
     if op.is_zero():
         return num, den
-    plan = op._compiled()
-    number, monos = plan.number, plan.monos
-    if plan.low == 0 and plan.span == 1 and all(len(slot) == 1 and 0 in slot for slot in num.values()):
+    number, monos = op.number, op.monos
+    if op.low == 0 and op.span == 1 and all(len(slot) == 1 and 0 in slot for slot in num.values()):
         total, den = _exp_ids(op, {number(mono): slot[0] for mono, slot in num.items()}, cap, inverse, den)
         return {monos[i]: {0: c} for i, c in total.items() if c}, den
     u = {(number(mono), e): c for mono, slot in num.items() for e, c in slot.items()}
@@ -396,7 +372,7 @@ def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False,
 
 
 def _exp_ids(op: LinearOp, u: dict, cap: int, inverse: bool, den: int, flat: bool = True) -> tuple[dict, int]:
-    """exp(±op) . (u / den) on the ids of op's plan, as (total, d) of value
+    """exp(±op) . (u / den) on op's monomial ids, as (total, d) of value
     total / d, the zeros of cancellations kept: u and total map monomial
     ids (with `flat`) or (id, hbar exponent) pairs to ints.
 
@@ -410,8 +386,8 @@ def _exp_ids(op: LinearOp, u: dict, cap: int, inverse: bool, den: int, flat: boo
     every weight (±1)^n N!/n! · D^(N-n) an integer: exp(-op) reads the
     same iterates, and so the same rows, as exp(op), with the weights of
     the odd n negated.  Each step is a sparse integer matrix-vector
-    product read from the rows of op's integer plan D·op (see
-    `_ApplyPlan`); a row is built the first time its monomial is reached
+    product read from the rows of the integer operator D·op (see
+    `LinearOp`); a row is built the first time its monomial is reached
     and kept on the op, so later iterates and later calls on the same op
     only look it up.
     """
@@ -419,8 +395,7 @@ def _exp_ids(op: LinearOp, u: dict, cap: int, inverse: bool, den: int, flat: boo
         return u, den
     if op.min_weight_drop < 1:
         raise ValueError("exponential does not terminate on truncated space")
-    plan = op._compiled()
-    D, rows = plan.D, plan.rows
+    D, rows = op.D, op.rows
     iterates = [u]
     bound = cap // op.min_weight_drop + 1
     while True:
@@ -428,7 +403,7 @@ def _exp_ids(op: LinearOp, u: dict, cap: int, inverse: bool, den: int, flat: boo
         ids = u if flat else dict.fromkeys(i for i, _ in u)
         unseen = [i for i in ids if rows[i] is None]
         if unseen:
-            plan.compile_rows(unseen, op.kind, cap)
+            op.compile_rows(unseen, cap)
         if flat:
             for i, c1 in u.items():
                 for j, _, c2 in rows[i]:
@@ -964,10 +939,10 @@ def virasoro_conjugation_check(curve: CurveSeries, W: int, *, flip_sign: bool = 
     in (mode, basis) order, so the report is the same either way.  The
     flip-sign control stays in process: it stops at its first witness.
 
-    Both sides stay integers on the ids of V's plan (V is hbar-free):
+    Both sides stay integers on V's monomial ids (V is hbar-free):
     V^{-1}m in lowest terms, J_k as a memo on ids (`_current_memo`), V
     through the iterate loop (`_exp_ids`), and X_k m, one kernel call,
-    compared on the plan's ids (`_same_on_ids`); only a failing witness
+    compared on V's ids (`_same_on_ids`); only a failing witness
     is mapped back to monomials, as a polynomial.
     """
     modes = [k for k in range(-W, W + 1) if k]
@@ -981,9 +956,8 @@ def virasoro_conjugation_check(curve: CurveSeries, W: int, *, flip_sign: bool = 
     # A's rows).  The inverse only drops weight, so its action on a
     # weight-<=W monomial does not depend on the ambient cap.
     big = group_element(curve, max_cap)
-    plan = big._compiled()
     inv_images = [exp_apply(big, P, inverse=not flip_sign) for P in unit_monomials(T_SIDE, W)]
-    inv_images = [({plan.number(mono): slot[0] for mono, slot in P.num.items()}, P.den) for P in inv_images]
+    inv_images = [({big.number(mono): slot[0] for mono, slot in P.num.items()}, P.den) for P in inv_images]
     flow, mult = _current_transform_series(curve, max_cap, W)
 
     def check(start: int, step: int, poll: Callable[[], object] = lambda: None) -> tuple[int, list]:
@@ -995,19 +969,19 @@ def virasoro_conjugation_check(curve: CurveSeries, W: int, *, flip_sign: bool = 
         support = list(dict.fromkeys(i for b in positions for i in inv_images[b][0]))
         for a, k in enumerate(modes):
             cap = W + max(0, -k)
-            jk = _current_memo(k, cap, plan, support)
+            jk = _current_memo(k, cap, big, support)
             # X_k raises weight by at most the lift, so the cap cuts no image
-            rhs = _current_transform_coeffs(k, cap, flow, mult)._compiled()
+            rhs = _current_transform_coeffs(k, cap, flow, mult)
             for b in positions:
                 poll()
                 inv, den = inv_images[b]
                 image = {hit[0]: c * hit[1] for i, c in inv.items() if (hit := jk.get(i))}
                 left, dl = _exp_ids(big, image, cap, flip_sign, den)
                 mono = basis_monos[b]
-                right = _apply_plan(rhs, T_SIDE, cap, ((mono, {0: 1}),))
+                right = _apply_plan(rhs, cap, ((mono, {0: 1}),))
                 checked += 1
-                if not _same_on_ids(left, dl, right, rhs.D, plan.ids):
-                    left = {plan.monos[i]: {0: c} for i, c in left.items() if c}
+                if not _same_on_ids(left, dl, right, rhs.D, big.ids):
+                    left = {big.monos[i]: {0: c} for i, c in left.items() if c}
                     witness = _difference(T_SIDE, cap, (left, dl), (right, rhs.D))
                     failures.append((a, b, {"mode": k, "input": mono_str(T_SIDE, mono), "difference": repr(witness)}))
                     if flip_sign:
@@ -1023,15 +997,14 @@ def virasoro_conjugation_check(curve: CurveSeries, W: int, *, flip_sign: bool = 
     )
 
 
-def _current_memo(k: int, cap: int, plan: _ApplyPlan, ids: list) -> dict:
+def _current_memo(k: int, cap: int, op: LinearOp, ids: list) -> dict:
     """J_k = `heisenberg_op(k, cap)`, one term c·d/dt_v or c·t_v with c an
-    integer, on the ids `ids` of `plan`, monomials J_k keeps within cap:
-    memo[i] = (j, f) when J_k sends monomial i to the integer f times
-    monomial j (numbered into the plan), no entry where it gives 0.  J_k
+    integer, on the monomial ids `ids` of `op`, monomials J_k keeps within
+    cap: memo[i] = (j, f) when J_k sends monomial i to the integer f times
+    monomial j (numbered into `op`), no entry where it gives 0.  J_k
     is injective on monomials, so it acts on a combination term by term."""
-    ((tag, v), c), = heisenberg_op(k, cap).terms.items()
-    c = int(c.terms[0])
-    monos, number, memo = plan.monos, plan.number, {}
+    ((tag, v), ((_, c),)), = heisenberg_op(k, cap).pairs.items()
+    monos, number, memo = op.monos, op.number, {}
     for i in ids:
         mono = monos[i]
         if tag == "m":
@@ -1044,7 +1017,7 @@ def _current_memo(k: int, cap: int, plan: _ApplyPlan, ids: list) -> dict:
 
 
 def _same_on_ids(left: dict, dl: int, right: dict, dr: int, ids: dict) -> bool:
-    """`same_value` for left on the ids `ids` of a plan ({id: int}) and
+    """`same_value` for left on the monomial ids `ids` of an op ({id: int}) and
     right on monomials, zeros allowed: a nonzero right term off hbar^0 or
     on a monomial without an id fails, and once every nonzero right term
     matches, left may have no other nonzero term."""

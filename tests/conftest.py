@@ -456,7 +456,7 @@ def reference_virasoro_factorization_check(curve, W):
 def reference_conjugation_check(curve, W, flip_sign=False):
     """The former `virasoro_conjugation_check`, in process: V^{-1}m through
     `exp_apply`, J_k through the apply kernel on its monomials, V through
-    `_exp_numerators` (monomials numbered into V's plan and mapped back),
+    `_exp_numerators` (monomials numbered into V and mapped back),
     and the sides compared on monomials by `same_value`."""
     big = operators.group_element(curve, 2 * W)
     inv_images = [exp_apply(big, P, inverse=not flip_sign) for P in unit_monomials(T_SIDE, W)]
@@ -464,12 +464,12 @@ def reference_conjugation_check(curve, W, flip_sign=False):
     report = EqualityReport(label=f"current-conjugation W={W}")
     for k in [k for k in range(-W, W + 1) if k]:
         cap = W + max(0, -k)
-        jk = operators.heisenberg_op(k, cap)._compiled()
-        rhs = operators._current_transform_coeffs(k, cap, flow, mult)._compiled()
+        jk = operators.heisenberg_op(k, cap)
+        rhs = operators._current_transform_coeffs(k, cap, flow, mult)
         for mono, inv in zip(weight_monomials(T_SIDE, W), inv_images):
-            image = operators._apply_plan(jk, T_SIDE, cap, inv.num.items())
+            image = operators._apply_plan(jk, cap, inv.num.items())
             left, dl = operators._exp_numerators(big, image, cap, flip_sign, jk.D * inv.den)
-            right = operators._apply_plan(rhs, T_SIDE, cap, ((mono, {0: 1}),))
+            right = operators._apply_plan(rhs, cap, ((mono, {0: 1}),))
             report.checked += 1
             if not same_value(left, dl, right, rhs.D):
                 witness = operators._difference(T_SIDE, cap, (left, dl), (right, rhs.D))

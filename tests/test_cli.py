@@ -238,6 +238,9 @@ class TestReportsAndDeterminism:
         ["verify", "identification", "--perturbed", "--weight", "0"],
         ["verify", "theorem-hodge", "--q", "1", "--p", "3", "--s", "2", "--weight", "2"],
         ["verify", "kp-kw", "--weight", "1"],
+        ["tau", "kw", "--weight", "5", "--q", "1", "--p", "3", "--s", "2"],
+        ["tau", "bgw", "--weight", "5", "--q", "1", "--p", "3", "--s", "2"],
+        ["verify", "lemma-laplace", "--perturbed"],
         ["verify", "lemma-grunsky", "--weight", "99999999999999999999999"],
         ["tau", "kw", "--weight", "99999999999999999999999"],
         ["verify", "lemma-grunsky", "--q", "1", "--p", "3", "--s", "2", "--weight", "4611686018427387902"],
@@ -468,10 +471,10 @@ def test_one_group_element_and_one_quantized_pair_per_point(monkeypatch):
     import hodgekp.operators as operators
 
     caps, directs, factorizeds, kernels, rows = [], Counter(), Counter(), Counter(), Counter()
-    plans = []  # held, so that no plan's id is reused within the run
+    ops = []  # held, so that no op's id is reused within the run
     real_sum, real_direct, real_factorized = operators.virasoro_sum_op, operators.givental_direct, operators.givental_factorized
     real_kernel = operators.givental_kernel
-    real_rows = operators._ApplyPlan.compile_rows
+    real_rows = operators.LinearOp.compile_rows
 
     def virasoro_sum_op(a, W):
         caps.append(W)
@@ -489,16 +492,16 @@ def test_one_group_element_and_one_quantized_pair_per_point(monkeypatch):
         kernels[repr(R), W] += 1
         return real_kernel(R, W)
 
-    def compile_rows(plan, ids, kind, cap):
-        plans.append(plan)
-        rows.update((id(plan), plan.monos[i]) for i in ids)
-        return real_rows(plan, ids, kind, cap)
+    def compile_rows(op, ids, cap):
+        ops.append(op)
+        rows.update((id(op), op.monos[i]) for i in ids)
+        return real_rows(op, ids, cap)
 
     monkeypatch.setattr(operators, "virasoro_sum_op", virasoro_sum_op)
     monkeypatch.setattr(operators, "givental_direct", givental_direct)
     monkeypatch.setattr(operators, "givental_factorized", givental_factorized)
     monkeypatch.setattr(operators, "givental_kernel", givental_kernel)
-    monkeypatch.setattr(operators._ApplyPlan, "compile_rows", compile_rows)
+    monkeypatch.setattr(operators.LinearOp, "compile_rows", compile_rows)
     W = 5
     code, _ = run_verification(RunConfig(checks=GROUP_READERS, points=TWO_POINTS, weight=W))
     assert code == 0

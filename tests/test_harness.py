@@ -6,7 +6,7 @@ Every route pair is compared on integer numerators by `same_value`, and a
 bodies and compare them with `==`.  Under each mutation below the two
 must report the same failures, entry by entry, and raise the same
 `InvariantViolation` text; unmutated, both pass.  The conjugation check,
-which runs on the ids of V's plan, is held to its former loop on
+which runs on V's monomial ids, is held to its former loop on
 monomials the same way.
 """
 
@@ -192,7 +192,7 @@ def test_chain_reduces_an_intermediate_only_past_512_bits():
 @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
 def test_conjugation_at_every_catalog_point(point):
     # one curve for the check and one for the reference, so neither reads
-    # monomials the other numbered into V's plan
+    # monomials the other numbered into V
     mine, ref = build_curve(point, 14), build_curve(point, 14)
     for W in range(3, 7):
         rep = virasoro_conjugation_check(mine, W)
@@ -219,9 +219,9 @@ def test_conjugation_under_a_mutated_current_mode(monkeypatch, path, n, mode, mu
 
 
 def test_conjugation_fails_on_a_monomial_its_plan_never_numbered(monkeypatch):
-    # t_{W+1} lies in no monomial of V's plan: J_k brings in t_{-k} at
+    # t_{W+1} lies in no monomial V numbered: J_k brings in t_{-k} at
     # most, and V only lowers indices; so (1/7)·t_{W+1} in X_{-W} lands off
-    # the plan on every monomial of weight below W, and each is a failure
+    # V's ids on every monomial of weight below W, and each is a failure
     mutated_current_mode(monkeypatch, -CONJ_W, "unnumbered", CONJ_W)
     real, off_plan = operators._same_on_ids, []
 

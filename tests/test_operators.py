@@ -227,6 +227,49 @@ class TestFusedApply:
         assert op.min_weight_drop == expect
 
 
+class TestIntegerForm:
+    """A `LinearOp` holds D·op on integers; `terms` is a view built from it."""
+
+    @given(apply_cases())
+    def test_rebuilt_from_its_terms(self, case):
+        op, P = case
+        terms = op.terms
+        assert op.D == math.lcm(*(x.denominator for h in terms.values() for x in h.terms.values()))
+        assert all(type(c) is int for pairs in op.pairs.values() for _, c in pairs)
+        again = LinearOp(op.kind, terms)
+        assert (again.D, again.pairs, again.min_weight_drop) == (op.D, op.pairs, op.min_weight_drop)
+        assert again.apply(P) == op.apply(P)
+
+    @given(apply_cases())
+    def test_mutating_the_terms_view_leaves_the_op(self, case):
+        # the view of a fresh op, changed before the op's first use
+        op, P = case
+        fresh = LinearOp(op.kind, op.terms)
+        view = fresh.terms
+        for c in view.values():
+            c.terms[0] = c.coeff(0) + 1
+        view[("id",)] = HbarPoly.const(5)
+        assert fresh.terms == op.terms
+        assert fresh.apply(P) == op.apply(P)
+
+    @pytest.mark.parametrize("kind", ["t", "T"])
+    def test_cancelling_items_leave_the_zero_op(self, kind):
+        for op in (
+            LinearOp.from_terms(kind, [("d", 1, F(1, 3)), ("d", 1, F(-1, 3))]),
+            LinearOp(kind, {("d", 1): HbarPoly()}),
+            w_op(1, 9).scale(0) if kind == "T" else virasoro_op(1, 9).scale(0),
+        ):
+            assert op.is_zero() and op.D == 1
+            assert op.pairs == {} and op.terms == {} and op.min_weight_drop == 0
+
+    @pytest.mark.parametrize("key", [("x", 1), ("mmm", 1, 2, 3), ("",)])
+    def test_unknown_tag_fails_at_construction(self, key):
+        with pytest.raises(ValueError, match="unknown term tag"):
+            LinearOp("t", {key: HbarPoly.const(F(1, 2))})
+        with pytest.raises(ValueError, match="unknown term tag"):
+            LinearOp.from_terms("T", [(*key, F(1, 2))])
+
+
 class TestHeisenbergModes:
     def test_derivative_mode(self):
         assert heisenberg_op(3, 9).apply(t(3)) == TPoly.one("t", 9)
@@ -482,7 +525,7 @@ class TestIntegerExponential:
     @pytest.mark.parametrize("kind", ["t", "T"])
     def test_rows_reused_across_calls(self, kind):
         # one op applied in turn to inputs at several caps: the later calls
-        # read the rows the earlier ones compiled on the op's plan
+        # read the rows the earlier ones compiled on the op
         @given(apply_cases(kinds=(kind,)).filter(lambda case: case[0].min_weight_drop >= 1), st.data())
         def check(case, data):
             op, P = case
@@ -570,23 +613,23 @@ class TestIntegerExponential:
             finally:
                 inside[0] -= 1
 
-        def counting_kernel(plan, kind, cap, items):
+        def counting_kernel(op, cap, items):
             items = list(items)
             if inside[0]:
-                kernel_calls.append((plan, [mono for mono, _ in items]))
-            return real_kernel(plan, kind, cap, items)
+                kernel_calls.append((op, [mono for mono, _ in items]))
+            return real_kernel(op, cap, items)
 
         monkeypatch.setattr(operators, "_exp_ids", counting_exp)
         monkeypatch.setattr(operators, "_apply_plan", counting_kernel)
         for flip_sign in (False, True):
             rep = virasoro_conjugation_check(curve, 4, flip_sign=flip_sign)
             assert rep.passed != flip_sign and rep.checked > 0
-        reached = Counter((id(plan), mono) for plan, monos in kernel_calls for mono in monos)
+        reached = Counter((id(op), mono) for op, monos in kernel_calls for mono in monos)
         assert reached and max(reached.values()) == 1
         assert len(kernel_calls) <= len(reached)
-        # one group element: V^{-1} reads V's plan, and the control reads
+        # one group element: V^{-1} reads V's rows, and the control reads
         # the same element as the check
-        assert len({id(plan) for plan, _ in kernel_calls}) == 1
+        assert len({id(op) for op, _ in kernel_calls}) == 1
         assert len({id(op) for op in exp_calls}) == 1
         # the reuse is real: many more applications than ops
         assert len(exp_calls) > 10
@@ -925,7 +968,7 @@ class TestConjugation:
     def test_mutated_modes_fail_as_in_the_polynomial_comparison(self, curve132, monkeypatch, mode, mutation):
         # X_k changed by 1/7 in one coefficient (of t_2 for k = -2), by one
         # extra term, (1/7) d/dt_1 or (1/7) t_6 (whose images lie off V's
-        # plan), or without one term that acts on the basis
+        # ids), or without one term that acts on the basis
         mutated_current_mode(monkeypatch, mode, mutation, 5)
         rep = virasoro_conjugation_check(curve132, 5)
         expect = polynomial_conjugation_report(curve132, 5)
@@ -1025,10 +1068,10 @@ class TestConjugationSplit:
         mono = weight_monomials("t", self.W)[position]
         real = operators._apply_plan
 
-        def patched(plan, kind, cap, items):
+        def patched(op, cap, items):
             if items == ((mono, {0: 1}),):
                 raise InvariantViolation(message)
-            return real(plan, kind, cap, items)
+            return real(op, cap, items)
 
         monkeypatch.setattr(operators, "_apply_plan", patched)
 
@@ -1192,20 +1235,19 @@ def test_current_memo_is_the_current_mode_on_plan_ids(point):
     curve = build_curve(point, 14)
     for W in range(1, 7):
         big = operators.group_element(curve, 2 * W)
-        plan = big._compiled()
         invs = [exp_apply(big, P, inverse=True) for P in operators.unit_monomials("t", W)]
-        ids = list(dict.fromkeys(plan.number(mono) for inv in invs for mono in inv.num))
+        ids = list(dict.fromkeys(big.number(mono) for inv in invs for mono in inv.num))
         for k in [k for k in range(-W, W + 1) if k]:
             cap = W + max(0, -k)
-            memo = operators._current_memo(k, cap, plan, ids)
+            memo = operators._current_memo(k, cap, big, ids)
             assert set(memo) <= set(ids)
             assert len({j for j, _ in memo.values()}) == len(memo)  # distinct images
             for inv in invs:
                 image = {}
                 for mono, slot in inv.num.items():
-                    hit = memo.get(plan.ids[mono])
+                    hit = memo.get(big.ids[mono])
                     if hit:
-                        image[plan.monos[hit[0]]] = {0: slot[0] * hit[1]}
+                        image[big.monos[hit[0]]] = {0: slot[0] * hit[1]}
                 got = TPoly._normal("t", cap, image, inv.den)
                 assert got == heisenberg_op(k, cap).apply(with_max_weight(inv, cap)), (W, k)
 

@@ -450,7 +450,7 @@ class TestFaberPandharipande:
 
 
 class TestLambdaG:
-    """Two- and three-point linear Hodge integrals against the lambda_g
+    """Two-, three- and four-point linear Hodge integrals against the lambda_g
     formula <tau_a1 ... tau_an lambda_g>_g = C(2g-3+n; a) b_g
     (Getzler-Pandharipande, Faber-Pandharipande), with
     1 + sum_g b_g t^(2g) = (t/2)/sin(t/2), the k = 0 part of the
@@ -485,38 +485,56 @@ class TestLambdaG:
                 assert got[a, b, g] == (-4) ** g * math.comb(2 * g - 1, a) * fp[g, 0], (a, b, g)
         assert got == {(0, 1, 1): F(-1, 6), (0, 3, 2): F(7, 360), (1, 2, 2): F(7, 120)}
 
-    def test_in_band_three_point_coefficients(self, Z):
-        # [m] log Z read from Z restricted to the divisors of m: with u that
-        # restriction less its constant term, log(1 + u) = u - u^2/2 + u^3/3
-        # at a monomial of three factors.  The constant term is 1 at every
-        # in-band hbar exponent, 12e <= W; above that it is a partial sum.
+    def _in_band_connected(self, Z, n):
+        """{a: [T_a1 ... T_an hbar^(2g-2+n)] log Z} over the in-band a,
+        a ascending, each checked against the lambda_g formula.  [m] log Z
+        is read from Z restricted to the divisors of m: with u that
+        restriction less its constant term, log(1 + u) = sum_j (-1)^(j+1)
+        u^j / j over j <= n at a monomial of n factors.  The constant term
+        is 1 at every in-band hbar exponent, 12e <= W; above that it is a
+        partial sum."""
         a_band, b_band = trust_band(Z.kind)
         assert [Z.body.coeff(()).coeff(e) for e in range(self.W // a_band + 1)] == [1, 0, 0]
         G = 3
         fp = _faber_pandharipande(G)
         got = {}
         for g in range(1, G + 1):
-            e = 2 * g + 1
-            for a, b, c in partitions_into(2 * g, 3, 2 * g):
-                if a_band * e > self.W + b_band * (4 * g + 3):
+            d, e = 2 * g - 3 + n, 2 * g - 2 + n
+            for parts in partitions_into(d, n, d):
+                if a_band * e > self.W + b_band * (2 * d + n):
                     continue
-                mult = Counter((a, b, c))
+                mult = Counter(parts)
                 mono = tuple(sorted(mult.items()))
                 powers = itertools.product(*(range(k + 1) for k in mult.values()))
                 divisors = [tuple((v, k) for v, k in zip(mult, ks) if k) for ks in powers]
-                u = TPoly("T", self.W, {d: Z.body.coeff(d) for d in divisors if d})
-                log = u - (u * u).scale(F(1, 2)) + (u * u * u).scale(F(1, 3))
+                u = TPoly("T", self.W, {m: Z.body.coeff(m) for m in divisors if m})
+                log, power = TPoly.zero("T", self.W), TPoly.one("T", self.W)
+                for j in range(1, n + 1):
+                    power = power * u
+                    log = log + power.scale(F((-1) ** (j + 1), j))
                 aut = math.prod(math.factorial(k) for k in mult.values())
-                multinomial = math.factorial(2 * g) // (math.factorial(a) * math.factorial(b) * math.factorial(c))
-                got[c, b, a] = log.coeff(mono).coeff(e)
-                assert got[c, b, a] == (-4) ** g * multinomial * fp[g, 0] / aut, (a, b, c, g)
-        assert got == {
+                multinomial = math.factorial(d) // math.prod(math.factorial(a) for a in parts)
+                got[parts[::-1]] = log.coeff(mono).coeff(e)
+                assert got[parts[::-1]] == (-4) ** g * multinomial * fp[g, 0] / aut, (parts, g)
+        return got
+
+    def test_in_band_three_point_coefficients(self, Z):
+        assert self._in_band_connected(Z, 3) == {
             (0, 0, 2): F(-1, 12),
             (0, 1, 1): F(-1, 6),
             (0, 0, 4): F(7, 720),
             (0, 1, 3): F(7, 90),
             (0, 2, 2): F(7, 120),
             (1, 1, 2): F(7, 60),
+        }
+
+    def test_in_band_four_point_coefficients(self, Z):
+        # the -u^4/4 term of log(1 + u) enters; at W = 27 only g = 1 is in
+        # band, 12·4 <= 27 + 3·10
+        assert self._in_band_connected(Z, 4) == {
+            (0, 1, 1, 1): F(-1, 6),
+            (0, 0, 1, 2): F(-1, 4),
+            (0, 0, 0, 3): F(-1, 36),
         }
 
 
