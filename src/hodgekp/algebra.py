@@ -444,7 +444,7 @@ class ZSeries:
         b, d = _recurrence([-x for x in a], [a[0]] * (self.order + 1))
         return ZSeries._normal([x * self.den for x in b], self.order, d * a[0])
 
-    # -- composition and reversion ------------------------------------------
+    # -- composition --------------------------------------------------------
 
     def compose(self, inner: "ZSeries") -> "ZSeries":
         """Substitute inner(z) for z; inner must have zero constant term.
@@ -453,39 +453,22 @@ class ZSeries:
         numerators s_j of self, acc <- acc·X/d + s_j from j = n down to
         0, each step over its own denominator in lowest terms (a cut-off
         product shares a large factor with d^k, and carrying it would
-        grow the integers with every step).
+        grow the integers with every step).  The j multiplications still
+        to come after step j are each by a series of valuation >= 1, so
+        only the coefficients of z^0..z^(n-j) of acc reach the result,
+        and the step keeps just those.
         """
         if inner.num[0] != 0:
             raise ValueError("inner series must have zero constant term")
         order = min(self.order, inner.order)
         X = inner.num[: order + 1]
-        acc, den = [self.num[order]] + [0] * order, 1
+        acc, den = [self.num[order]], 1
         for j in range(order - 1, -1, -1):
             den *= inner.den
-            acc = _convolve(acc, X, order + 1)
+            acc = _convolve(acc, X, order - j + 1)
             acc[0] += self.num[j] * den
             acc, den = _lowest_terms(acc, den)
         return ZSeries._normal(acc, order, self.den * den)
-
-    def reversion(self) -> "ZSeries":
-        """Compositional inverse h of a series f = z + O(z^2).
-
-        Lagrange inversion: [z^m] h = [z^(m-1)] g^m / m with g = z/f,
-        so one reciprocal and a running product of g give every
-        coefficient.  Each power is kept in lowest terms, for the reason
-        given in `compose`.
-        """
-        if self.num[0] != 0 or self.numerator(1) != self.den:
-            raise ValueError("reversion needs a series of the form z + O(z^2)")
-        n = self.order
-        g = self.shift(-1).recip()  # z/f, trusted to order n - 1
-        power = ZSeries.one(g.order)
-        b = [(0, 1)]
-        for m in range(1, n + 1):
-            power = power * g
-            b.append((power.numerator(m - 1), m * power.den))
-        den = math.lcm(*[d for _, d in b])
-        return ZSeries._normal([c * (den // d) for c, d in b], n, den)
 
     # -- transcendental -----------------------------------------------------
 

@@ -130,7 +130,7 @@ class CurveSeries:
     """All univariate series data of one parameter point, truncated at order K.
 
     For the in-family builder the fields satisfy (up to the stated
-    orders): f = z + O(z^2), h = reversion(f), f^2/2 = x, N*x' = z,
+    orders): f = z + O(z^2), h = f^(-1), f^2/2 = x, N*x' = z,
     R(z)R(-z) = 1 and I(z) = R(-z).  params is None for the synthetic
     out-of-family control pipeline.
     """
@@ -185,7 +185,7 @@ def _curve_from_denominator(N_poly: ZSeries, K: int):
     x = (ZSeries.z(work) * inv_n).truncate(work).antiderivative()  # z/N integrated
     y = inv_n.antiderivative()  # since dx/z = dz/N
     f = x.scale(2).sqrt_normalized()
-    h = f.truncate(K).reversion()
+    h = _inverse_from_denominator(N_full, K)
     return (
         x.truncate(K),
         f.truncate(K),
@@ -193,6 +193,43 @@ def _curve_from_denominator(N_poly: ZSeries, K: int):
         y.truncate(K),
         N_full.truncate(K),
     )
+
+
+def _inverse_from_denominator(N: ZSeries, K: int) -> ZSeries:
+    """h = f^(-1) to order K, read from the denominator N (N(0) = 1, known
+    to order >= K - 1) of the curve x' = z/N, x = f^2/2, without f.
+
+    x(h(w)) = w^2/2 gives h·h' = w·N(h).  With h = sum c_m w^m, c_1 = 1, the
+    terms of [w^m] (h·h') that hold c_m are (m+1)·c_m, and the rest pair
+    c_i with c_(m+1-i), so for m >= 2
+        c_m = [w^(m-1)] N(h) / (m+1) - sum_(i=2)^(m-1) c_i·c_(m+1-i) / 2,
+    where [w^(m-1)] h^e reads c_1..c_(m-e) only.  The powers h^e, e up to
+    the degree of N, grow by one coefficient per step.  On the integers:
+    c_i = C_i / d and [w^j] h^e = P_e[j] / d^e over one running
+    denominator d, rescaled when it grows, as in `witt_coefficients`.
+    """
+    n = N.num[:K]
+    E = max((e for e, c in enumerate(n) if c), default=0)
+    top = max(E, 2)  # [w^(m-1)] N(h) and the pair sum over den·d^top
+    C = [0, 1] + [0] * (K - 1)
+    P = [None, C] + [[0] * K for _ in range(2, E + 1)]  # P[e][j] = d^e·[w^j] h^e
+    d = 1
+    for m in range(2, K + 1):
+        j = m - 1
+        for e in range(2, E + 1):
+            P[e][j] = sum(map(operator.mul, C[1 : j - e + 2], reversed(P[e - 1][e - 1 : j])))
+        nh = sum(n[e] * P[e][j] * d ** (top - e) for e in range(1, E + 1))
+        pairs = sum(map(operator.mul, C[2:m], reversed(C[2:m])))
+        num = 2 * nh - (m + 1) * N.den * pairs * d ** (top - 2)
+        den = 2 * (m + 1) * N.den * d**top
+        q = den // math.gcd(num, den)
+        if d % q:
+            r = q // math.gcd(d, q)
+            d *= r
+            C[:] = [x * r for x in C]
+            P[2:] = [[x * r**e for x in P[e]] for e in range(2, E + 1)]
+        C[m] = num * d // den
+    return ZSeries._normal(C, K, d)
 
 
 # The smallest series order a curve can be built to.

@@ -631,14 +631,16 @@ def _chain(*cores: Core) -> Core:
 def givental_direct(couplings: Mapping[int, Fraction], W: int, mode: str = "standard") -> PolyMap:
     """The map P -> exp(sum_k c_k W_k) . P on T-side polynomials of weight
     cap W, with the generators of the side `mode`, evaluated termwise
-    (finite by nilpotence).  The operator is built once; the returned map
-    applies it."""
+    (finite by nilpotence).  The operator is built once, from the terms
+    of the W_k; the returned map applies it."""
     dilaton_time(mode)  # an unknown mode fails even where no W_k acts
-    op = LinearOp(BIG_T_SIDE)
-    for k, c in sorted(couplings.items()):
-        if c and 4 * k - 2 <= W:
-            op = op + w_op(k, W, mode).scale(c)
-    return _map_on(BIG_T_SIDE, W, _exp_core(op, W))
+    items = (
+        (*key, v * c)
+        for k, c in sorted(couplings.items())
+        if c and 4 * k - 2 <= W
+        for key, v in w_op(k, W, mode).terms.items()
+    )
+    return _map_on(BIG_T_SIDE, W, _exp_core(LinearOp.from_terms(BIG_T_SIDE, items), W))
 
 
 def transformed_variable_images(
@@ -756,14 +758,13 @@ def tqp_forms(params, max_index: int, W: int) -> list[TPoly]:
     T_0 = t_1 and T_k = (q L_0 + ((2q+p)/s) L_{-1} + (L_{-2} - t_1^2/2))
     applied to T_{k-1}.  The quadratic parts of L_{-2} and -t_1^2/2
     cancel exactly; the result must stay linear, and any residual
-    nonlinearity aborts.
+    nonlinearity aborts.  The operator is built once, from the terms of
+    the three modes.
     """
-    op = (
-        virasoro_op(0, W).scale(params.q)
-        + virasoro_op(-1, W).scale((2 * params.q + params.p) / params.s)
-        + virasoro_op(-2, W)
-        + LinearOp.from_terms(T_SIDE, [("mm", 1, 1, Fraction(-1, 2))])
-    )
+    modes = ((0, params.q), (-1, (2 * params.q + params.p) / params.s), (-2, 1))
+    items = [(*key, v * c) for m, c in modes for key, v in virasoro_op(m, W).terms.items()]
+    items.append(("mm", 1, 1, Fraction(-1, 2)))
+    op = LinearOp.from_terms(T_SIDE, items)
     forms = [TPoly.variable(T_SIDE, 1, W)]
     for _ in range(max_index):
         nxt = op.apply(forms[-1])

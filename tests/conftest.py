@@ -33,6 +33,7 @@ from hodgekp.operators import (
     odd_t_to_big_t,
     unit_monomials,
     virasoro_op,
+    w_op,
     weight_monomials,
 )
 
@@ -210,6 +211,47 @@ def fraction_reversion(A):
     return ZSeries(out, n)
 
 
+def horner_compose(A, B):
+    """A(B(z)) for B(0) = 0 by Horner's rule on `Fraction`s, every step
+    kept at full length: acc <- acc·B + A_j, no coefficient dropped before
+    the end."""
+    order = min(A.order, B.order)
+    b = _fraction_coeffs(B, 0, order)
+    acc = [A.coeff_or_zero(order)] + [Fraction(0)] * order
+    for j in range(order - 1, -1, -1):
+        acc = _fraction_convolve(acc, b, order + 1)
+        acc[0] += A.coeff_or_zero(j)
+    return ZSeries(acc, order)
+
+
+# The earlier construction of a curve's h, kept as the oracle of the inverse
+# that `curve._inverse_from_denominator` reads from h·h' = w·N(h).
+
+
+def reversion(A):
+    """The inverse of A = z + O(z^2) on the integers, by Lagrange
+    inversion: [z^m] h = [z^(m-1)] g^m / m with g = z/A, one reciprocal
+    and a running product of g, each power in lowest terms."""
+    if A.num[0] != 0 or A.numerator(1) != A.den:
+        raise ValueError("reversion needs a series of the form z + O(z^2)")
+    n = A.order
+    g = A.shift(-1).recip()  # z/A, trusted to order n - 1
+    power = ZSeries.one(g.order)
+    b = [(0, 1)]
+    for m in range(1, n + 1):
+        power = power * g
+        b.append((power.numerator(m - 1), m * power.den))
+    den = math.lcm(*[d for _, d in b])
+    return ZSeries._normal([c * (den // d) for c, d in b], n, den)
+
+
+def reference_inverse(N, K):
+    """h to order K for the denominator N, as the earlier construction
+    made it: the reversion of f = sqrt(2x), x the integral of z/N."""
+    x = (ZSeries.z(K) * N.truncate(K).recip()).truncate(K).antiderivative()
+    return reversion(x.scale(2).sqrt_normalized())
+
+
 def hbar_weight_strip(P, num, den):
     """Remove an hbar-grading of slope num/den (exponent = weight*num/den).
 
@@ -253,6 +295,26 @@ def reference_virasoro_sum_op(a, W):
         if ak and k <= W:
             acc = acc + virasoro_op(k, W).scale(ak)
     return acc
+
+
+def reference_direct_op(couplings, W, mode):
+    """sum_k c_k W_k, the exponent of `givental_direct`, as a chain of
+    scaled `w_op`s."""
+    acc = LinearOp(BIG_T_SIDE)
+    for k, c in sorted(couplings.items()):
+        if c and 4 * k - 2 <= W:
+            acc = acc + w_op(k, W, mode).scale(c)
+    return acc
+
+
+def reference_tqp_op(params, W):
+    """The step operator of `tqp_forms` as a chain of scaled `virasoro_op`s."""
+    return (
+        virasoro_op(0, W).scale(params.q)
+        + virasoro_op(-1, W).scale((2 * params.q + params.p) / params.s)
+        + virasoro_op(-2, W)
+        + LinearOp.from_terms(T_SIDE, [("mm", 1, 1, Fraction(-1, 2))])
+    )
 
 
 def reference_sub_multisets(items):

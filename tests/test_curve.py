@@ -1,9 +1,12 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hodgekp.algebra import ZSeries
+from hodgekp import curve as curve_module
+from hodgekp.algebra import InvariantViolation, ZSeries
+from hodgekp.cli import main
 from hodgekp.curve import (
     CATALOG,
     CurveParams,
@@ -24,7 +27,7 @@ from hodgekp.curve import (
     x_closed_form,
 )
 
-from conftest import dilaton_shifts, reference_witt_coefficients
+from conftest import dilaton_shifts, reference_inverse, reference_witt_coefficients
 
 
 class TestBernoulli:
@@ -106,6 +109,70 @@ class TestBuildCurve:
     def test_small_order_rejected(self):
         with pytest.raises(ValueError):
             build_curve(CurveParams(F(1), F(3), F(2)), 3)
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+class TestInverseFromDenominator:
+    """h from h·h' = w·N(h) (`curve._inverse_from_denominator`) against the
+    Lagrange reversion of f = sqrt(2x) (`conftest.reference_inverse`)."""
+
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    def test_catalog_points(self, point):
+        for K in (2, 3, 8, 13, 21, 30):
+            N = curve_module._denominator_series(point, K + 2)
+            assert curve_module._inverse_from_denominator(N, K) == reference_inverse(N, K)
+
+    @given(small, small.filter(bool), st.integers(2, 30))
+    def test_drawn_points(self, q, s, K):
+        point = CurveParams(q, s * s - q, s)
+        N = curve_module._denominator_series(point, K + 2)
+        assert curve_module._inverse_from_denominator(N, K) == reference_inverse(N, K)
+
+    @given(st.lists(small, max_size=4), st.integers(2, 30))
+    def test_drawn_denominators(self, tail, K):
+        # constant term 1 and degree <= 4, known to order K - 1 at least
+        N = ZSeries.from_terms(dict(enumerate([1, *tail])), K - 1 + len(tail) % 3)
+        assert curve_module._inverse_from_denominator(N, K) == reference_inverse(N, K)
+
+
+def _fields_equal(got, expect):
+    for fld in dataclasses.fields(CurveSeries):
+        if fld.compare:
+            assert getattr(got, fld.name) == getattr(expect, fld.name), fld.name
+
+
+class TestCurveConstruction:
+    """`build_curve` and `perturbed_control_curve` give, field by field,
+    the curves of the construction that took h as the reversion of f."""
+
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    def test_build_curve(self, point, monkeypatch):
+        got = [build_curve(point, K) for K in range(4, 43)]
+        monkeypatch.setattr(curve_module, "_inverse_from_denominator", reference_inverse)
+        for c in got:
+            _fields_equal(c, build_curve(point, c.K))
+
+    @pytest.mark.parametrize("denominator", [(1, F(5, 2), 1, 1, 1), (1, F(5, 2), 1, 1), (1, F(-1, 3), 0, F(2, 7), F(3, 2))])
+    def test_perturbed_control_curve(self, denominator, monkeypatch):
+        got = [perturbed_control_curve(K, denominator) for K in (4, 7, 12)]
+        monkeypatch.setattr(curve_module, "_inverse_from_denominator", reference_inverse)
+        for c in got:
+            _fields_equal(c, perturbed_control_curve(c.K, denominator))
+
+    def test_a_wrong_inverse_breaks_the_mutual_inverse_check(self, monkeypatch, capsys):
+        # the inverse fed N with its linear coefficient plus 1: f, still
+        # built as sqrt(2x) from the true N, no longer inverts it
+        real = curve_module._inverse_from_denominator
+        monkeypatch.setattr(
+            curve_module, "_inverse_from_denominator", lambda N, K: real(N + ZSeries.from_terms({1: 1}, N.order), K)
+        )
+        with pytest.raises(InvariantViolation, match="^f and h are not mutually inverse$"):
+            build_curve(CATALOG[0], 12)
+        assert main(["verify", "lemma-laplace", "--weight", "6"]) == 3
+        out, err = capsys.readouterr()
+        assert err == "internal invariant violation: f and h are not mutually inverse\n"
 
 
 class TestRSeries:

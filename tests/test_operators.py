@@ -56,6 +56,8 @@ from conftest import (
     mutated_current_mode,
     random_rational,
     random_tpoly,
+    reference_direct_op,
+    reference_tqp_op,
     reference_virasoro_sum_op,
     with_max_weight,
 )
@@ -761,6 +763,57 @@ def _factorial(n):
     for i in range(2, n + 1):
         out *= i
     return out
+
+
+def _record_built_ops(mp):
+    """The list of every op that `LinearOp.from_terms` returns from now on;
+    an op sum or scale fails the test."""
+    built = []
+    real = LinearOp.from_terms.__func__
+
+    def recording(cls, kind, items):
+        built.append(real(cls, kind, items))
+        return built[-1]
+
+    mp.setattr(LinearOp, "from_terms", classmethod(recording))
+    for name in ("__add__", "scale"):
+        mp.setattr(LinearOp, name, lambda *args, name=name: pytest.fail(f"LinearOp.{name} called"))
+    return built
+
+
+def _same_op(got, expect):
+    return (got.kind, got.D, list(got.pairs.items()), got.min_weight_drop) == (
+        expect.kind,
+        expect.D,
+        list(expect.pairs.items()),
+        expect.min_weight_drop,
+    )
+
+
+class TestOneOperatorPerMap:
+    """`givental_direct` and `tqp_forms` build one op each, straight from
+    the terms of their generators, with the D and pairs (in order) of the
+    chained sum of scaled generators."""
+
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    def test_direct_op(self, point, monkeypatch):
+        for W in (5, 11):
+            couplings = couplings_from_log_r(log_r_series(point, 2 * W), W)
+            for mode in ("standard", "theta"):
+                expect = reference_direct_op(couplings, W, mode)
+                with monkeypatch.context() as mp:
+                    built = _record_built_ops(mp)
+                    givental_direct(couplings, W, mode)
+                assert _same_op(built[-1], expect), (W, mode)
+
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    def test_tqp_op(self, point, monkeypatch):
+        for W in (5, 11):
+            expect = reference_tqp_op(point, W)
+            with monkeypatch.context() as mp:
+                built = _record_built_ops(mp)
+                tqp_forms(point, 2, W)
+            assert _same_op(built[-1], expect), W
 
 
 class TestChangeOfVariables:
