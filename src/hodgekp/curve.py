@@ -32,7 +32,6 @@ __all__ = [
     "CATALOG",
     "bernoulli",
     "build_curve",
-    "x_closed_form",
     "r_series",
     "log_r_series",
     "gaussian_moments",
@@ -261,23 +260,6 @@ def build_curve(params: CurveParams, K: int) -> CurveSeries:
         raise InvariantViolation("N * x' != z")
 
     return CurveSeries(params, K, x, f, h, y, N, R, logR, i_series(h))
-
-
-def x_closed_form(params: CurveParams, K: int) -> ZSeries:
-    """Expansion of the logarithmic closed form of x, including the
-    degenerate q=0 and p=0 cases."""
-    q, p, s = params.q, params.p, params.s
-    z = ZSeries.z(K)
-    if q != 0 and p != 0:
-        t1 = z.scale(q / s).log1p().scale((p + q) / (p * q))
-        t2 = z.scale(s).log1p().scale(Fraction(1, p))
-        return t1 - t2
-    if q == 0:
-        return z.scale(1 / s) - z.scale(s).log1p().scale(Fraction(1, p))
-    # p == 0, s^2 = q
-    t1 = z.scale(s).log1p().scale(Fraction(1, q))
-    t2 = (z * (ZSeries.one(K) + z.scale(s)).recip()).truncate(K).scale(1 / s)
-    return t1 - t2
 
 
 def log_r_series(params: CurveParams, K: int) -> ZSeries:

@@ -36,6 +36,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import (
+    InvariantViolation,
     Mono,
     TPoly,
     T_SIDE,
@@ -399,8 +400,21 @@ def hirota_graded_check(tau: TPoly, y_weight: int, band: tuple[int, int]) -> Hir
     coefficient lands outside the band is computed.  It subsumes the
     fixed-hbar statement for every scalar hbar, coefficientwise; at the
     band (0, 0) every coefficient counts.
+
+    This is sound only for a tau whose every stored coefficient has
+    excess a*e - b*v >= 0: the band bounds the sum of two factors'
+    excesses, so a factor of negative excess would let an out-of-band
+    factor into an in-band product.  Any other tau raises
+    `InvariantViolation`.
     """
     a, b = band
+    for mono, slot in tau.num.items():
+        v = mono_weight(tau.kind, mono)
+        for e in slot:
+            if a * e - b * v < 0:
+                raise InvariantViolation(
+                    f"the coefficient of {mono_str(tau.kind, mono)} at hbar^{e} has excess {a * e - b * v} < 0 in the band ({a}, {b})"
+                )
     table = hirota_equation_table(y_weight)
     label = f"graded band {a}e<=W+{b}(v+d)"
     return _run_equations(tau, table, "hirota-graded", y_weight, label, band)

@@ -197,17 +197,6 @@ class LinearOp:
     def is_zero(self) -> bool:
         return not self.pairs
 
-    def __add__(self, other: "LinearOp") -> "LinearOp":
-        if self.kind != other.kind:
-            raise ValueError("cannot add operators on different variable kinds")
-        return LinearOp.from_terms(self.kind, ((*key, c) for op in (self, other) for key, c in op.terms.items()))
-
-    def scale(self, c) -> "LinearOp":
-        c = HbarPoly.promote(c)
-        if c.is_zero():
-            return LinearOp(self.kind)
-        return LinearOp(self.kind, {k: v * c for k, v in self.terms.items()})
-
     def _check_side(self, P: TPoly):
         if P.kind != self.kind:
             raise ValueError(
@@ -337,44 +326,61 @@ def _scaled(pairs: dict, n: int) -> tuple:
 def exp_apply(op: LinearOp, P: TPoly, *, inverse: bool = False) -> TPoly:
     """exp(op) . P, or exp(-op) . P with `inverse`, as a finite sum; op
     must drop weight by at least 1.  The sum runs on integers, in
-    `_exp_numerators`; this builds the polynomial from its result."""
+    `_exp_batch` (a batch of one); this builds the polynomial from its
+    result."""
     if op.is_zero():
         return P
     op._check_side(P)
-    return TPoly._normal(op.kind, P.max_weight, *_exp_numerators(op, P.num, P.max_weight, inverse, P.den))
+    return TPoly._normal(op.kind, P.max_weight, *_exp_batch(op, [(P.num, P.den)], P.max_weight, inverse)[0])
 
 
-def _exp_numerators(op: LinearOp, num: Mapping, cap: int, inverse: bool = False, den: int = 1) -> tuple[dict, int]:
-    """exp(op) . (num / den), or exp(-op) . (num / den) with `inverse`, as
-    the pair (acc, d) of value acc / d, not brought to lowest terms: num
-    and acc map monomials of weight <= cap to {hbar exponent: int}, and d
-    is den times a positive integer.  op must be zero or drop weight by
-    at least 1.  The sum runs on op's monomial ids, in `_exp_ids`: the
-    monomials are numbered on the way in and mapped back on the way out,
-    the zeros of cancellations dropped.  When every coefficient of op and
-    of num is a multiple of hbar^0, the ids are monomial ids; otherwise
-    they are (monomial id, hbar exponent) pairs, so hbar-Laurent
-    coefficients pass through unchanged.
+def _exp_batch(op: LinearOp, items: Sequence[tuple], cap: int, inverse: bool = False) -> list[tuple]:
+    """exp(op), or exp(-op) with `inverse`, on each (num, den) of `items`, a
+    value num / den, as the list of the (acc, d) of its images acc / d, not
+    brought to lowest terms: num and acc map monomials of weight <= cap to
+    {hbar exponent: int}, and d is den times a positive integer.  op must
+    be zero or drop weight by at least 1.
+
+    The sums run on op's monomial ids, in one lockstep loop for the batch
+    (`_exp_lockstep`): the monomials are numbered on the way in and mapped
+    back on the way out, the zeros of cancellations dropped.  An element
+    whose coefficients, like all of op's, are multiples of hbar^0 runs on
+    monomial ids; any other on (monomial id, hbar exponent) pairs, so
+    hbar-Laurent coefficients pass through unchanged.
     """
     if op.is_zero():
-        return num, den
+        return list(items)
     number, monos = op.number, op.monos
-    if op.low == 0 and op.span == 1 and all(len(slot) == 1 and 0 in slot for slot in num.values()):
-        total, den = _exp_ids(op, {number(mono): slot[0] for mono, slot in num.items()}, cap, inverse, den)
-        return {monos[i]: {0: c} for i, c in total.items() if c}, den
-    u = {(number(mono), e): c for mono, slot in num.items() for e, c in slot.items()}
-    total, den = _exp_ids(op, u, cap, inverse, den, False)
-    acc: dict[Mono, dict[int, int]] = {}
-    for (i, e), c in total.items():
-        if c:
-            acc.setdefault(monos[i], {})[e] = c
-    return acc, den
+    hbar_free = op.low == 0 and op.span == 1
+    flat = [hbar_free and all(len(slot) == 1 and 0 in slot for slot in num.values()) for num, _ in items]
+    us = [
+        {number(mono): slot[0] for mono, slot in num.items()}
+        if f
+        else {(number(mono), e): c for mono, slot in num.items() for e, c in slot.items()}
+        for f, (num, _) in zip(flat, items)
+    ]
+    if len(items) == 1 and flat[0]:
+        # one value: the loop of `_exp_ids`, without the lockstep's bookkeeping
+        totals = [_exp_ids(op, us[0], cap, inverse, items[0][1])]
+    else:
+        totals = _exp_lockstep(op, us, cap, inverse, [den for _, den in items], flat)
+    out = []
+    for f, (total, den) in zip(flat, totals):
+        if f:
+            out.append(({monos[i]: {0: c} for i, c in total.items() if c}, den))
+            continue
+        acc: dict[Mono, dict[int, int]] = {}
+        for (i, e), c in total.items():
+            if c:
+                acc.setdefault(monos[i], {})[e] = c
+        out.append((acc, den))
+    return out
 
 
-def _exp_ids(op: LinearOp, u: dict, cap: int, inverse: bool, den: int, flat: bool = True) -> tuple[dict, int]:
-    """exp(±op) . (u / den) on op's monomial ids, as (total, d) of value
-    total / d, the zeros of cancellations kept: u and total map monomial
-    ids (with `flat`) or (id, hbar exponent) pairs to ints.
+def _exp_ids(op: LinearOp, u: dict, cap: int, inverse: bool, den: int) -> tuple[dict, int]:
+    """exp(±op) . (u / den) on the monomial ids of an hbar-free op, as
+    (total, d) of value total / d, the zeros of cancellations kept: u and
+    total map monomial ids to ints.
 
     With D the LCM of op's coefficient denominators, the iterates
     u_0 = u and u_n = (D·op) u_{n-1} = D^n·op^n u have integer
@@ -395,32 +401,65 @@ def _exp_ids(op: LinearOp, u: dict, cap: int, inverse: bool, den: int, flat: boo
         return u, den
     if op.min_weight_drop < 1:
         raise ValueError("exponential does not terminate on truncated space")
-    D, rows = op.D, op.rows
-    iterates = [u]
+    rows = op.rows
     bound = cap // op.min_weight_drop + 1
+    iterates = [u]
     while True:
-        nxt: dict = {}
-        ids = u if flat else dict.fromkeys(i for i, _ in u)
-        unseen = [i for i in ids if rows[i] is None]
+        unseen = [i for i in u if rows[i] is None]
         if unseen:
             op.compile_rows(unseen, cap)
-        if flat:
-            for i, c1 in u.items():
-                for j, _, c2 in rows[i]:
-                    s = nxt.get(j)
-                    nxt[j] = c1 * c2 if s is None else s + c1 * c2
-        else:
-            for (i, e1), c1 in u.items():
-                for j, e2, c2 in rows[i]:
-                    key = (j, e1 + e2)
-                    s = nxt.get(key)
-                    nxt[key] = c1 * c2 if s is None else s + c1 * c2
-        u = {key: c for key, c in nxt.items() if c}
+        # `_flat_step`, inline: `conjugation` calls this for each (mode,
+        # monomial), where a call per step costs a measurable share
+        nxt: dict = {}
+        for i, c1 in u.items():
+            for j, _, c2 in rows[i]:
+                s = nxt.get(j)
+                nxt[j] = c1 * c2 if s is None else s + c1 * c2
+        u = {j: c for j, c in nxt.items() if c}
         if not u:
-            break
+            return _exp_sum(iterates, op.D, inverse, den)
         iterates.append(u)
         if len(iterates) > bound + 1:
             raise InvariantViolation("nilpotence bound exceeded in exp_apply")
+
+
+def _exp_lockstep(op: LinearOp, us: list, cap: int, inverse: bool, dens: list, flat: list) -> list[tuple]:
+    """`_exp_ids` on each u of `us` over its den of `dens`, on monomial ids
+    where `flat` and on (id, hbar exponent) pairs elsewhere, as the list of
+    (total, d): the elements step in lockstep.  Before each step the rows
+    of every monomial that a live element reaches for the first time are
+    built in one kernel call, and an element is finished at its own last
+    iterate N, with its own weights and denominator den·N!·D^N: one
+    denominator for the batch would lengthen every element's integers to
+    those of the element with the most iterates."""
+    if op.min_weight_drop < 1:
+        raise ValueError("exponential does not terminate on truncated space")
+    rows = op.rows
+    bound = cap // op.min_weight_drop + 1
+    out: list = [None] * len(us)
+    live = [(b, [u], _flat_step if f else _keyed_step) for b, (u, f) in enumerate(zip(us, flat))]
+    while live:
+        reached = (i for _, its, step in live for i in (its[-1] if step is _flat_step else (key[0] for key in its[-1])))
+        unseen = [i for i in dict.fromkeys(reached) if rows[i] is None]
+        if unseen:
+            op.compile_rows(unseen, cap)
+        stepped = []
+        for b, its, step in live:
+            u = step(its[-1], rows)
+            if not u:
+                out[b] = _exp_sum(its, op.D, inverse, dens[b])  # and its iterates go
+                continue
+            its.append(u)
+            if len(its) > bound + 1:
+                raise InvariantViolation("nilpotence bound exceeded in exp_apply")
+            stepped.append((b, its, step))
+        live = stepped
+    return out
+
+
+def _exp_sum(iterates: list[dict], D: int, inverse: bool, den: int) -> tuple[dict, int]:
+    """(total, den·N!·D^N) for the iterates u_0..u_N of `_exp_ids`, total the
+    sum of their weighted terms."""
     N = len(iterates) - 1
     weights = exp_weights(N, D)
     if inverse:
@@ -431,6 +470,48 @@ def _exp_ids(op: LinearOp, u: dict, cap: int, inverse: bool, den: int, flat: boo
             s = total.get(key)
             total[key] = c * weight if s is None else s + c * weight
     return total, den * math.factorial(N) * D**N
+
+
+def _flat_step(u: dict, rows: list) -> dict:
+    """One step on monomial ids: {id: int} times the rows, zeros dropped."""
+    nxt: dict = {}
+    for i, c1 in u.items():
+        for j, _, c2 in rows[i]:
+            s = nxt.get(j)
+            nxt[j] = c1 * c2 if s is None else s + c1 * c2
+    return {j: c for j, c in nxt.items() if c}
+
+
+def _keyed_step(u: dict, rows: list) -> dict:
+    """One step on (id, hbar exponent) pairs, the row's exponent added."""
+    nxt: dict = {}
+    for (i, e1), c1 in u.items():
+        for j, e2, c2 in rows[i]:
+            key = (j, e1 + e2)
+            s = nxt.get(key)
+            nxt[key] = c1 * c2 if s is None else s + c1 * c2
+    return {key: c for key, c in nxt.items() if c}
+
+
+# The substitution core merges a batch onto hbar bands: element b's
+# exponent e goes to b·BAND + e, far wider than any exponent a
+# weight-truncated value reaches.
+BAND = 1 << 32
+
+
+def _split_bands(acc: Mapping, n: int) -> list[dict]:
+    """The n values {monomial: {hbar exponent: int}} merged on hbar bands in
+    acc ({monomial: {b·BAND + e: int}}, |e| < BAND/2), the zeros dropped.
+    A band outside 0..n-1 is an exponent that left its band."""
+    parts: list[dict] = [{} for _ in range(n)]
+    for mono, slot in acc.items():
+        for E, c in slot.items():
+            if c:
+                b = (E + BAND // 2) // BAND
+                if not 0 <= b < n:
+                    raise InvariantViolation(f"hbar exponent {E} outside the bands of a batch of {n}")
+                parts[b].setdefault(mono, {})[E - b * BAND] = c
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -579,16 +660,17 @@ def couplings_from_log_r(logR: ZSeries, W: int) -> dict[int, Fraction]:
 
 
 PolyMap = Callable[[TPoly], TPoly]
-Core = Callable[[Mapping, int], tuple]
+Core = Callable[[Sequence[tuple]], list]
 
 
 def _map_on(kind: str, W: int, core: Core, out: str | None = None) -> PolyMap:
     """The map of an integer core on the polynomials its operators were
     built for: `kind`-side, weight cap W (a larger cap would silently miss
     terms), with `out`-side images (default `kind`).  The core, kept as
-    `.core`, sends (num, den) of a value num / den, num mapping monomials
-    to {hbar exponent: int}, to (num, den) of its image, in no lowest
-    terms."""
+    `.core`, sends a batch, the list of (num, den) of values num / den,
+    num mapping monomials to {hbar exponent: int}, to the list of the
+    (num, den) of their images, in no lowest terms; a polynomial is a
+    batch of one."""
 
     def apply(P: TPoly) -> TPoly:
         if P.kind != kind or P.max_weight != W:
@@ -596,34 +678,52 @@ def _map_on(kind: str, W: int, core: Core, out: str | None = None) -> PolyMap:
                 f"map built for {kind}-side polynomials of weight cap {W}, "
                 f"got {P.kind}-side at cap {P.max_weight}"
             )
-        return TPoly._normal(out or kind, W, *core(P.num, P.den))
+        return TPoly._normal(out or kind, W, *core([(P.num, P.den)])[0])
 
     apply.core = core
     return apply
 
 
 def _exp_core(op: LinearOp, W: int) -> Core:
-    """exp(op) at weight cap W as a core (`_exp_numerators`)."""
-    return lambda num, den: _exp_numerators(op, num, W, False, den)
+    """exp(op) at weight cap W as a core (`_exp_batch`)."""
+    return lambda items: _exp_batch(op, items, W)
 
 
 def _substitute_core(images: Mapping[int, TPoly], kind: str, W: int) -> Core:
-    """The substitution of `images` (`_substitute_numerators`) as a core."""
-    return lambda num, den: _substitute_numerators(num, den, images, kind, W)
+    """The substitution of `images` as a core: a batch of two or more merged
+    on hbar bands (`BAND`) over the LCM of its denominators, so one call of
+    `_substitute_numerators` builds one table of image powers and one
+    product chain per distinct monomial, then split by band."""
+
+    def core(items: Sequence[tuple]) -> list:
+        if len(items) == 1:
+            return [_substitute_numerators(*items[0], images, kind, W)]
+        L = math.lcm(*(den for _, den in items))
+        merged: dict[Mono, dict] = {}
+        for b, (num, den) in enumerate(items):
+            off, f = b * BAND, L // den
+            for mono, slot in num.items():
+                into = merged.setdefault(mono, {})
+                for e, c in slot.items():
+                    into[off + e] = c * f
+        acc, den = _substitute_numerators(merged, L, images, kind, W)
+        return [(part, den) for part in _split_bands(acc, len(items))]
+
+    return core
 
 
 def _chain(*cores: Core) -> Core:
-    """The cores in turn.  An intermediate feeds the next core alone, so it
-    is brought to lowest terms only once its denominator passes 512 bits,
-    as a tau-function's does at the frontier; below that the gcd pass
-    costs more than the smaller integers save."""
+    """The cores in turn.  An intermediate feeds the next core alone, so
+    each element is brought to lowest terms only once its denominator
+    passes 512 bits, as a tau-function's does at the frontier; below that
+    the gcd pass costs more than the smaller integers save."""
 
-    def core(num: Mapping, den: int) -> tuple:
+    def core(items: Sequence[tuple]) -> list:
         for i, step in enumerate(cores):
-            if i and den.bit_length() > 512:
-                num, den = _reduce(num, den)
-            num, den = step(num, den)
-        return num, den
+            if i:
+                items = [_reduce(num, den) if den.bit_length() > 512 else (num, den) for num, den in items]
+            items = step(items)
+        return items
 
     return core
 
@@ -734,22 +834,25 @@ def odd_t_to_big_t(P: TPoly) -> TPoly:
     """Relabel odd t-variables into T-variables: t_{2m+1} = T_m / (2m+1)!!."""
     if P.kind != T_SIDE:
         raise ValueError("expected a t-side polynomial")
-    return TPoly._normal(BIG_T_SIDE, P.max_weight, *_odd_t_to_big_t(P.num, P.den))
+    return TPoly._normal(BIG_T_SIDE, P.max_weight, *_odd_t_to_big_t([(P.num, P.den)])[0])
 
 
-def _odd_t_to_big_t(num: Mapping, den: int) -> tuple[dict, int]:
+def _odd_t_to_big_t(items: Sequence[tuple]) -> list:
     """The core of `odd_t_to_big_t`."""
-    factors = {}
-    for mono in num:
-        if any(v % 2 == 0 for v, _ in mono):
-            raise ValueError("polynomial involves even time variables")
-        factors[mono] = math.prod(double_factorial(v) ** e for v, e in mono)
-    L = math.lcm(*factors.values())
-    out = {
-        tuple((v // 2, e) for v, e in mono): {h: c * (L // factors[mono]) for h, c in slot.items()}
-        for mono, slot in num.items()
-    }
-    return out, den * L
+    out = []
+    for num, den in items:
+        factors = {}
+        for mono in num:
+            if any(v % 2 == 0 for v, _ in mono):
+                raise ValueError("polynomial involves even time variables")
+            factors[mono] = math.prod(double_factorial(v) ** e for v, e in mono)
+        L = math.lcm(*factors.values())
+        big = {
+            tuple((v // 2, e) for v, e in mono): {h: c * (L // factors[mono]) for h, c in slot.items()}
+            for mono, slot in num.items()
+        }
+        out.append((big, den * L))
+    return out
 
 
 def tqp_forms(params, max_index: int, W: int) -> list[TPoly]:
@@ -835,18 +938,30 @@ class EqualityReport:
         }
 
 
+# Basis elements per call of a core in `operator_equality_check`.  A batch
+# pays each core's per-call work once: its exponentials step in lockstep,
+# with one kernel call per step for the rows they reach, and its
+# substitutions share one table of powers.  A larger batch holds more
+# iterates at once (BENCH_31.json has the scan).
+BATCH = 128
+
+
 def operator_equality_check(lhs: Core, rhs: Core, basis: Iterable[TPoly], label: str = "") -> EqualityReport:
     """Apply both maps, as the integer cores of maps that keep the side and
-    weight cap of their input, to every basis element and collect the
-    discrepancies: images are compared by `same_value`, and a polynomial
+    weight cap of their input, to every basis element, `BATCH` elements
+    per call, and collect the discrepancies in basis order: the two
+    images of each element are compared by `same_value`, and a polynomial
     is built only for a failing witness."""
     report = EqualityReport(label=label)
-    for P in basis:
-        left, right = lhs(P.num, P.den), rhs(P.num, P.den)
-        report.checked += 1
-        if not same_value(*left, *right):
-            witness = _difference(P.kind, P.max_weight, left, right)
-            report.failures.append({"input": repr(P), "difference": repr(witness)})
+    basis = list(basis)
+    for start in range(0, len(basis), BATCH):
+        chunk = basis[start : start + BATCH]
+        items = [(P.num, P.den) for P in chunk]
+        for P, left, right in zip(chunk, lhs(items), rhs(items), strict=True):
+            report.checked += 1
+            if not same_value(*left, *right):
+                witness = _difference(P.kind, P.max_weight, left, right)
+                report.failures.append({"input": repr(P), "difference": repr(witness)})
     return report
 
 

@@ -284,7 +284,7 @@ def hodge_partition(params: CurveParams, W: int, mode: str = "standard") -> TauS
 def _quantized_action(curve: CurveSeries, W: int, mode: str, base: TauSeries) -> TauSeries:
     big = odd_t_to_big_t(base.body)
     route, factorized = givental_routes(curve, W, mode)
-    direct, fact = route(big), factorized.core(big.num, big.den)
+    direct, (fact,) = route(big), factorized.core([(big.num, big.den)])
     if not same_value(direct.num, direct.den, *fact):
         diff = _difference(BIG_T_SIDE, W, (direct.num, direct.den), fact)
         raise InvariantViolation(f"pipeline disagreement in the quantized action ({mode}); diff = {diff!r}")
@@ -319,7 +319,7 @@ def _tau_identity(
     side's base tau-function; `mode` picks the side as in
     `hodge_partition`."""
     lhs = tqp_substitute(forms)(_quantized_action(curve, W, mode, base).body)
-    rhs = rl_transform_virasoro(curve, W, mode).core(base.body.num, base.body.den)
+    (rhs,) = rl_transform_virasoro(curve, W, mode).core([(base.body.num, base.body.den)])
     equal = same_value(lhs.num, lhs.den, *rhs)
     kind = ("tau_theta_qp", "tau_qp")[dilaton_time(mode)]
     tau = _derived(lhs, kind, params, W, "substitution+group")

@@ -277,6 +277,38 @@ def hbar_weight_strip(P, num, den):
 # the base tau-functions as the exponential of their correlator sums.
 
 
+def x_closed_form(params, K):
+    """Expansion of the logarithmic closed form of x, including the
+    degenerate q=0 and p=0 cases: the oracle for `build_curve`'s x."""
+    q, p, s = params.q, params.p, params.s
+    z = ZSeries.z(K)
+    if q != 0 and p != 0:
+        t1 = z.scale(q / s).log1p().scale((p + q) / (p * q))
+        t2 = z.scale(s).log1p().scale(Fraction(1, p))
+        return t1 - t2
+    if q == 0:
+        return z.scale(1 / s) - z.scale(s).log1p().scale(Fraction(1, p))
+    # p == 0, s^2 = q
+    t1 = z.scale(s).log1p().scale(Fraction(1, q))
+    t2 = (z * (ZSeries.one(K) + z.scale(s)).recip()).truncate(K).scale(1 / s)
+    return t1 - t2
+
+
+def op_sum(a, b):
+    """The operator a + b, term by term."""
+    if a.kind != b.kind:
+        raise ValueError("cannot add operators on different variable kinds")
+    return LinearOp.from_terms(a.kind, ((*key, c) for op in (a, b) for key, c in op.terms.items()))
+
+
+def op_scale(op, c):
+    """The operator c·op, for a rational or HbarPoly c."""
+    c = HbarPoly.promote(c)
+    if c.is_zero():
+        return LinearOp(op.kind)
+    return LinearOp(op.kind, {k: v * c for k, v in op.terms.items()})
+
+
 def reference_witt_coefficients(f):
     """a_1..a_(K-1) of f = z + O(z^2): a_k is corrected at order k + 1 by
     the flow of the a's found so far."""
@@ -293,7 +325,7 @@ def reference_virasoro_sum_op(a, W):
     acc = LinearOp(T_SIDE)
     for k, ak in enumerate(a, start=1):
         if ak and k <= W:
-            acc = acc + virasoro_op(k, W).scale(ak)
+            acc = op_sum(acc, op_scale(virasoro_op(k, W), ak))
     return acc
 
 
@@ -303,18 +335,14 @@ def reference_direct_op(couplings, W, mode):
     acc = LinearOp(BIG_T_SIDE)
     for k, c in sorted(couplings.items()):
         if c and 4 * k - 2 <= W:
-            acc = acc + w_op(k, W, mode).scale(c)
+            acc = op_sum(acc, op_scale(w_op(k, W, mode), c))
     return acc
 
 
 def reference_tqp_op(params, W):
     """The step operator of `tqp_forms` as a chain of scaled `virasoro_op`s."""
-    return (
-        virasoro_op(0, W).scale(params.q)
-        + virasoro_op(-1, W).scale((2 * params.q + params.p) / params.s)
-        + virasoro_op(-2, W)
-        + LinearOp.from_terms(T_SIDE, [("mm", 1, 1, Fraction(-1, 2))])
-    )
+    acc = op_sum(op_scale(virasoro_op(0, W), params.q), op_scale(virasoro_op(-1, W), (2 * params.q + params.p) / params.s))
+    return op_sum(op_sum(acc, virasoro_op(-2, W)), LinearOp.from_terms(T_SIDE, [("mm", 1, 1, Fraction(-1, 2))]))
 
 
 def reference_sub_multisets(items):
@@ -518,7 +546,7 @@ def reference_virasoro_factorization_check(curve, W):
 def reference_conjugation_check(curve, W, flip_sign=False):
     """The former `virasoro_conjugation_check`, in process: V^{-1}m through
     `exp_apply`, J_k through the apply kernel on its monomials, V through
-    `_exp_numerators` (monomials numbered into V and mapped back),
+    `_exp_batch` (monomials numbered into V and mapped back),
     and the sides compared on monomials by `same_value`."""
     big = operators.group_element(curve, 2 * W)
     inv_images = [exp_apply(big, P, inverse=not flip_sign) for P in unit_monomials(T_SIDE, W)]
@@ -530,7 +558,7 @@ def reference_conjugation_check(curve, W, flip_sign=False):
         rhs = operators._current_transform_coeffs(k, cap, flow, mult)
         for mono, inv in zip(weight_monomials(T_SIDE, W), inv_images):
             image = operators._apply_plan(jk, cap, inv.num.items())
-            left, dl = operators._exp_numerators(big, image, cap, flip_sign, jk.D * inv.den)
+            ((left, dl),) = operators._exp_batch(big, [(image, jk.D * inv.den)], cap, flip_sign)
             right = operators._apply_plan(rhs, cap, ((mono, {0: 1}),))
             report.checked += 1
             if not same_value(left, dl, right, rhs.D):

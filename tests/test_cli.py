@@ -32,6 +32,8 @@ from hodgekp.operators import (
 )
 from hodgekp.tau import kw_tau, tau_qp_check
 
+from conftest import op_scale
+
 
 class TestConfig:
     def test_default_points_catalog(self):
@@ -123,9 +125,8 @@ class TestMainEntry:
         def halved(curve, W, mode="standard"):
             core = real(curve, W, mode).core
 
-            def half(num, den):
-                num, den = core(num, den)
-                return num, 2 * den
+            def half(items):
+                return [(num, 2 * den) for num, den in core(items)]
 
             return SimpleNamespace(core=half)
 
@@ -201,6 +202,25 @@ class TestReportsAndDeterminism:
         assert "invariant violation" in capsys.readouterr().err
         artifact = tmp_path / "r" / "invariant-violation.txt"
         assert artifact.exists() and "diff" in artifact.read_text()
+
+    def test_negative_excess_in_a_derived_tau_exits_3(self, monkeypatch, capsys):
+        # (1/7)·t1 at hbar^0 planted in the derived tau after its two
+        # routes agreed: the graded check's soundness invariant fails
+        from hodgekp import tau as tau_module
+
+        real = tau_module._derived
+
+        def planted(body, kind, params, W, pipeline):
+            if kind == "tau_qp":
+                body = body + TPoly("t", W, {((1, 1),): F(1, 7)})
+            return real(body, kind, params, W, pipeline)
+
+        monkeypatch.setattr(tau_module, "_derived", planted)
+        code = main(["verify", "kp-hodge", "--q", "1", "--p", "3", "--s", "2", "--weight", "6"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("internal invariant violation: the coefficient of t1 at hbar^0 has excess -3 < 0")
 
     def test_cold_and_warm_runs_agree(self):
         # the base tau-functions come from their constraints alone: a run
@@ -529,7 +549,7 @@ def _scale_group_element(monkeypatch):
     import hodgekp.operators as operators
 
     real = operators.virasoro_sum_op
-    monkeypatch.setattr(operators, "virasoro_sum_op", lambda a, W: real(a, W).scale(F(8, 7)))
+    monkeypatch.setattr(operators, "virasoro_sum_op", lambda a, W: op_scale(real(a, W), F(8, 7)))
 
 
 def _scale_direct_route(monkeypatch):
@@ -544,7 +564,7 @@ def _scale_linear_change(monkeypatch):
     import hodgekp.cli as cli
 
     real = cli.linear_change_generator
-    monkeypatch.setattr(cli, "linear_change_generator", lambda a, W: real(a, W).scale(F(8, 7)))
+    monkeypatch.setattr(cli, "linear_change_generator", lambda a, W: op_scale(real(a, W), F(8, 7)))
 
 
 def test_a_scaled_group_element_fails_every_check_that_reads_it(monkeypatch):

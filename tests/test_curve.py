@@ -24,10 +24,9 @@ from hodgekp.curve import (
     shift_data,
     witt_coefficients,
     witt_flow,
-    x_closed_form,
 )
 
-from conftest import dilaton_shifts, reference_inverse, reference_witt_coefficients
+from conftest import dilaton_shifts, reference_inverse, reference_witt_coefficients, x_closed_form
 
 
 class TestBernoulli:

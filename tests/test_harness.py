@@ -28,6 +28,7 @@ from hodgekp.tau import bgw_tau, kw_tau
 from conftest import (
     cpus,
     mutated_current_mode,
+    op_scale,
     reference_conjugation_check,
     reference_lemma_factorization,
     reference_rl_identity_check,
@@ -41,7 +42,7 @@ POINT = CurveParams(F(1), F(3), F(2))
 
 def _scaled_group_element(monkeypatch):
     real = operators.group_element
-    monkeypatch.setattr(operators, "group_element", lambda curve, cap: real(curve, cap).scale(F(8, 7)))
+    monkeypatch.setattr(operators, "group_element", lambda curve, cap: op_scale(real(curve, cap), F(8, 7)))
 
 
 class _BumpedGrunsky:
@@ -68,9 +69,8 @@ def _scaled_direct(monkeypatch):
     def scaled(couplings, W, mode="standard"):
         core = real(couplings, W, mode).core
 
-        def mutated(num, den):
-            acc, d = core(num, den)
-            return {m: {e: 8 * c for e, c in slot.items()} for m, slot in acc.items()}, 7 * d
+        def mutated(items):
+            return [({m: {e: 8 * c for e, c in slot.items()} for m, slot in acc.items()}, 7 * d) for acc, d in core(items)]
 
         return operators._map_on(BIG_T_SIDE, W, mutated)
 
@@ -99,7 +99,7 @@ MUTATIONS = {
 }
 
 
-def _forms(mutation):
+def _forms(mutation, W=W):
     forms = tqp_forms(POINT, (W - 1) // 2, W)
     if mutation == "forms":
         forms = list(forms)
@@ -114,38 +114,77 @@ def curve():
     return build_curve(POINT, 2 * W + 2)
 
 
-@pytest.mark.parametrize("mutation", ["none", "group-element-8/7", "grunsky-entry+1/7"])
-def test_lemma_grunsky(monkeypatch, curve, mutation):
+def _lemma_grunsky(monkeypatch, mutation, curve, weight):
     MUTATIONS[mutation](monkeypatch)
-    rep = virasoro_factorization_check(curve, W)
-    expect = reference_virasoro_factorization_check(curve, W)
+    rep = virasoro_factorization_check(curve, weight)
+    expect = reference_virasoro_factorization_check(curve, weight)
     assert rep.passed == (mutation == "none")
     assert (rep.label, rep.checked, rep.failures) == (expect.label, expect.checked, expect.failures)
+    return rep.checked
 
 
-@pytest.mark.parametrize("mutation", ["none", "group-element-8/7", "forms", "translation+1/7"])
-def test_theorem_rl(monkeypatch, curve, mutation):
+def _theorem_rl(monkeypatch, mutation, curve, weight):
     MUTATIONS[mutation](monkeypatch)
-    forms = _forms(mutation)
-    extra = [kw_tau(W).body]
+    forms = _forms(mutation, weight)
+    extra = [kw_tau(weight).body]
     rep = rl_identity_check(curve, forms, extra=extra)
     expect = reference_rl_identity_check(curve, forms, extra=extra)
     assert rep.passed == (mutation == "none")
     assert (rep.label, rep.checked, rep.failures) == (expect.label, expect.checked, expect.failures)
+    return rep.checked
 
 
-@pytest.mark.parametrize("mutation", ["none", "direct-route-8/7"])
-def test_lemma_factorization(monkeypatch, curve, mutation):
+def _lemma_factorization(monkeypatch, mutation, curve, weight):
     MUTATIONS[mutation](monkeypatch)
 
     class OnCurve(cli._PointRun):
         def curve(self, order):
             return curve
 
-    config = cli.RunConfig(checks=["lemma-factorization"], points=[POINT], weight=W)
+    config = cli.RunConfig(checks=["lemma-factorization"], points=[POINT], weight=weight)
     got = cli._chk_lemma_factorization(OnCurve(config, POINT, {}), POINT)
     assert got["passed"] == (mutation == "none")
-    assert got == reference_lemma_factorization(curve, W)
+    assert got == reference_lemma_factorization(curve, weight)
+    return got["checked"]
+
+
+@pytest.mark.parametrize("mutation", ["none", "group-element-8/7", "grunsky-entry+1/7"])
+def test_lemma_grunsky(monkeypatch, curve, mutation):
+    _lemma_grunsky(monkeypatch, mutation, curve, W)
+
+
+@pytest.mark.parametrize("mutation", ["none", "group-element-8/7", "forms", "translation+1/7"])
+def test_theorem_rl(monkeypatch, curve, mutation):
+    _theorem_rl(monkeypatch, mutation, curve, W)
+
+
+@pytest.mark.parametrize("mutation", ["none", "direct-route-8/7"])
+def test_lemma_factorization(monkeypatch, curve, mutation):
+    _lemma_factorization(monkeypatch, mutation, curve, W)
+
+
+# The same comparisons at weights whose basis spans two batches of
+# `operators.BATCH` (128): the t-basis at W = 11 has 195 elements, and
+# the odd t-basis (theorem-rl) and the T-basis (lemma-factorization) at
+# W = 15 have 137 each.  Failures and witnesses come in basis order.
+@pytest.mark.parametrize(
+    "check, weight, mutation",
+    [
+        (_lemma_grunsky, 11, "none"),
+        (_lemma_grunsky, 11, "group-element-8/7"),
+        (_lemma_grunsky, 11, "grunsky-entry+1/7"),
+        (_theorem_rl, 15, "none"),
+        (_theorem_rl, 15, "group-element-8/7"),
+        (_theorem_rl, 15, "forms"),
+        (_theorem_rl, 15, "translation+1/7"),
+        (_lemma_factorization, 15, "none"),
+        (_lemma_factorization, 15, "direct-route-8/7"),
+    ],
+    ids=lambda x: getattr(x, "__name__", str(x)).strip("_"),
+)
+def test_over_two_batches(monkeypatch, check, weight, mutation):
+    checked = check(monkeypatch, mutation, build_curve(POINT, 2 * weight + 2), weight)
+    assert checked > operators.BATCH
 
 
 @pytest.mark.parametrize("mode", ["standard", "theta"])
@@ -177,16 +216,18 @@ def test_chain_reduces_an_intermediate_only_past_512_bits():
     # no route at the weight these tests use makes a denominator that long
     seen = []
 
-    def record(num, den):
-        seen.append((num, den))
-        return num, den
+    def record(items):
+        seen.append(items)
+        return items
 
+    # each element of a batch on its own: one past the rule, one below it
     for f, reduced in ((3**300, False), (3**330, True)):  # denominators of 478 and 526 bits
         seen.clear()
-        num, den = operators._chain(record, record)({((1, 1),): {0: 2 * f}}, 4 * f)
-        assert seen[0] == ({((1, 1),): {0: 2 * f}}, 4 * f)
-        assert seen[1] == (({((1, 1),): {0: 1}}, 2) if reduced else seen[0])
-        assert (num, den) == seen[1]
+        value, small = ({((1, 1),): {0: 2 * f}}, 4 * f), ({((1, 1),): {0: 2}}, 4)
+        out = operators._chain(record, record)([value, small])
+        assert seen[0] == [value, small]
+        assert seen[1] == [({((1, 1),): {0: 1}}, 2) if reduced else value, small]
+        assert out == seen[1]
 
 
 @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())

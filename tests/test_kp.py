@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hodgekp import kp
-from hodgekp.algebra import HbarPoly, TPoly, mono_str, mono_weight
-from hodgekp.curve import CurveParams
+from hodgekp.algebra import HbarPoly, InvariantViolation, TPoly, mono_str, mono_weight
+from hodgekp.curve import CATALOG, CurveParams
 from hodgekp.kp import (
     _bilinear_pair,
     _derivatives,
@@ -428,12 +428,21 @@ class TestBandedPair:
         assert self.compare(body, trust_band(kind)) > 0
 
 
+def graded_kernel(tau, y_weight, band):
+    """The loop of `hirota_graded_check` without its guard on negative
+    excess: the kernel on taus that the product never checks, with
+    coefficients of negative excess among them."""
+    a, b = band
+    label = f"graded band {a}e<=W+{b}(v+d)"
+    return kp._run_equations(tau, hirota_equation_table(y_weight), "hirota-graded", y_weight, label, band)
+
+
 def _report_with_limit(tau, band, limit):
-    """The graded check's report, with the root excess limit of
+    """The graded kernel's report, with the root excess limit of
     `_derivatives` replaced by limit(root, W)."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(kp, "_root_excess_limit", limit)
-        return hirota_graded_check(tau, 3, band).to_json_obj()
+        return graded_kernel(tau, 3, band).to_json_obj()
 
 
 class TestPrunedDerivatives:
@@ -444,7 +453,7 @@ class TestPrunedDerivatives:
     @given(laurent_tpolys(), bands)
     def test_pruned_and_unpruned_checks_report_alike(self, tau, band):
         unpruned = _report_with_limit(tau, band, lambda root, W: math.inf)
-        assert hirota_graded_check(tau, 3, band).to_json_obj() == unpruned
+        assert graded_kernel(tau, 3, band).to_json_obj() == unpruned
 
     @pytest.mark.parametrize("check, W, kind", [(tau_qp_check, 9, "tau_qp"), (theta_side_check, 7, "tau_theta_qp")])
     def test_a_limit_one_smaller_fails_the_derived_taus(self, check, W, kind):
@@ -458,6 +467,32 @@ class TestPrunedDerivatives:
         assert hirota_graded_check(body, 3, band).to_json_obj() == unpruned
         smaller = _report_with_limit(body, band, lambda root, W: real(root, W) - 1)
         assert smaller["status"] == "fail"
+
+
+class TestExcessInvariant:
+    """The graded check runs only on taus whose every stored coefficient
+    has excess a*e - b*v >= 0 in its band; the derived taus have
+    excess 0 at least, and one coefficient below it is an invariant
+    violation, which the kernel alone would check silently."""
+
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    @pytest.mark.parametrize("check, kind", [(tau_qp_check, "tau_qp"), (theta_side_check, "tau_theta_qp")])
+    def test_the_derived_taus_have_no_negative_excess(self, point, check, kind):
+        a, b = trust_band(kind)
+        for W in (3, 6):
+            body = check(point, W).tau.body
+            excess = [a * e - b * mono_weight("t", m) for m, slot in body.num.items() for e in slot]
+            assert min(excess) == 0
+
+    @pytest.mark.parametrize("check, kind", [(tau_qp_check, "tau_qp"), (theta_side_check, "tau_theta_qp")])
+    def test_a_negative_excess_raises(self, check, kind):
+        band, W = trust_band(kind), 6
+        body = check(CurveParams(F(1), F(3), F(2)), W).tau.body
+        # (1/7)·t1 at hbar^0: excess -b < 0
+        bumped = body + TPoly("t", W, {((1, 1),): F(1, 7)})
+        with pytest.raises(InvariantViolation, match=rf"coefficient of t1 at hbar\^0 has excess -{band[1]} < 0"):
+            hirota_graded_check(bumped, 3, band)
+        assert graded_kernel(bumped, 3, band).failures
 
 
 class TestPinnedFailures:
@@ -474,7 +509,7 @@ class TestPinnedFailures:
         band = trust_band("tau_qp")
         body = tau_qp_check(CurveParams(F(1), F(3), F(2)), 8).tau.body
         body = body + TPoly("t", 8, {((3, 1),): HbarPoly({1: F(1, 7), -1: F(2, 3)}), ((1, 2),): HbarPoly.hbar(2, F(-1, 6))})
-        failures = hirota_graded_check(body, 3, band).failures
+        failures = graded_kernel(body, 3, band).failures
         assert failures and failures == oracle_failures(body, 3, band)
 
     def test_mutated_theta_graded_check(self):
@@ -485,7 +520,7 @@ class TestPinnedFailures:
         a, b = band
         body = tau_qp_check(CurveParams(F(1), F(3), F(2)), W, "theta").tau.body
         body = body + TPoly("t", W, {((1, 2),): HbarPoly.hbar(3, F(1, 7)), ((2, 1),): HbarPoly.hbar(-1, F(2, 3))})
-        failures = hirota_graded_check(body, 3, band).failures
+        failures = graded_kernel(body, 3, band).failures
         assert failures and failures == oracle_failures(body, 3, band)
         table = hirota_equation_table(3)
         depth = {"y[" + mono_str("t", m).replace("t", "y") + "]": max(mono_weight("t", g) for g in eq) for m, eq in table}
