@@ -341,7 +341,7 @@ def _exp_batch(op: LinearOp, items: Sequence[tuple], cap: int, inverse: bool = F
     {hbar exponent: int}, and d is den times a positive integer.  op must
     be zero or drop weight by at least 1.
 
-    The sums run on op's monomial ids, in one lockstep loop for the batch
+    The sums run on op's monomial ids, in the lockstep loop
     (`_exp_lockstep`): the monomials are numbered on the way in and mapped
     back on the way out, the zeros of cancellations dropped.  An element
     whose coefficients, like all of op's, are multiples of hbar^0 runs on
@@ -359,13 +359,8 @@ def _exp_batch(op: LinearOp, items: Sequence[tuple], cap: int, inverse: bool = F
         else {(number(mono), e): c for mono, slot in num.items() for e, c in slot.items()}
         for f, (num, _) in zip(flat, items)
     ]
-    if len(items) == 1 and flat[0]:
-        # one value: the loop of `_exp_ids`, without the lockstep's bookkeeping
-        totals = [_exp_ids(op, us[0], cap, inverse, items[0][1])]
-    else:
-        totals = _exp_lockstep(op, us, cap, inverse, [den for _, den in items], flat)
     out = []
-    for f, (total, den) in zip(flat, totals):
+    for f, (total, den) in zip(flat, _exp_lockstep(op, us, cap, inverse, [den for _, den in items], flat)):
         if f:
             out.append(({monos[i]: {0: c} for i, c in total.items() if c}, den))
             continue
@@ -377,10 +372,12 @@ def _exp_batch(op: LinearOp, items: Sequence[tuple], cap: int, inverse: bool = F
     return out
 
 
-def _exp_ids(op: LinearOp, u: dict, cap: int, inverse: bool, den: int) -> tuple[dict, int]:
-    """exp(±op) . (u / den) on the monomial ids of an hbar-free op, as
-    (total, d) of value total / d, the zeros of cancellations kept: u and
-    total map monomial ids to ints.
+def _exp_lockstep(op: LinearOp, us: list, cap: int, inverse: bool, dens: list, flat: list) -> list[tuple]:
+    """exp(op), or exp(-op) with `inverse`, on each u of `us` over its den of
+    `dens`, as the list of the (total, d) of values total / d, the zeros of
+    cancellations kept: u and total map op's monomial ids to ints where
+    `flat`, and (monomial id, hbar exponent) pairs to ints elsewhere.  op
+    must be zero, which returns the inputs, or drop weight by at least 1.
 
     With D the LCM of op's coefficient denominators, the iterates
     u_0 = u and u_n = (D·op) u_{n-1} = D^n·op^n u have integer
@@ -396,42 +393,16 @@ def _exp_ids(op: LinearOp, u: dict, cap: int, inverse: bool, den: int) -> tuple[
     `LinearOp`); a row is built the first time its monomial is reached
     and kept on the op, so later iterates and later calls on the same op
     only look it up.
+
+    The elements step in lockstep.  Before each step the rows of every
+    monomial that a live element reaches for the first time are built in
+    one kernel call, and an element is finished at its own last iterate
+    N, with its own weights and denominator den·N!·D^N: one denominator
+    for the batch would lengthen every element's integers to those of the
+    element with the most iterates.
     """
     if op.is_zero():
-        return u, den
-    if op.min_weight_drop < 1:
-        raise ValueError("exponential does not terminate on truncated space")
-    rows = op.rows
-    bound = cap // op.min_weight_drop + 1
-    iterates = [u]
-    while True:
-        unseen = [i for i in u if rows[i] is None]
-        if unseen:
-            op.compile_rows(unseen, cap)
-        # `_flat_step`, inline: `conjugation` calls this for each (mode,
-        # monomial), where a call per step costs a measurable share
-        nxt: dict = {}
-        for i, c1 in u.items():
-            for j, _, c2 in rows[i]:
-                s = nxt.get(j)
-                nxt[j] = c1 * c2 if s is None else s + c1 * c2
-        u = {j: c for j, c in nxt.items() if c}
-        if not u:
-            return _exp_sum(iterates, op.D, inverse, den)
-        iterates.append(u)
-        if len(iterates) > bound + 1:
-            raise InvariantViolation("nilpotence bound exceeded in exp_apply")
-
-
-def _exp_lockstep(op: LinearOp, us: list, cap: int, inverse: bool, dens: list, flat: list) -> list[tuple]:
-    """`_exp_ids` on each u of `us` over its den of `dens`, on monomial ids
-    where `flat` and on (id, hbar exponent) pairs elsewhere, as the list of
-    (total, d): the elements step in lockstep.  Before each step the rows
-    of every monomial that a live element reaches for the first time are
-    built in one kernel call, and an element is finished at its own last
-    iterate N, with its own weights and denominator den·N!·D^N: one
-    denominator for the batch would lengthen every element's integers to
-    those of the element with the most iterates."""
+        return list(zip(us, dens))
     if op.min_weight_drop < 1:
         raise ValueError("exponential does not terminate on truncated space")
     rows = op.rows
@@ -439,10 +410,12 @@ def _exp_lockstep(op: LinearOp, us: list, cap: int, inverse: bool, dens: list, f
     out: list = [None] * len(us)
     live = [(b, [u], _flat_step if f else _keyed_step) for b, (u, f) in enumerate(zip(us, flat))]
     while live:
-        reached = (i for _, its, step in live for i in (its[-1] if step is _flat_step else (key[0] for key in its[-1])))
-        unseen = [i for i in dict.fromkeys(reached) if rows[i] is None]
+        # most reached ids have rows already, so only the unbuilt ones are
+        # collected and deduplicated
+        unseen = [i for _, its, step in live if step is _flat_step for i in its[-1] if rows[i] is None]
+        unseen += [i for _, its, step in live if step is _keyed_step for i, _ in its[-1] if rows[i] is None]
         if unseen:
-            op.compile_rows(unseen, cap)
+            op.compile_rows(list(dict.fromkeys(unseen)), cap)
         stepped = []
         for b, its, step in live:
             u = step(its[-1], rows)
@@ -458,8 +431,8 @@ def _exp_lockstep(op: LinearOp, us: list, cap: int, inverse: bool, dens: list, f
 
 
 def _exp_sum(iterates: list[dict], D: int, inverse: bool, den: int) -> tuple[dict, int]:
-    """(total, den·N!·D^N) for the iterates u_0..u_N of `_exp_ids`, total the
-    sum of their weighted terms."""
+    """(total, den·N!·D^N) for the iterates u_0..u_N of `_exp_lockstep`,
+    total the sum of their weighted terms."""
     N = len(iterates) - 1
     weights = exp_weights(N, D)
     if inverse:
@@ -690,14 +663,12 @@ def _exp_core(op: LinearOp, W: int) -> Core:
 
 
 def _substitute_core(images: Mapping[int, TPoly], kind: str, W: int) -> Core:
-    """The substitution of `images` as a core: a batch of two or more merged
-    on hbar bands (`BAND`) over the LCM of its denominators, so one call of
+    """The substitution of `images` as a core: a batch merged on hbar bands
+    (`BAND`) over the LCM of its denominators, so one call of
     `_substitute_numerators` builds one table of image powers and one
     product chain per distinct monomial, then split by band."""
 
     def core(items: Sequence[tuple]) -> list:
-        if len(items) == 1:
-            return [_substitute_numerators(*items[0], images, kind, W)]
         L = math.lcm(*(den for _, den in items))
         merged: dict[Mono, dict] = {}
         for b, (num, den) in enumerate(items):
@@ -945,6 +916,13 @@ class EqualityReport:
 # iterates at once (BENCH_31.json has the scan).
 BATCH = 128
 
+# Basis positions per call of the exponential loop in
+# `virasoro_conjugation_check`, for each mode.  That check's images of V
+# reach weight 2W, so a batch of its iterates holds far more than one of
+# the basis checks' at the same W: at 128 it held 65 MB at W = 12 in
+# process, against 29 MB at 16 (README has the scan).
+CONJUGATION_BATCH = 16
+
 
 def operator_equality_check(lhs: Core, rhs: Core, basis: Iterable[TPoly], label: str = "") -> EqualityReport:
     """Apply both maps, as the integer cores of maps that keep the side and
@@ -1057,9 +1035,10 @@ def virasoro_conjugation_check(curve: CurveSeries, W: int, *, flip_sign: bool = 
 
     Both sides stay integers on V's monomial ids (V is hbar-free):
     V^{-1}m in lowest terms, J_k as a memo on ids (`_current_memo`), V
-    through the iterate loop (`_exp_ids`), and X_k m, one kernel call,
-    compared on V's ids (`_same_on_ids`); only a failing witness
-    is mapped back to monomials, as a polynomial.
+    through the lockstep loop (`_exp_lockstep`) on `CONJUGATION_BATCH`
+    basis positions per call, and X_k m, one kernel call, compared on
+    V's ids (`_same_on_ids`); only a failing witness is mapped back to
+    monomials, as a polynomial.
     """
     modes = [k for k in range(-W, W + 1) if k]
     # A mode k < 0 lifts the weight cap to W - k, so the caps reach 2W.  On
@@ -1078,8 +1057,8 @@ def virasoro_conjugation_check(curve: CurveSeries, W: int, *, flip_sign: bool = 
 
     def check(start: int, step: int, poll: Callable[[], object] = lambda: None) -> tuple[int, list]:
         """Compare at the basis positions start, start + step, ... for
-        every mode, calling `poll` at each: (checked, failures), each
-        failure tagged with its mode and basis positions."""
+        every mode, calling `poll` before each batch of them: (checked,
+        failures), each failure tagged with its mode and basis positions."""
         checked, failures = 0, []
         positions = range(start, len(basis_monos), step)
         support = list(dict.fromkeys(i for b in positions for i in inv_images[b][0]))
@@ -1088,20 +1067,22 @@ def virasoro_conjugation_check(curve: CurveSeries, W: int, *, flip_sign: bool = 
             jk = _current_memo(k, cap, big, support)
             # X_k raises weight by at most the lift, so the cap cuts no image
             rhs = _current_transform_coeffs(k, cap, flow, mult)
-            for b in positions:
+            for first in range(0, len(positions), CONJUGATION_BATCH):
                 poll()
-                inv, den = inv_images[b]
-                image = {hit[0]: c * hit[1] for i, c in inv.items() if (hit := jk.get(i))}
-                left, dl = _exp_ids(big, image, cap, flip_sign, den)
-                mono = basis_monos[b]
-                right = _apply_plan(rhs, cap, ((mono, {0: 1}),))
-                checked += 1
-                if not _same_on_ids(left, dl, right, rhs.D, big.ids):
-                    left = {big.monos[i]: {0: c} for i, c in left.items() if c}
-                    witness = _difference(T_SIDE, cap, (left, dl), (right, rhs.D))
-                    failures.append((a, b, {"mode": k, "input": mono_str(T_SIDE, mono), "difference": repr(witness)}))
-                    if flip_sign:
-                        return checked, failures  # one witness is enough for the negative control
+                batch = positions[first : first + CONJUGATION_BATCH]
+                invs = [inv_images[b] for b in batch]
+                images = [{hit[0]: c * hit[1] for i, c in inv.items() if (hit := jk.get(i))} for inv, _ in invs]
+                lefts = _exp_lockstep(big, images, cap, flip_sign, [den for _, den in invs], [True] * len(batch))
+                for b, (left, dl) in zip(batch, lefts):
+                    mono = basis_monos[b]
+                    right = _apply_plan(rhs, cap, ((mono, {0: 1}),))
+                    checked += 1
+                    if not _same_on_ids(left, dl, right, rhs.D, big.ids):
+                        left = {big.monos[i]: {0: c} for i, c in left.items() if c}
+                        witness = _difference(T_SIDE, cap, (left, dl), (right, rhs.D))
+                        failures.append((a, b, {"mode": k, "input": mono_str(T_SIDE, mono), "difference": repr(witness)}))
+                        if flip_sign:
+                            return checked, failures  # one witness is enough for the negative control
         return checked, failures
 
     if flip_sign or len(basis_monos) < 2:

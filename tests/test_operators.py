@@ -595,18 +595,26 @@ class TestIntegerExponential:
 
         check()
 
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_the_loop_returns_its_inputs_on_a_zero_op(self, inverse):
+        # the trivial curve's group element is zero, and `conjugation`
+        # sends its images through the loop as they are
+        us = [{0: 3, 2: -5}, {(1, -1): 7, (1, 0): 2}, {}]
+        got = operators._exp_lockstep(LinearOp("t"), us, 6, inverse, [1, 4, 9], [True, False, True])
+        assert got == [(us[0], 1), (us[1], 4), (us[2], 9)]
+
     def test_each_row_is_built_once_per_op(self, curve132, monkeypatch):
         # the conjugation check applies the curve's one group element, as V
         # and as V^{-1}, to many inputs; each monomial it reaches enters the
         # apply kernel once, over the check and its flip-sign control on the
         # same curve together.  Every application, through `exp_apply` or
-        # not, runs the iterate loop `_exp_ids`, so the loop is what is
-        # watched.  A fresh curve: the session's curve132 may carry the
+        # not, runs the lockstep loop `_exp_lockstep`, so the loop is what
+        # is watched.  A fresh curve: the session's curve132 may carry the
         # rows of earlier tests.  Rows first reached after the check forks
         # its worker are built once in each process; the counters here see
         # the calling process alone.
         curve = build_curve(curve132.params, curve132.K)
-        real_exp, real_kernel = operators._exp_ids, operators._apply_plan
+        real_exp, real_kernel = operators._exp_lockstep, operators._apply_plan
         inside, exp_calls, kernel_calls = [0], [], []
 
         def counting_exp(op, *args):
@@ -623,7 +631,7 @@ class TestIntegerExponential:
                 kernel_calls.append((op, [mono for mono, _ in items]))
             return real_kernel(op, cap, items)
 
-        monkeypatch.setattr(operators, "_exp_ids", counting_exp)
+        monkeypatch.setattr(operators, "_exp_lockstep", counting_exp)
         monkeypatch.setattr(operators, "_apply_plan", counting_kernel)
         for flip_sign in (False, True):
             rep = virasoro_conjugation_check(curve, 4, flip_sign=flip_sign)
@@ -1170,6 +1178,49 @@ class TestConjugationInProcess(TestConjugation):
             yield "in-process"
 
 
+class TestConjugationBatches:
+    """The check at W = 7, whose 45 basis positions span several batches of
+    `CONJUGATION_BATCH` for each mode, in process and in each half of the
+    split."""
+
+    W = 7
+
+    def test_each_element_of_a_batch_as_if_alone(self, curve132, monkeypatch):
+        real, batches = operators._exp_lockstep, []
+
+        def spy(op, us, cap, inverse, dens, flat):
+            out = real(op, us, cap, inverse, dens, flat)
+            batches.append((op, us, cap, inverse, dens, flat, out))
+            return out
+
+        monkeypatch.setattr(operators, "_exp_lockstep", spy)
+        with cpus(1):
+            assert virasoro_conjugation_check(curve132, self.W).passed
+        n, size = len(weight_monomials("t", self.W)), operators.CONJUGATION_BATCH
+        sizes = [min(size, n - first) for first in range(0, n, size)]
+        assert n == 45 and len(sizes) > 1
+        # one V^{-1}m per basis monomial, then the batches of every mode
+        assert [len(us) for _, us, *_ in batches] == [1] * n + sizes * (2 * self.W)
+        for op, us, cap, inverse, dens, flat, out in batches[n:]:
+            assert all(flat)
+            for alone in zip(us, dens, flat, out):
+                assert real(op, [alone[0]], cap, inverse, [alone[1]], [alone[2]]) == [alone[3]]
+
+    @pytest.mark.parametrize("n", [1, 2], ids=["in-process", "split"])
+    def test_report(self, curve132, n):
+        with cpus(n):
+            rep = virasoro_conjugation_check(curve132, self.W)
+        assert rep.passed and rep.checked == 2 * self.W * 45
+        assert rep.to_json_obj() == polynomial_conjugation_report(curve132, self.W).to_json_obj()
+
+    def test_flipped_sign_report(self, curve132):
+        # the control stops at its first witness, inside the first batch
+        rep = virasoro_conjugation_check(curve132, self.W, flip_sign=True)
+        expect = polynomial_conjugation_report(curve132, self.W, flip_sign=True)
+        assert rep.checked == expect.checked == 1
+        assert rep.to_json_obj() == expect.to_json_obj()
+
+
 class TestConjugationSplit:
     """Whatever befalls the pipe, the fork or the worker, the split check
     gives the in-process report or raises the in-process exception, and
@@ -1197,7 +1248,7 @@ class TestConjugationSplit:
 
     def _worker_only(self, monkeypatch, action):
         """Run `action` at the worker's first exponential."""
-        parent, real, fired = os.getpid(), operators._exp_ids, []
+        parent, real, fired = os.getpid(), operators._exp_lockstep, []
 
         def patched(*args):
             if os.getpid() != parent and not fired:
@@ -1205,7 +1256,7 @@ class TestConjugationSplit:
                 action()
             return real(*args)
 
-        monkeypatch.setattr(operators, "_exp_ids", patched)
+        monkeypatch.setattr(operators, "_exp_lockstep", patched)
 
     def _planted(self, monkeypatch, position, message):
         """An invariant violation at one basis position, for every mode."""
@@ -1299,19 +1350,22 @@ class TestConjugationSplit:
 
     def test_a_killed_caller_leaves_no_worker(self):
         # a split check at W = 10 whose worker would take minutes over its
-        # half; once the worker runs, the caller gets SIGKILL
+        # half: each of its exponential steps sleeps 10 ms, over about
+        # 9,000 steps, while no batch takes more than about 300 steps, so
+        # the worker polls again within the 5 s given below; once the
+        # worker runs, the caller gets SIGKILL
         script = (
             "import os, time\n"
             "from fractions import Fraction as F\n"
             "from hodgekp import operators\n"
             "from hodgekp.curve import CurveParams, build_curve\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "real, caller = operators._exp_ids, os.getpid()\n"
+            "real, caller = operators._flat_step, os.getpid()\n"
             "def slowed(*args):\n"
             "    if os.getpid() != caller:\n"
-            "        time.sleep(0.05)\n"
+            "        time.sleep(0.01)\n"
             "    return real(*args)\n"
-            "operators._exp_ids = slowed\n"
+            "operators._flat_step = slowed\n"
             "operators.virasoro_conjugation_check(build_curve(CurveParams(F(4), F(0), F(2)), 22), 10)\n"
         )
         src = os.path.dirname(os.path.dirname(operators.__file__))
