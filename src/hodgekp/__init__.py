@@ -3,6 +3,8 @@ the Heisenberg-Virasoro symmetries of the KP hierarchy on truncated
 series, with finite-order verification of their identification and of
 the KP membership of the derived Hodge-type tau-functions."""
 
+from __future__ import annotations
+
 from .algebra import Fraction, HbarPoly, InvariantViolation, TPoly, ZSeries, rat, rat_str
 from .curve import (
     CATALOG,
@@ -16,7 +18,6 @@ from .curve import (
     i_series,
     identification_residual,
     perturbed_control_curve,
-    r_series,
     shift_data,
     witt_coefficients,
 )

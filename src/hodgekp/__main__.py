@@ -1,5 +1,7 @@
 """`python -m hodgekp`: the command-line interface of `hodgekp.cli`."""
 
+from __future__ import annotations
+
 import sys
 
 from .cli import main

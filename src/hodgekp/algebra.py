@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 __all__ = [
     "Fraction",
@@ -27,6 +27,27 @@ __all__ = [
 
 class InvariantViolation(Exception):
     """An internal consistency check failed (bug or inconsistent pipeline)."""
+
+
+class Record:
+    """A plain record.  A subclass names its fields in `_fields`, in the
+    order its `__init__` takes them, and keeps them in `__slots__`.  Two
+    records of one class are equal when their fields are, and a record
+    is unhashable unless its class defines `__hash__`."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def rat(value) -> Fraction:
@@ -106,21 +127,6 @@ class HbarPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, exponent: int) -> Fraction:
-        return self.terms.get(exponent, Fraction(0))
-
-    def exponents(self):
-        return sorted(self.terms)
-
-    def at(self, value: Fraction) -> Fraction:
-        """Evaluate at hbar = value exactly."""
-        value = rat(value)
-        if value == 0:
-            if any(e < 0 for e in self.terms):
-                raise ZeroDivisionError("hbar=0 with negative hbar-exponents present")
-            return self.terms.get(0, Fraction(0))
-        return sum((c * value**e for e, c in self.terms.items()), Fraction(0))
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "HbarPoly":
@@ -146,9 +152,6 @@ class HbarPoly:
     def __sub__(self, other) -> "HbarPoly":
         return self + (-HbarPoly.promote(other))
 
-    def __rsub__(self, other) -> "HbarPoly":
-        return HbarPoly.promote(other) + (-self)
-
     def __mul__(self, other) -> "HbarPoly":
         other = HbarPoly.promote(other)
         out: dict[int, Fraction] = {}
@@ -164,15 +167,10 @@ class HbarPoly:
         res.terms = out
         return res
 
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, (HbarPoly, int, Fraction)):
             return NotImplemented
         return self.terms == HbarPoly.promote(other).terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -280,7 +278,7 @@ class ZSeries:
     of them (den == 1 for the zero series), so the form is unique.
     Every operation runs on the integers and ends in `_normal`, which
     restores this form.  A `Fraction` is built only where a coefficient
-    is read: `coeff`, `coeff_or_zero` and `repr`.
+    is read: `coeff_or_zero` and `repr`.
     """
 
     __slots__ = ("num", "den", "order")
@@ -307,10 +305,6 @@ class ZSeries:
         return res
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "ZSeries":
-        return cls._normal([0] * (order + 1), order, 1)
 
     @classmethod
     def one(cls, order: int) -> "ZSeries":
@@ -342,11 +336,6 @@ class ZSeries:
             return 0
         return self.num[exponent]
 
-    def coeff(self, exponent: int) -> Fraction:
-        if exponent > self.order:
-            raise ValueError(f"coefficient of z^{exponent} beyond trusted order {self.order}")
-        return self.coeff_or_zero(exponent)
-
     def coeff_or_zero(self, exponent: int) -> Fraction:
         return Fraction(self.numerator(exponent), self.den)
 
@@ -363,7 +352,7 @@ class ZSeries:
     def __repr__(self) -> str:
         bits = []
         for e in range(self.order + 1):
-            c = self.coeff(e)
+            c = self.coeff_or_zero(e)
             if c:
                 bits.append(f"{rat_str(c)}*z^{e}" if e else rat_str(c))
         body = " + ".join(bits) if bits else "0"
@@ -408,9 +397,6 @@ class ZSeries:
             other = ZSeries.from_terms({0: other}, self.order)
         return self + (-other)
 
-    def __rsub__(self, other) -> "ZSeries":
-        return (-self) + other
-
     def scale(self, c) -> "ZSeries":
         n, d = _ratio(c)
         return ZSeries._normal([n * x for x in self.num], self.order, self.den * d)
@@ -427,9 +413,6 @@ class ZSeries:
         order = min(self.order + _valuation(other.num), other.order + _valuation(self.num))
         out = _convolve(self.num, other.num, order + 1)
         return ZSeries._normal(out, order, self.den * other.den)
-
-    def __rmul__(self, other) -> "ZSeries":
-        return self.scale(other)
 
     def recip(self) -> "ZSeries":
         """Multiplicative inverse of a unit (nonzero constant term).
@@ -764,7 +747,7 @@ class TPoly:
     LCM of the reduced coefficient denominators, the form is unique and
     equality is structural.  Every operation ends in `_normal`, which
     restores this form.  A `Fraction` is built only where a coefficient
-    is read: `coeff`, `constant_term`, `terms`, `repr` and the JSON form.
+    is read: `terms`, `repr` and the JSON form.
     """
 
     __slots__ = ("kind", "max_weight", "num", "den")
@@ -833,12 +816,6 @@ class TPoly:
     def terms(self) -> dict[Mono, HbarPoly]:
         """The coefficients as a new {monomial: HbarPoly} map, read-only."""
         return {m: self._read(slot) for m, slot in self.num.items()}
-
-    def coeff(self, mono) -> HbarPoly:
-        return self._read(self.num.get(_canonical(mono), {}))
-
-    def constant_term(self) -> HbarPoly:
-        return self._read(self.num.get((), {}))
 
     def variables(self) -> set:
         return {v for mono in self.num for v, _ in mono}
@@ -911,7 +888,6 @@ class TPoly:
         mul_into(a, b, self.max_weight, 1, out)
         return TPoly._normal(self.kind, self.max_weight, out, self.den * other.den)
 
-    __rmul__ = __mul__
     scale = __mul__
 
     # -- structure maps -----------------------------------------------------

@@ -8,16 +8,13 @@ error, 3 internal invariant violation.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 
-from .algebra import InvariantViolation, TPoly, double_factorial, rat, rat_str
+from .algebra import InvariantViolation, Record, TPoly, double_factorial, rat, rat_str
 from .curve import (
     CurveParams,
     build_curve,  # unused here; perfbench/tests read it as `cli.build_curve`
@@ -51,22 +48,26 @@ ENGINE_VERSION = "0.1.0"
 __all__ = ["main", "run_verification", "RunConfig", "CHECKS", "MIN_WEIGHT", "identification_size"]
 
 
-@dataclass
-class RunConfig:
-    checks: list
-    points: list
-    weight: int = 9
-    out: str | None = None
-    perturbed: bool = False
+class RunConfig(Record):
+    __slots__ = _fields = ("checks", "points", "weight", "out", "perturbed")
+
+    def __init__(self, checks: list, points: list, weight: int = 9, out: str | None = None, perturbed: bool = False):
+        self.checks = checks
+        self.points = points
+        self.weight = weight
+        self.out = out
+        self.perturbed = perturbed
 
 
-@dataclass
-class CheckResult:
-    check: str
-    point: str
-    status: str  # pass | fail
-    millis: int
-    details: dict = field(default_factory=dict)
+class CheckResult(Record):
+    __slots__ = _fields = ("check", "point", "status", "millis", "details")
+
+    def __init__(self, check: str, point: str, status: str, millis: int, details: dict | None = None):
+        self.check = check
+        self.point = point
+        self.status = status  # pass | fail
+        self.millis = millis
+        self.details = {} if details is None else details
 
     @property
     def passed(self) -> bool:
@@ -291,7 +292,10 @@ POINT_FREE = {"kp-kw", "kp-bgw"}
 
 
 def default_points() -> list[CurveParams]:
-    text = resources.files("hodgekp.data").joinpath("points.cfg").read_text()
+    # read through this module's loader, which finds the package data in a
+    # source tree, an installed package or a zip archive alike
+    path = os.path.join(os.path.dirname(__file__), "data", "points.cfg")
+    text = __loader__.get_data(path).decode("utf-8")
     points = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -391,15 +395,18 @@ def _print_summary(summary: dict, fmt: str):
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser, its subcommands' parsers too, whose errors are
-    `ConfigError`s: one `error:` line and exit status 2, with no usage."""
+def _build_parser():
+    # argparse is imported here, by the command line alone: a run through
+    # `run_verification` never loads it
+    import argparse
 
-    def error(self, message):
-        raise ConfigError(message)
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser, its subcommands' parsers too, whose errors are
+        `ConfigError`s: one `error:` line and exit status 2, with no usage."""
 
+        def error(self, message):
+            raise ConfigError(message)
 
-def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="hodgekp",
         description="Exact finite-order verification of the rank-one quantized "

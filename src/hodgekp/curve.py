@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
     InvariantViolation,
+    Record,
     ZSeries,
     double_factorial,
     rat,
@@ -32,7 +32,6 @@ __all__ = [
     "CATALOG",
     "bernoulli",
     "build_curve",
-    "r_series",
     "log_r_series",
     "gaussian_moments",
     "i_series",
@@ -80,22 +79,36 @@ def bernoulli(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurveParams:
-    """A parameter point (q, p) together with an exact square root s of p+q."""
+class CurveParams(Record):
+    """A parameter point (q, p) together with an exact square root s of p+q.
 
-    q: Fraction
-    p: Fraction
-    s: Fraction
+    Immutable; equal points are one dict key."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", rat(self.q))
-        object.__setattr__(self, "p", rat(self.p))
-        object.__setattr__(self, "s", rat(self.s))
-        if self.p + self.q == 0:
+    __slots__ = _fields = ("q", "p", "s")
+
+    def __init__(self, q: Fraction, p: Fraction, s: Fraction):
+        q, p, s = rat(q), rat(p), rat(s)
+        if p + q == 0:
             raise ValueError("excluded parameter locus: p + q = 0")
-        if self.s == 0 or self.s * self.s != self.p + self.q:
+        if s == 0 or s * s != p + q:
             raise ValueError("s must be a nonzero exact square root of p + q")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable CurveParams")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable CurveParams")
+
+    def __eq__(self, other):
+        if other.__class__ is not CurveParams:
+            return NotImplemented
+        return (self.q, self.p, self.s) == (other.q, other.p, other.s)
+
+    def __hash__(self):
+        return hash((self.q, self.p, self.s))
 
     def label(self) -> str:
         return f"q={rat_str(self.q)},p={rat_str(self.p)},s={rat_str(self.s)}"
@@ -124,8 +137,7 @@ CATALOG: tuple[CurveParams, ...] = (
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CurveSeries:
+class CurveSeries(Record):
     """All univariate series data of one parameter point, truncated at order K.
 
     For the in-family builder the fields satisfy (up to the stated
@@ -134,20 +146,36 @@ class CurveSeries:
     out-of-family control pipeline.
     """
 
-    params: CurveParams | None
-    K: int
-    x: ZSeries
-    f: ZSeries
-    h: ZSeries
-    y: ZSeries
-    N: ZSeries
-    R: ZSeries
-    logR: ZSeries
-    I: ZSeries
-    _witt: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _shifts: ShiftData | None = field(default=None, init=False, repr=False, compare=False)
-    # operators built from this curve (`operators.group_element`, `givental_routes`)
-    _ops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("params", "K", "x", "f", "h", "y", "N", "R", "logR", "I")
+    __slots__ = _fields + ("_witt", "_shifts", "_ops")
+
+    def __init__(
+        self,
+        params: CurveParams | None,
+        K: int,
+        x: ZSeries,
+        f: ZSeries,
+        h: ZSeries,
+        y: ZSeries,
+        N: ZSeries,
+        R: ZSeries,
+        logR: ZSeries,
+        I: ZSeries,
+    ):
+        self.params = params
+        self.K = K
+        self.x = x
+        self.f = f
+        self.h = h
+        self.y = y
+        self.N = N
+        self.R = R
+        self.logR = logR
+        self.I = I
+        self._witt = []
+        self._shifts = None
+        # operators built from this curve (`operators.group_element`, `givental_routes`)
+        self._ops = {}
 
     def witt(self, n: int) -> list[Fraction]:
         """The flow coefficients a_1..a_n of f (see `witt_coefficients`).
@@ -277,11 +305,6 @@ def log_r_series(params: CurveParams, K: int) -> ZSeries:
     return ZSeries.from_terms(terms, K)
 
 
-def r_series(params: CurveParams, K: int) -> ZSeries:
-    """R(z) = exp(log_r_series); satisfies R(0)=1 and R(z)R(-z)=1."""
-    return log_r_series(params, K).expm()
-
-
 def gaussian_moments(G: ZSeries) -> ZSeries:
     """Formal Gaussian-moment transform: zeta^(2k) -> (2k-1)!! z^k, odd
     powers -> 0, to the order G.order // 2 that G determines."""
@@ -305,12 +328,14 @@ def i_series(h: ZSeries) -> ZSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GrunskyMatrix:
+class GrunskyMatrix(Record):
     """Coefficients v_{km} of log((h(e1)-h(e2))/(e1-e2)), 1 <= k,m <= size."""
 
-    size: int
-    entries: list  # entries[k-1][m-1]
+    __slots__ = _fields = ("size", "entries")
+
+    def __init__(self, size: int, entries: list):
+        self.size = size
+        self.entries = entries  # entries[k-1][m-1]
 
     def v(self, k: int, m: int) -> Fraction:
         return self.entries[k - 1][m - 1]
@@ -349,12 +374,14 @@ def grunsky_matrix(h: ZSeries, size: int) -> GrunskyMatrix:
     return GrunskyMatrix(size, [[Fraction(x, den) for x in row] for row in entries])
 
 
-@dataclass
-class GiventalMatrix:
+class GiventalMatrix(Record):
     """Coefficients V_{kl} of (1 - R(-w)R(-z))/(w+z), 0 <= k,l < size."""
 
-    size: int
-    entries: list  # entries[k][l]
+    __slots__ = _fields = ("size", "entries")
+
+    def __init__(self, size: int, entries: list):
+        self.size = size
+        self.entries = entries  # entries[k][l]
 
     def v(self, k: int, l: int) -> Fraction:
         return self.entries[k][l]
@@ -465,14 +492,16 @@ def witt_coefficients(f: ZSeries) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ShiftData:
+class ShiftData(Record):
     """Translation vectors (v, v0) on the Virasoro side: v[k] (k>=4) and
     v0[k] (k>=2), the translations matching the dilaton shifts
     z(1-R(-z)) and 1-R(-z) of the two sides."""
 
-    v: dict
-    v0: dict
+    __slots__ = _fields = ("v", "v0")
+
+    def __init__(self, v: dict, v0: dict):
+        self.v = v
+        self.v0 = v0
 
 
 def shift_data(curve: CurveSeries) -> ShiftData:

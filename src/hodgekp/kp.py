@@ -30,14 +30,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
 
 from .algebra import (
     InvariantViolation,
     Mono,
+    Record,
     TPoly,
     T_SIDE,
     mono_lower,
@@ -274,11 +274,13 @@ def hirota_equation_table(y_weight: int) -> tuple[tuple[Mono, Mapping[Mono, Frac
     return tuple((alpha, MappingProxyType(eq)) for alpha, eq in ordered)
 
 
-@dataclass
-class EquationStatus:
-    label: str
-    covered_weight: int
-    status: str
+class EquationStatus(Record):
+    __slots__ = _fields = ("label", "covered_weight", "status")
+
+    def __init__(self, label: str, covered_weight: int, status: str):
+        self.label = label
+        self.covered_weight = covered_weight
+        self.status = status
 
     def to_json_obj(self):
         return {
@@ -288,16 +290,25 @@ class EquationStatus:
         }
 
 
-@dataclass
-class HirotaReport:
+class HirotaReport(Record):
     """Result of an exact bilinear check; `hbar_value` labels the hbar
     value or band it ran at."""
 
-    check: str
-    hbar_value: str | None = None
-    y_weight: int | None = None
-    equations: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
+    __slots__ = _fields = ("check", "hbar_value", "y_weight", "equations", "failures")
+
+    def __init__(
+        self,
+        check: str,
+        hbar_value: str | None = None,
+        y_weight: int | None = None,
+        equations: list | None = None,
+        failures: list | None = None,
+    ):
+        self.check = check
+        self.hbar_value = hbar_value
+        self.y_weight = y_weight
+        self.equations = [] if equations is None else equations
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -420,12 +431,14 @@ def hirota_graded_check(tau: TPoly, y_weight: int, band: tuple[int, int]) -> Hir
     return _run_equations(tau, table, "hirota-graded", y_weight, label, band)
 
 
-@dataclass
-class EvenTimeReport:
+class EvenTimeReport(Record):
     """Whether a polynomial is free of even-index time variables."""
 
-    passed: bool
-    even_monomials: list
+    __slots__ = _fields = ("passed", "even_monomials")
+
+    def __init__(self, passed: bool, even_monomials: list):
+        self.passed = passed
+        self.even_monomials = even_monomials
 
     def to_json_obj(self):
         return {

@@ -11,17 +11,16 @@ from __future__ import annotations
 import marshal
 import math
 import os
-import signal
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import (
     BIG_T_SIDE,
     HbarPoly,
     InvariantViolation,
     Mono,
+    Record,
     TPoly,
     T_SIDE,
     ZSeries,
@@ -886,13 +885,15 @@ def unit_monomials(kind: str, W: int, *, odd_only: bool = False) -> list[TPoly]:
     return [TPoly._normal(kind, W, {m: {0: 1}}, 1) for m in weight_monomials(kind, W, odd_only=odd_only)]
 
 
-@dataclass
-class EqualityReport:
+class EqualityReport(Record):
     """Outcome of comparing two polynomial maps on a monomial basis."""
 
-    label: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = _fields = ("label", "checked", "failures")
+
+    def __init__(self, label: str, checked: int = 0, failures: list | None = None):
+        self.label = label
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -1181,6 +1182,8 @@ def _split_in_two(check: Callable[..., tuple[int, list]]) -> tuple[int, list]:
         checked, failures = check(0, 2)
         data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
     except BaseException:
+        import signal  # only this path sends a signal
+
         os.kill(pid, signal.SIGKILL)
         raise
     finally:

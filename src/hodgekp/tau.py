@@ -18,11 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import BIG_T_SIDE, HbarPoly, InvariantViolation, TPoly, T_SIDE, double_factorial, rat_str, same_value
+from .algebra import BIG_T_SIDE, HbarPoly, InvariantViolation, Record, TPoly, T_SIDE, double_factorial, rat_str, same_value
 from .curve import MIN_SERIES_ORDER, CurveParams, CurveSeries, build_curve
 from .operators import (
     LinearOp,
@@ -182,13 +181,15 @@ def theta_correlator(g: int, args: tuple) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TauSeries:
+class TauSeries(Record):
     """A truncated tau-function or partition function with provenance."""
 
-    body: TPoly
-    kind: str
-    provenance: dict = field(default_factory=dict)
+    __slots__ = _fields = ("body", "kind", "provenance")
+
+    def __init__(self, body: TPoly, kind: str, provenance: dict | None = None):
+        self.body = body
+        self.kind = kind
+        self.provenance = {} if provenance is None else provenance
 
     def to_json_obj(self) -> dict:
         return {"provenance": {"kind": self.kind, **self.provenance}, "terms": self.body.to_json_obj()}
@@ -292,15 +293,17 @@ def _quantized_action(curve: CurveSeries, W: int, mode: str, base: TauSeries) ->
     return _derived(direct, kind, curve.params, W, "direct+factorized")
 
 
-@dataclass
-class TauIdentityReport:
+class TauIdentityReport(Record):
     """Outcome of building one tau-function by the two independent routes."""
 
-    params: CurveParams
-    W: int
-    equal: bool
-    tau: TauSeries
-    difference: TPoly | None = None
+    __slots__ = _fields = ("params", "W", "equal", "tau", "difference")
+
+    def __init__(self, params: CurveParams, W: int, equal: bool, tau: TauSeries, difference: TPoly | None = None):
+        self.params = params
+        self.W = W
+        self.equal = equal
+        self.tau = tau
+        self.difference = difference
 
     def to_json_obj(self) -> dict:
         return {

@@ -16,6 +16,7 @@ from hodgekp.algebra import (
     InvariantViolation,
     TPoly,
     ZSeries,
+    _canonical,
     double_factorial,
     exp_weights,
     mono_str,
@@ -24,7 +25,7 @@ from hodgekp.algebra import (
     same_value,
     weight_sorted,
 )
-from hodgekp.curve import CurveParams, build_curve, witt_flow
+from hodgekp.curve import CurveParams, build_curve, log_r_series, witt_flow
 from hodgekp.operators import (
     EqualityReport,
     LinearOp,
@@ -72,6 +73,25 @@ def curve132():
 @pytest.fixture(scope="session")
 def curve132_big():
     return build_curve(CurveParams(Fraction(1), Fraction(3), Fraction(2)), 18)
+
+
+def coeff(value, key):
+    """The coefficient of `key` in a `ZSeries` (an exponent up to its
+    order, as a Fraction), a `TPoly` (a monomial as (variable, exponent)
+    pairs, as an HbarPoly; `()` is the constant term) or an `HbarPoly`
+    (an hbar exponent, as a Fraction)."""
+    if isinstance(value, ZSeries):
+        if key > value.order:
+            raise ValueError(f"coefficient of z^{key} beyond trusted order {value.order}")
+        return value.coeff_or_zero(key)
+    if isinstance(value, TPoly):
+        return value._read(value.num.get(_canonical(key), {}))
+    return value.terms.get(key, Fraction(0))
+
+
+def r_series(params, K):
+    """R(z) = exp(log_r_series); satisfies R(0)=1 and R(z)R(-z)=1."""
+    return log_r_series(params, K).expm()
 
 
 def random_rational(rng, num=9, den=6):
@@ -267,7 +287,7 @@ def hbar_weight_strip(P, num, den):
         e = w * num // den
         if set(c.terms) - {e}:
             raise ValueError(f"monomial {mono_str(P.kind, mono)} is not hbar-graded")
-        out[mono] = c.coeff(e)
+        out[mono] = coeff(c, e)
     return TPoly(P.kind, P.max_weight, out)
 
 

@@ -20,7 +20,6 @@ from hodgekp.curve import (
     identification_residual,
     log_r_series,
     perturbed_control_curve,
-    r_series,
     witt_coefficients,
 )
 from hodgekp.kp import (
@@ -46,7 +45,7 @@ from hodgekp.operators import (
 )
 from hodgekp.tau import bgw_tau, kw_tau, tau_qp_check, trust_band
 
-from conftest import random_tpoly
+from conftest import r_series, random_tpoly
 
 P132 = CurveParams(F(1), F(3), F(2))
 PM121 = CurveParams(F(-1), F(2), F(1))

@@ -14,6 +14,7 @@ import hodgekp
 from hodgekp.cli import (
     CHECKS,
     MIN_WEIGHT,
+    CheckResult,
     ConfigError,
     RunConfig,
     default_points,
@@ -45,6 +46,23 @@ class TestConfig:
         config = RunConfig(checks=["no-such-check"], points=default_points())
         with pytest.raises(ConfigError, match="unknown check"):
             run_verification(config)
+
+    def test_run_config_keyword_defaults(self):
+        config = RunConfig(checks=["lemma-laplace"], points=[])
+        assert (config.weight, config.out, config.perturbed) == (9, None, False)
+        assert config == RunConfig(["lemma-laplace"], [], 9, None, False) != RunConfig(["lemma-laplace"], [], 8)
+
+    def test_check_result_builds_positionally(self):
+        # as perfbench/child.py builds the result of a job that raised
+        result = CheckResult("lemma-laplace", "q=1,p=3,s=2", "fail", 0, {"error": "boom"})
+        assert not result.passed
+        assert result.to_json_obj() == {
+            "check": "lemma-laplace",
+            "point": "q=1,p=3,s=2",
+            "status": "fail",
+            "details": {"error": "boom"},
+        }
+        assert CheckResult("c", "p", "pass", 3).details == {}
 
 
 class TestMainEntry:
@@ -300,8 +318,6 @@ def test_kp_hodge_sees_a_bump_on_the_theta_tau_at_weight_w(monkeypatch):
     # sits at monomial weight W = 6 inside the band 2e <= W + v; the
     # equation D1^4 + 3 D2^2 - 4 D1 D3 leaves a residual of it at weight
     # 2.  A Theta tau built to W - 1 holds no monomial of weight W.
-    import dataclasses
-
     import hodgekp.tau as tau_mod
 
     W = 6
@@ -311,7 +327,8 @@ def test_kp_hodge_sees_a_bump_on_the_theta_tau_at_weight_w(monkeypatch):
         rep = real(params, w, mode, *inputs)
         if mode == "theta" and w == W:
             body = rep.tau.body + TPoly("t", w, {((1, 6),): HbarPoly.hbar(3, F(1, 7))})
-            rep = dataclasses.replace(rep, tau=dataclasses.replace(rep.tau, body=body))
+            tau = tau_mod.TauSeries(body, rep.tau.kind, rep.tau.provenance)
+            rep = tau_mod.TauIdentityReport(rep.params, rep.W, rep.equal, tau, rep.difference)
         return rep
 
     monkeypatch.setattr(tau_mod, "_tau_identity", bumped)

@@ -33,6 +33,7 @@ from hodgekp.tau import (
 
 from conftest import (
     assemble_tau,
+    coeff,
     partitions_into,
     psi_dimension,
     reference_psi_correlator,
@@ -200,7 +201,7 @@ class TestLiteratureOracles:
         body = kw_tau(21).body
         for g in range(1, 5):
             expect = F(self._double_factorial(6 * g - 3), 24**g * math.factorial(g))
-            assert body.coeff(((6 * g - 3, 1),)) == HbarPoly.hbar(2 * g - 1, expect), g
+            assert coeff(body, ((6 * g - 3, 1),)) == HbarPoly.hbar(2 * g - 1, expect), g
 
     def test_norbury_one_point_on_the_cut_and_join_base(self):
         # [t_(2g-1)] bgw_tau = (2g-1)!! <tau_{g-1}>^Theta_g hbar^(2g-1), with
@@ -209,7 +210,7 @@ class TestLiteratureOracles:
         df = self._double_factorial
         for g in range(1, 8):
             expect = F(df(2 * g - 1) * df(2 * g - 1) * df(2 * g - 3), 8**g * math.factorial(g))
-            assert body.coeff(((2 * g - 1, 1),)) == HbarPoly.hbar(2 * g - 1, expect), g
+            assert coeff(body, ((2 * g - 1, 1),)) == HbarPoly.hbar(2 * g - 1, expect), g
 
     def test_string_and_dilaton_equations(self):
         # <tau_0 prod tau_(a_i)>_g = sum_j <... tau_(a_j - 1) ...>_g and
@@ -266,27 +267,27 @@ class TestThetaCorrelators:
 class TestBaseTaus:
     def test_kw_lowest_coefficients(self):
         body = kw_tau(12).body
-        assert body.constant_term() == HbarPoly.one()
-        assert body.coeff(((1, 3),)) == HbarPoly.hbar(1, F(1, 6))
-        assert body.coeff(((3, 1),)) == HbarPoly.hbar(1, F(1, 8))
+        assert coeff(body, ()) == HbarPoly.one()
+        assert coeff(body, ((1, 3),)) == HbarPoly.hbar(1, F(1, 6))
+        assert coeff(body, ((3, 1),)) == HbarPoly.hbar(1, F(1, 8))
 
     def test_kw_dimension_constraint(self):
         body = kw_tau(12).body
         for mono, c in body.terms.items():
             w = mono_weight("t", mono)
             assert w % 3 == 0
-            assert set(c.exponents()) == ({w // 3} if mono else {0})
+            assert set(c.terms) == ({w // 3} if mono else {0})
             assert all(v % 2 == 1 for v, _ in mono)
 
     def test_bgw_lowest_coefficient(self):
         body = bgw_tau(10).body
-        assert body.coeff(((1, 1),)) == HbarPoly.hbar(1, F(1, 8))
+        assert coeff(body, ((1, 1),)) == HbarPoly.hbar(1, F(1, 8))
 
     def test_bgw_grading(self):
         body = bgw_tau(10).body
         for mono, c in body.terms.items():
             w = mono_weight("t", mono)
-            assert set(c.exponents()) == ({w} if mono else {0})
+            assert set(c.terms) == ({w} if mono else {0})
             assert all(v % 2 == 1 for v, _ in mono)
 
     def test_minimum_weights_enforced(self):
@@ -374,7 +375,7 @@ class TestHodgePartition:
         su = -p132.p - p132.q + p132.p * p132.q / (p132.p + p132.q)
         # the hbar^1 component of the T0 coefficient (higher hbar powers
         # are out-of-band tails of the weight truncation)
-        assert Z.body.coeff(((0, 1),)).coeff(1) == su / 24
+        assert coeff(coeff(Z.body, ((0, 1),)), 1) == su / 24
 
     def test_p_q_symmetry(self):
         a = hodge_partition(CurveParams(F(0), F(4), F(2)), 8)
@@ -383,7 +384,7 @@ class TestHodgePartition:
 
     def test_theta_mode(self, p132):
         Z = hodge_partition(p132, 7, mode="theta")
-        assert Z.body.constant_term().coeff(0) == 1
+        assert coeff(coeff(Z.body, ()), 0) == 1
 
 
 def _series_mul(a, b, n):
@@ -440,13 +441,13 @@ class TestFaberPandharipande:
                     continue
                 i = d - 2 * g + 2
                 expect = (-4) ** (g - i) * fp[g, i] if 0 <= i <= g else 0
-                assert Z.body.coeff(((d, 1),)).coeff(2 * g - 1) == expect, (d, g)
+                assert coeff(coeff(Z.body, ((d, 1),)), 2 * g - 1) == expect, (d, g)
                 checked += 1
                 nonzero += expect != 0
         assert nonzero == 8 and checked > nonzero
         # genus 2, and genus 4 at the top psi power <tau_10>_4 = 1/(24^4 4!)
-        assert [Z.body.coeff(((d, 1),)).coeff(3) for d in (2, 3, 4)] == [F(7, 360), F(-1, 120), F(1, 1152)]
-        assert Z.body.coeff(((10, 1),)).coeff(7) == F(1, 24**4 * 24)
+        assert [coeff(coeff(Z.body, ((d, 1),)), 3) for d in (2, 3, 4)] == [F(7, 360), F(-1, 120), F(1, 1152)]
+        assert coeff(coeff(Z.body, ((10, 1),)), 7) == F(1, 24**4 * 24)
 
 
 class TestLambdaG:
@@ -480,8 +481,8 @@ class TestLambdaG:
                 b = 2 * g - 1 - a
                 if a_band * 2 * g > self.W + b_band * (2 * a + 2 * b + 2):
                     continue
-                one_point = Z.body.coeff(((a, 1),)) * Z.body.coeff(((b, 1),))
-                got[a, b, g] = Z.body.coeff(((a, 1), (b, 1))).coeff(2 * g) - one_point.coeff(2 * g)
+                one_point = coeff(Z.body, ((a, 1),)) * coeff(Z.body, ((b, 1),))
+                got[a, b, g] = coeff(coeff(Z.body, ((a, 1), (b, 1))), 2 * g) - coeff(one_point, 2 * g)
                 assert got[a, b, g] == (-4) ** g * math.comb(2 * g - 1, a) * fp[g, 0], (a, b, g)
         assert got == {(0, 1, 1): F(-1, 6), (0, 3, 2): F(7, 360), (1, 2, 2): F(7, 120)}
 
@@ -494,7 +495,7 @@ class TestLambdaG:
         is 1 at every in-band hbar exponent, 12e <= W; above that it is a
         partial sum."""
         a_band, b_band = trust_band(Z.kind)
-        assert [Z.body.coeff(()).coeff(e) for e in range(self.W // a_band + 1)] == [1, 0, 0]
+        assert [coeff(coeff(Z.body, ()), e) for e in range(self.W // a_band + 1)] == [1, 0, 0]
         G = 3
         fp = _faber_pandharipande(G)
         got = {}
@@ -507,14 +508,14 @@ class TestLambdaG:
                 mono = tuple(sorted(mult.items()))
                 powers = itertools.product(*(range(k + 1) for k in mult.values()))
                 divisors = [tuple((v, k) for v, k in zip(mult, ks) if k) for ks in powers]
-                u = TPoly("T", self.W, {m: Z.body.coeff(m) for m in divisors if m})
+                u = TPoly("T", self.W, {m: coeff(Z.body, m) for m in divisors if m})
                 log, power = TPoly.zero("T", self.W), TPoly.one("T", self.W)
                 for j in range(1, n + 1):
                     power = power * u
                     log = log + power.scale(F((-1) ** (j + 1), j))
                 aut = math.prod(math.factorial(k) for k in mult.values())
                 multinomial = math.factorial(d) // math.prod(math.factorial(a) for a in parts)
-                got[parts[::-1]] = log.coeff(mono).coeff(e)
+                got[parts[::-1]] = coeff(coeff(log, mono), e)
                 assert got[parts[::-1]] == (-4) ** g * multinomial * fp[g, 0] / aut, (parts, g)
         return got
 
@@ -594,10 +595,10 @@ class TestTauQpIdentity:
         checked = 0
         for mono, c in t7.terms.items():
             v = mono_weight("t", mono)
-            for e in c.exponents():
+            for e in sorted(c.terms):
                 if a * e <= 7 + b * v:
                     checked += 1
-                    assert t9.coeff(mono).coeff(e) == c.coeff(e), (mono, e)
+                    assert coeff(coeff(t9, mono), e) == coeff(c, e), (mono, e)
         assert checked >= 5
 
 
