@@ -26,7 +26,7 @@ from .operators import (
     DILATON_TIME,
     exp_apply,
     givental_routes,
-    linear_change_generator,
+    linear_change,
     operator_equality_check,
     rl_identity_check,
     tqp_forms_symbolic,
@@ -162,7 +162,7 @@ def _chk_lemma_changevars(run: _PointRun, point: CurveParams) -> dict:
     kmax = (W - 1) // 2
     forms = run.forms(W)
     symbolic = tqp_forms_symbolic(point, kmax, W)
-    v0 = linear_change_generator(curve.witt(W), W)
+    v0 = linear_change(curve, W)
     rb = curve.R.subs_neg()
     failures = []
     for k in range(kmax + 1):

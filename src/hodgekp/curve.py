@@ -174,7 +174,10 @@ class CurveSeries(Record):
         self.I = I
         self._witt = []
         self._shifts = None
-        # operators built from this curve (`operators.group_element`, `givental_routes`)
+        # what the checks at one point read, built once from this curve and
+        # read-only: the Grunsky and V matrices (`grunsky`, `givental`), and
+        # the operators and route maps of `operators` (`group_element`,
+        # `linear_change`, `givental_routes`, `rl_transform_virasoro`)
         self._ops = {}
 
     def witt(self, n: int) -> list[Fraction]:
@@ -188,6 +191,27 @@ class CurveSeries(Record):
         if n > len(self._witt):
             self._witt = witt_coefficients(self.f.truncate(n + 1))
         return self._witt[:n]
+
+    def grunsky(self, size: int) -> GrunskyMatrix:
+        """The Grunsky matrix of h (`grunsky_matrix`), of size at least
+        `size`: built once per curve, to the largest size asked for so
+        far.  A reader reads its own block; an entry v_km with k, m <= size
+        does not depend on the size the matrix was built to."""
+        return self._largest("grunsky", size, lambda n: grunsky_matrix(self.h, n))
+
+    def givental(self, size: int) -> GiventalMatrix:
+        """The symplectic V matrix of R (`givental_v_matrix`), of size at
+        least `size`, kept as `grunsky` keeps its matrix: an entry V_kl
+        with k, l < size does not depend on the size either."""
+        return self._largest("givental", size, lambda n: givental_v_matrix(self.R, n))
+
+    def _largest(self, key: str, size: int, build):
+        """The matrix kept under `key`, rebuilt by build(size) only for a
+        larger size."""
+        built = self._ops.get(key)
+        if built is None or built[0] < size:
+            built = self._ops[key] = (size, build(size))
+        return built[1]
 
     def shifts(self) -> ShiftData:
         """The translation vectors of this curve (see `shift_data`),
@@ -533,8 +557,10 @@ def identification_residual(curve: CurveSeries, size: int, *, require_symplectic
     """
     if curve.K < 2 * (2 * size + 1):
         raise ValueError("insufficient order: need the curve built to order >= 2*(2*size+1)")
-    V = givental_v_matrix(curve.R, size, require_symplectic=require_symplectic)
-    G = grunsky_matrix(curve.h, 2 * size - 1)
+    # the perturbed control's R is not symplectic: its quotient is a
+    # diagnostic of that curve alone, never kept
+    V = curve.givental(size) if require_symplectic else givental_v_matrix(curve.R, size, require_symplectic=False)
+    G = curve.grunsky(2 * size - 1)
     out = []
     for k in range(size):
         row = []

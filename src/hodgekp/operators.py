@@ -35,7 +35,7 @@ from .algebra import (
     var_weight,
     weight_monomials,
 )
-from .curve import CurveSeries, givental_v_matrix, grunsky_matrix
+from .curve import CurveSeries
 
 __all__ = [
     "LinearOp",
@@ -46,6 +46,7 @@ __all__ = [
     "w_op",
     "translation_op",
     "linear_change_generator",
+    "linear_change",
     "virasoro_sum_op",
     "group_element",
     "exp_apply",
@@ -95,27 +96,28 @@ class LinearOp:
     multiplicative ones ("id" merged into `scalar`, "m" and "mm" in
     `mults`, ascending in the weight they add) act on every monomial;
     the derivative ones are indexed by the variable they differentiate
-    (for "dd", the smaller one), so a monomial only meets the terms of
-    the variables it contains.  Derivative coefficients are kept as
+    (for "dd", the smaller one) in `by_var`, which one function walks
+    (`_derivative_walk`), so a monomial only meets the terms of the
+    variables it contains.  Derivative coefficients are kept as
     {integer factor: pairs} memos, factor 1 being the coefficient itself,
     since a derivative multiplies by the variable's exponent.
+    `hbar_free` says whether every coefficient is a multiple of hbar^0.
 
     For `exp_apply` the op also numbers monomials lazily (`ids` maps a
     monomial to its id, `monos` an id back to its monomial; nothing is
     numbered up front) and keeps one row per monomial once it is reached
     (`rows[id]`, None until then): the image of that unit monomial under
-    D·op, computed by `_apply_plan` itself, as a tuple of (target id,
-    hbar exponent, integer factor).  Only ops that drop weight by at least
-    1 reach `exp_apply`, so they have no "id", "m" or "mm" terms, and every
-    image lies strictly below its monomial's weight: no cap cuts a row, a
-    row depends on its monomial alone, and it serves every iterate of
-    every later call on the same op, exp(op) and exp(-op) alike.  Rows
-    live and die with the op.  `low` and `span` bound the op's hbar
-    exponents (see `compile_rows`).
+    D·op, as a tuple of (target id, hbar exponent, integer factor).  Only
+    ops that drop weight by at least 1 reach `exp_apply`, so they have no
+    "id", "m" or "mm" terms, a row is the images of the derivative terms
+    alone (`compile_rows`), and every image lies strictly below its
+    monomial's weight: no cap cuts a row, a row depends on its monomial
+    alone, and it serves every iterate of every later call on the same
+    op, exp(op) and exp(-op) alike.  Rows live and die with the op.
     """
 
     __slots__ = (
-        "kind", "pairs", "D", "min_weight_drop", "scalar", "mults", "by_var", "ids", "monos", "rows", "low", "span"
+        "kind", "pairs", "D", "min_weight_drop", "scalar", "mults", "by_var", "hbar_free", "ids", "monos", "rows"
     )
 
     def __init__(self, kind: str, terms: Mapping[tuple, HbarPoly] | None = None):
@@ -134,9 +136,7 @@ class LinearOp:
         self.ids: dict[Mono, int] = {}
         self.monos: list[Mono] = []
         self.rows: list[tuple | None] = []
-        exps = [e for pairs in self.pairs.values() for e, _ in pairs]
-        self.low = min(exps, default=0)
-        self.span = max(exps, default=0) - self.low + 1
+        self.hbar_free = all(e == 0 for pairs in self.pairs.values() for e, _ in pairs)
         w = lambda v: var_weight(kind, v)
         drops = []
         d_pairs, md, dd_same, dd_other = {}, {}, {}, {}
@@ -154,7 +154,7 @@ class LinearOp:
             elif tag == "md":
                 a, b = key[1], key[2]
                 drop = w(b) - w(a)
-                md.setdefault(b, []).append((a, w(a), {1: pairs}))
+                md.setdefault(b, []).append((a, -drop, {1: pairs}))
             elif tag == "dd":
                 a, b = key[1], key[2]
                 drop = w(a) + w(b)
@@ -218,26 +218,23 @@ class LinearOp:
             self.rows.append(None)
         return i
 
-    def compile_rows(self, ids: list, cap: int) -> None:
-        """Build and keep the rows of the monomial ids `ids` in one kernel pass.
-
-        The k-th monomial enters `_apply_plan` on its own band of hbar
-        exponents, as the unit coefficient at k·span − low, so an image term
-        of exponent k·span + (e − low), e in [low, low + span) an exponent
-        of the op, came from that monomial with the op's exponent e.  Any
-        cap at or above the monomials' weights gives the same rows.
-        """
-        monos, span, low = self.monos, self.span, self.low
-        image = _apply_plan(self, cap, [(monos[i], {k * span - low: 1}) for k, i in enumerate(ids)])
-        entries = [[] for _ in ids]
-        number = self.number
-        for target, slot in image.items():
-            for e, c in slot.items():
-                if c:
-                    k, r = divmod(e, span)
-                    entries[k].append((number(target), r + low, c))
-        for i, row in zip(ids, entries):
-            self.rows[i] = tuple(row)
+    def compile_rows(self, ids: list) -> None:
+        """Build and keep the rows of the monomial ids `ids`, each from the
+        derivative walk (`_derivative_walk`) on its monomial: one entry
+        (target id, hbar exponent, c·exponent factor) per image and
+        coefficient pair.  The op drops weight, so no term raises it (room
+        0).  The images of distinct terms are distinct monomials and no
+        entry is zero, so a row needs no merge; the steps sum what they
+        read."""
+        monos, rows, number, by_var = self.monos, self.rows, self.number, self.by_var
+        for i in ids:
+            row = []
+            put = row.append
+            for img, pairs in _derivative_walk(by_var, monos[i], 0):
+                j = number(img)
+                for e, c in pairs:
+                    put((j, e, c))
+            rows[i] = tuple(row)
 
     def __repr__(self) -> str:
         return f"LinearOp({self.kind}, {len(self.pairs)} terms, drop>={self.min_weight_drop})"
@@ -248,15 +245,17 @@ def _apply_plan(op: LinearOp, cap: int, items: Iterable[tuple]) -> dict:
     terms are `items`, pairs (monomial, {hbar exponent: int}), under the
     integer operator D·op, truncated at weight `cap`.
 
-    Each monomial visits only the derivative terms of the variables it
-    contains, and every product lands in one flat map from monomial to
+    Each monomial meets the multiplicative terms that keep it within cap
+    and, through `_derivative_walk`, the derivative terms of the variables
+    it contains; every product lands in one flat map from monomial to
     {hbar exponent: int}, returned with the zeros of cancellations.
     """
     odd = op.kind == BIG_T_SIDE  # weight(T_m) = 2m + 1, weight(t_k) = k
     scalar, mults, by_var = op.scalar, op.mults, op.by_var
     out: dict[Mono, dict] = {}
+    citems = ()
 
-    def emit(mono, citems, pairs):
+    def emit(mono, pairs):
         slot = out.get(mono)
         if slot is None:
             slot = out[mono] = {}
@@ -269,7 +268,7 @@ def _apply_plan(op: LinearOp, cap: int, items: Iterable[tuple]) -> dict:
     for mono, slot in items:
         citems = tuple(slot.items())
         if scalar:
-            emit(mono, citems, scalar)
+            emit(mono, scalar)
         w = sum(((2 * v + 1) if odd else v) * e for v, e in mono)
         for vars_, dw, pairs in mults:
             if w + dw > cap:
@@ -277,30 +276,42 @@ def _apply_plan(op: LinearOp, cap: int, items: Iterable[tuple]) -> dict:
             img = mono
             for a in vars_:
                 img = _mono_times(img, a)
-            emit(img, citems, pairs)
-        for i, (v, e) in enumerate(mono):
-            entry = by_var.get(v)
-            if entry is None:
-                continue
-            d_pairs, md, dd_same, dd_other = entry
-            dmono = mono_lower(mono, i)
-            if d_pairs is not None:
-                emit(dmono, citems, _scaled(d_pairs, e))
-            if md:
-                dw = w - ((2 * v + 1) if odd else v)
-                for a, wa, pairs in md:
-                    if dw + wa <= cap:
-                        emit(_mono_times(dmono, a), citems, _scaled(pairs, e))
-            if dd_same is not None and e > 1:
-                emit(mono_lower(dmono, i), citems, _scaled(dd_same, e * (e - 1)))
-            if dd_other:
-                for j in range(i + 1, len(mono)):
-                    vb, eb = mono[j]
-                    pairs = dd_other.get(vb)
-                    if pairs is not None:
-                        # in dmono vb sits at j, or at j - 1 if v's entry (at i < j) vanished
-                        ddmono = mono_lower(dmono, j if e > 1 else j - 1)
-                        emit(ddmono, citems, _scaled(pairs, e * eb))
+            emit(img, pairs)
+        for img, pairs in _derivative_walk(by_var, mono, cap - w):
+            emit(img, pairs)
+    return out
+
+
+def _derivative_walk(by_var: dict, mono: Mono, room: int) -> list[tuple]:
+    """The images of the monomial under the derivative terms of an op's
+    term index `by_var` (see `LinearOp`), as a list of (image, pairs),
+    pairs the term's coefficient pairs times the exponent factor of the
+    derivative.  An "md" term is skipped where it raises the weight by
+    more than `room`.  The monomial visits only the terms of the
+    variables it contains.  This is the one walk over a term index: the
+    apply kernel and the row builder both read it."""
+    out = []
+    put = out.append
+    for i, (v, e) in enumerate(mono):
+        entry = by_var.get(v)
+        if entry is None:
+            continue
+        d_pairs, md, dd_same, dd_other = entry
+        dmono = mono_lower(mono, i)
+        if d_pairs is not None:
+            put((dmono, _scaled(d_pairs, e)))
+        for a, gain, pairs in md:
+            if gain <= room:
+                put((_mono_times(dmono, a), _scaled(pairs, e)))
+        if dd_same is not None and e > 1:
+            put((mono_lower(dmono, i), _scaled(dd_same, e * (e - 1))))
+        if dd_other:
+            for j in range(i + 1, len(mono)):
+                vb, eb = mono[j]
+                pairs = dd_other.get(vb)
+                if pairs is not None:
+                    # in dmono vb sits at j, or at j - 1 if v's entry (at i < j) vanished
+                    put((mono_lower(dmono, j if e > 1 else j - 1), _scaled(pairs, e * eb)))
     return out
 
 
@@ -350,8 +361,7 @@ def _exp_batch(op: LinearOp, items: Sequence[tuple], cap: int, inverse: bool = F
     if op.is_zero():
         return list(items)
     number, monos = op.number, op.monos
-    hbar_free = op.low == 0 and op.span == 1
-    flat = [hbar_free and all(len(slot) == 1 and 0 in slot for slot in num.values()) for num, _ in items]
+    flat = [op.hbar_free and all(len(slot) == 1 and 0 in slot for slot in num.values()) for num, _ in items]
     us = [
         {number(mono): slot[0] for mono, slot in num.items()}
         if f
@@ -414,7 +424,7 @@ def _exp_lockstep(op: LinearOp, us: list, cap: int, inverse: bool, dens: list, f
         unseen = [i for _, its, step in live if step is _flat_step for i in its[-1] if rows[i] is None]
         unseen += [i for _, its, step in live if step is _keyed_step for i, _ in its[-1] if rows[i] is None]
         if unseen:
-            op.compile_rows(list(dict.fromkeys(unseen)), cap)
+            op.compile_rows(list(dict.fromkeys(unseen)))
         stepped = []
         for b, its, step in live:
             u = step(its[-1], rows)
@@ -515,16 +525,20 @@ def _virasoro_items(m: int, W: int, c):
 
 
 def heisenberg_op(k: int, W: int) -> LinearOp:
-    """Current mode on the t-side: d/dt_k for k>0, -k t_{-k} for k<0."""
+    """Current mode on the t-side: d/dt_k for k>0, -k t_{-k} for k<0, at
+    weight cap W (zero past it); its one term is `_current_term`."""
+    tag, v, c = _current_term(k)
+    if v > W:
+        return LinearOp(T_SIDE)
+    return LinearOp.from_terms(T_SIDE, [(tag, v, Fraction(c))])
+
+
+def _current_term(k: int) -> tuple[str, int, int]:
+    """The one term of the current mode J_k, as (tag, variable, c):
+    c·d/dt_k with c = 1 for k > 0, and c·t_{-k} with c = -k for k < 0."""
     if k == 0:
         raise ValueError("the zero current mode is identically zero; calling it is a bug")
-    if k > 0:
-        if k > W:
-            return LinearOp(T_SIDE)
-        return LinearOp.from_terms(T_SIDE, [("d", k, Fraction(1))])
-    if -k > W:
-        return LinearOp(T_SIDE)
-    return LinearOp.from_terms(T_SIDE, [("m", -k, Fraction(-k))])
+    return ("d", k, 1) if k > 0 else ("m", -k, -k)
 
 
 # The two sides, by the index sigma of the time T_sigma that carries the
@@ -608,6 +622,16 @@ def group_element(curve: CurveSeries, cap: int) -> LinearOp:
     if built is None or built[0] < cap:
         built = curve._ops["group"] = (cap, virasoro_sum_op(curve.witt(cap), cap))
     return built[1]
+
+
+def linear_change(curve: CurveSeries, W: int) -> LinearOp:
+    """v_0 = `linear_change_generator` of the curve's flow coefficients
+    a_1..a_W at weight cap W, built once per W and kept on the curve, so
+    its rows are built once for every check that reads it."""
+    key = ("v0", W)
+    if key not in curve._ops:
+        curve._ops[key] = linear_change_generator(curve.witt(W), W)
+    return curve._ops[key]
 
 
 # ---------------------------------------------------------------------------
@@ -736,17 +760,13 @@ def transformed_variable_images(
     return images
 
 
-def givental_kernel(R: ZSeries, W: int) -> LinearOp:
+def givental_kernel(curve: CurveSeries, W: int) -> LinearOp:
     """(1/2) sum V_ij d^2/dT_i dT_j on T-side polynomials of weight cap W,
-    the exponent of the factorized form's quadratic factor; it reads R
-    alone (to order 2((W - 1)//2 + 1)), not the mode."""
-    if R.coeff_or_zero(0) != 1:
-        raise ValueError("R must have constant term 1")
-    M = (W - 1) // 2
-    size = M + 1
-    if R.order < 2 * size:
-        raise ValueError("insufficient order of R: need order >= 2*((W-1)//2 + 1)")
-    V = givental_v_matrix(R, size)
+    the exponent of the factorized form's quadratic factor; it reads the
+    curve's V matrix (`CurveSeries.givental`), built from R alone (to
+    order 2((W - 1)//2 + 1)), not the mode."""
+    size = (W - 1) // 2 + 1
+    V = curve.givental(size)
     items = []
     for i in range(size):
         for j in range(i, size):
@@ -767,8 +787,8 @@ def givental_factorized(R: ZSeries, W: int, mode: str = "standard", *, kernel: L
     and then performs the affine substitution of the transformed
     variables (which carries the translation constants).  Must agree
     exactly with givental_direct; the pair of routes is the standing
-    cross-check.  The exponent is `kernel`, `givental_kernel(R, W)`,
-    which both sides share; the images are built once; the returned map
+    cross-check.  The exponent is `kernel`, the `givental_kernel` of R's
+    curve, which both sides share; the images are built once; the returned map
     applies them.
     """
     images = transformed_variable_images(R, W, mode)
@@ -783,11 +803,11 @@ def givental_routes(curve: CurveSeries, W: int, mode: str = "standard") -> tuple
     factorized maps of both sides at one W share one kernel
     (`givental_kernel`), kept on the curve too; the direct map never
     reads it."""
-    key = (mode, W)
+    key = ("givental", mode, W)
     if key not in curve._ops:
         kernel = curve._ops.get(("kernel", W))
         if kernel is None:
-            kernel = curve._ops["kernel", W] = givental_kernel(curve.R, W)
+            kernel = curve._ops["kernel", W] = givental_kernel(curve, W)
         curve._ops[key] = (
             givental_direct(couplings_from_log_r(curve.logR, W), W, mode),
             givental_factorized(curve.R, W, mode, kernel=kernel),
@@ -963,9 +983,9 @@ def virasoro_factorization_check(curve: CurveSeries, W: int) -> EqualityReport:
     upper-triangular group element.
     """
     big = group_element(curve, W)
-    v0 = linear_change_generator(curve.witt(W), W)
+    v0 = linear_change(curve, W)
     size = max(W - 1, 1)
-    G = grunsky_matrix(curve.h, size)
+    G = curve.grunsky(size)
     # the entries v_km with k <= m and k + m <= W; `from_terms` drops zeros
     pairs = ((k, m) for k in range(1, size + 1) for m in range(k, W - k + 1))
     quad = LinearOp.from_terms(T_SIDE, (("dd", k, m, G.v(k, m) / (2 if k == m else 1)) for k, m in pairs))
@@ -1097,12 +1117,15 @@ def virasoro_conjugation_check(curve: CurveSeries, W: int, *, flip_sign: bool = 
 
 def _current_memo(k: int, cap: int, op: LinearOp, ids: list) -> dict:
     """J_k = `heisenberg_op(k, cap)`, one term c·d/dt_v or c·t_v with c an
-    integer, on the monomial ids `ids` of `op`, monomials J_k keeps within
-    cap: memo[i] = (j, f) when J_k sends monomial i to the integer f times
-    monomial j (numbered into `op`), no entry where it gives 0.  J_k
-    is injective on monomials, so it acts on a combination term by term."""
-    ((tag, v), ((_, c),)), = heisenberg_op(k, cap).pairs.items()
+    integer (`_current_term`), on the monomial ids `ids` of `op`,
+    monomials J_k keeps within cap: memo[i] = (j, f) when J_k sends
+    monomial i to the integer f times monomial j (numbered into `op`), no
+    entry where it gives 0.  J_k is injective on monomials, so it acts on
+    a combination term by term."""
+    tag, v, c = _current_term(k)
     monos, number, memo = op.monos, op.number, {}
+    if v > cap:
+        return memo
     for i in ids:
         mono = monos[i]
         if tag == "m":
@@ -1230,16 +1253,15 @@ def rl_transform_virasoro(curve: CurveSeries, W: int, mode: str = "standard") ->
     W: exp(sum a_k L_k), then the hbar^{-1}-weighted translation in the
     t-variables, by the dilaton-shifted vector v where sigma = 1 and by
     the order-zero vector v0 where sigma = 0, sigma of the side `mode`.
-    The group element is the curve's (`group_element`); the translation
-    is built once per map."""
+    The group element is the curve's (`group_element`); the map is built
+    once per (mode, W) and kept on the curve, with its translation."""
     sigma = dilaton_time(mode)
-    sd = curve.shifts()
-    big = group_element(curve, W)
-    vector = sd.v if sigma else sd.v0
-    trans = translation_op(
-        {k: HbarPoly.hbar(-1, c) for k, c in vector.items()}, W, T_SIDE
-    )
-    return _map_on(T_SIDE, W, _chain(_exp_core(big, W), _exp_core(trans, W)))
+    key = ("virasoro", mode, W)
+    if key not in curve._ops:
+        vector = curve.shifts().v if sigma else curve.shifts().v0
+        trans = translation_op({k: HbarPoly.hbar(-1, c) for k, c in vector.items()}, W, T_SIDE)
+        curve._ops[key] = _map_on(T_SIDE, W, _chain(_exp_core(group_element(curve, W), W), _exp_core(trans, W)))
+    return curve._ops[key]
 
 
 def rl_identity_check(

@@ -617,7 +617,7 @@ def mutated_current_mode(monkeypatch, mode, mutation, W):
 
 def reference_factorized(curve, W, mode="standard"):
     """The former body of the factorized quantized action."""
-    kernel = operators.givental_kernel(curve.R, W)
+    kernel = operators.givental_kernel(curve, W)
     images = operators.transformed_variable_images(curve.R, W, mode)
     return lambda P: exp_apply(kernel, P).substitute(images)
 

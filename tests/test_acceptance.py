@@ -45,7 +45,7 @@ from hodgekp.operators import (
 )
 from hodgekp.tau import bgw_tau, kw_tau, tau_qp_check, trust_band
 
-from conftest import r_series, random_tpoly
+from conftest import random_tpoly
 
 P132 = CurveParams(F(1), F(3), F(2))
 PM121 = CurveParams(F(-1), F(2), F(1))
@@ -96,10 +96,10 @@ def test_criterion_03_direct_equals_factorized_weight9():
         W = 9
         for point in (P132, PM121):
             order = 2 * ((W - 1) // 2 + 1)
-            R = r_series(point, order)
+            curve = build_curve(point, order)
             couplings = couplings_from_log_r(log_r_series(point, order), W)
             direct = givental_direct(couplings, W)
-            factorized = givental_factorized(R, W, kernel=givental_kernel(R, W))
+            factorized = givental_factorized(curve.R, W, kernel=givental_kernel(curve, W))
             for mono in weight_monomials("T", W):
                 P = TPoly("T", W, {mono: 1})
                 assert direct(P) == factorized(P), (

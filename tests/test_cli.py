@@ -505,13 +505,24 @@ TWO_POINTS = [CurveParams(F(1), F(3), F(2)), CurveParams(F(-1), F(2), F(1))]
 
 
 def test_one_group_element_and_one_quantized_pair_per_point(monkeypatch):
+    # and, with the other readers of the point's curve, one Grunsky matrix
+    # (lemma-grunsky, identification), one V matrix (the factorized kernel,
+    # identification), one linear change v_0 (lemma-grunsky,
+    # lemma-changevars) and one symmetry-group route map per side
+    # (theorem-rl, theorem-hodge, theorem-theta, kp-hodge); at W = 8 both
+    # readers of each matrix ask for the same size
+    import hodgekp.cli as cli
+    import hodgekp.curve as curve
     import hodgekp.operators as operators
 
     caps, directs, factorizeds, kernels, rows = [], Counter(), Counter(), Counter(), Counter()
+    grunskys, givental_vs, changes, translations = Counter(), Counter(), Counter(), Counter()
     ops = []  # held, so that no op's id is reused within the run
     real_sum, real_direct, real_factorized = operators.virasoro_sum_op, operators.givental_direct, operators.givental_factorized
     real_kernel = operators.givental_kernel
     real_rows = operators.LinearOp.compile_rows
+    real_grunsky, real_v = curve.grunsky_matrix, curve.givental_v_matrix
+    real_change, real_translation = operators.linear_change_generator, operators.translation_op
 
     def virasoro_sum_op(a, W):
         caps.append(W)
@@ -525,22 +536,44 @@ def test_one_group_element_and_one_quantized_pair_per_point(monkeypatch):
         factorizeds[repr(R), W, mode] += 1
         return real_factorized(R, W, mode, kernel=kernel)
 
-    def givental_kernel(R, W):
-        kernels[repr(R), W] += 1
-        return real_kernel(R, W)
+    def givental_kernel(curve, W):
+        kernels[repr(curve.R), W] += 1
+        return real_kernel(curve, W)
 
-    def compile_rows(op, ids, cap):
+    def compile_rows(op, ids):
         ops.append(op)
         rows.update((id(op), op.monos[i]) for i in ids)
-        return real_rows(op, ids, cap)
+        return real_rows(op, ids)
+
+    def grunsky_matrix(h, size):
+        grunskys[repr(h.truncate(3))] += 1
+        return real_grunsky(h, size)
+
+    def givental_v_matrix(R, size, **kwargs):
+        givental_vs[repr(R.truncate(3))] += 1
+        return real_v(R, size, **kwargs)
+
+    def linear_change_generator(a, W):
+        changes[tuple(a[:2]), W] += 1
+        return real_change(a, W)
+
+    def translation_op(coeffs, W, kind):
+        translations[repr(sorted(coeffs.items())[:2]), W] += 1
+        return real_translation(coeffs, W, kind)
 
     monkeypatch.setattr(operators, "virasoro_sum_op", virasoro_sum_op)
     monkeypatch.setattr(operators, "givental_direct", givental_direct)
     monkeypatch.setattr(operators, "givental_factorized", givental_factorized)
     monkeypatch.setattr(operators, "givental_kernel", givental_kernel)
     monkeypatch.setattr(operators.LinearOp, "compile_rows", compile_rows)
-    W = 5
-    code, _ = run_verification(RunConfig(checks=GROUP_READERS, points=TWO_POINTS, weight=W))
+    # at every binding a check can reach them through
+    for fn in (grunsky_matrix, givental_v_matrix, linear_change_generator, translation_op):
+        for module in (cli, curve, operators):
+            if hasattr(module, fn.__name__):
+                monkeypatch.setattr(module, fn.__name__, fn)
+    W = 8
+    checks = GROUP_READERS + ["identification", "lemma-changevars"]
+    code, _ = run_verification(RunConfig(checks=checks, points=TWO_POINTS, weight=W))
     assert code == 0
     # point by point: the element at cap W, rebuilt once at 2W for conjugation
     assert caps == [W, 2 * W] * len(TWO_POINTS)
@@ -553,6 +586,14 @@ def test_one_group_element_and_one_quantized_pair_per_point(monkeypatch):
     assert len(kernels) == len(TWO_POINTS) and set(kernels.values()) == {1}, kernels
     assert {key[1] for key in kernels} == {W}
     assert rows and max(rows.values()) == 1
+    # one matrix of each kind per point, and one v_0 at W
+    for built in (grunskys, givental_vs):
+        assert len(built) == len(TWO_POINTS) and set(built.values()) == {1}, built
+    assert len(changes) == len(TWO_POINTS) and set(changes.values()) == {1}, changes
+    assert {key[1] for key in changes} == {W}
+    # one translation, so one route map, per (point, side) at W
+    assert len(translations) == 2 * len(TWO_POINTS) and set(translations.values()) == {1}, translations
+    assert {key[1] for key in translations} == {W}
 
 
 def _statuses(checks, W, points=TWO_POINTS):
@@ -578,10 +619,12 @@ def _scale_direct_route(monkeypatch):
 
 
 def _scale_linear_change(monkeypatch):
-    import hodgekp.cli as cli
+    # where v_0 is built (`operators.linear_change`), so that it reaches
+    # both its readers, lemma-changevars and lemma-grunsky
+    import hodgekp.operators as operators
 
-    real = cli.linear_change_generator
-    monkeypatch.setattr(cli, "linear_change_generator", lambda a, W: op_scale(real(a, W), F(8, 7)))
+    real = operators.linear_change_generator
+    monkeypatch.setattr(operators, "linear_change_generator", lambda a, W: op_scale(real(a, W), F(8, 7)))
 
 
 def test_a_scaled_group_element_fails_every_check_that_reads_it(monkeypatch):

@@ -608,15 +608,15 @@ class TestIntegerExponential:
     def test_each_row_is_built_once_per_op(self, curve132, monkeypatch):
         # the conjugation check applies the curve's one group element, as V
         # and as V^{-1}, to many inputs; each monomial it reaches enters the
-        # apply kernel once, over the check and its flip-sign control on the
+        # row builder once, over the check and its flip-sign control on the
         # same curve together.  Every application, through `exp_apply` or
-        # not, runs the lockstep loop `_exp_lockstep`, so the loop is what
-        # is watched.  A fresh curve: the session's curve132 may carry the
-        # rows of earlier tests.  Rows first reached after the check forks
-        # its worker are built once in each process; the counters here see
-        # the calling process alone.
+        # not, runs the lockstep loop `_exp_lockstep`, so the loop and the
+        # row builder it calls are what is watched.  A fresh curve: the
+        # session's curve132 may carry the rows of earlier tests.  Rows
+        # first reached after the check forks its worker are built once in
+        # each process; the counters here see the calling process alone.
         curve = build_curve(curve132.params, curve132.K)
-        real_exp, real_kernel = operators._exp_lockstep, operators._apply_plan
+        real_exp, real_rows = operators._exp_lockstep, operators.LinearOp.compile_rows
         inside, exp_calls, kernel_calls = [0], [], []
 
         def counting_exp(op, *args):
@@ -627,14 +627,13 @@ class TestIntegerExponential:
             finally:
                 inside[0] -= 1
 
-        def counting_kernel(op, cap, items):
-            items = list(items)
+        def counting_rows(op, ids):
             if inside[0]:
-                kernel_calls.append((op, [mono for mono, _ in items]))
-            return real_kernel(op, cap, items)
+                kernel_calls.append((op, [op.monos[i] for i in ids]))
+            return real_rows(op, ids)
 
         monkeypatch.setattr(operators, "_exp_lockstep", counting_exp)
-        monkeypatch.setattr(operators, "_apply_plan", counting_kernel)
+        monkeypatch.setattr(operators.LinearOp, "compile_rows", counting_rows)
         for flip_sign in (False, True):
             rep = virasoro_conjugation_check(curve, 4, flip_sign=flip_sign)
             assert rep.passed != flip_sign and rep.checked > 0
@@ -716,28 +715,28 @@ class TestGiventalAction:
     def test_factorized_identity_for_trivial_r(self):
         rng = random.Random(83)
         P = random_tpoly(rng, "T", 9)
-        R = ZSeries.one(12)
-        assert givental_factorized(R, 9, kernel=givental_kernel(R, 9))(P) == P
+        curve = _trivial_flow_curve(12)  # R = 1
+        assert givental_factorized(curve.R, 9, kernel=givental_kernel(curve, 9))(P) == P
 
     @pytest.mark.parametrize("q,p,s", [(1, 3, 2), (-1, 2, 1)], ids=["(1,3,2)", "(-1,2,1)"])
     def test_direct_equals_factorized_on_basis(self, q, p, s):
         W = 9
         par = CurveParams(F(q), F(p), F(s))
         order = 2 * ((W - 1) // 2 + 1)
-        R = r_series(par, order)
+        curve = build_curve(par, order)
         couplings = couplings_from_log_r(log_r_series(par, order), W)
         direct = givental_direct(couplings, W)
-        factorized = givental_factorized(R, W, kernel=givental_kernel(R, W))
+        factorized = givental_factorized(curve.R, W, kernel=givental_kernel(curve, W))
         for mono in weight_monomials("T", W):
             P = TPoly("T", W, {mono: 1})
             assert direct(P) == factorized(P), mono
 
     def test_theta_mode_on_constant(self):
         par = CurveParams(F(1), F(3), F(2))
-        R = r_series(par, 10)
+        curve = build_curve(par, 10)
         P = TPoly.one("T", 9)
         couplings = couplings_from_log_r(log_r_series(par, 10), 9)
-        factorized = givental_factorized(R, 9, "theta", kernel=givental_kernel(R, 9))
+        factorized = givental_factorized(curve.R, 9, "theta", kernel=givental_kernel(curve, 9))
         assert factorized(P) == givental_direct(couplings, 9, "theta")(P)
 
     def test_mumford_couplings_match_miwa(self):
@@ -1005,6 +1004,32 @@ class TestBatchForm:
         for E in (2 * band, -band, band + band // 2):
             with pytest.raises(InvariantViolation, match="outside the bands of a batch of 2"):
                 operators._split_bands({((1, 1),): {E: 1}}, 2)
+
+
+class TestRows:
+    """A row of an exponentiable op, built from the derivative walk alone,
+    is the image of its unit monomial under D·op."""
+
+    @given(exp_cases | hbar_free_exp_cases)
+    def test_each_row_is_the_image_of_its_monomial(self, case):
+        # "d", "dd" and "md" with w(a) < w(b), on both sides, with
+        # hbar-Laurent and fractional coefficients
+        op, P = case
+        kind, cap = P.kind, P.max_weight
+        assert op.hbar_free == all(e == 0 for c in op.terms.values() for e in c.terms)
+        monos = weight_monomials(kind, cap)
+        ids = [op.number(mono) for mono in monos]
+        op.compile_rows(ids)
+        for mono, i in zip(monos, ids):
+            row = op.rows[i]
+            # no merge: one nonzero entry per (target, hbar exponent)
+            assert all(c for _, _, c in row)
+            assert len({(j, e) for j, e, _ in row}) == len(row)
+            image = {}
+            for j, e, c in row:
+                image.setdefault(op.monos[j], {})[e] = F(c, op.D)
+            got = TPoly(kind, cap, {m: HbarPoly(slot) for m, slot in image.items()})
+            assert got == term_by_term_apply(op, TPoly(kind, cap, {mono: 1})), mono
 
 
 class TestFactorizationOfGroupElement:
@@ -1426,6 +1451,29 @@ class TestConjugationSplit:
         assert not helper.is_alive()
         self._same(rep, expect)
         assert forks == []
+
+
+@pytest.mark.parametrize("W", [1, 3, 6])
+def test_current_memo_reads_the_one_term_of_the_op(W):
+    # the memo reads J_k's one term (`_current_term`) without building the
+    # op: for every mode the check runs, at its cap and below, it equals the
+    # memo unpacked from `heisenberg_op(k, cap)`
+    big = operators.group_element(build_curve(CATALOG[0], max(2 * W + 1, 4)), 2 * W)
+    ids = [big.number(mono) for mono in weight_monomials("t", W)]
+    for k in [k for k in range(-W, W + 1) if k]:
+        for cap in range(abs(k) - 1, W + max(0, -k) + 1):
+            op = heisenberg_op(k, cap)
+            expect = {}
+            if not op.is_zero():
+                ((tag, v), ((_, c),)), = op.pairs.items()
+                assert op.D == 1 and (tag, v, c) == operators._current_term(k)
+                for i in ids:
+                    mono = big.monos[i]
+                    if tag == "m":
+                        expect[i] = (big.number(operators._mono_times(mono, v)), c)
+                    elif v in dict(mono):
+                        expect[i] = (big.number(operators.mono_lower(mono, [u for u, _ in mono].index(v))), c * dict(mono)[v])
+            assert operators._current_memo(k, cap, big, ids) == expect, (k, cap)
 
 
 @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())

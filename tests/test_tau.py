@@ -611,7 +611,7 @@ _MODE_ENTRIES = {
     "givental_direct": lambda mode: givental_direct({}, 5, mode),
     "transformed_variable_images": lambda mode: transformed_variable_images(build_curve(CATALOG[0], 6).R, 5, mode),
     "givental_factorized": lambda mode: givental_factorized(
-        build_curve(CATALOG[0], 6).R, 5, mode, kernel=givental_kernel(build_curve(CATALOG[0], 6).R, 5)
+        build_curve(CATALOG[0], 6).R, 5, mode, kernel=givental_kernel(build_curve(CATALOG[0], 6), 5)
     ),
     "givental_routes": lambda mode: givental_routes(build_curve(CATALOG[0], 6), 5, mode),
     "rl_transform_virasoro": lambda mode: rl_transform_virasoro(build_curve(CATALOG[0], 6), 5, mode),
