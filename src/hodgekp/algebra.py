@@ -105,10 +105,6 @@ class HbarPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def one(cls) -> "HbarPoly":
-        return cls({0: Fraction(1)})
-
-    @classmethod
     def const(cls, c) -> "HbarPoly":
         return cls({0: rat(c)})
 
@@ -338,9 +334,6 @@ class ZSeries:
 
     def coeff_or_zero(self, exponent: int) -> Fraction:
         return Fraction(self.numerator(exponent), self.den)
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
 
     def __eq__(self, other) -> bool:
         """Equal orders and coefficients; the normal form is unique, so
@@ -789,10 +782,6 @@ class TPoly:
     @classmethod
     def zero(cls, kind: str, max_weight: int) -> "TPoly":
         return cls(kind, max_weight)
-
-    @classmethod
-    def one(cls, kind: str, max_weight: int) -> "TPoly":
-        return cls(kind, max_weight, {(): HbarPoly.one()})
 
     @classmethod
     def constant(cls, value, kind: str, max_weight: int) -> "TPoly":

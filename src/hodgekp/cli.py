@@ -17,6 +17,7 @@ from fractions import Fraction
 from .algebra import InvariantViolation, Record, TPoly, double_factorial, rat, rat_str
 from .curve import (
     CurveParams,
+    CurveSeries,
     build_curve,  # unused here; perfbench/tests read it as `cli.build_curve`
     identification_residual,
     perturbed_control_curve,
@@ -87,14 +88,20 @@ class ConfigError(Exception):
 
 
 class _PointRun(PointArtifacts):
-    """What the checks at one point read: the run's config, and the curves
+    """What the checks at one point read: the run's config, and the curve
     and tau-functions of `PointArtifacts`, built once for all of them.
     Each check takes the `_PointRun` of its point and the point, and reads
-    its curve to the series order it names."""
+    its curve to the series order it names.  The curve is built at the
+    first such read, to the largest order that any check of the run
+    reads (`_curve_order`), so that it is built once."""
 
     def __init__(self, config: RunConfig, point: CurveParams, bases: dict):
         super().__init__(point, bases)
         self.config = config
+        self.order = max(_curve_order(name, config) for name in config.checks)
+
+    def curve(self, order: int) -> CurveSeries:
+        return super().curve(max(order, self.order))
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +110,8 @@ class _PointRun(PointArtifacts):
 
 
 def _chk_lemma_grunsky(run: _PointRun, point: CurveParams) -> dict:
-    # it reads order 2W + 1; asking for lemma-laplace's 2W + 2 builds the
-    # point's curve once for both
     W = run.config.weight
-    rep = virasoro_factorization_check(run.curve(2 * W + 2), W)
+    rep = virasoro_factorization_check(run.curve(2 * W + 1), W)
     return {"passed": rep.passed, "report": rep.to_json_obj()}
 
 
@@ -277,9 +282,24 @@ def identification_size(W: int) -> int:
     """The size of the identification residual at weight W, never below
     the 4 x 4 block: the entries (k, m) with k, m < W // 2 hold every
     T_k T_m of weight (2k + 1) + (2m + 1) <= W.  The curve it reads, of
-    order 2(2 size + 1), is then at most lemma-laplace's 2W + 2 (equal at
-    W = 8), so the two share one curve."""
+    order 2(2 size + 1), is 18 up to W = 9, above lemma-laplace's 2W + 2
+    below W = 8, and at most 2W + 2 from W = 8 on."""
     return max(4, W // 2)
+
+
+def _curve_order(name: str, config: RunConfig) -> int:
+    """The series order of the point's curve that the check `name` reads
+    at the run's weight W: lemma-laplace's 2W + 2, the identification
+    residual's 2(2 size + 1) (its perturbed control reads a curve of its
+    own), conjugation's and lemma-grunsky's 2W + 1, and W + 1 for the
+    others, which read it through the routes of weight cap W (the
+    point-free checks read none)."""
+    W = config.weight
+    if name == "identification":
+        return 0 if config.perturbed else 2 * (2 * identification_size(W) + 1)
+    if name == "lemma-laplace":
+        return 2 * W + 2
+    return 2 * W + 1 if name in ("lemma-grunsky", "conjugation") else W + 1
 
 
 # Checks whose outcome does not depend on a parameter point.

@@ -18,7 +18,9 @@ from .algebra import (
     InvariantViolation,
     Record,
     ZSeries,
+    _ratio,
     double_factorial,
+    exp_weights,
     rat,
     rat_str,
 )
@@ -303,8 +305,11 @@ def build_curve(params: CurveParams, K: int) -> CurveSeries:
     # mutual-consistency checks (pure recomputation, exact)
     if (f * f).truncate(K).scale(Fraction(1, 2)) != x.truncate(K):
         raise InvariantViolation("f^2/2 != x")
-    zK = ZSeries.z(K)
-    if f.compose(h) != zK or h.compose(f) != zK:
+    # f and h = z + O(z^2) both have a unit linear term, so h has an
+    # inverse g, and f∘h = z mod z^(K+1) gives f = (f∘h)∘g = g mod z^(K+1);
+    # then h∘f = h∘g = z mod z^(K+1): the left inverse is also a right one,
+    # and h∘f = z is left to the tests
+    if f.compose(h) != ZSeries.z(K):
         raise InvariantViolation("f and h are not mutually inverse")
     if (R * R.subs_neg()).truncate(K) != ZSeries.one(K):
         raise InvariantViolation("R violates the symplectic condition")
@@ -452,26 +457,30 @@ def givental_v_matrix(R: ZSeries, size: int, *, require_symplectic: bool = True)
 
 
 def witt_flow(a, K: int) -> ZSeries:
-    """Apply exp(-sum_k a_k z^(k+1) d/dz) to z, truncated at order K."""
+    """Apply exp(-sum_k a_k z^(k+1) d/dz) to z, truncated at order K.
+
+    On the integers, as in `witt_coefficients`: with a_k = A_k / d over
+    one denominator, the terms T_n = (-1)^n (v d/dz)^n z / n! of the flow,
+    v = sum a_k z^(k+1), are t_n / (n!·d^n) for the integers
+    t_n[j] = -sum_k A_k (j-k) t_(n-1)[j-k], t_0 = z.  Each step raises the
+    valuation, so t_n vanishes by n = K, and the sum is taken once, over
+    N!·d^N for the last nonzero t_N (`exp_weights`).
+    """
     if K < 2:
         return ZSeries.z(K)
-    coeffs = [0] * (K - 1)
-    for k, c in enumerate(a, start=1):
-        if 2 <= k + 1 <= K:
-            coeffs[k - 1] = c
-    v = ZSeries([0, 0] + coeffs, K)
-    term = ZSeries.z(K)
-    acc = term
-    n = 1
-    while True:
-        term = (v * term.derivative()).truncate(K).scale(Fraction(-1, n))
-        if term.is_zero():
-            break
-        acc = acc + term
-        n += 1
-        if n > K + 2:
-            raise InvariantViolation("witt flow failed to terminate")
-    return acc
+    pairs = [_ratio(c) for c in a[: K - 1]]
+    d = math.lcm(*(q for _, q in pairs))
+    A = [0] * (K + 1)  # A[k + 1] = A_k, the numerators of v
+    A[2 : len(pairs) + 2] = [n * (d // q) for n, q in pairs]
+    t = [0, 1] + [0] * (K - 1)
+    terms = []
+    while any(t):
+        terms.append(t)
+        dt = [i * c for i, c in enumerate(t)]  # dt[i] = i·t[i], the numerator of [z^(i-1)] t'
+        t = [-sum(map(operator.mul, A[2 : j + 1], reversed(dt[1:j]))) for j in range(K + 1)]
+    N = len(terms) - 1
+    acc = [sum(map(operator.mul, exp_weights(N, d), column)) for column in zip(*terms)]
+    return ZSeries._normal(acc, K, math.factorial(N) * d**N)
 
 
 def witt_coefficients(f: ZSeries) -> list[Fraction]:

@@ -39,11 +39,8 @@ from .curve import CurveSeries
 
 __all__ = [
     "LinearOp",
-    "virasoro_op",
-    "heisenberg_op",
     "DILATON_TIME",
     "dilaton_time",
-    "w_op",
     "translation_op",
     "linear_change_generator",
     "linear_change",
@@ -120,16 +117,15 @@ class LinearOp:
         "kind", "pairs", "D", "min_weight_drop", "scalar", "mults", "by_var", "hbar_free", "ids", "monos", "rows"
     )
 
-    def __init__(self, kind: str, terms: Mapping[tuple, HbarPoly] | None = None):
+    def __init__(self, kind: str, terms: Mapping[tuple, object] | None = None):
+        """`terms` maps each term to its coefficient, an `HbarPoly` or, as
+        `from_terms` passes it, the {hbar exponent: Fraction} map of one;
+        zero coefficients are dropped."""
         self.kind = kind
-        clean: dict[tuple, HbarPoly] = {}
-        for key, c in (terms or {}).items():
-            c = HbarPoly.promote(c)
-            if not c.is_zero():
-                clean[key] = c
-        self.D = D = math.lcm(*(x.denominator for c in clean.values() for x in c.terms.values()))
+        slots = [(key, c.terms if isinstance(c, HbarPoly) else c) for key, c in (terms or {}).items()]
+        self.D = D = math.lcm(*(x.denominator for _, c in slots for x in c.values()))
         self.pairs = {
-            key: tuple((e, x.numerator * (D // x.denominator)) for e, x in c.terms.items()) for key, c in clean.items()
+            key: pairs for key, c in slots if (pairs := tuple((e, x.numerator * (D // x.denominator)) for e, x in c.items() if x))
         }
         self.scalar = ()
         self.mults = []
@@ -174,18 +170,15 @@ class LinearOp:
 
     @classmethod
     def from_terms(cls, kind: str, items: Iterable[tuple]) -> "LinearOp":
-        """items: iterables of (tag, indices..., coeff)."""
-        acc: dict[tuple, HbarPoly] = {}
-        for item in items:
-            tag, *idx, c = item
-            key = (tag, *(sorted(idx) if tag in ("dd", "mm") else idx))
-            c = HbarPoly.promote(c)
-            prev = acc.get(key)
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = c
+        """items: iterables of (tag, indices..., coeff), coeff an int, a
+        Fraction or an HbarPoly; the coefficients of one term are summed
+        as {hbar exponent: Fraction}, which the constructor reads."""
+        acc: dict[tuple, dict] = {}
+        for tag, *idx, c in items:
+            slot = acc.setdefault((tag, *(sorted(idx) if tag in ("dd", "mm") else idx)), {})
+            for e, x in c.terms.items() if isinstance(c, HbarPoly) else ((0, c),):
+                s = slot.get(e)
+                slot[e] = x if s is None else s + x
         return cls(kind, acc)
 
     @property
@@ -501,19 +494,14 @@ def _split_bands(acc: Mapping, n: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def virasoro_op(m: int, W: int) -> LinearOp:
-    """Virasoro mode on the t-side at weight cap W.
+def _virasoro_items(m: int, W: int, c):
+    """The terms of c·L_m, the Virasoro mode on the t-side, at weight cap W:
 
     L_m = (1/2) sum_{a+b=-m} a b t_a t_b + sum_k k t_k d/dt_{k+m}
         + (1/2) sum_{a+b=m} d^2/dt_a dt_b,
     all indices strictly positive, so only one of the quadratic sums
     appears for each sign of m.
     """
-    return LinearOp.from_terms(T_SIDE, _virasoro_items(m, W, 1))
-
-
-def _virasoro_items(m: int, W: int, c):
-    """The terms of c·L_m at weight cap W (see `virasoro_op`)."""
     for k in range(max(1, 1 - m), min(W, W - m) + 1):
         yield ("md", k, k + m, k * c)
     for a in range(1, abs(m) // 2 + 1):
@@ -524,18 +512,10 @@ def _virasoro_items(m: int, W: int, c):
             yield ("mm", a, b, Fraction(a * b, 2 if a == b else 1) * c)
 
 
-def heisenberg_op(k: int, W: int) -> LinearOp:
-    """Current mode on the t-side: d/dt_k for k>0, -k t_{-k} for k<0, at
-    weight cap W (zero past it); its one term is `_current_term`."""
-    tag, v, c = _current_term(k)
-    if v > W:
-        return LinearOp(T_SIDE)
-    return LinearOp.from_terms(T_SIDE, [(tag, v, Fraction(c))])
-
-
 def _current_term(k: int) -> tuple[str, int, int]:
-    """The one term of the current mode J_k, as (tag, variable, c):
-    c·d/dt_k with c = 1 for k > 0, and c·t_{-k} with c = -k for k < 0."""
+    """The one term of the current mode J_k on the t-side, as (tag,
+    variable, c): c·d/dt_k with c = 1 for k > 0, and c·t_{-k} with c = -k
+    for k < 0."""
     if k == 0:
         raise ValueError("the zero current mode is identically zero; calling it is a bug")
     return ("d", k, 1) if k > 0 else ("m", -k, -k)
@@ -557,43 +537,29 @@ def dilaton_time(mode: str) -> int:
         raise ValueError(f"unknown mode {mode!r}") from None
 
 
-def w_op(k: int, W: int, mode: str = "standard") -> LinearOp:
-    """Quantized odd-power generator on the T-side.
+def _w_items(k: int, W: int, sigma: int, c):
+    """The terms of c·W_k, the quantized odd-power generator (k >= 1) on
+    the T-side, at weight cap W:
 
     W_k = -sum_m Ttilde_m d/dT_{m+2k-1}
           + (1/2) sum_{m=0}^{2k-2} (-1)^m d^2/dT_m dT_{2k-m-2},
-    with the dilaton shift Ttilde_m = T_m - hbar^{-1} delta_{m,sigma}
-    of the side `mode`.
+    with the dilaton shift Ttilde_m = T_m - hbar^{-1} delta_{m,sigma},
+    sigma the dilaton time of the side (`dilaton_time`).
     """
-    if k <= 0:
-        raise ValueError("only the upper-triangular generators (k >= 1) are implemented")
-    sigma = dilaton_time(mode)
     M = (W - 1) // 2  # largest T-variable index at this weight cap
-    items = []
-    for m in range(0, M + 1):
-        if m + 2 * k - 1 <= M:
-            items.append(("md", m, m + 2 * k - 1, Fraction(-1)))
-    dil = sigma + 2 * k - 1
-    if dil <= M:
-        items.append(("d", dil, HbarPoly.hbar(-1)))
+    for m in range(0, M - 2 * k + 2):
+        yield ("md", m, m + 2 * k - 1, -c)
+    if sigma + 2 * k - 1 <= M:
+        yield ("d", sigma + 2 * k - 1, HbarPoly.hbar(-1, c))
     for a in range(0, k):
         b = 2 * k - 2 - a
-        if b > M or a > M:
-            continue
-        coeff = Fraction((-1) ** a)
-        if a == b:
-            coeff = coeff / 2
-        items.append(("dd", a, b, coeff))
-    return LinearOp.from_terms(BIG_T_SIDE, items)
+        if b <= M:  # and so a <= M, as a <= k - 1 <= b
+            yield ("dd", a, b, Fraction((-1) ** a, 2 if a == b else 1) * c)
 
 
 def translation_op(coeffs: Mapping[int, object], W: int, kind: str) -> LinearOp:
     """sum_k c_k d/d(var_k); coefficients may carry hbar powers."""
-    items = []
-    for k, c in coeffs.items():
-        if var_weight(kind, k) <= W:
-            items.append(("d", k, HbarPoly.promote(c)))
-    return LinearOp.from_terms(kind, items)
+    return LinearOp.from_terms(kind, (("d", k, c) for k, c in coeffs.items() if var_weight(kind, k) <= W))
 
 
 def linear_change_generator(a: Sequence[Fraction], W: int) -> LinearOp:
@@ -726,13 +692,10 @@ def givental_direct(couplings: Mapping[int, Fraction], W: int, mode: str = "stan
     """The map P -> exp(sum_k c_k W_k) . P on T-side polynomials of weight
     cap W, with the generators of the side `mode`, evaluated termwise
     (finite by nilpotence).  The operator is built once, from the terms
-    of the W_k; the returned map applies it."""
-    dilaton_time(mode)  # an unknown mode fails even where no W_k acts
+    of the W_k (`_w_items`); the returned map applies it."""
+    sigma = dilaton_time(mode)  # an unknown mode fails even where no W_k acts
     items = (
-        (*key, v * c)
-        for k, c in sorted(couplings.items())
-        if c and 4 * k - 2 <= W
-        for key, v in w_op(k, W, mode).terms.items()
+        item for k, c in sorted(couplings.items()) if c and 4 * k - 2 <= W for item in _w_items(k, W, sigma, c)
     )
     return _map_on(BIG_T_SIDE, W, _exp_core(LinearOp.from_terms(BIG_T_SIDE, items), W))
 
@@ -750,13 +713,13 @@ def transformed_variable_images(
     M = (W - 1) // 2
     if R.order < M:
         raise ValueError("insufficient order of R for this weight cap")
-    rb = [R.subs_neg().coeff_or_zero(e) for e in range(M + 1)]
+    rb = R.subs_neg().num  # over R.den
     images: dict[int, TPoly] = {}
     for k in range(M + 1):
-        terms = {((m, 1),): rb[k - m] for m in range(k + 1)}
+        acc = {((m, 1),): {0: rb[k - m]} for m in range(k + 1)}
         if k > sigma:
-            terms[()] = HbarPoly.hbar(-1, -rb[k - sigma])
-        images[k] = TPoly(BIG_T_SIDE, W, terms)
+            acc[()] = {-1: -rb[k - sigma]}
+        images[k] = TPoly._normal(BIG_T_SIDE, W, acc, R.den)
     return images
 
 
@@ -852,10 +815,10 @@ def tqp_forms(params, max_index: int, W: int) -> list[TPoly]:
     applied to T_{k-1}.  The quadratic parts of L_{-2} and -t_1^2/2
     cancel exactly; the result must stay linear, and any residual
     nonlinearity aborts.  The operator is built once, from the terms of
-    the three modes.
+    the three modes (`_virasoro_items`).
     """
     modes = ((0, params.q), (-1, (2 * params.q + params.p) / params.s), (-2, 1))
-    items = [(*key, v * c) for m, c in modes for key, v in virasoro_op(m, W).terms.items()]
+    items = [item for m, c in modes for item in _virasoro_items(m, W, c)]
     items.append(("mm", 1, 1, Fraction(-1, 2)))
     op = LinearOp.from_terms(T_SIDE, items)
     forms = [TPoly.variable(T_SIDE, 1, W)]
@@ -1116,7 +1079,7 @@ def virasoro_conjugation_check(curve: CurveSeries, W: int, *, flip_sign: bool = 
 
 
 def _current_memo(k: int, cap: int, op: LinearOp, ids: list) -> dict:
-    """J_k = `heisenberg_op(k, cap)`, one term c·d/dt_v or c·t_v with c an
+    """J_k at weight cap `cap`, one term c·d/dt_v or c·t_v with c an
     integer (`_current_term`), on the monomial ids `ids` of `op`,
     monomials J_k keeps within cap: memo[i] = (j, f) when J_k sends
     monomial i to the integer f times monomial j (numbered into `op`), no

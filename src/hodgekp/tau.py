@@ -21,11 +21,13 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import BIG_T_SIDE, HbarPoly, InvariantViolation, Record, TPoly, T_SIDE, double_factorial, rat_str, same_value
+from .algebra import BIG_T_SIDE, InvariantViolation, Record, TPoly, T_SIDE, _reduce, double_factorial, rat_str, same_value
 from .curve import MIN_SERIES_ORDER, CurveParams, CurveSeries, build_curve
 from .operators import (
     LinearOp,
+    _apply_plan,
     _difference,
+    _mono_times,
     dilaton_time,
     givental_routes,
     odd_t_to_big_t,
@@ -220,17 +222,30 @@ def _cut_and_join(W: int, s: int) -> TPoly:
     W_hat = sum_k 2k t_k R_n, the cut-and-join operator.  Every term of
     W_hat raises the weight by s, so from tau_0 = 1 the homogeneous parts
     follow as w tau_w = W_hat tau_(w-s); tau_w carries hbar^(w/s).
+
+    The steps run on integers.  With tau_w = P_w / d_w, each R_n held as
+    its integer operator D·R_n (`LinearOp`) and L the LCM of the modes'
+    D, P_w = sum_k 2k (L / D) t_k (D·R_n) P_(w-s) over w·L·d_(w-s): one
+    apply-kernel call per mode into one flat map, brought to lowest
+    terms once per weight.
     """
     modes = [(k, _constraint_mode((k - s) // 2, W)) for k in range(1, W + 1, 2)]
-    piece = body = TPoly.one(T_SIDE, W)
+    L = math.lcm(*(R.D for _, R in modes))
+    piece, den = {(): {0: 1}}, 1
+    pieces = [(piece, den, 0)]
     for w in range(s, W + 1, s):
-        step = TPoly.zero(T_SIDE, W)
+        step: dict = {}
         for k, R in modes:
             if k <= w:  # else R_n lowers the weight by k - s > w - s, to nothing
-                step = step + R.apply(piece).mul_var(k, 2 * k)
-        piece = step.scale(Fraction(1, w))
-        body = body + piece.scale(HbarPoly.hbar(w // s))
-    return body
+                f = 2 * k * (L // R.D)
+                for mono, slot in _apply_plan(R, W, piece.items()).items():
+                    into = step.setdefault(_mono_times(mono, k), {0: 0})
+                    into[0] += slot[0] * f
+        piece, den = _reduce(step, w * L * den)
+        pieces.append((piece, den, w // s))
+    D = math.lcm(*(d for _, d, _ in pieces))
+    body = {mono: {e: slot[0] * (D // d)} for piece, d, e in pieces for mono, slot in piece.items()}
+    return TPoly._normal(T_SIDE, W, body, D)
 
 
 def kw_tau(W: int) -> TauSeries:

@@ -29,14 +29,14 @@ from hodgekp.curve import CurveParams, build_curve, log_r_series, witt_flow
 from hodgekp.operators import (
     EqualityReport,
     LinearOp,
+    dilaton_time,
     exp_apply,
     linear_change_generator,
     odd_t_to_big_t,
     unit_monomials,
-    virasoro_op,
-    w_op,
     weight_monomials,
 )
+from hodgekp.tau import _constraint_mode
 
 # Exact arithmetic on this code's inputs varies widely in time per
 # example, and host speed drifts too, so a per-example deadline would
@@ -329,6 +329,89 @@ def op_scale(op, c):
     return LinearOp(op.kind, {k: v * c for k, v in op.terms.items()})
 
 
+# The generator families as operators, one mode each: the product builds
+# its operators straight from their items (`operators._virasoro_items`,
+# `_w_items`, `_current_term`), and the tests read the modes.
+
+
+def virasoro_op(m, W):
+    """The Virasoro mode L_m on the t-side at weight cap W."""
+    return LinearOp.from_terms(T_SIDE, operators._virasoro_items(m, W, 1))
+
+
+def heisenberg_op(k, W):
+    """The current mode on the t-side: d/dt_k for k > 0, -k t_{-k} for
+    k < 0, at weight cap W (zero past it)."""
+    tag, v, c = operators._current_term(k)
+    if v > W:
+        return LinearOp(T_SIDE)
+    return LinearOp.from_terms(T_SIDE, [(tag, v, Fraction(c))])
+
+
+def w_op(k, W, mode="standard"):
+    """The quantized odd-power generator W_k on the T-side at weight cap W,
+    with the dilaton shift of the side `mode`."""
+    if k <= 0:
+        raise ValueError("only the upper-triangular generators (k >= 1) are implemented")
+    return LinearOp.from_terms(BIG_T_SIDE, operators._w_items(k, W, dilaton_time(mode), 1))
+
+
+# The `Fraction` bodies of the set-up paths that now run on integers, kept
+# as oracles: the sum of an operator's items as `HbarPoly` coefficients,
+# the Witt flow as `ZSeries` steps, and cut-and-join as `TPoly` steps.
+
+
+def reference_from_terms(kind, items):
+    """`LinearOp.from_terms` with each coefficient promoted to an `HbarPoly`
+    and the coefficients of one term summed as `HbarPoly`s."""
+    acc = {}
+    for tag, *idx, c in items:
+        key = (tag, *(sorted(idx) if tag in ("dd", "mm") else idx))
+        c = HbarPoly.promote(c)
+        prev = acc.get(key)
+        c = c if prev is None else prev + c
+        if c.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = c
+    return LinearOp(kind, acc)
+
+
+def reference_witt_flow(a, K):
+    """exp(-sum_k a_k z^(k+1) d/dz) z to order K, one `ZSeries` term
+    -(v·T_(n-1)')/n per step, added as it is made."""
+    if K < 2:
+        return ZSeries.z(K)
+    coeffs = [0] * (K - 1)
+    for k, c in enumerate(a, start=1):
+        if 2 <= k + 1 <= K:
+            coeffs[k - 1] = c
+    v = ZSeries([0, 0] + coeffs, K)
+    term = acc = ZSeries.z(K)
+    for n in range(1, K + 3):
+        term = (v * term.derivative()).truncate(K).scale(Fraction(-1, n))
+        if not any(term.num):
+            return acc
+        acc = acc + term
+    raise InvariantViolation("witt flow failed to terminate")
+
+
+def reference_cut_and_join(W, s):
+    """The base tau-function of dilaton index s by `TPoly` steps: each
+    weight the sum of R_n(tau_(w-s)) times 2k t_k over the modes, divided
+    by w, added to the body times hbar^(w/s)."""
+    modes = [(k, _constraint_mode((k - s) // 2, W)) for k in range(1, W + 1, 2)]
+    piece = body = TPoly.constant(1, T_SIDE, W)
+    for w in range(s, W + 1, s):
+        step = TPoly.zero(T_SIDE, W)
+        for k, R in modes:
+            if k <= w:
+                step = step + R.apply(piece).mul_var(k, 2 * k)
+        piece = step.scale(Fraction(1, w))
+        body = body + piece.scale(HbarPoly.hbar(w // s))
+    return body
+
+
 def reference_witt_coefficients(f):
     """a_1..a_(K-1) of f = z + O(z^2): a_k is corrected at order k + 1 by
     the flow of the a's found so far."""
@@ -574,7 +657,7 @@ def reference_conjugation_check(curve, W, flip_sign=False):
     report = EqualityReport(label=f"current-conjugation W={W}")
     for k in [k for k in range(-W, W + 1) if k]:
         cap = W + max(0, -k)
-        jk = operators.heisenberg_op(k, cap)
+        jk = heisenberg_op(k, cap)
         rhs = operators._current_transform_coeffs(k, cap, flow, mult)
         for mono, inv in zip(weight_monomials(T_SIDE, W), inv_images):
             image = operators._apply_plan(jk, cap, inv.num.items())

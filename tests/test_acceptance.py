@@ -34,18 +34,15 @@ from hodgekp.operators import (
     givental_direct,
     givental_factorized,
     givental_kernel,
-    heisenberg_op,
     linear_change_generator,
     rl_identity_check,
     tqp_forms,
     virasoro_conjugation_check,
-    virasoro_op,
-    w_op,
     weight_monomials,
 )
 from hodgekp.tau import bgw_tau, kw_tau, tau_qp_check, trust_band
 
-from conftest import random_tpoly
+from conftest import heisenberg_op, random_tpoly, virasoro_op, w_op
 
 P132 = CurveParams(F(1), F(3), F(2))
 PM121 = CurveParams(F(-1), F(2), F(1))

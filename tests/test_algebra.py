@@ -359,7 +359,7 @@ class TestTPoly:
         t1 = TPoly.variable("t", 1, 4)
         t2 = TPoly.variable("t", 2, 4)
         prod = t1 * t2
-        assert coeff(prod, ((1, 1), (2, 1))) == HbarPoly.one()
+        assert coeff(prod, ((1, 1), (2, 1))) == HbarPoly.const(1)
 
     def test_truncation_discards_heavy_monomials(self):
         t1 = TPoly.variable("t", 1, 4)
@@ -389,7 +389,7 @@ class TestTPoly:
         repeated = TPoly("t", 5, {((1, 1), (1, 1)): 1})
         assert repeated == t1 * t1
         assert TPoly("t", 5, {((3, 1), (1, 2), (3, 0)): F(2, 3)}) == TPoly("t", 5, {((1, 2), (3, 1)): F(2, 3)})
-        assert coeff(t1 * t1, ((1, 1), (1, 1))) == HbarPoly.one()
+        assert coeff(t1 * t1, ((1, 1), (1, 1))) == HbarPoly.const(1)
         for mono in (((1, 1), (1, -1)), ((2, -1),)):
             with pytest.raises(ValueError, match="negative"):
                 TPoly("t", 5, {mono: 1})

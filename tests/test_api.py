@@ -18,7 +18,6 @@ OPTIONS = {
         "no caller outside the tests: the entry point of the hypothesis test of the paper's "
         "uniqueness claim, and a private twin would be the same option under another name"
     ),
-    "operators.w_op.mode": "operators.givental_direct",
     "operators.exp_apply.inverse": "operators.virasoro_conjugation_check",
     "operators.givental_direct.mode": "operators.givental_routes",
     "operators.givental_factorized.mode": "operators.givental_routes",

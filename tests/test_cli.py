@@ -371,8 +371,9 @@ def test_each_check_runs_at_its_minimum_weight_and_exits_2_below(name, capsys):
 
 
 def test_default_orders_give_the_reports_of_the_former_default():
-    # each check builds its curve to the order it reads; a curve built to
-    # the former default max(2W + 2, need) must give the same reports
+    # a run builds the point's curve to the largest order its checks read;
+    # a curve built to the former default max(2W + 2, need) must give the
+    # same reports
     from hodgekp import cli
 
     W = 6
@@ -687,9 +688,10 @@ def test_identification_size_grows_with_the_weight():
 @pytest.mark.parametrize("W", [4, 5])
 def test_each_check_reports_alike_alone_and_in_one_run(W):
     # the checks at a point share one curve, built to the largest order
-    # asked for so far; in reverse order identification asks first, for
-    # order 18, more than any other check at these weights.  Every check
-    # reads only the prefix it needs, so its report is the one it gives alone.
+    # any of them reads: alone, each check reads its own order, and in one
+    # run identification's 18, more than any other check at these weights.
+    # Every check reads only the prefix it needs, so its report is the one
+    # it gives alone.
     points = [CurveParams(F(1), F(3), F(2)), CurveParams(F(-1), F(2), F(1))]
 
     def reports(checks):
@@ -769,9 +771,9 @@ def test_kdv_reduction_reads_both_sides_at_w_over_the_catalog(capsys):
 
 
 def test_verify_all_traffic_builds_one_curve_per_point(monkeypatch):
-    # the checks of `verify all` without conjugation at W=8: lemma-grunsky
-    # asks for lemma-laplace's order 2W + 2, so the point's first curve
-    # serves every later check
+    # the checks of `verify all` without conjugation at W=8: the point's
+    # curve is built at the first read to lemma-laplace's and
+    # identification's order 2W + 2, and serves every later check
     import hodgekp.tau as tau
 
     built = Counter()
@@ -788,6 +790,42 @@ def test_verify_all_traffic_builds_one_curve_per_point(monkeypatch):
     code, _ = run_verification(RunConfig(checks=checks, points=[point], weight=W))
     assert code == 0
     assert built == {(point, 2 * W + 2): 1}
+
+
+@pytest.mark.parametrize("W", range(4, 9))
+def test_verify_all_builds_each_points_curve_once(W, monkeypatch):
+    # below W = 8 identification reads order 18, more than the checks
+    # before it; the curve is built once, to the largest order of the run
+    import hodgekp.tau as tau
+
+    built = Counter()
+    build = tau.build_curve
+
+    def counting(params, K):
+        built[params] += 1
+        return build(params, K)
+
+    monkeypatch.setattr(tau, "build_curve", counting)
+    assert main(["verify", "all", "--weight", str(W)]) == 0
+    assert built == Counter(default_points())
+
+
+@pytest.mark.parametrize("W", [4, 8])
+def test_no_check_reads_a_curve_longer_than_its_planned_order(W, monkeypatch):
+    # `_curve_order` sizes the point's curve; a check that read more would
+    # build it again
+    from hodgekp import cli
+
+    asked = []
+    real = cli._PointRun.curve
+    monkeypatch.setattr(cli._PointRun, "curve", lambda self, order: asked.append(order) or real(self, order))
+    point = CurveParams(F(1), F(3), F(2))
+    for name in CHECKS:
+        for perturbed in (False, True) if name == "identification" else (False,):
+            config = RunConfig(checks=[name], points=[point], weight=max(W, MIN_WEIGHT.get(name, 1)), perturbed=perturbed)
+            asked.clear()
+            assert run_verification(config)[0] == 0
+            assert max(asked, default=0) <= cli._curve_order(name, config), name
 
 
 # sha256 of the per-check reports over the shipped catalog, each serialized

@@ -24,7 +24,15 @@ from hodgekp.curve import (
     witt_flow,
 )
 
-from conftest import coeff, dilaton_shifts, r_series, reference_inverse, reference_witt_coefficients, x_closed_form
+from conftest import (
+    coeff,
+    dilaton_shifts,
+    r_series,
+    reference_inverse,
+    reference_witt_coefficients,
+    reference_witt_flow,
+    x_closed_form,
+)
 
 
 class TestBernoulli:
@@ -145,6 +153,22 @@ class TestInverseFromDenominator:
         # constant term 1 and degree <= 4, known to order K - 1 at least
         N = ZSeries.from_terms(dict(enumerate([1, *tail])), K - 1 + len(tail) % 3)
         assert curve_module._inverse_from_denominator(N, K) == reference_inverse(N, K)
+
+
+class TestRightInverse:
+    """`build_curve` checks f∘h = z alone: f and h both have a unit linear
+    term, so a left inverse is also a right one.  h∘f = z is checked here."""
+
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    def test_catalog_points(self, point):
+        for K in range(4, 25):
+            c = build_curve(point, K)
+            assert c.h.compose(c.f) == ZSeries.z(K), K
+
+    @given(small, small.filter(bool), st.integers(4, 24))
+    def test_drawn_points(self, q, s, K):
+        c = build_curve(CurveParams(q, s * s - q, s), K)
+        assert c.h.compose(c.f) == ZSeries.z(K)
 
 
 def _fields_equal(got, expect):
@@ -365,6 +389,26 @@ class TestWittCoefficients:
         # the denominators of the a's grow at unforeseen orders
         f = ZSeries([F(0), F(1), *tail], len(tail) + 1)
         assert witt_coefficients(f) == reference_witt_coefficients(f)
+
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    def test_integer_flow_matches_series_steps_on_catalog(self, point):
+        # the forward flow on integers against one `ZSeries` step per term
+        c = build_curve(point, 24)
+        a = c.witt(23)
+        for K in range(0, 25):
+            assert witt_flow(a, K) == reference_witt_flow(a, K), K
+        assert witt_flow(a, 24) == c.f
+
+    @given(small, small.filter(bool), st.integers(4, 24))
+    def test_integer_flow_matches_series_steps_at_drawn_points(self, q, s, K):
+        c = build_curve(CurveParams(q, s * s - q, s), K)
+        a = c.witt(K - 1)
+        assert witt_flow(a, K) == reference_witt_flow(a, K) == c.f
+
+    @given(st.lists(st.just(F(0)) | st.fractions(min_value=-4, max_value=4, max_denominator=9), max_size=26), st.integers(0, 24))
+    def test_integer_flow_matches_series_steps_on_drawn_coefficients(self, a, K):
+        # lists shorter and longer than K - 1, and unrelated denominators
+        assert witt_flow(a, K) == reference_witt_flow(a, K)
 
     def test_curve_lists_them_once_and_reads_prefixes(self):
         c = build_curve(CATALOG[0], 10)

@@ -28,7 +28,6 @@ from hodgekp.operators import (
     givental_factorized,
     givental_kernel,
     givental_routes,
-    heisenberg_op,
     linear_change_generator,
     odd_t_to_big_t,
     operator_equality_check,
@@ -42,9 +41,7 @@ from hodgekp.operators import (
     transformed_variable_images,
     virasoro_conjugation_check,
     virasoro_factorization_check,
-    virasoro_op,
     virasoro_sum_op,
-    w_op,
     weight_monomials,
 )
 from hodgekp.curve import log_r_series
@@ -54,6 +51,7 @@ from conftest import (
     coeff,
     cpus,
     dilaton_shifts,
+    heisenberg_op,
     mutated_current_mode,
     op_scale,
     op_sum,
@@ -61,8 +59,11 @@ from conftest import (
     random_rational,
     random_tpoly,
     reference_direct_op,
+    reference_from_terms,
     reference_tqp_op,
     reference_virasoro_sum_op,
+    virasoro_op,
+    w_op,
     with_max_weight,
 )
 
@@ -278,10 +279,10 @@ class TestIntegerForm:
 
 class TestHeisenbergModes:
     def test_derivative_mode(self):
-        assert heisenberg_op(3, 9).apply(t(3)) == TPoly.one("t", 9)
+        assert heisenberg_op(3, 9).apply(t(3)) == TPoly.constant(1, "t", 9)
 
     def test_multiplication_mode(self):
-        assert heisenberg_op(-2, 9).apply(TPoly.one("t", 9)) == t(2).scale(2)
+        assert heisenberg_op(-2, 9).apply(TPoly.constant(1, "t", 9)) == t(2).scale(2)
 
     def test_zero_mode_is_callers_bug(self):
         with pytest.raises(ValueError):
@@ -353,7 +354,7 @@ class TestWGenerators:
         assert w_op(1, 9).apply(T(1)) == -T(0)
 
     def test_action_on_t0_squared(self):
-        assert w_op(1, 9).apply(T(0) * T(0)) == TPoly.one("T", 9)
+        assert w_op(1, 9).apply(T(0) * T(0)) == TPoly.constant(1, "T", 9)
 
     def test_brute_force_oracle(self):
         # independent construction straight from the displayed formula
@@ -734,7 +735,7 @@ class TestGiventalAction:
     def test_theta_mode_on_constant(self):
         par = CurveParams(F(1), F(3), F(2))
         curve = build_curve(par, 10)
-        P = TPoly.one("T", 9)
+        P = TPoly.constant(1, "T", 9)
         couplings = couplings_from_log_r(log_r_series(par, 10), 9)
         factorized = givental_factorized(curve.R, 9, "theta", kernel=givental_kernel(curve, 9))
         assert factorized(P) == givental_direct(couplings, 9, "theta")(P)
@@ -822,6 +823,69 @@ class TestOneOperatorPerMap:
                 built = _record_built_ops(mp)
                 tqp_forms(point, 2, W)
             assert _same_op(built[-1], expect), W
+
+
+def _record_items(mp):
+    """The list of the (kind, items) that `LinearOp.from_terms` is given
+    from now on, each items list materialized."""
+    seen = []
+    real = LinearOp.from_terms.__func__
+
+    def recording(cls, kind, items):
+        seen.append((kind, list(items)))
+        return real(cls, kind, seen[-1][1])
+
+    mp.setattr(LinearOp, "from_terms", classmethod(recording))
+    return seen
+
+
+@st.composite
+def _item_lists(draw, kind):
+    """(kind, items) for `from_terms` on three variables, so that terms
+    repeat, with int, Fraction and `HbarPoly` coefficients, and some items
+    the negation of an earlier one, so that terms cancel."""
+    variables = _variables(kind, 5)[:3]
+    coeffs = st.integers(-3, 3) | rationals | hbar_laurent
+    items = []
+    for tag in draw(st.lists(st.sampled_from(tuple(_TAG_ARITY)), max_size=12)):
+        if items and draw(st.booleans()):
+            *key, c = draw(st.sampled_from(items))
+            items.append((*key, -c))
+        idx = [draw(st.sampled_from(variables)) for _ in range(_TAG_ARITY[tag])]
+        items.append((tag, *idx, draw(coeffs)))
+    return kind, items
+
+
+class TestItemSumsOnFractions:
+    """`from_terms` sums each term's items as {hbar exponent: Fraction}; on
+    the items of every generator family's op the `HbarPoly` sum
+    (`conftest.reference_from_terms`) gives the same D and pairs, in order."""
+
+    @pytest.mark.parametrize("point", CATALOG, ids=lambda p: p.label())
+    def test_generator_families(self, point, monkeypatch):
+        curve = build_curve(point, 24)
+        for W in (3, 5, 8, 11):
+            with monkeypatch.context() as mp:
+                seen = _record_items(mp)
+                virasoro_sum_op(curve.witt(W), W)
+                for mode in ("standard", "theta"):
+                    givental_direct(couplings_from_log_r(curve.logR, W), W, mode)
+                tqp_forms(point, (W - 1) // 2, W)
+                for vector in (curve.shifts().v, curve.shifts().v0):
+                    translation_op({k: HbarPoly.hbar(-1, c) for k, c in vector.items()}, W, "t")
+            assert len(seen) == 6
+            for kind, items in seen:
+                assert _same_op(LinearOp.from_terms(kind, items), reference_from_terms(kind, items)), (W, items)
+
+    @given(st.sampled_from(["t", "T"]).flatmap(_item_lists))
+    def test_drawn_items(self, case):
+        # terms that repeat and cancel: a term that cancels and comes back
+        # keeps its first place here and goes last in the `HbarPoly` sum,
+        # so the pairs compare as a map
+        kind, items = case
+        got, expect = LinearOp.from_terms(kind, items), reference_from_terms(kind, items)
+        assert (got.D, got.min_weight_drop) == (expect.D, expect.min_weight_drop)
+        assert {k: sorted(v) for k, v in got.pairs.items()} == {k: sorted(v) for k, v in expect.pairs.items()}
 
 
 class TestChangeOfVariables:

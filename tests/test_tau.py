@@ -16,7 +16,6 @@ from hodgekp.operators import (
     odd_t_to_big_t,
     rl_transform_virasoro,
     transformed_variable_images,
-    w_op,
     weight_monomials,
 )
 from hodgekp.tau import (
@@ -36,11 +35,13 @@ from conftest import (
     coeff,
     partitions_into,
     psi_dimension,
+    reference_cut_and_join,
     reference_psi_correlator,
     reference_sub_multisets,
     reference_theta_correlator,
     theta_dimension,
     tp_exp,
+    w_op,
 )
 
 
@@ -108,6 +109,15 @@ def test_cut_and_join_equals_the_correlator_assembly(build, correlator, dimensio
     # `Fraction` reference correlators, two routes that share no code
     for W in weights:
         assert build(W).body == assemble_tau(W, correlator, dimension), W
+
+
+@pytest.mark.parametrize("build, s", [(kw_tau, 3), (bgw_tau, 1)], ids=["kw", "bgw"])
+def test_cut_and_join_on_integers_matches_the_tpoly_steps(build, s):
+    # the integer steps against the `TPoly` steps they replaced, numerators
+    # and denominator alike
+    for W in range(s, 17):
+        got, expect = build(W).body, reference_cut_and_join(W, s)
+        assert (got.num, got.den) == (expect.num, expect.den), W
 
 
 @pytest.mark.parametrize(
@@ -267,7 +277,7 @@ class TestThetaCorrelators:
 class TestBaseTaus:
     def test_kw_lowest_coefficients(self):
         body = kw_tau(12).body
-        assert coeff(body, ()) == HbarPoly.one()
+        assert coeff(body, ()) == HbarPoly.const(1)
         assert coeff(body, ((1, 3),)) == HbarPoly.hbar(1, F(1, 6))
         assert coeff(body, ((3, 1),)) == HbarPoly.hbar(1, F(1, 8))
 
@@ -299,11 +309,11 @@ class TestBaseTaus:
     def test_tp_exp_inverts_constant_free(self):
         # the reference exponential: exp(0) = 1, exp(t_1) to weight 6 is
         # sum_n t_1^n / n!, and a constant term is refused
-        assert tp_exp(TPoly.zero("t", 6)) == TPoly.one("t", 6)
+        assert tp_exp(TPoly.zero("t", 6)) == TPoly.constant(1, "t", 6)
         t1 = TPoly.variable("t", 1, 6)
         assert tp_exp(t1) == TPoly("t", 6, {((1, n),): F(1, math.factorial(n)) for n in range(7)})
         with pytest.raises(ValueError):
-            tp_exp(TPoly.one("t", 6))
+            tp_exp(TPoly.constant(1, "t", 6))
 
 
 def _constraint_op(n, W, dilaton_index, extras=()):
@@ -509,7 +519,7 @@ class TestLambdaG:
                 powers = itertools.product(*(range(k + 1) for k in mult.values()))
                 divisors = [tuple((v, k) for v, k in zip(mult, ks) if k) for ks in powers]
                 u = TPoly("T", self.W, {m: coeff(Z.body, m) for m in divisors if m})
-                log, power = TPoly.zero("T", self.W), TPoly.one("T", self.W)
+                log, power = TPoly.zero("T", self.W), TPoly.constant(1, "T", self.W)
                 for j in range(1, n + 1):
                     power = power * u
                     log = log + power.scale(F((-1) ** (j + 1), j))
