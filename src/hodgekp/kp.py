@@ -2,7 +2,8 @@
 
 The generating bilinear identity is expanded through elementary Schur
 polynomials; every coefficient of an auxiliary y-monomial gives one
-bilinear equation in the Hirota symbols, which is evaluated exactly by
+bilinear equation in the Hirota symbols, kept on integers over one
+divisor with its even D-monomials only, which is evaluated exactly by
 the two-copy polynomial shift in binomial form,
 
     D^gamma tau . tau = sum_{beta <= gamma} (-1)^|gamma - beta|
@@ -30,9 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Mapping
 from fractions import Fraction
-from types import MappingProxyType
 
 from .algebra import (
     InvariantViolation,
@@ -213,65 +212,47 @@ def _mul_in_band(a: list, b: list, cap: int, bound: int, k: int, out: dict) -> N
                     slot[e] = c1 * c2 if s is None else s + c1 * c2
 
 
-def _schur_polys(top: int) -> list[dict[Mono, Fraction]]:
-    """Elementary Schur polynomials p_0..p_top: exp(sum x_k z^k) = sum p_j z^j."""
-    polys: list[dict[Mono, Fraction]] = [{(): Fraction(1)}]
-    for j in range(1, top + 1):
-        acc: dict[Mono, Fraction] = {}
-        for r in range(1, j + 1):
-            for mono, c in polys[j - r].items():
-                key = mono_mul(mono, ((r, 1),))
-                acc[key] = acc.get(key, Fraction(0)) + Fraction(r) * c
-        polys.append({m: c / j for m, c in acc.items() if c})
-    return polys
-
-
-def _poly_sub_scale(poly: dict[Mono, Fraction], factor) -> dict[Mono, Fraction]:
-    """Substitute x_r -> factor(r) * x_r in a Schur-type polynomial."""
-    out = {}
-    for mono, c in poly.items():
-        for v, e in mono:
-            c = c * factor(v) ** e
-        if c:
-            out[mono] = c
-    return out
-
-
 @functools.cache
-def hirota_equation_table(y_weight: int) -> tuple[tuple[Mono, Mapping[Mono, Fraction]], ...]:
-    """Bilinear equations indexed by y-monomials of weight <= y_weight.
+def hirota_equation_table(y_weight: int) -> tuple:
+    """The bilinear equations: the coefficients of y^alpha, for the
+    y-monomials alpha of weight <= y_weight in (weight, monomial) order, in
 
-    Coefficient extraction of
-        sum_j p_j(-2y) p_{j+1}(Dtilde) exp(sum_r y_r D_r)
-    with Dtilde_r = D_r / r.  Each equation is homogeneous of D-weight
-    (weight of its y-monomial) + 1.  Built once per y-weight; every
-    caller shares the one table, so it is read-only: a tuple of
-    (y-monomial, read-only equation) pairs.
+        sum_j p_j(-2y) p_{j+1}(Dtilde) exp(sum_r y_r D_r),   Dtilde_r = D_r / r,
+
+    p_j the elementary Schur polynomials.  With nu a sub-multiset of alpha,
+    mu = alpha - nu and z_lambda = prod r^m m!, p_{|nu|}(-2y) gives y^nu the
+    factor (-2)^l(nu)/nu!, the exponential gives y^mu the symbol D^mu/mu!,
+    and p_{|nu|+1}(Dtilde) = sum_{lambda |- |nu|+1} D^lambda/z_lambda; so
+    alpha!·(y_weight+1)! times equation alpha is the integer sum
+
+        sum_{nu <= alpha} (-2)^l(nu) alpha!/(nu! mu!)
+            sum_{lambda |- |nu|+1} ((y_weight+1)!/z_lambda) D^(lambda+mu).
+
+    Only the gamma = lambda + mu of even degree are kept: D^gamma tau.tau
+    vanishes for odd |gamma|.  An entry is (alpha, d, divisor, ((gamma,
+    int), ...)), gamma sorted, with the D-weight d = |alpha| + 1 of the
+    homogeneous equation kept, as some hold no even term.  Built once per
+    y-weight and shared by every caller, all tuples, so read-only.
     """
-    schur = _schur_polys(y_weight + 1)
-    table: dict[Mono, dict[Mono, Fraction]] = {}
-    y_monos = weight_monomials(T_SIDE, y_weight)
-    for j in range(0, y_weight + 1):
-        pj_y = _poly_sub_scale(schur[j], lambda r: Fraction(-2))
-        pD = _poly_sub_scale(schur[j + 1], lambda r: Fraction(1, r))
-        for nu, c_nu in pj_y.items():
-            for mu in y_monos:
-                if mono_weight(T_SIDE, nu) + mono_weight(T_SIDE, mu) > y_weight:
-                    continue
-                alpha = mono_mul(nu, mu)
-                mufact = 1
-                for _, e in mu:
-                    mufact *= math.factorial(e)
-                eq = table.setdefault(alpha, {})
-                for dmono, c in pD.items():
-                    key = mono_mul(dmono, mu)
-                    val = eq.get(key, Fraction(0)) + c_nu * c / mufact
-                    if val:
-                        eq[key] = val
-                    else:
-                        eq.pop(key, None)
-    ordered = sorted(table.items(), key=lambda kv: (mono_weight(T_SIDE, kv[0]), kv[0]))
-    return tuple((alpha, MappingProxyType(eq)) for alpha, eq in ordered)
+    top = math.factorial(y_weight + 1)
+    # partitions[n][p]: each lambda |- n of degree parity p, with (y+1)!/z_lambda
+    partitions: list[tuple[list, list]] = [([], []) for _ in range(y_weight + 2)]
+    for lam in weight_monomials(T_SIDE, y_weight + 1):
+        z = math.prod(v**e * math.factorial(e) for v, e in lam)
+        partitions[mono_weight(T_SIDE, lam)][sum(e for _, e in lam) % 2].append((lam, top // z))
+    table = []
+    for alpha in weight_monomials(T_SIDE, y_weight):
+        eq: dict[Mono, int] = {}
+        for nus in itertools.product(*(range(e + 1) for _, e in alpha)):
+            mu = tuple((v, e - n) for (v, e), n in zip(alpha, nus) if e > n)
+            c = (-2) ** sum(nus) * math.prod(math.comb(e, n) for (_, e), n in zip(alpha, nus))
+            for lam, k in partitions[sum(v * n for (v, _), n in zip(alpha, nus)) + 1][sum(e for _, e in mu) % 2]:
+                gamma = mono_mul(lam, mu)
+                eq[gamma] = eq.get(gamma, 0) + c * k
+        divisor = top * math.prod(math.factorial(e) for _, e in alpha)
+        terms = tuple(sorted((g, c) for g, c in eq.items() if c))
+        table.append((alpha, mono_weight(T_SIDE, alpha) + 1, divisor, terms))
+    return tuple(table)
 
 
 class EquationStatus(Record):
@@ -334,46 +315,40 @@ def _run_equations(
     hbar_label: str | None,
     band: tuple[int, int],
 ) -> HirotaReport:
-    """Evaluate each bilinear equation and record its nonzero residual
-    coefficients on the covered range v <= W - d, the weight each pair
-    product is built to, and in the band (a, b): only the hbar exponents
-    e with a*e <= W + b*(v + d) count, each recorded separately.  The
-    pairs are built by `_mul_in_band` to the excess bound W + b*d, so
-    they hold no other exponent.  The bound is fixed by d = W - covered,
-    so the pair cache stays keyed by (gamma, covered).
+    """Evaluate each bilinear equation (alpha, d, divisor, terms) of
+    `hirota_equation_table` and record its nonzero residual coefficients
+    on the covered range v <= W - d, the weight each pair product is
+    built to, and in the band (a, b): only the hbar exponents e with
+    a*e <= W + b*(v + d) count, each recorded separately.  The pairs are
+    built by `_mul_in_band` to the excess bound W + b*d, so they hold no
+    other exponent.  An equation is homogeneous, d = |gamma| for each of
+    its gamma, so the pair cache is keyed by gamma alone.
 
-    The residual sum_gamma c_gamma D^gamma tau.tau is summed on integers,
-    as sum_gamma (L·c_gamma)·pair_gamma over L·s², with s = tau.den,
-    pair_gamma = s²·D^gamma tau.tau from `_bilinear_pair` and L the LCM
-    of the equation's c_gamma denominators.
+    The residual sum_gamma (k_gamma/divisor) D^gamma tau.tau is summed on
+    integers, as sum_gamma k_gamma·pair_gamma over divisor·s², with
+    s = tau.den and pair_gamma = s²·D^gamma tau.tau from `_bilinear_pair`.
     """
     W = tau.max_weight
-    dmax = max(
-        (mono_weight(T_SIDE, g) for _, eq in equations for g in eq), default=0
-    )
-    s, derivs = _derivatives(tau, dmax, band)
-    pair_cache: dict[tuple[Mono, int], dict] = {}
+    s, derivs = _derivatives(tau, max((d for _, d, _, _ in equations), default=0), band)
+    pair_cache: dict[Mono, dict] = {}
     report = HirotaReport(check=check_name, hbar_value=hbar_label, y_weight=y_weight)
-    for label_mono, eq in equations:
-        d = max((mono_weight(T_SIDE, g) for g in eq), default=0)
+    for label_mono, d, divisor, terms in equations:
         covered = W - d
         bound = W + band[1] * d
         label = "y[" + mono_str(T_SIDE, label_mono).replace("t", "y") + "]"
-        L = math.lcm(*(c.denominator for c in eq.values()))
         acc: dict[Mono, dict[int, int]] = {}
-        for gamma, c in sorted(eq.items()):
-            key = (gamma, covered)
-            if key not in pair_cache:
-                pair_cache[key] = _bilinear_pair(derivs, gamma, covered, bound)
-            k = c.numerator * (L // c.denominator)
-            for mono, pair in pair_cache[key].items():
+        for gamma, k in terms:
+            pair = pair_cache.get(gamma)
+            if pair is None:
+                pair = pair_cache[gamma] = _bilinear_pair(derivs, gamma, covered, bound)
+            for mono, xs in pair.items():
                 slot = acc.get(mono)
                 if slot is None:
                     slot = acc[mono] = {}
-                for e, x in pair.items():
+                for e, x in xs.items():
                     y = slot.get(e)
                     slot[e] = k * x if y is None else y + k * x
-        den = L * s * s
+        den = divisor * s * s
         failures = []
         nonzero = [(mono_weight(tau.kind, m), m, slot) for m, slot in acc.items() if any(slot.values())]
         for v, mono, slot in sorted(nonzero):

@@ -19,6 +19,7 @@ from hodgekp.algebra import (
     _canonical,
     double_factorial,
     exp_weights,
+    mono_mul,
     mono_str,
     mono_weight,
     mul_sorted,
@@ -410,6 +411,60 @@ def reference_cut_and_join(W, s):
         piece = step.scale(Fraction(1, w))
         body = body + piece.scale(HbarPoly.hbar(w // s))
     return body
+
+
+def _schur_polys(top):
+    """Elementary Schur polynomials p_0..p_top: exp(sum x_k z^k) = sum p_j z^j."""
+    polys = [{(): Fraction(1)}]
+    for j in range(1, top + 1):
+        acc = {}
+        for r in range(1, j + 1):
+            for mono, c in polys[j - r].items():
+                key = mono_mul(mono, ((r, 1),))
+                acc[key] = acc.get(key, Fraction(0)) + Fraction(r) * c
+        polys.append({m: c / j for m, c in acc.items() if c})
+    return polys
+
+
+def _poly_sub_scale(poly, factor):
+    """Substitute x_r -> factor(r) * x_r in a Schur-type polynomial."""
+    out = {}
+    for mono, c in poly.items():
+        for v, e in mono:
+            c = c * factor(v) ** e
+        if c:
+            out[mono] = c
+    return out
+
+
+@lru_cache(maxsize=None)
+def reference_hirota_table(y_weight):
+    """The bilinear equations of `hirota_equation_table` by `Fraction`
+    Schur-polynomial products, odd D-monomials included: the coefficients
+    of the y-monomials of weight <= y_weight in
+    sum_j p_j(-2y) p_{j+1}(Dtilde) exp(sum_r y_r D_r), Dtilde_r = D_r / r,
+    as (y-monomial, {gamma: Fraction}) pairs in (weight, monomial) order."""
+    schur = _schur_polys(y_weight + 1)
+    table = {}
+    y_monos = weight_monomials(T_SIDE, y_weight)
+    for j in range(0, y_weight + 1):
+        pj_y = _poly_sub_scale(schur[j], lambda r: Fraction(-2))
+        pD = _poly_sub_scale(schur[j + 1], lambda r: Fraction(1, r))
+        for nu, c_nu in pj_y.items():
+            for mu in y_monos:
+                if mono_weight(T_SIDE, nu) + mono_weight(T_SIDE, mu) > y_weight:
+                    continue
+                alpha = mono_mul(nu, mu)
+                mufact = math.prod(math.factorial(e) for _, e in mu)
+                eq = table.setdefault(alpha, {})
+                for dmono, c in pD.items():
+                    key = mono_mul(dmono, mu)
+                    val = eq.get(key, Fraction(0)) + c_nu * c / mufact
+                    if val:
+                        eq[key] = val
+                    else:
+                        eq.pop(key, None)
+    return tuple(sorted(table.items(), key=lambda kv: (mono_weight(T_SIDE, kv[0]), kv[0])))
 
 
 def reference_witt_coefficients(f):

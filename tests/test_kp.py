@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from hodgekp import kp
 from hodgekp.algebra import HbarPoly, InvariantViolation, TPoly, mono_str, mono_weight
+from hodgekp.cli import RunConfig, default_points, run_verification
 from hodgekp.curve import CATALOG, CurveParams
 from hodgekp.kp import (
     _bilinear_pair,
@@ -21,7 +22,7 @@ from hodgekp.kp import (
 from hodgekp.operators import weight_monomials
 from hodgekp.tau import bgw_tau, kw_tau, tau_qp_check, trust_band
 
-from conftest import coeff, fraction_product, hbar_weight_strip, random_tpoly
+from conftest import coeff, fraction_product, hbar_weight_strip, random_tpoly, reference_hirota_table
 
 
 def t(k, w=8):
@@ -79,10 +80,12 @@ class TestFirstEquation:
     y[y3] equation of the y-weight-3 table."""
 
     def test_first_equation_is_in_the_table(self):
-        eq = dict(hirota_equation_table(3))[((3, 1),)]
-        # the odd Hirota monomials D_1^2 D_2 and D_4 vanish on any f.f
-        even = {g: c for g, c in eq.items() if sum(e for _, e in g) % 2 == 0}
-        assert even == {((1, 4),): F(-1, 12), ((2, 2),): F(-3, 12), ((1, 1), (3, 1)): F(4, 12)}
+        # -(D_1^4 + 3 D_2^2 - 4 D_1 D_3)/12, as the integers -2, -6 and 8
+        # over the divisor alpha!·(y + 1)! = 1!·4!, at D-weight 4; the odd
+        # Hirota monomials D_1^2 D_2 and D_4 of the generating identity
+        # vanish on any f.f, and the table does not hold them
+        entry = {alpha: rest for alpha, *rest in hirota_equation_table(3)}[((3, 1),)]
+        assert entry == [4, 24, ((((1, 1), (3, 1)), 8), (((1, 4),), -2), (((2, 2),), -6))]
 
     def test_constant_tau(self):
         assert hirota_full_check(TPoly.constant(1, "t", 8), 3).passed
@@ -123,11 +126,11 @@ class TestSchurTaus:
 class TestEquationTable:
     def test_lowest_equation_embedded(self):
         # the y3-coefficient equation is proportional to the first
-        # equation up to odd-degree symbols that vanish on any tau.tau
-        table = dict(hirota_equation_table(3))
-        eq = table[((3, 1),)]
-        even = {g: c for g, c in eq.items() if sum(e for _, e in g) % 2 == 0}
-        assert even == {
+        # equation; the odd-degree symbols of the generating identity,
+        # which vanish on any tau.tau, are not in the table
+        alpha, d, divisor, terms = hirota_equation_table(3)[-1]
+        assert (alpha, d) == (((3, 1),), 4)
+        assert {g: F(k, divisor) for g, k in terms} == {
             ((1, 4),): F(-1, 12),
             ((2, 2),): F(-1, 4),
             ((1, 1), (3, 1)): F(1, 3),
@@ -135,20 +138,53 @@ class TestEquationTable:
 
     def test_one_read_only_table_per_y_weight(self):
         # every check at one y-weight reads the same table, so no caller
-        # may change it
+        # may change it: it is tuples all the way down
         table = hirota_equation_table(3)
         assert hirota_equation_table(3) is table
         assert hirota_equation_table(4) is not table
-        label, eq = table[0]
+        for entry in table:
+            assert type(entry) is tuple and type(entry[3]) is tuple
+            assert all(type(term) is tuple for term in entry[3])
+        label, d, divisor, terms = table[-1]
         with pytest.raises(TypeError):
-            eq[((1, 1),)] = F(1)
+            terms[0] = (((1, 1),), 1)
         with pytest.raises((TypeError, AttributeError)):
-            table.append((label, {}))
+            table.append((label, d, divisor, ()))
 
     def test_empty_y_equation_is_odd(self):
-        table = dict(hirota_equation_table(2))
-        eq = table[()]
-        assert all(sum(e for _, e in g) % 2 == 1 for g in eq)
+        # p_1(Dtilde) = D_1 alone: odd, so the equation holds no term, and
+        # it keeps its D-weight
+        assert hirota_equation_table(2)[0] == ((), 1, 6, ())
+        assert reference_hirota_table(2)[0] == ((), {((1, 1),): 1})
+
+    @pytest.mark.parametrize("y_weight", range(13))
+    def test_matches_the_fraction_oracle(self, y_weight):
+        # the integer table is the even-degree part of the generating
+        # identity's coefficients, term by term, label by label
+        table, oracle = hirota_equation_table(y_weight), reference_hirota_table(y_weight)
+        assert [entry[0] for entry in table] == [alpha for alpha, _ in oracle]
+        for (alpha, d, divisor, terms), (_, eq) in zip(table, oracle):
+            assert all(sum(e for _, e in g) % 2 == 0 for g, _ in terms), alpha
+            even = {g: c for g, c in eq.items() if sum(e for _, e in g) % 2 == 0}
+            assert {g: F(k, divisor) for g, k in terms} == even, alpha
+            assert d == max(mono_weight("t", g) for g in eq), alpha
+
+    @pytest.mark.parametrize("y_weight", range(3, 13))
+    def test_vacuous_labels(self, y_weight):
+        # the equations whose every term is odd, so that none is left
+        vacuous = [(), ((1, 1),), ((1, 2),), ((2, 1),)]
+        if y_weight >= 4:
+            vacuous.append(((1, 2), (2, 1)))
+        assert [alpha for alpha, _, _, terms in hirota_equation_table(y_weight) if not terms] == vacuous
+
+    def test_vacuous_labels_report_as_covered(self):
+        # a vacuous equation still reports the covered weight W - |alpha| - 1
+        # of its D-weight, and passes
+        W = 9
+        _, summary = run_verification(RunConfig(checks=["kp-kw"], points=default_points(), weight=W))
+        lines = {e["label"]: e for e in summary["results"][0]["details"]["report"]["equations"]}
+        for label, weight in {"y[1]": 0, "y[y1]": 1, "y[y1^2]": 2, "y[y2]": 2}.items():
+            assert lines[label] == {"label": label, "maxResidualWeightChecked": W - weight - 1, "status": "pass"}
 
     def test_covered_range_reported(self):
         tau = specialize_hbar(kw_tau(9).body, F(1))
@@ -320,13 +356,12 @@ def oracle_failures(tau, y_weight, band):
     the check reports."""
     W = tau.max_weight
     table = hirota_equation_table(y_weight)
-    derivs = scaled_derivatives(tau, max(mono_weight("t", g) for _, eq in table for g in eq))
+    derivs = scaled_derivatives(tau, max(d for _, d, _, _ in table))
     failures = []
-    for label_mono, eq in table:
-        d = max(mono_weight("t", g) for g in eq)
+    for label_mono, d, divisor, terms in table:
         residual = TPoly.zero("t", W - d)
-        for gamma, c in eq.items():
-            residual = residual + all_splits_pair(derivs, gamma, W - d).scale(c)
+        for gamma, k in terms:
+            residual = residual + all_splits_pair(derivs, gamma, W - d).scale(F(k, divisor))
         label = "y[" + mono_str("t", label_mono).replace("t", "y") + "]"
         for mono, h in residual.sorted_terms():
             where = {"equation": label, "monomial": mono_str("t", mono)}
@@ -343,7 +378,8 @@ def oracle_failures(tau, y_weight, band):
 class TestBilinearPair:
     """The integer pair kernel against the all-splits expansion in
     `Fraction`s, on the covered range of every equation of the
-    y-weight-3 table."""
+    y-weight-3 table, and on the odd-degree gamma of the same weights,
+    where both are zero."""
 
     @pytest.mark.parametrize("which", ["kw-specialized", "tau-qp-graded"])
     def test_matches_all_splits_on_covered_range(self, which):
@@ -352,8 +388,8 @@ class TestBilinearPair:
         else:
             tau = tau_qp_check(CurveParams(F(1), F(3), F(2)), 7).tau.body
         W = tau.max_weight
-        gammas = {g for _, eq in hirota_equation_table(3) for g in eq}
-        dmax = max(mono_weight("t", g) for g in gammas)
+        dmax = max(d for _, d, _, _ in hirota_equation_table(3))
+        gammas = weight_monomials("t", dmax)[1:]
         d, derivs = _derivatives(tau, dmax, (0, 0))
         assert d == math.lcm(*(x.denominator for h in tau.terms.values() for x in h.terms.values()))
         oracle = scaled_derivatives(tau, dmax)
@@ -388,28 +424,27 @@ bands = st.sampled_from([(0, 0), (2, 1), (12, 3)]) | st.tuples(st.integers(0, 4)
 
 class TestBandedPair:
     """The pair kernel forms only in-band products: its pair is the
-    all-splits `Fraction` pair cut to the band a*e <= W + b*(v + d), on
-    every equation of the y-weight-3 table."""
+    all-splits `Fraction` pair cut to the band a*e <= W + b*(v + d), for
+    every gamma of the D-weight d of an equation of the y-weight-3 table,
+    the odd-degree gamma included."""
 
     @staticmethod
     def compare(tau, band):
-        """Assert the banded pair of every (equation, gamma) equals the cut
+        """Assert the banded pair of every (d, gamma) equals the cut
         `all_splits_pair` and holds no entry outside the band; return how
         many nonzero coefficients lie on the boundary a*e = W + b*(v + d)."""
         a, b = band
         W = tau.max_weight
-        table = hirota_equation_table(3)
-        dmax = max(mono_weight("t", g) for _, eq in table for g in eq)
-        s, banded = _derivatives(tau, dmax, band)
-        oracle = scaled_derivatives(tau, dmax)
+        depths = sorted({d for _, d, _, _ in hirota_equation_table(3)})
+        s, banded = _derivatives(tau, depths[-1], band)
+        oracle = scaled_derivatives(tau, depths[-1])
         on_boundary = 0
-        for _, eq in table:
-            d = max(mono_weight("t", g) for g in eq)
+        for d in depths:
 
             def past_band(mono, e):
                 return a * e - b * (mono_weight("t", mono) + d) - W
 
-            for gamma in eq:
+            for gamma in (g for g in weight_monomials("t", d) if mono_weight("t", g) == d):
                 got = _bilinear_pair(banded, gamma, W - d, W + b * d)
                 assert all(past_band(m, e) <= 0 for m, slot in got.items() for e in slot), gamma
                 unbanded = all_splits_pair(oracle, gamma, W - d).sorted_terms()
@@ -523,7 +558,7 @@ class TestPinnedFailures:
         failures = graded_kernel(body, 3, band).failures
         assert failures and failures == oracle_failures(body, 3, band)
         table = hirota_equation_table(3)
-        depth = {"y[" + mono_str("t", m).replace("t", "y") + "]": max(mono_weight("t", g) for g in eq) for m, eq in table}
+        depth = {"y[" + mono_str("t", m).replace("t", "y") + "]": d for m, d, _, _ in table}
         weight = {mono_str("t", m): mono_weight("t", m) for m in weight_monomials("t", W)}
         assert any(a * f["hbarExponent"] == W + b * (weight[f["monomial"]] + depth[f["equation"]]) for f in failures)
         assert any(f["hbarExponent"] < 0 for f in failures)

@@ -387,6 +387,17 @@ class TestHodgePartition:
         # are out-of-band tails of the weight truncation)
         assert coeff(coeff(Z.body, ((0, 1),)), 1) == su / 24
 
+    def test_trust_band_from_outside(self, p132):
+        # T3 (weight 7) at hbar^3 is in the band 12e <= W + 3v from W = 15
+        # on.  Outside it, at W = 9, the coefficient is a partial sum of a
+        # divergent series; from W = 15 it is the exact one, and W = 16
+        # agrees.  W = 12 already gives -13/1920: the band is conservative
+        # there, and only the in-band value is asserted exact.
+        a, b = trust_band("HodgeZ")
+        assert [W for W in range(9, 17) if a * 3 <= W + b * 7] == [15, 16]
+        at = {W: coeff(coeff(hodge_partition(p132, W).body, ((3, 1),)), 3) for W in (9, 15, 16)}
+        assert at == {9: F(-299, 55296), 15: F(-13, 1920), 16: F(-13, 1920)}
+
     def test_p_q_symmetry(self):
         a = hodge_partition(CurveParams(F(0), F(4), F(2)), 8)
         b = hodge_partition(CurveParams(F(4), F(0), F(2)), 8)
